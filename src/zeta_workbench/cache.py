@@ -8,9 +8,11 @@ by the ZETA_CACHE_DIR environment variable.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 
 __all__ = ["cache_dir", "cache_key", "load", "store"]
@@ -40,10 +42,17 @@ def load(key: str) -> dict | None:
 
 
 def store(key: str, value: dict) -> None:
+    """Write atomically: each writer fills its own temp file in the cache
+    directory and renames it over the entry, so concurrent writers of one
+    key never share a file and readers see a complete document or none."""
     directory = cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{key}.json"
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(value, handle, sort_keys=True)
-    tmp.replace(path)
+    fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(value, handle, sort_keys=True)
+        os.replace(tmp, directory / f"{key}.json")
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

@@ -184,7 +184,8 @@ def _fill(args, **defaults) -> None:
 
 def cmd_enumerate(args) -> int:
     _fill(args, max_word_length=6, cutoff=5.0, format="json")
-    presentation = parse_group_presentation(_read_json(args.presentation))
+    raw = _read_json(args.presentation)
+    presentation = parse_group_presentation(raw)
     if not presentation.generators:
         sys.stderr.write("warning: presentation has no generators; spectrum is empty\n")
     config = EnumerationConfig(
@@ -193,9 +194,7 @@ def cmd_enumerate(args) -> int:
     key = cache.cache_key(
         {
             "op": "enumerate",
-            "presentation": json.loads(
-                json.dumps(_read_json(args.presentation), sort_keys=True)
-            ),
+            "presentation": raw,
             "max_word_length": config.max_word_length,
             "cutoff": config.length_cutoff,
         }

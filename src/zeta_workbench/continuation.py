@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     AtSingularity,
@@ -267,6 +266,8 @@ def super_tail_log(dirac: DiracSpectrum, w: complex) -> complex:
 
 
 def _segment_integral(f, a: complex, b: complex, abs_tol: float = 1e-12) -> complex:
+    from scipy.integrate import quad
+
     direction = b - a
 
     def real_part(x: float) -> float:
@@ -283,6 +284,8 @@ def _segment_integral(f, a: complex, b: complex, abs_tol: float = 1e-12) -> comp
 def _arc_integral(
     f, center: complex, radius: float, phi_from: float, phi_to: float
 ) -> complex:
+    from scipy.integrate import quad
+
     def real_part(phi: float) -> float:
         z = center + radius * cmath.exp(1j * phi)
         return (f(z) * 1j * radius * cmath.exp(1j * phi)).real

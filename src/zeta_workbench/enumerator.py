@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +30,6 @@ __all__ = [
     "parse_group_presentation",
     "serialize_group_presentation",
     "complex_length",
-    "conjugacy_key",
     "primitive_decomposition",
     "enumerate_spectrum",
     "validate_words",
@@ -97,7 +97,6 @@ class EnumerationConfig:
     max_word_length: int
     length_cutoff: float
     trace_bucket_tolerance: float = 1e-9
-    parallel_width: int = 1
 
     def __post_init__(self):
         if self.max_word_length < 1:
@@ -106,8 +105,6 @@ class EnumerationConfig:
             raise InvariantViolation("length_cutoff must be positive")
         if not (self.trace_bucket_tolerance > 0):
             raise InvariantViolation("trace_bucket_tolerance must be positive")
-        if self.parallel_width < 1:
-            raise InvariantViolation("parallel_width must be positive")
 
 
 def parse_group_presentation(document: str | dict) -> GroupPresentation:
@@ -244,20 +241,29 @@ def primitive_decomposition(
     integer for which some class has length about l/n and an angle theta0
     with n*theta0 matching theta modulo a full turn.  Ambiguous root matches
     are appended to notes when given.
+
+    The lengths are sorted once and each power n bisects them for a window
+    of +-2*tolerance around l/n, so the search costs O(N n_max log N) for N
+    classes and powers up to n_max; only the classes in the window are
+    tested against the tolerance.
     """
     if not classes:
         return []
-    lengths = sorted(c[0] for c in classes)
+    by_length = sorted((c[0], c[1]) for c in classes)
+    lengths = [rl for rl, _ in by_length]
     min_len = lengths[0]
+    window = 2.0 * tolerance
     out = []
     for length, angle, word in classes:
         best_n = 1
         n = 2
         while length / n >= min_len - tolerance:
             target = length / n
+            lo = bisect_left(lengths, target - window)
+            hi = bisect_right(lengths, target + window, lo)
             hits = [
                 (rl, ra)
-                for rl, ra, _ in classes
+                for rl, ra in by_length[lo:hi]
                 if abs(rl - target) <= tolerance
                 and abs(wrap_angle(n * ra - angle)) <= n * tolerance + 1e-12
             ]
@@ -339,9 +345,7 @@ def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> Lengt
     buckets: dict[tuple[int, int], list[_ClassEntry]] = {}
     kept: list[_ClassEntry] = []
 
-    # frontier of all reduced words at the current depth; the walk is
-    # sequential with a fixed reduction order, so cfg.parallel_width can
-    # never change the result (it is recorded for interface stability only)
+    # frontier of all reduced words at the current depth
     frontier_words: list[str] = []
     frontier_mats_list: list[np.ndarray] = []
 

@@ -28,9 +28,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_function
-
 from .errors import (
     InvariantViolation,
     MissingVolume,
@@ -190,7 +187,7 @@ def heat_spectral_side(t: float, laplace: LaplaceSpectrum) -> complex:
 
 def gaussian_moment(t: float, m: int) -> float:
     """integral lam^{2m} exp(-t lam^2) dlam = Gamma(m + 1/2) / t^{m + 1/2}."""
-    return float(gamma_function(m + 0.5)) / t ** (m + 0.5)
+    return math.gamma(m + 0.5) / t ** (m + 0.5)
 
 
 def identity_term_heat(
@@ -218,6 +215,8 @@ def identity_term_dirac(
     overrides (full coefficient lists, lam^0 upward, odd powers allowed)
     exist so tests can verify the cancellation is actually detected.
     """
+    from scipy.integrate import quad
+
     q = plancherel(sigma)
     wq = plancherel(weyl_action(sigma))
     plus = plus_coefficients if plus_coefficients is not None else q.coefficients
@@ -252,6 +251,8 @@ def identity_term_dirac(
 
 
 def _complex_quad(f, a, b, abs_tol, limit=400, points=None):
+    from scipy.integrate import quad
+
     re, re_err = quad(
         lambda x: f(x).real, a, b, epsabs=abs_tol, limit=limit, points=points
     )
@@ -340,6 +341,8 @@ def fourier_gaussian_check(
     if not (length > 0 and t > 0):
         raise InvariantViolation("length and t must be positive")
     window = math.sqrt(200.0 / t)
+
+    from scipy.integrate import quad
 
     # lam cos(l lam) exp(-t lam^2) is odd, so only the sine part survives;
     # folding the domain keeps the cancellation out of the error estimate

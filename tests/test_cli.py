@@ -9,9 +9,14 @@ code contract: 0 success, 2 schema, 3 non-loxodromic, 4 convergence,
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zeta_workbench
 from zeta_workbench.cli import main
 
 
@@ -101,6 +106,23 @@ def test_enumerate_reruns_are_byte_identical(tmp_path, capsys):
     second = capsys.readouterr().out
     assert out1.read_bytes() == out2.read_bytes()
     assert first == second
+
+
+def test_enumerate_cache_key_is_pinned(tmp_path, capsys):
+    # the key hashes the parsed presentation, so key order and layout in
+    # the file do not matter, and caches written by earlier versions hit
+    pinned = "cache key: 5bf4e777956df75a13b8358793453128586d7fe9e1cf3e1111b0b47c5cdc394f"
+    doc = cyclic_presentation_doc()
+    compact = write_json(tmp_path, "compact.json", doc)
+    reordered = tmp_path / "reordered.json"
+    reordered.write_text(
+        json.dumps(dict(reversed(list(doc.items()))), indent=4), encoding="utf-8"
+    )
+    for path in (compact, str(reordered)):
+        argv = ["enumerate", "--presentation", path, "--max-word-length", "3",
+                "--cutoff", "4.0"]
+        assert main(argv) == 0
+        assert pinned in capsys.readouterr().out.splitlines()
 
 
 def test_enumerate_empty_presentation_warns(tmp_path, capsys):
@@ -374,3 +396,30 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
                  "--s-start", "3", "0"])
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+
+IMPORT_PROBE = """
+import json, sys
+import zeta_workbench.cli as cli
+pres, spec = sys.argv[1], sys.argv[2]
+assert cli.main(["enumerate", "--presentation", pres, "--max-word-length", "3",
+                 "--cutoff", "4.0", "--output", spec]) == 0
+assert cli.main(["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "3", "0",
+                 "--output", spec + ".rows"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_enumerate_and_zeta_never_load_scipy(tmp_path):
+    pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
+    env = dict(os.environ, ZETA_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, pres, str(tmp_path / "spec.json")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == []

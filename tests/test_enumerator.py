@@ -16,10 +16,12 @@ from zeta_workbench import (
     complex_length,
     enumerate_spectrum,
     parse_group_presentation,
+    primitive_decomposition,
     serialize_group_presentation,
     spectrum_is_incomplete,
     validate_words,
     word_matrix,
+    wrap_angle,
 )
 from conftest import TWO_LN_2, schottky_pair
 
@@ -199,3 +201,86 @@ def test_free_group_class_count_matches_necklace_count(free_two_generator):
     config = EnumerationConfig(max_word_length=3, length_cutoff=100.0)
     spectrum = enumerate_spectrum(free_two_generator, config)
     assert len(spectrum.classes) == len(necklaces)
+
+
+# ---------------------------------------------------------------------------
+# root search against the all-pairs scan
+
+
+def reference_primitive_decomposition(classes, tolerance, notes):
+    """The O(N^2 n_max) scan over all class pairs, kept as the oracle."""
+    min_len = min(c[0] for c in classes)
+    out = []
+    for length, angle, word in classes:
+        best_n = 1
+        n = 2
+        while length / n >= min_len - tolerance:
+            target = length / n
+            hits = [
+                (rl, ra)
+                for rl, ra, _ in classes
+                if abs(rl - target) <= tolerance
+                and abs(wrap_angle(n * ra - angle)) <= n * tolerance + 1e-12
+            ]
+            if len(hits) > 1:
+                notes.append(
+                    f"ambiguous root for class at length {length:.12g}: "
+                    f"{len(hits)} candidates at power {n}"
+                )
+            if hits:
+                best_n = n
+            n += 1
+        out.append((length, angle, best_n, best_n == 1, word))
+    return out
+
+
+def random_class_list(rng, tol):
+    """Primitive classes, some with angles at the +-pi seam, their exact
+    powers up to 6, second roots that make a power ambiguous, and roots at
+    l/n +- tol (1 +- 1e-6), just inside and just outside the tolerance."""
+    seam = math.pi - 1e-10
+    classes = []
+    for _ in range(25):
+        l0 = rng.uniform(0.5, 3.0)
+        theta0 = [rng.uniform(-math.pi, math.pi), seam, -seam, math.pi][rng.integers(4)]
+        classes.append((l0, wrap_angle(theta0)))
+        for n in range(2, int(rng.integers(2, 7)) + 1):
+            classes.append((n * l0, wrap_angle(n * theta0)))
+    for _ in range(6):
+        l0, theta0 = classes[rng.integers(len(classes))]
+        n = int(rng.integers(2, 7))
+        classes.append((l0, wrap_angle(theta0 + 2.0 * math.pi / n)))
+        classes.append((n * l0, wrap_angle(n * theta0)))
+    for _ in range(12):
+        length, angle = classes[rng.integers(len(classes))]
+        n = int(rng.integers(2, 7))
+        offset = tol * (1.0 + rng.choice([-1e-6, 1e-6])) * rng.choice([-1.0, 1.0])
+        classes.append((length / n + offset, wrap_angle(angle / n)))
+    order = rng.permutation(len(classes))
+    return [(classes[i][0], classes[i][1], f"w{i}") for i in order]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_root_search_matches_all_pairs_scan(seed, tol):
+    classes = random_class_list(np.random.default_rng(seed), tol)
+    notes, expected_notes = [], []
+    got = primitive_decomposition(classes, tolerance=tol, notes=notes)
+    expected = reference_primitive_decomposition(classes, tol, expected_notes)
+    assert [
+        (c.length, c.angle, c.multiplicity, c.primitive, c.word) for c in got
+    ] == expected
+    assert notes == expected_notes
+    assert expected_notes, "no ambiguous root was generated"
+    assert max(c.multiplicity for c in got) >= 6
+
+
+def test_root_search_tolerance_edges():
+    # the square of a root at 0.8 is found exactly when the root lies
+    # within the tolerance, on either side of l/n
+    tol = 1e-9
+    for factor, squared in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+        for sign in (1.0, -1.0):
+            root = (0.8 + sign * tol * factor, 0.2, "r")
+            power = primitive_decomposition([root, (1.6, 0.4, "p")], tol)[1]
+            assert power.multiplicity == (2 if squared else 1)

@@ -3,10 +3,10 @@ from __future__ import annotations
 import cmath
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma as gamma_fn
 
 from zeta_workbench import (
     DiracSpectrum,
@@ -61,10 +61,13 @@ def test_fourier_gaussian_identity_samples():
 
 
 def test_gaussian_moment_matches_gamma():
-    for t in (0.5, 2.0):
-        for m in (0, 1, 2, 3):
-            expected = gamma_fn(m + 0.5) / t ** (m + 0.5)
-            assert gaussian_moment(t, m) == pytest.approx(expected, rel=1e-13)
+    # mpmath at 40 digits is the oracle: Gamma(m + 1/2) / t^(m + 1/2)
+    with mpmath.workdps(40):
+        for t in (0.05, 0.5, 1.0, 2.0, 7.5):
+            for m in range(9):
+                half = mpmath.mpf(m) + mpmath.mpf(1) / 2
+                expected = mpmath.gamma(half) / mpmath.mpf(t) ** half
+                assert abs(gaussian_moment(t, m) - expected) <= 1e-15 * expected, (t, m)
 
 
 def test_identity_term_heat_closed_form():
