@@ -20,10 +20,10 @@ from pathlib import Path
 from . import cache
 from .config import load_config, section_defaults
 from .continuation import (
+    continued_super_logderiv,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     log_zeta_by_path,
     singularity_catalog,
-    super_tail_log,
-    continued_super_logderiv,
+    super_winding,
 )
 from .enumerator import (
     EnumerationConfig,
@@ -347,6 +347,9 @@ def cmd_continue(args) -> int:
         ]
     rows = []
     if want_grid:
+        radius = float(args.radius)
+        if not radius > 0:
+            raise SchemaError("radius must be positive")
         super_records = [r for r in catalog if r.zeta_kind == "super"]
         for s in _s_grid(args):
             for rec in super_records:
@@ -356,12 +359,7 @@ def cmd_continue(args) -> int:
                         location=rec.location,
                     )
             log_value = log_zeta_by_path(
-                s,
-                lambda z: continued_super_logderiv(z, dirac),
-                catalog=super_records,
-                detour_radius=float(args.radius),
-                detour_side=args.detour,
-                tail=lambda w: super_tail_log(dirac, w),
+                s, catalog=super_records, detour_radius=radius, detour_side=args.detour
             )
             value = cmath.exp(log_value)
             rows.append(
@@ -370,6 +368,7 @@ def cmd_continue(args) -> int:
                     "log": _pair(log_value),
                     "abs": abs(value),
                     "arg": cmath.phase(value),
+                    "winding": super_winding(s, super_records, radius, args.detour),
                 }
             )
         payload["rows"] = rows

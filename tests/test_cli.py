@@ -342,6 +342,70 @@ def test_continue_grid_point_on_singularity_exit_7(tmp_path, capsys):
     assert "singularity" in capsys.readouterr().err
 
 
+PORTRAIT_ENTRIES = [(0.9, 0.0, 2), (-0.9, 0.0, 1), (1.7, 0.1, 1), (2.6, 0.0, 3)]
+PORTRAIT_LINE = ["--s-start", "-0.5", "3", "--s-stop", "-0.5", "-3", "--s-count", "40"]
+
+
+def test_continue_portrait_line_passes_pole_at_detour_radius(tmp_path, capsys):
+    # the ray through -0.5 - 1.0i passes the pole -0.9i at the detour radius
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc(PORTRAIT_ENTRIES))
+    code = main(["continue", "--dirac", dirac] + PORTRAIT_LINE)
+    assert code == 0, capsys.readouterr().err
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 40
+    for row in rows:
+        s = complex(*row["s"])
+        product = 1.0 + 0.0j
+        for re, im, m in PORTRAIT_ENTRIES:
+            lam = complex(re, im)
+            product *= ((s - 1j * lam) / (s + 1j * lam)) ** m
+        assert cmath.exp(complex(*row["log"])) == pytest.approx(product, rel=1e-12)
+
+
+def test_continue_rows_report_the_winding(tmp_path, capsys):
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc(PORTRAIT_ENTRIES))
+    rows = {}
+    for side in ("above", "below"):
+        assert main(["continue", "--dirac", dirac, "--detour", side] + PORTRAIT_LINE) == 0
+        rows[side] = json.loads(capsys.readouterr().out)["rows"]
+    # super poles i nu with order m(nu) - m(-nu)
+    poles = [(0.9j, 1), (-0.9j, -1), (complex(-0.1, 1.7), 1), (complex(0.1, -1.7), -1),
+             (2.6j, 3), (-2.6j, -3)]
+    turned = 0
+    for above, below in zip(rows["above"], rows["below"]):
+        s = complex(*above["s"])
+        detoured = sum(m for p, m in poles if abs(p.imag - s.imag) < 0.1)
+        assert above["winding"] - below["winding"] == detoured
+        for row in (above, below):
+            s = complex(*row["s"])
+            principal = sum(m * cmath.log(s - p) for p, m in poles)
+            assert isinstance(row["winding"], int)
+            assert complex(*row["log"]) == pytest.approx(
+                principal + 2j * math.pi * row["winding"], abs=1e-12
+            )
+        difference = complex(*above["log"]) - complex(*below["log"])
+        assert difference == pytest.approx(
+            2j * math.pi * (above["winding"] - below["winding"]), abs=1e-12
+        )
+        turned += detoured != 0
+    assert turned == 12  # every pole lies within the radius of two rays
+
+
+def test_continue_csv_header_unchanged(tmp_path, capsys):
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc(PORTRAIT_ENTRIES))
+    assert main(["continue", "--dirac", dirac, "--format", "csv"] + PORTRAIT_LINE) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "s_re,s_im,abs,arg"
+    assert len(lines) == 41
+
+
+def test_continue_nonpositive_radius_exit_2(tmp_path, capsys):
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1)]))
+    code = main(["continue", "--dirac", dirac, "--s-start", "-0.5", "0", "--radius", "0"])
+    assert code == 2
+    assert "radius" in capsys.readouterr().err
+
+
 def test_continue_inconsistent_pair_exit_6(tmp_path, capsys):
     dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1)]))
     laplace = write_json(tmp_path, "laplace.json", eigen_doc([(1.0, 0.0, 2)]))
@@ -405,21 +469,24 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
 IMPORT_PROBE = """
 import json, sys
 import zeta_workbench.cli as cli
-pres, spec = sys.argv[1], sys.argv[2]
+pres, spec, dirac = sys.argv[1], sys.argv[2], sys.argv[3]
 assert cli.main(["enumerate", "--presentation", pres, "--max-word-length", "3",
                  "--cutoff", "4.0", "--output", spec]) == 0
 assert cli.main(["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "3", "0",
                  "--output", spec + ".rows"]) == 0
+assert cli.main(["continue", "--dirac", dirac, "--s-start", "-0.5", "3", "--s-stop",
+                 "-0.5", "-3", "--s-count", "40", "--output", spec + ".continued"]) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
 def test_enumerate_and_zeta_never_load_scipy(tmp_path):
     pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc(PORTRAIT_ENTRIES))
     env = dict(os.environ, ZETA_CACHE_DIR=str(tmp_path / "cache"))
     env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, pres, str(tmp_path / "spec.json")],
+        [sys.executable, "-c", IMPORT_PROBE, pres, str(tmp_path / "spec.json"), dirac],
         env=env, capture_output=True, text=True, check=True,
     )
     assert json.loads(result.stdout.splitlines()[-1]) == []

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 
 from zeta_workbench import (
@@ -23,8 +26,14 @@ from zeta_workbench import (
     singularity_catalog,
     square_spectrum,
     super_tail_log,
+    super_winding,
 )
+from zeta_workbench.errors import InvariantViolation
+from zeta_workbench.spectra import SingularityRecord
+from zeta_workbench.verify import random_dirac_spectrum
 from conftest import power_family
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 # partial fractions -----------------------------------------------------------
@@ -246,6 +255,153 @@ def test_path_refuses_start_on_singularity(dirac_pm):
             catalog=list(singularity_catalog(dirac_pm)),
             tail=lambda w: super_tail_log(dirac_pm, w),
         )
+
+
+# closed form and branch tracking ---------------------------------------------
+
+
+def super_catalog(dirac):
+    return [r for r in singularity_catalog(dirac) if r.zeta_kind == "super"]
+
+
+def by_quadrature(dirac, s, side, radius=0.1):
+    return log_zeta_by_path(
+        s,
+        lambda z: continued_super_logderiv(z, dirac),
+        catalog=super_catalog(dirac),
+        detour_radius=radius,
+        detour_side=side,
+        tail=lambda w: super_tail_log(dirac, w),
+    )
+
+
+def by_closed_form(dirac, s, side, radius=0.1):
+    return log_zeta_by_path(
+        s, catalog=super_catalog(dirac), detour_radius=radius, detour_side=side
+    )
+
+
+def mp_product(dirac, s):
+    """prod ((s - i lam)/(s + i lam))^m at 30 digits."""
+    with mpmath.workdps(30):
+        z = mpmath.mpc(s.real, s.imag)
+        value = mpmath.mpf(1)
+        for ev, m in dirac.entries:
+            lam = mpmath.mpc(ev.real, ev.imag)
+            value *= ((z - 1j * lam) / (z + 1j * lam)) ** m
+        return complex(value)
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_closed_form_equals_principal_logs_plus_winding(side):
+    dirac = DiracSpectrum(entries=((complex(1.0, 0.05), 2), (2.0, 1), (-2.0, 3)))
+    catalog = super_catalog(dirac)
+    for s in (complex(-0.8, 1.0), complex(-0.5, -2.0), complex(0.3, 0.0), complex(4.0, 1.0)):
+        got = by_closed_form(dirac, s, side)
+        principal = sum(r.order * cmath.log(s - r.location) for r in catalog)
+        winding = super_winding(s, catalog, 0.1, side)
+        assert got == pytest.approx(principal + 2j * math.pi * winding, abs=1e-13)
+        assert got == pytest.approx(by_quadrature(dirac, s, side), abs=1e-10)
+        assert cmath.exp(got) == pytest.approx(mp_product(dirac, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_quadrature_check_catches_former_misses(side, monkeypatch):
+    # at the default tolerances and without breakpoints at the poles' real
+    # parts, quad missed the first two points by about 1e-5 relative while
+    # its own error estimate said 3.6e-8; with breakpoints but the default
+    # relative tolerance it missed the third by 1.7e-5
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import continue_verify
+
+    cases = [
+        (random_dirac_spectrum(np.random.default_rng(2)), complex(-0.5, 7.9)),
+        (DiracSpectrum(tuple(continue_verify.eigenvalues(6))), complex(-0.5, 0.75)),
+        (DiracSpectrum(tuple(continue_verify.eigenvalues(2))), complex(-0.5, 10.0)),
+    ]
+    for dirac, s in cases:
+        closed = by_closed_form(dirac, s, side)
+        assert by_quadrature(dirac, s, side) == pytest.approx(closed, abs=1e-10)
+        assert cmath.exp(closed) == pytest.approx(mp_product(dirac, s), rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0.0999999, 0.1, 0.1000001, -0.0999999, -0.1, -0.1000001])
+def test_pole_at_detour_radius_from_the_ray(offset):
+    # the pole i lam sits offset above (or below) the ray through s; its
+    # partner -i lam is far away.  A detour centred on the ray used to run
+    # within 1e-7 of the pole (wrong sign) or through it (exit 7).
+    dirac = DiracSpectrum(entries=((complex(1.0 + offset, 0.3), 2),))
+    s = complex(-1.0, 1.0)
+    pole = 1j * dirac.entries[0][0]
+    detoured = abs(pole.imag - s.imag) < 0.1
+    want = mp_product(dirac, s)
+    logs = {}
+    for side in ("above", "below"):
+        closed = by_closed_form(dirac, s, side)
+        assert cmath.exp(closed) == pytest.approx(want, rel=1e-12)
+        assert cmath.exp(by_quadrature(dirac, s, side)) == pytest.approx(want, rel=1e-12)
+        assert by_quadrature(dirac, s, side) == pytest.approx(closed, abs=1e-10)
+        logs[side] = closed
+    catalog = super_catalog(dirac)
+    order = 2 if detoured else 0
+    assert super_winding(s, catalog, 0.1, "above") - super_winding(s, catalog, 0.1, "below") == order
+    assert logs["above"] - logs["below"] == pytest.approx(2j * math.pi * order, abs=1e-12)
+
+
+def test_detour_sides_differ_by_detoured_orders():
+    # poles of orders 2 and -3 near the ray, at heights 1.05 and 0.97; the
+    # others far off it
+    dirac = DiracSpectrum(entries=((complex(1.05, 0.4), 2), (complex(-0.97, 0.2), 3), (3.0, 1)))
+    catalog = super_catalog(dirac)
+    s = complex(-1.0, 1.0)
+    detoured = [r for r in catalog if r.location.real > s.real and abs(r.location.imag - 1.0) < 0.1]
+    assert len(detoured) == 2
+    expected = sum(r.order for r in detoured)
+    assert super_winding(s, catalog, 0.1, "above") - super_winding(s, catalog, 0.1, "below") == expected
+    for f in (by_closed_form, by_quadrature):
+        difference = f(dirac, s, "above") - f(dirac, s, "below")
+        assert difference == pytest.approx(2j * math.pi * expected, abs=1e-9)
+
+
+def test_path_refuses_overlapping_detour_circles():
+    # a detoured pole 0.15 from another pole: the circles of radius 0.1 overlap
+    dirac = DiracSpectrum(entries=((complex(1.0, 0.0), 1), (complex(1.15, 0.0), 2)))
+    s = complex(-1.0, 1.0)
+    for f in (by_closed_form, by_quadrature):
+        with pytest.raises(PathThroughSingularity, match="overlap"):
+            f(dirac, s, "above")
+    # a smaller radius separates them
+    assert by_closed_form(dirac, s, "above", radius=0.05) == pytest.approx(
+        by_quadrature(dirac, s, "above", radius=0.05), abs=1e-10
+    )
+
+
+def test_closed_form_refuses_start_on_singularity(dirac_pm):
+    with pytest.raises(PathThroughSingularity):
+        by_closed_form(dirac_pm, 1j + 0.01, "above")
+
+
+def test_closed_form_needs_the_complete_partial_fractions(dirac_pm):
+    partial = [r for r in super_catalog(dirac_pm) if r.order > 0]
+    with pytest.raises(InvariantViolation, match="sum to 0"):
+        log_zeta_by_path(complex(2.0), catalog=partial)
+    with pytest.raises(InvariantViolation):
+        log_zeta_by_path(complex(2.0), catalog=super_catalog(dirac_pm), detour_radius=0.0)
+
+
+def test_closed_form_ignores_the_sign_of_a_zero_imaginary_part():
+    # lam = 2i puts poles on the real axis, on the ray through s = -3
+    dirac = DiracSpectrum(entries=((2j, 1),))
+    for side in ("above", "below"):
+        plus = by_closed_form(dirac, complex(-3.0, 0.0), side)
+        assert by_closed_form(dirac, complex(-3.0, -0.0), side) == plus
+        assert by_quadrature(dirac, complex(-3.0, 0.0), side) == pytest.approx(plus, abs=1e-10)
+
+
+def test_closed_form_reads_only_super_records(dirac_pm):
+    s = complex(-0.5, 0.3)
+    mixed = list(singularity_catalog(dirac_pm)) + [SingularityRecord(3j, 5, "selberg")]
+    assert log_zeta_by_path(s, catalog=mixed) == log_zeta_by_path(s, catalog=super_catalog(dirac_pm))
 
 
 # factorization ---------------------------------------------------------------
