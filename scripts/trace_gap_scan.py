@@ -13,13 +13,12 @@ from zeta_workbench import (
     DiracSpectrum,
     GeodesicClass,
     LengthSpectrum,
-    MRep,
     dirac_geometric_side,
     dirac_spectral_side,
     wrap_angle,
 )
 
-SIGMA = MRep(3, (1.0,))
+K = 1.0
 TS = [0.2, 0.5, 1.0, 2.0, 4.0, 8.0]
 
 spectrum = LengthSpectrum(
@@ -39,7 +38,7 @@ eigen = DiracSpectrum(((0.8, 2), (-0.8, 1), (1.9, 1)))
 print("cross-side diagnostic (synthetic, unmatched data)")
 print(f"{'t':>5} {'|geometric|':>14} {'|spectral|':>14} {'gap':>12}")
 for t in TS:
-    geo = dirac_geometric_side(t, spectrum, SIGMA)
+    geo = dirac_geometric_side(t, spectrum, K)
     spec = dirac_spectral_side(t, eigen)
     print(f"{t:>5.2f} {abs(geo):>14.6e} {abs(spec):>14.6e} {abs(geo - spec):>12.4e}")
 
@@ -72,9 +71,9 @@ print()
 print("iterate weighting: family side vs primitive + half square")
 print(f"{'t':>5} {'residual':>12}")
 for t in TS:
-    whole = dirac_geometric_side(t, family, SIGMA)
-    parts = dirac_geometric_side(t, lone, SIGMA) + 0.5 * dirac_geometric_side(
-        t, lone_sq, SIGMA
+    whole = dirac_geometric_side(t, family, K)
+    parts = dirac_geometric_side(t, lone, K) + 0.5 * dirac_geometric_side(
+        t, lone_sq, K
     )
     print(f"{t:>5.2f} {abs(whole - parts):>12.4e}")
 
@@ -84,7 +83,7 @@ print("dividing out exp(-l^2/4t), expected -3/2)")
 t_lo, t_hi = 5.0, 50.0
 vals = []
 for t in (t_lo, t_hi):
-    side = dirac_geometric_side(t, lone, SIGMA)
+    side = dirac_geometric_side(t, lone, K)
     vals.append(abs(side) * math.exp(l0 * l0 / (4.0 * t)))
 slope = (math.log(vals[1]) - math.log(vals[0])) / (math.log(t_hi) - math.log(t_lo))
 print(f"measured slope: {slope:.4f}")

@@ -18,15 +18,15 @@ import numpy as np
 from zeta_workbench import (
     EnumerationConfig,
     GroupPresentation,
-    MRep,
     ZetaRequest,
+    class_table,
     enumerate_spectrum,
     log_zeta,
 )
 
 MAX_DEPTH = int(sys.argv[1]) if len(sys.argv) > 1 else 8
 CUTOFF = 30.0
-SIGMA = MRep(3, (1.0,))
+K = 1.0
 S_GRID = [2.5, 3.0, 3.5, 4.0]
 
 
@@ -60,9 +60,10 @@ for depth in range(2, MAX_DEPTH + 1):
 print()
 print(f"zeta on the deepest spectrum ({len(spectrum.classes)} classes)")
 print(f"{'s':>5} {'log Z':>24} {'log R':>24} {'tail Z':>9} {'tail R':>9}")
+table = class_table(spectrum)
 for s in S_GRID:
-    rz = log_zeta(ZetaRequest(s=s, sigma=SIGMA, spectrum=spectrum, kind="selberg"))
-    rr = log_zeta(ZetaRequest(s=s, sigma=SIGMA, spectrum=spectrum, kind="ruelle"))
+    rz = log_zeta(ZetaRequest(s=s, k=K, spectrum=spectrum, kind="selberg", table=table))
+    rr = log_zeta(ZetaRequest(s=s, k=K, spectrum=spectrum, kind="ruelle", table=table))
     print(
         f"{s:>5.2f} {rz.value:>24.12f} {rr.value:>24.12f} "
         f"{rz.tail_bound:>9.1e} {rr.tail_bound:>9.1e}"

@@ -39,7 +39,7 @@ from .errors import (
     SchemaError,
     WorkbenchError,
 )
-from .reps import MRep, parse_gamma_rep
+from .reps import parse_gamma_rep
 from .spectra import (
     parse_eigenvalue_spectrum,
     parse_length_spectrum,
@@ -52,7 +52,7 @@ from .traces import (
     heat_spectral_side,
 )
 from .verify import SUITES, run_all, run_suite
-from .zeta import ZetaRequest, log_zeta
+from .zeta import ZetaRequest, class_table, log_zeta
 
 __all__ = ["main", "build_parser"]
 
@@ -99,10 +99,6 @@ def _cell(value) -> str:
 
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
-
-
-def _sigma(args) -> MRep:
-    return MRep(3, (float(args.sigma),))
 
 
 def _chi(args):
@@ -204,7 +200,8 @@ def cmd_enumerate(args) -> int:
         spectrum = enumerate_spectrum(presentation, config)
         document = json.loads(serialize_length_spectrum(spectrum))
         cache.store(key, document)
-    spectrum = parse_length_spectrum(document)
+    else:
+        spectrum = parse_length_spectrum(document)
 
     text = _json_text(document)
     if args.output:
@@ -226,18 +223,19 @@ def cmd_zeta(args) -> int:
     if args.s_start is None:
         raise SchemaError("--s-start is required (two numbers: re im)")
     spectrum = parse_length_spectrum(_read_json(args.spectrum))
-    sigma = _sigma(args)
     chi = _chi(args)
     grid = _s_grid(args)
+    table = class_table(spectrum, chi)
     rows = []
     for s in grid:
         request = ZetaRequest(
             s=s,
-            sigma=sigma,
+            k=args.sigma,
             spectrum=spectrum,
             kind=args.kind,
             chi=chi,
             growth_constant=args.growth,
+            table=table,
         )
         result = log_zeta(request)
         value = cmath.exp(result.value)
@@ -274,7 +272,6 @@ def cmd_zeta(args) -> int:
 def cmd_trace(args) -> int:
     _fill(args, order="first", format="json", t=[1.0])
     spectrum = parse_length_spectrum(_read_json(args.spectrum))
-    sigma = _sigma(args)
     chi = _chi(args)
     eigen = None
     if args.order == "first" and args.dirac:
@@ -282,17 +279,16 @@ def cmd_trace(args) -> int:
     if args.order == "second" and args.laplace:
         eigen = parse_eigenvalue_spectrum(_read_json(args.laplace), kind="laplace")
     if args.order == "second" and args.volume is not None:
-        document = json.loads(serialize_length_spectrum(spectrum))
-        document["volume"] = float(args.volume)
-        spectrum = parse_length_spectrum(document)
+        spectrum = spectrum.with_volume(float(args.volume))
+    table = class_table(spectrum, chi)
     rows = []
     for t in args.t:
         t = float(t)
         if args.order == "first":
-            geo = dirac_geometric_side(t, spectrum, sigma, chi)
+            geo = dirac_geometric_side(t, spectrum, args.sigma, chi, table=table)
             spec_side = dirac_spectral_side(t, eigen) if eigen else None
         else:
-            geo = heat_geometric_side(t, spectrum, sigma, chi)
+            geo = heat_geometric_side(t, spectrum, args.sigma, chi, table=table)
             spec_side = heat_spectral_side(t, eigen) if eigen else None
         row = {"t": t, "geometric": _pair(geo)}
         if spec_side is not None:

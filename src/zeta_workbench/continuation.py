@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .errors import (
     ParityViolation,
     PathThroughSingularity,
 )
-from .reps import GammaRep, MRep, PlancherelPoly, plancherel
+from .reps import GammaRep, PlancherelPoly, plancherel
 from .spectra import (
     DiracSpectrum,
     LaplaceSpectrum,
@@ -48,7 +47,6 @@ from .spectra import (
 )
 
 __all__ = [
-    "ResolventGrid",
     "partial_fraction_weights",
     "continued_super_logderiv",
     "continued_sym_logderiv",
@@ -63,33 +61,23 @@ __all__ = [
 _SINGULARITY_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class ResolventGrid:
-    """Distinct complex shifts with pairwise distinct squares."""
-
-    shifts: tuple[complex, ...]
-
-    def __post_init__(self):
-        shifts = tuple(complex(s) for s in self.shifts)
-        object.__setattr__(self, "shifts", shifts)
-        if not shifts:
-            raise InvariantViolation("need at least one shift")
-        for i, a in enumerate(shifts):
-            for b in shifts[i + 1 :]:
-                if a == b or abs(a * a - b * b) < 1e-14:
-                    raise DegenerateShifts(
-                        f"shifts {a} and {b} coincide or have coinciding squares"
-                    )
-
-
-def partial_fraction_weights(shifts: ResolventGrid | tuple[complex, ...]) -> list[complex]:
+def partial_fraction_weights(shifts: tuple[complex, ...]) -> list[complex]:
     """Weights w_i = prod_{j != i} 1/(s_j^2 - s_i^2).
 
     They satisfy prod_i 1/(x + s_i^2) = sum_i w_i/(x + s_i^2) identically,
     which reduces a product of resolvents to a sum of single resolvents.
+    The shifts must be distinct and have pairwise distinct squares.
     """
-    grid = shifts if isinstance(shifts, ResolventGrid) else ResolventGrid(tuple(shifts))
-    sq = [s * s for s in grid.shifts]
+    shifts = [complex(s) for s in shifts]
+    if not shifts:
+        raise InvariantViolation("need at least one shift")
+    for i, a in enumerate(shifts):
+        for b in shifts[i + 1 :]:
+            if a == b or abs(a * a - b * b) < 1e-14:
+                raise DegenerateShifts(
+                    f"shifts {a} and {b} coincide or have coinciding squares"
+                )
+    sq = [s * s for s in shifts]
     weights = []
     for i, si2 in enumerate(sq):
         w = 1.0 + 0.0j
@@ -116,7 +104,7 @@ def continued_super_logderiv(s: complex, dirac: DiracSpectrum) -> complex:
 def continued_sym_logderiv(
     s: complex,
     laplace: LaplaceSpectrum,
-    sigma: MRep,
+    k: float,
     chi: GammaRep | int | None,
     volume: float,
     poly: PlancherelPoly | None = None,
@@ -137,7 +125,7 @@ def continued_sym_logderiv(
 
         raise MissingVolume("the density term needs a volume (0 to disable)")
     dim_chi = chi.dimension if isinstance(chi, GammaRep) else (chi or 1)
-    q = poly if poly is not None else plancherel(sigma)
+    q = poly if poly is not None else plancherel(k)
     return rational - 4.0 * math.pi * dim_chi * volume * q.at_s(s)
 
 
@@ -492,7 +480,7 @@ def log_zeta_by_path(
 
 def ruelle_factorization_check(
     s: complex,
-    sigma: MRep,
+    k: float,
     chi,
     spectrum,
     growth_constant: float | None = None,
@@ -503,37 +491,28 @@ def ruelle_factorization_check(
     convergence region, so this is a pure identity check of the adjoint
     determinant expansion.  Returns (lhs, rhs, relative gap).
     """
-    from .zeta import ZetaRequest, log_ruelle, log_selberg
+    from .zeta import ZetaRequest, class_table, log_zeta
 
-    if sigma.dimension_d != 3:
-        from .errors import Unsupported
+    table = class_table(spectrum, chi)
 
-        raise Unsupported("the factorization identity is a dimension-3 statement")
-    k = sigma.weight[0]
-
-    def z(s_arg: complex, k_arg: float) -> complex:
+    def log(kind: str, s_arg: complex, k_arg: float) -> complex:
         req = ZetaRequest(
             s=s_arg,
-            sigma=MRep(3, (k_arg,)),
+            k=k_arg,
             spectrum=spectrum,
-            kind="selberg",
+            kind=kind,
             chi=chi,
             growth_constant=growth_constant,
+            table=table,
         )
-        return log_selberg(req).value
+        return log_zeta(req).value
 
-    lhs = cmath.exp(
-        log_ruelle(
-            ZetaRequest(
-                s=s,
-                sigma=sigma,
-                spectrum=spectrum,
-                kind="ruelle",
-                chi=chi,
-                growth_constant=growth_constant,
-            )
-        ).value
+    lhs = cmath.exp(log("ruelle", s, k))
+    rhs = cmath.exp(
+        log("selberg", s - 1.0, k)
+        + log("selberg", s + 1.0, k)
+        - log("selberg", s, k + 1.0)
+        - log("selberg", s, k - 1.0)
     )
-    rhs = cmath.exp(z(s - 1.0, k) + z(s + 1.0, k) - z(s, k + 1.0) - z(s, k - 1.0))
     gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return lhs, rhs, gap

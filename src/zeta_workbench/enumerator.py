@@ -28,7 +28,6 @@ __all__ = [
     "GroupPresentation",
     "EnumerationConfig",
     "parse_group_presentation",
-    "serialize_group_presentation",
     "complex_length",
     "primitive_decomposition",
     "enumerate_spectrum",
@@ -157,20 +156,6 @@ def parse_group_presentation(document: str | dict) -> GroupPresentation:
         )
     except InvariantViolation as exc:
         raise SchemaError(str(exc)) from exc
-
-
-def serialize_group_presentation(pres: GroupPresentation) -> str:
-    doc = {
-        "generators": [
-            {
-                "name": name,
-                "matrix": [[z.real, z.imag] for z in mat.reshape(-1)],
-            }
-            for name, mat in zip(pres.names, pres.generators)
-        ],
-        "includes_inverses": pres.includes_inverses,
-    }
-    return json.dumps(doc, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

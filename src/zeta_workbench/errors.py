@@ -30,10 +30,6 @@ class UnknownSymbol(WorkbenchError):
     """Word contains a symbol that names no generator or inverse."""
 
 
-class Unsupported(WorkbenchError):
-    """Requested operation is defined only for dimension 3 in this package."""
-
-
 class CaseAError(WorkbenchError):
     """Operation requires a Weyl-asymmetric weight but the weight is symmetric."""
 

@@ -1,15 +1,14 @@
-"""Weight bookkeeping and character evaluation.
+"""Weight bookkeeping and character evaluation for the d = 3 model.
 
-Covers the finite-dimensional inputs the geodesic sums need: the rotation
-weight sigma (a highest-weight vector for the isotropy torus), the order-two
-symmetry that flips the sign of its last coordinate, the group twist chi
-given by generator matrices, the determinant factor det(Id - Ad|nbar) for
-dimension 3, symmetric-power traces, the spectral shift c(sigma), and the
-even Plancherel polynomial weighting the identity contribution.
+Covers the finite-dimensional inputs the geodesic sums need: the weight k
+of the isotropy representation, the group twist chi given by generator
+matrices, the determinant factor det(Id - Ad|nbar), symmetric-power traces,
+and the even Plancherel polynomial weighting the identity contribution.
 
-For dimension 3 the isotropy torus is one-dimensional: a weight is a single
-number k (integer or half-integer) and the character at rotation angle theta
-is exp(i*k*theta).
+The isotropy torus is one-dimensional: a weight is a single number k
+(integer or half-integer), the character at rotation angle theta is
+exp(i*k*theta), and the order-two symmetry sends k to -k.  Weights with
+k != 0 move under it ("case b"); the graded zeta kinds need one.
 """
 
 from __future__ import annotations
@@ -20,26 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseAError, InvariantViolation, Unsupported, UnknownSymbol
+from .errors import CaseAError, InvariantViolation, UnknownSymbol
 
 __all__ = [
-    "MRep",
     "GammaRep",
     "PlancherelPoly",
-    "rho_norm",
-    "rho_m",
-    "spin_plus",
-    "spin_minus",
-    "weyl_action",
-    "case_of",
+    "check_weight",
+    "require_case_b",
     "character_sigma",
     "character_chi",
-    "trivial_gamma_rep",
     "parse_gamma_rep",
     "serialize_gamma_rep",
     "ad_nbar_det",
     "sym_power_trace",
-    "c_shift",
     "plancherel",
     "DEFAULT_PLANCHEREL_NORMALIZATION",
 ]
@@ -47,97 +39,27 @@ __all__ = [
 DEFAULT_PLANCHEREL_NORMALIZATION = 1.0 / (4.0 * math.pi**2)
 
 
-def rho_norm(dimension_d: int) -> float:
-    """Half the sum of positive restricted roots has norm (d-1)/2."""
-    return (dimension_d - 1) / 2.0
+def check_weight(k: float) -> float:
+    """The weight as a float; it must be an integer or a half-integer."""
+    k = float(k)
+    if abs(2.0 * k - round(2.0 * k)) > 1e-12:
+        raise InvariantViolation(f"weight must be an integer or half-integer, got {k}")
+    return k
 
 
-def rho_m(dimension_d: int) -> tuple[float, ...]:
-    """Half-sum vector for the isotropy group: (n-1, n-2, ..., 0)."""
-    n = (dimension_d - 1) // 2
-    return tuple(float(n - 1 - i) for i in range(n))
-
-
-@dataclass(frozen=True)
-class MRep:
-    """Highest weight of an irreducible isotropy representation.
-
-    weight has (d-1)/2 entries, all integers or all half-integers, ordered
-    nu_1 >= ... >= nu_{n-1} >= |nu_n|.  For d = 3 the weight is a single k.
-    """
-
-    dimension_d: int
-    weight: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weight", tuple(float(w) for w in self.weight))
-        d, nu = self.dimension_d, self.weight
-        if d < 3 or d % 2 == 0:
-            raise InvariantViolation(f"dimension must be odd and >= 3, got {d}")
-        n = (d - 1) // 2
-        if len(nu) != n:
-            raise InvariantViolation(
-                f"weight must have {n} entries for dimension {d}, got {len(nu)}"
-            )
-        doubled = [2.0 * w for w in nu]
-        if any(abs(x - round(x)) > 1e-12 for x in doubled):
-            raise InvariantViolation("weight entries must be integers or half-integers")
-        parities = {int(round(x)) % 2 for x in doubled}
-        if len(parities) > 1:
-            raise InvariantViolation(
-                "weight entries must be all integers or all half-integers"
-            )
-        for i in range(n - 2):
-            if nu[i] < nu[i + 1] - 1e-12:
-                raise InvariantViolation(f"weight not ordered at position {i}")
-        if n >= 2 and nu[n - 2] < abs(nu[n - 1]) - 1e-12:
-            raise InvariantViolation("second-to-last weight entry below |last entry|")
-
-    @property
-    def k(self) -> float:
-        """The single weight entry, defined for dimension 3."""
-        if self.dimension_d != 3:
-            raise Unsupported("scalar weight k is a dimension-3 notion")
-        return self.weight[0]
-
-
-def spin_plus(dimension_d: int) -> MRep:
-    n = (dimension_d - 1) // 2
-    return MRep(dimension_d, tuple([0.5] * n))
-
-
-def spin_minus(dimension_d: int) -> MRep:
-    n = (dimension_d - 1) // 2
-    return MRep(dimension_d, tuple([0.5] * (n - 1) + [-0.5]))
-
-
-def weyl_action(sigma: MRep) -> MRep:
-    """Negate the last weight coordinate; an involution."""
-    nu = sigma.weight
-    return MRep(sigma.dimension_d, nu[:-1] + (-nu[-1],))
-
-
-def case_of(sigma: MRep) -> str:
-    """'case_b' when the weight moves under the sign flip, else 'case_a'."""
-    return "case_b" if sigma.weight[-1] != 0.0 else "case_a"
-
-
-def require_case_b(sigma: MRep) -> None:
-    if case_of(sigma) != "case_b":
+def require_case_b(k: float) -> None:
+    """Refuse k = 0, the one weight the sign flip fixes."""
+    if check_weight(k) == 0.0:
         raise CaseAError(
-            f"weight {sigma.weight} is symmetric under the sign flip; "
+            f"weight {k} is symmetric under the sign flip; "
             "this operation needs an asymmetric weight"
         )
 
 
-def character_sigma(sigma: MRep, angle: float) -> complex:
-    """Character value exp(i*k*theta) at rotation angle theta (dimension 3)."""
-    if sigma.dimension_d != 3:
-        raise Unsupported(
-            "character evaluation is implemented for dimension 3 only; "
-            "supply per-class sigma_trace data for higher dimensions"
-        )
-    return cmath.exp(1j * sigma.weight[0] * angle)
+def character_sigma(k: float, angle):
+    """Character value exp(i*k*theta) at rotation angle theta (or an array
+    of angles)."""
+    return np.exp(1j * k * angle)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +99,6 @@ class GammaRep:
         if partner != symbol and partner in self.images:
             return np.linalg.inv(self.images[partner])
         raise UnknownSymbol(f"symbol {symbol!r} names no generator or inverse")
-
-
-def trivial_gamma_rep(dimension: int = 1, names: tuple[str, ...] = ()) -> GammaRep:
-    eye = np.eye(dimension, dtype=complex)
-    return GammaRep(dimension=dimension, images={name: eye.copy() for name in names})
 
 
 def character_chi(chi: GammaRep | None, word: str) -> complex:
@@ -248,45 +165,31 @@ def serialize_gamma_rep(chi: GammaRep) -> str:
 
 
 # ---------------------------------------------------------------------------
-# adjoint factors on the negative root space (dimension 3)
+# adjoint factors on the negative root space
 
 
-def ad_nbar_det(length: float, angle: float) -> float:
-    """det(Id - Ad|nbar) for a loxodromic with given length and angle.
+def ad_nbar_det(length, angle):
+    """det(Id - Ad|nbar) for a loxodromic with given length and angle (or
+    arrays of them).
 
     The adjoint action on the two-dimensional negative root space has
     eigenvalues exp(-l + i*theta) and exp(-l - i*theta), so the determinant
     is real: 1 - 2*exp(-l)*cos(theta) + exp(-2l).
     """
-    e = math.exp(-length)
-    return 1.0 - 2.0 * e * math.cos(angle) + e * e
+    e = np.exp(-length)
+    return 1.0 - 2.0 * e * np.cos(angle) + e * e
 
 
-def sym_power_trace(k: int, length: float, angle: float, dimension_d: int = 3) -> complex:
-    """Trace of the k-th symmetric power of the adjoint action on nbar.
-
-    For dimension 3: exp(-k*l) * sum_{a+b=k} exp(i*(a-b)*theta).
+def sym_power_trace(k: int, length: float, angle: float) -> complex:
+    """Trace of the k-th symmetric power of the adjoint action on nbar:
+    exp(-k*l) * sum_{a+b=k} exp(i*(a-b)*theta).
     """
-    if dimension_d != 3:
-        raise Unsupported("symmetric-power traces implemented for dimension 3 only")
     if k < 0:
         raise InvariantViolation("symmetric power index must be nonnegative")
     total = 0.0 + 0.0j
     for a in range(k + 1):
         total += cmath.exp(1j * (2 * a - k) * angle)
     return math.exp(-k * length) * total
-
-
-def c_shift(sigma: MRep) -> float:
-    """Spectral shift -|rho|^2 - |rho_m|^2 + |nu + rho_m|^2; k^2 - 1 for d=3."""
-    d = sigma.dimension_d
-    rm = rho_m(d)
-    shifted = [w + r for w, r in zip(sigma.weight, rm)]
-    return (
-        -rho_norm(d) ** 2
-        - sum(r * r for r in rm)
-        + sum(x * x for x in shifted)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,21 +237,7 @@ class PlancherelPoly:
         return self.at_ilambda(-1j * s)
 
 
-def plancherel(
-    sigma: MRep,
-    normalization: float = DEFAULT_PLANCHEREL_NORMALIZATION,
-    coefficients: tuple[float, ...] | None = None,
-) -> PlancherelPoly:
-    """Density polynomial for the identity contribution.
-
-    Dimension 3 default: q(lam) = lam^2 + k^2 (times the normalization).
-    Higher dimensions require explicit even coefficients.
-    """
-    if coefficients is not None:
-        return PlancherelPoly(tuple(coefficients), normalization)
-    if sigma.dimension_d != 3:
-        raise Unsupported(
-            "no built-in density beyond dimension 3; supply coefficients"
-        )
-    k = sigma.weight[0]
-    return PlancherelPoly((k * k, 1.0), normalization)
+def plancherel(k: float) -> PlancherelPoly:
+    """Density polynomial for the identity contribution:
+    q(lam) = lam^2 + k^2, times the default normalization."""
+    return PlancherelPoly((k * k, 1.0))

@@ -30,7 +30,6 @@ __all__ = [
     "serialize_length_spectrum",
     "parse_eigenvalue_spectrum",
     "serialize_eigenvalue_spectrum",
-    "export_classes_csv",
     "square_spectrum",
     "super_multiplicity",
 ]
@@ -50,9 +49,7 @@ def wrap_angle(theta: float) -> float:
 class GeodesicClass:
     """One conjugacy class: hyperbolic length, holonomy angle, power data.
 
-    multiplicity n means the class is the n-th power of a primitive class;
-    sigma_trace optionally carries a precomputed character value for
-    dimensions where the holonomy is richer than a single angle.
+    multiplicity n means the class is the n-th power of a primitive class.
     """
 
     length: float
@@ -60,7 +57,6 @@ class GeodesicClass:
     multiplicity: int = 1
     primitive: bool = True
     word: str | None = None
-    sigma_trace: complex | None = None
 
     def __post_init__(self):
         from .errors import InvariantViolation
@@ -100,8 +96,8 @@ class LengthSpectrum:
 def _validate_spectrum(spec: LengthSpectrum) -> None:
     from .errors import InvariantViolation
 
-    if spec.dimension < 3 or spec.dimension % 2 == 0:
-        raise InvariantViolation(f"dimension must be odd and >= 3, got {spec.dimension}")
+    if spec.dimension != 3:
+        raise InvariantViolation(f"dimension must be 3, got {spec.dimension}")
     if not (spec.cutoff > 0):
         raise InvariantViolation(f"cutoff must be positive, got {spec.cutoff}")
     if not (spec.tolerance > 0):
@@ -254,10 +250,14 @@ def _require(doc: dict, key: str, types, where: str):
     return val
 
 
+_CLASS_FIELDS = {"length", "angle", "multiplicity", "primitive", "word"}
+
+
 def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
     """Parse and validate a length-spectrum JSON document.
 
-    Accepts the JSON text or an already-decoded dict.
+    Accepts the JSON text or an already-decoded dict.  The dimension must
+    be 3, and a class carrying a field outside the schema is refused.
     """
     from .errors import SchemaError
 
@@ -272,6 +272,10 @@ def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
         raise SchemaError("top level must be an object")
 
     dimension = _require(doc, "dimension", int, "spectrum")
+    if dimension != 3:
+        raise SchemaError(
+            f"spectrum: dimension must be 3 (hyperbolic 3-manifolds), got {dimension}"
+        )
     cutoff = float(_require(doc, "cutoff", (int, float), "spectrum"))
     tolerance = doc.get("tolerance", 1e-9)
     if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
@@ -292,6 +296,9 @@ def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
         if not isinstance(rc, dict):
             raise SchemaError(f"class {i}: must be an object")
         where = f"class {i}"
+        unknown = sorted(set(rc) - _CLASS_FIELDS)
+        if unknown:
+            raise SchemaError(f"{where}: unknown field {unknown[0]!r}")
         length = float(_require(rc, "length", (int, float), where))
         angle = float(_require(rc, "angle", (int, float), where))
         mult = rc.get("multiplicity", 1)
@@ -303,15 +310,6 @@ def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
         word = rc.get("word")
         if word is not None and not isinstance(word, str):
             raise SchemaError(f"{where}: field 'word' must be a string or null")
-        sigma_trace = rc.get("sigma_trace")
-        if sigma_trace is not None:
-            if (
-                not isinstance(sigma_trace, (list, tuple))
-                or len(sigma_trace) != 2
-                or not all(isinstance(x, (int, float)) for x in sigma_trace)
-            ):
-                raise SchemaError(f"{where}: 'sigma_trace' must be an [re, im] pair")
-            sigma_trace = complex(sigma_trace[0], sigma_trace[1])
         classes.append(
             GeodesicClass(
                 length=length,
@@ -319,7 +317,6 @@ def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
                 multiplicity=mult,
                 primitive=primitive,
                 word=word,
-                sigma_trace=sigma_trace,
             )
         )
 
@@ -348,11 +345,6 @@ def serialize_length_spectrum(spec: LengthSpectrum) -> str:
                 "multiplicity": c.multiplicity,
                 "primitive": c.primitive,
                 "word": c.word,
-                **(
-                    {"sigma_trace": [c.sigma_trace.real, c.sigma_trace.imag]}
-                    if c.sigma_trace is not None
-                    else {}
-                ),
             }
             for c in spec.classes
         ],
@@ -394,17 +386,6 @@ def serialize_eigenvalue_spectrum(spec: EigenvalueSpectrum) -> str:
         ]
     }
     return json.dumps(doc, sort_keys=True)
-
-
-def export_classes_csv(spec: LengthSpectrum) -> str:
-    """One class per row; header mandatory; '.' decimal separator."""
-    lines = ["length,angle,multiplicity,primitive,word"]
-    for c in spec.classes:
-        word = c.word if c.word is not None else ""
-        lines.append(
-            f"{c.length!r},{c.angle!r},{c.multiplicity},{str(c.primitive).lower()},{word}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

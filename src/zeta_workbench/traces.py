@@ -1,19 +1,22 @@
 """Heat-trace identities: geodesic sides, spectral sides, kernel checks.
 
-Two trace formulas are evaluated at desk scale.  The first-order
-(odd/super) one pairs the spectral sum
+Two trace formulas are evaluated at desk scale, in the d = 3 model with
+rho = 1 and weight k.  The first-order (odd/super) one pairs the spectral
+sum
 
     sum_k m(lam_k) lam_k exp(-t lam_k^2)
 
 with a geodesic sum whose per-class weight is
 
-    (-2 pi i / (4 pi t)^{3/2}) l^2 trchi (trsigma - trwsigma)
-        exp(-l^2/4t) / (n D),    D = exp(rho l) det(Id - Ad|nbar),
+    (-2 pi i / (4 pi t)^{3/2}) l^2 trchi (exp(i k theta) - exp(-i k theta))
+        exp(-l^2/4t) / (n D),    D = exp(l) det(Id - Ad|nbar),
 
 and the second-order one pairs sum_k m(mu_k) exp(-t mu_k) with an identity
 contribution 2 dim(V_chi) Vol integral exp(-t lam^2) P(i lam) dlam plus a
-geodesic sum weighted by (l/n) L(gamma; sigma + w sigma) exp(-l^2/4t)
-(4 pi t)^{-1/2}.
+geodesic sum weighted by (l/n) (L(gamma; k) + L(gamma; -k)) exp(-l^2/4t)
+(4 pi t)^{-1/2}.  Both geodesic sums are the one class-sum kernel of
+zeta.py over the spectrum's ClassTable, with exp(-l^2/4t) in place of
+exp(-s l).
 
 For synthetic inputs the two sides of either formula need not agree; the
 package reports their gap as a diagnostic and never asserts equality.
@@ -26,30 +29,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .errors import (
-    InvariantViolation,
-    MissingVolume,
-    QuadratureFailure,
-    Unsupported,
-)
-from .reps import (
-    GammaRep,
-    MRep,
-    PlancherelPoly,
-    ad_nbar_det,
+from .errors import InvariantViolation, MissingVolume, QuadratureFailure
+from .reps import GammaRep, PlancherelPoly, ad_nbar_det, plancherel, require_case_b
+from .reps import (  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     character_chi,
     character_sigma,
-    plancherel,
-    require_case_b,
-    rho_norm,
-    weyl_action,
 )
 from .spectra import DiracSpectrum, LaplaceSpectrum, LengthSpectrum
+from .zeta import RHO, ClassTable, class_sum, table_for
 
 __all__ = [
-    "HeatParams",
     "dee_gamma",
     "dirac_geometric_side",
     "heat_geometric_side",
@@ -64,36 +54,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeatParams:
-    t: float
-    quadrature_abs_tol: float = 1e-11
-    lambda_window: float = 40.0
-
-    def __post_init__(self):
-        if not (self.t > 0):
-            raise InvariantViolation("heat time t must be positive")
-        if not (self.quadrature_abs_tol > 0):
-            raise InvariantViolation("quadrature tolerance must be positive")
-        if not (self.lambda_window > 0):
-            raise InvariantViolation("lambda_window must be positive")
-
-
-def dee_gamma(length: float, angle: float, dimension_d: int = 3) -> float:
+def dee_gamma(length: float, angle: float) -> float:
     """Normalization D = exp(rho l) det(Id - Ad|nbar) used per class."""
-    if dimension_d != 3:
-        raise Unsupported("per-class normalization implemented for dimension 3 only")
-    return math.exp(rho_norm(dimension_d) * length) * ad_nbar_det(length, angle)
-
-
-def _chi_trace(chi: GammaRep | None, word: str | None, index: int) -> complex:
-    if chi is None:
-        return 1.0 + 0.0j
-    if word is None:
-        raise InvariantViolation(
-            f"class {index} carries no word; a nontrivial twist needs words"
-        )
-    return character_chi(chi, word)
+    return math.exp(RHO * length) * ad_nbar_det(length, angle)
 
 
 # ---------------------------------------------------------------------------
@@ -103,64 +66,42 @@ def _chi_trace(chi: GammaRep | None, word: str | None, index: int) -> complex:
 def dirac_geometric_side(
     t: float,
     spectrum: LengthSpectrum,
-    sigma: MRep,
+    k: float,
     chi: GammaRep | None = None,
+    table: ClassTable | None = None,
 ) -> complex:
     """Geodesic sum of the first-order trace formula at heat time t."""
-    require_case_b(sigma)
-    if spectrum.dimension != 3:
-        raise Unsupported("geodesic sides implemented for dimension 3 only")
+    require_case_b(k)
     if not (t > 0):
         raise InvariantViolation("t must be positive")
-    wsigma = weyl_action(sigma)
+    table = table_for(spectrum, chi, table)
+    l = table.length
     prefactor = -2j * math.pi / (4.0 * math.pi * t) ** 1.5
-    total = 0.0 + 0.0j
-    for i, c in enumerate(spectrum.classes):
-        diff = character_sigma(sigma, c.angle) - character_sigma(wsigma, c.angle)
-        trchi = _chi_trace(chi, c.word, i)
-        total += (
-            prefactor
-            * c.length**2
-            * trchi
-            * diff
-            * math.exp(-c.length**2 / (4.0 * t))
-            / (c.multiplicity * dee_gamma(c.length, c.angle))
-        )
-    return total
+    weights = prefactor * l**2 * table.weights(k, -1, True)
+    return class_sum(weights, -(l**2) / (4.0 * t))
 
 
 def heat_geometric_side(
     t: float,
     spectrum: LengthSpectrum,
-    sigma: MRep,
+    k: float,
     chi: GammaRep | None = None,
     poly: PlancherelPoly | None = None,
+    table: ClassTable | None = None,
 ) -> complex:
     """Identity contribution plus geodesic sum of the second-order formula."""
-    require_case_b(sigma)
-    if spectrum.dimension != 3:
-        raise Unsupported("geodesic sides implemented for dimension 3 only")
+    require_case_b(k)
     if not (t > 0):
         raise InvariantViolation("t must be positive")
     if spectrum.volume is None:
         raise MissingVolume("spectrum carries no volume for the identity term")
     dim_chi = 1 if chi is None else chi.dimension
-    identity = 2.0 * dim_chi * spectrum.volume * identity_term_heat(sigma, t, poly=poly)
+    identity = 2.0 * dim_chi * spectrum.volume * identity_term_heat(k, t, poly=poly)
 
-    rho = rho_norm(spectrum.dimension)
-    wsigma = weyl_action(sigma)
-    geodesic = 0.0 + 0.0j
-    for i, c in enumerate(spectrum.classes):
-        pair = character_sigma(sigma, c.angle) + character_sigma(wsigma, c.angle)
-        trchi = _chi_trace(chi, c.word, i)
-        lsym = trchi * pair * math.exp(-rho * c.length) / ad_nbar_det(c.length, c.angle)
-        geodesic += (
-            (c.length / c.multiplicity)
-            * lsym
-            * math.exp(-c.length**2 / (4.0 * t))
-            / math.sqrt(4.0 * math.pi * t)
-        )
-    return identity + geodesic
+    table = table_for(spectrum, chi, table)
+    l = table.length
+    weights = l * table.weights(k, +1, True) / math.sqrt(4.0 * math.pi * t)
+    return identity + class_sum(weights, -(l**2) / (4.0 * t))
 
 
 # ---------------------------------------------------------------------------
@@ -191,17 +132,17 @@ def gaussian_moment(t: float, m: int) -> float:
 
 
 def identity_term_heat(
-    sigma: MRep, t: float, poly: PlancherelPoly | None = None
+    k: float, t: float, poly: PlancherelPoly | None = None
 ) -> float:
     """integral exp(-t lam^2) P(i lam) dlam in closed Gaussian-moment form."""
-    q = poly if poly is not None else plancherel(sigma)
+    q = poly if poly is not None else plancherel(k)
     return q.normalization * sum(
         c * gaussian_moment(t, m) for m, c in enumerate(q.even_coefficients)
     )
 
 
 def identity_term_dirac(
-    sigma: MRep,
+    k: float,
     t: float,
     plus_coefficients: tuple[float, ...] | None = None,
     minus_coefficients: tuple[float, ...] | None = None,
@@ -217,8 +158,8 @@ def identity_term_dirac(
     """
     from scipy.integrate import quad
 
-    q = plancherel(sigma)
-    wq = plancherel(weyl_action(sigma))
+    q = plancherel(k)
+    wq = plancherel(-k)
     plus = plus_coefficients if plus_coefficients is not None else q.coefficients
     minus = minus_coefficients if minus_coefficients is not None else wq.coefficients
     scale_plus = q.normalization if plus_coefficients is None else 1.0
@@ -390,11 +331,10 @@ def class_term_t_integral(
     lhs, err = _heat_time_integral(c0, length, s * s, abs_tol)
     if err > 1e-8 * max(1.0, abs(lhs)):
         raise QuadratureFailure(f"class-term quadrature error {err:g}")
-    rho = 1.0
     rhs = (
         (-0.5j)
         * (length / multiplicity)
-        * math.exp(-rho * length)
+        * math.exp(-RHO * length)
         * cmath.exp(-length * s)
         / ad_nbar_det(length, angle)
     )

@@ -25,7 +25,7 @@ from .continuation import (
     singularity_catalog,
 )
 from .errors import ParityViolation, WorkbenchError
-from .reps import MRep, plancherel
+from .reps import plancherel
 from .spectra import (
     DiracSpectrum,
     GeodesicClass,
@@ -45,12 +45,12 @@ from .traces import (
 )
 from .zeta import (
     ZetaRequest,
+    class_table,
     log_derivative_super,
     log_derivative_symmetrized,
     log_ruelle,
     log_selberg,
-    log_super,
-    log_symmetrized,
+    log_zeta,
 )
 
 __all__ = ["SUITES", "run_suite", "run_all", "toy_spectrum", "single_class_spectrum"]
@@ -182,8 +182,8 @@ def suite_partial_fractions(seed: int = 0) -> dict:
 
     # full-grid reductions: weighted sums of the continued log-derivatives
     # must equal the direct double sums over (eigenvalue, shift)
-    sigma = MRep(3, (1.0,))
-    poly = plancherel(sigma)
+    k = 1.0
+    poly = plancherel(k)
     for trial in range(20):
         n = int(rng.integers(1, 6))
         shifts = []
@@ -215,7 +215,7 @@ def suite_partial_fractions(seed: int = 0) -> dict:
 
         vol = 1.0
         lhs2 = sum(
-            w * continued_sym_logderiv(s, laplace, sigma, 1, vol, poly=poly)
+            w * continued_sym_logderiv(s, laplace, k, 1, vol, poly=poly)
             for w, s in zip(weights, shifts)
         )
         terms2 = [
@@ -241,7 +241,7 @@ def suite_partial_fractions(seed: int = 0) -> dict:
 def suite_residues(seed: int = 0) -> dict:
     """Contour residues equal multiplicities, for both continued sums."""
     rng = np.random.default_rng(seed)
-    sigma = MRep(3, (1.0,))
+    k = 1.0
     max_gap, cases, worst = 0.0, 0, None
 
     for trial in range(25):
@@ -266,7 +266,7 @@ def suite_residues(seed: int = 0) -> dict:
         laplace = square_spectrum(dirac)
 
         def l_sym(z):
-            return continued_sym_logderiv(z, laplace, sigma, 1, 1.0)
+            return continued_sym_logderiv(z, laplace, k, 1, 1.0)
 
         for mu, m in laplace.entries:
             root = 1j * cmath.sqrt(mu)
@@ -280,7 +280,7 @@ def suite_residues(seed: int = 0) -> dict:
     dirac0 = DiracSpectrum(entries=((0.0, 3), (1.5, 1)))
     lap0 = square_spectrum(dirac0)
     got = residue_at(
-        lambda z: continued_sym_logderiv(z, lap0, sigma, 1, 0.0), 0.0, 0.2
+        lambda z: continued_sym_logderiv(z, lap0, k, 1, 0.0), 0.0, 0.2
     )
     gap = abs(got - 6)
     cases += 1
@@ -290,7 +290,7 @@ def suite_residues(seed: int = 0) -> dict:
     # the density term is entire: no residue anywhere
     empty = LaplaceSpectrum(entries=())
     got = residue_at(
-        lambda z: continued_sym_logderiv(z, empty, sigma, 1, 1.0),
+        lambda z: continued_sym_logderiv(z, empty, k, 1, 1.0),
         complex(0.7, 0.2),
         0.3,
     )
@@ -307,34 +307,26 @@ def suite_logderiv(seed: int = 0) -> dict:
     the class-sum logs against brute-force truncated products."""
     rng = np.random.default_rng(seed)
     spectrum = toy_spectrum()
-    sigma = MRep(3, (1.0,))
+    table = class_table(spectrum)
+    k = 1.0
     h = 1e-4
     max_gap, cases, worst = 0.0, 0, None
+
+    def log_at(kind, s):
+        return log_zeta(ZetaRequest(s=s, k=k, spectrum=spectrum, kind=kind, table=table)).value
 
     for i in range(10):
         s = complex(rng.uniform(2.0, 4.0), rng.uniform(-1.0, 1.0))
 
-        def fd(fn):
-            plus = fn(ZetaRequest(s=s + h, sigma=sigma, spectrum=spectrum, kind="super"))
-            minus = fn(ZetaRequest(s=s - h, sigma=sigma, spectrum=spectrum, kind="super"))
-            return (plus.value - minus.value) / (2.0 * h)
-
-        got = fd(log_super)
-        want = log_derivative_super(s, sigma, None, spectrum).value
+        got = (log_at("super", s + h) - log_at("super", s - h)) / (2.0 * h)
+        want = log_derivative_super(s, k, None, spectrum, table=table).value
         gap = abs(got - want)
         cases += 1
         if gap > max_gap:
             max_gap, worst = gap, f"super derivative at s={s}"
 
-        got = (
-            log_symmetrized(
-                ZetaRequest(s=s + h, sigma=sigma, spectrum=spectrum, kind="symmetrized")
-            ).value
-            - log_symmetrized(
-                ZetaRequest(s=s - h, sigma=sigma, spectrum=spectrum, kind="symmetrized")
-            ).value
-        ) / (2.0 * h)
-        want = log_derivative_symmetrized(s, sigma, None, spectrum).value
+        got = (log_at("symmetrized", s + h) - log_at("symmetrized", s - h)) / (2.0 * h)
+        want = log_derivative_symmetrized(s, k, None, spectrum, table=table).value
         gap = abs(got - want)
         cases += 1
         if gap > max_gap:
@@ -347,9 +339,9 @@ def suite_logderiv(seed: int = 0) -> dict:
     product_gap = 0.0
     for l0, theta0 in ((2.0, 0.0), (1.5, 1.1)):
         family = single_class_spectrum(l0, theta0, powers=40)
+        family_table = class_table(family)
         for s_real in (3.0, 4.0):
             s = complex(s_real)
-            k = sigma.weight[0]
             oracle_z = 0.0 + 0.0j
             for kk in range(41):
                 for a in range(kk + 1):
@@ -360,7 +352,7 @@ def suite_logderiv(seed: int = 0) -> dict:
                     )
                     oracle_z += cmath.log(1.0 - w)
             got_z = log_selberg(
-                ZetaRequest(s=s, sigma=sigma, spectrum=family, kind="selberg")
+                ZetaRequest(s=s, k=k, spectrum=family, kind="selberg", table=family_table)
             ).value
             gap = abs(got_z - oracle_z)
             cases += 1
@@ -371,7 +363,7 @@ def suite_logderiv(seed: int = 0) -> dict:
 
             oracle_r = cmath.log(1.0 - cmath.exp(1j * k * theta0) * cmath.exp(-s * l0))
             got_r = log_ruelle(
-                ZetaRequest(s=s, sigma=sigma, spectrum=family, kind="ruelle")
+                ZetaRequest(s=s, k=k, spectrum=family, kind="ruelle", table=family_table)
             ).value
             gap = abs(got_r - oracle_r)
             cases += 1
@@ -402,11 +394,10 @@ def suite_factorization(seed: int = 0) -> dict:
         single_class_spectrum(1.2, 0.9, powers=3),
     )
     for k in (1.0, 0.5, 2.0):
-        sigma = MRep(3, (k,))
         for spectrum in spectra:
             for i in range(5):
                 s = complex(3.2 + 0.45 * i, float(rng.uniform(-0.3, 0.3)))
-                _, _, gap = ruelle_factorization_check(s, sigma, None, spectrum)
+                _, _, gap = ruelle_factorization_check(s, k, None, spectrum)
                 cases += 1
                 if gap > max_gap:
                     max_gap, worst = gap, f"k={k}, s={s}"
@@ -420,7 +411,7 @@ def suite_parity(seed: int = 0, inject_violation: bool = False) -> dict:
     """Catalog construction, antisymmetry, order-vs-residue agreement, and
     rejection of graded-parity violations."""
     rng = np.random.default_rng(seed)
-    sigma = MRep(3, (1.0,))
+    k = 1.0
     max_gap, cases, worst = 0.0, 0, None
     failures = []
 
@@ -435,7 +426,7 @@ def suite_parity(seed: int = 0, inject_violation: bool = False) -> dict:
 
         def l_plain(z):
             return 0.5 * (
-                continued_sym_logderiv(z, laplace, sigma, 1, 1.0)
+                continued_sym_logderiv(z, laplace, k, 1, 1.0)
                 + continued_super_logderiv(z, dirac)
             )
 
@@ -474,14 +465,14 @@ def suite_parity(seed: int = 0, inject_violation: bool = False) -> dict:
 def suite_trace_scaling(seed: int = 0) -> dict:
     """Identity-term cancellation plus linearity/scaling of the trace sides."""
     rng = np.random.default_rng(seed)
-    sigma = MRep(3, (1.0,))
+    k = 1.0
     spectrum = toy_spectrum()
     max_gap, cases, worst = 0.0, 0, None
     failures = []
 
     # odd integrand against matched densities: exact zero
     for t in (0.1, 1.0, 10.0):
-        value = abs(identity_term_dirac(sigma, t))
+        value = abs(identity_term_dirac(k, t))
         cases += 1
         if value > max_gap:
             max_gap, worst = value, f"identity term at t={t}"
@@ -489,12 +480,12 @@ def suite_trace_scaling(seed: int = 0) -> dict:
         failures.append(worst)
 
     # sensitivity control: an odd density perturbation must show up
-    base = plancherel(sigma)
+    base = plancherel(k)
     perturbed = (base.coefficients[0], 0.1, base.coefficients[2])
     for t in (0.1, 1.0, 10.0):
         value = abs(
             identity_term_dirac(
-                sigma,
+                k,
                 t,
                 plus_coefficients=perturbed,
                 minus_coefficients=base.coefficients,
@@ -525,9 +516,9 @@ def suite_trace_scaling(seed: int = 0) -> dict:
         source="lone square",
     )
     for t in (0.5, 2.0):
-        whole = dirac_geometric_side(t, family, sigma)
-        parts = dirac_geometric_side(t, lone, sigma) + 0.5 * dirac_geometric_side(
-            t, lone_sq, sigma
+        whole = dirac_geometric_side(t, family, k)
+        parts = dirac_geometric_side(t, lone, k) + 0.5 * dirac_geometric_side(
+            t, lone_sq, k
         )
         gap = abs(whole - parts) / max(abs(whole), 1e-300)
         cases += 1
@@ -536,9 +527,9 @@ def suite_trace_scaling(seed: int = 0) -> dict:
 
     # identity term scales linearly in volume and twist dimension
     t = 0.7
-    one = heat_geometric_side(t, toy_spectrum(volume=1.0), sigma)
-    three = heat_geometric_side(t, toy_spectrum(volume=3.0), sigma)
-    geod = one - 2.0 * identity_term_heat(sigma, t)
+    one = heat_geometric_side(t, toy_spectrum(volume=1.0), k)
+    three = heat_geometric_side(t, toy_spectrum(volume=3.0), k)
+    geod = one - 2.0 * identity_term_heat(k, t)
     gap = abs((three - geod) - 3.0 * (one - geod)) / max(abs(one), 1e-300)
     cases += 1
     if gap > 1e-12:
@@ -553,8 +544,8 @@ def suite_trace_scaling(seed: int = 0) -> dict:
         source="slope probe",
     )
     t1, t2 = 5.0, 50.0
-    v1 = abs(dirac_geometric_side(t1, skew, sigma))
-    v2 = abs(dirac_geometric_side(t2, skew, sigma))
+    v1 = abs(dirac_geometric_side(t1, skew, k))
+    v2 = abs(dirac_geometric_side(t2, skew, k))
     # exp(-l^2/4t) drifts toward 1; remove it to isolate the power law
     v1 /= math.exp(-1.0 / (4.0 * t1))
     v2 /= math.exp(-1.0 / (4.0 * t2))

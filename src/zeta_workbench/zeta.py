@@ -1,23 +1,29 @@
 """Geodesic class-sum evaluation of the five zeta functions.
 
-Every zeta here is evaluated through its logarithm as a sum over the
-nontrivial conjugacy classes of the supplied spectrum.  Writing l for the
-class length, theta for its holonomy angle, n for its power multiplicity,
-rho for (d-1)/2 and det for det(Id - Ad|nbar):
+The model is d = 3: rho = 1, and the weight is one number k whose
+character at holonomy angle theta is exp(i k theta).  Every zeta here is
+evaluated through its logarithm as a sum over the nontrivial conjugacy
+classes of the supplied spectrum.  Writing l for the class length, n for
+its power multiplicity and det for det(Id - Ad|nbar):
 
-    log Z(s)   = - sum  (1/n) trchi * trsigma * exp(-(s+rho) l) / det
-    log R(s)   = - sum  (1/n) trchi * trsigma * exp(-s l)
+    log Z(s)   = - sum  (1/n) trchi * exp(i k theta) * exp(-(s+1) l) / det
+    log R(s)   = - sum  (1/n) trchi * exp(i k theta) * exp(-s l)
 
 The two log forms are the termwise antiderivatives (in s) of the standard
 logarithmic-derivative sums
 
-    L_S(s)  = sum (l/n) L(gamma; sigma + w sigma) exp(-s l)
-    L^s(s)  = sum (l/n) L(gamma; sigma - w sigma) exp(-s l)
-    L(gamma; sigma) = trchi * trsigma * exp(-rho l) / det
+    L_S(s)  = sum (l/n) (L(gamma; k) + L(gamma; -k)) exp(-s l)
+    L^s(s)  = sum (l/n) (L(gamma; k) - L(gamma; -k)) exp(-s l)
+    L(gamma; k) = trchi * exp(i k theta) * exp(-l) / det
 
 and both vanish as Re(s) grows, which pins the integration constant.
-The symmetrized, super and super-Ruelle variants are the obvious sums and
-differences of the base sums at sigma and its sign-flipped partner.
+The symmetrized, super and super-Ruelle variants are the sums and
+differences of the base sums at k and at its sign flip -k.
+
+A spectrum and a twist are read once into a ClassTable, a struct of
+arrays over the classes.  Every geodesic sum, here and in traces.py, is
+then one kernel, class_sum: a per-class weight vector dotted with
+exp(-s l) or exp(-l^2/4t), one grid point at a time.
 
 Sums are only evaluated above a model-based convergence abscissa derived
 from an exponential geodesic-count model N(L) <= C exp(g L); requests
@@ -27,27 +33,27 @@ not certificates.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceRegionError, InvariantViolation, Unsupported
+from .errors import ConvergenceRegionError, InvariantViolation
 from .reps import (
     GammaRep,
-    MRep,
     ad_nbar_det,
     character_chi,
     character_sigma,
+    check_weight,
     require_case_b,
-    rho_norm,
-    weyl_action,
 )
-from .spectra import GeodesicClass, LengthSpectrum, TruncatedValue
+from .spectra import LengthSpectrum, TruncatedValue
 
 __all__ = [
+    "ClassTable",
     "ZetaRequest",
+    "class_sum",
+    "class_table",
     "convergence_abscissa",
     "log_selberg",
     "log_ruelle",
@@ -59,86 +65,140 @@ __all__ = [
     "log_zeta",
 ]
 
-KINDS = ("selberg", "ruelle", "symmetrized", "super", "super_ruelle")
+RHO = 1.0  # half the sum of the positive restricted roots
+DEFAULT_GROWTH = 2.0 * RHO  # volume entropy of hyperbolic 3-space
+
+# per kind: sign of the flipped character in the weight (0: k alone), and
+# whether the Selberg-type factor exp(-rho l) / det enters
+_SHAPES = {
+    "selberg": (0, True),
+    "ruelle": (0, False),
+    "symmetrized": (+1, True),
+    "super": (-1, True),
+    "super_ruelle": (-1, False),
+}
+KINDS = tuple(_SHAPES)
+
+
+# the class table and the kernel ---------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class ClassTable:
+    """One spectrum under one twist as arrays over its classes."""
+
+    spectrum: LengthSpectrum
+    chi: GammaRep | None
+    length: np.ndarray
+    angle: np.ndarray
+    multiplicity: np.ndarray
+    det: np.ndarray  # det(Id - Ad|nbar)
+    chi_trace: np.ndarray  # trace of chi; ones without a twist
+
+    def weights(self, k: float, sign: int, selberg_type: bool) -> np.ndarray:
+        """trchi * (exp(i k theta) + sign * exp(-i k theta)) / n per class,
+        times exp(-rho l) / det for the Selberg-type sums."""
+        trsigma = character_sigma(k, self.angle)
+        if sign:
+            trsigma = trsigma + sign * character_sigma(-k, self.angle)
+        w = self.chi_trace * trsigma / self.multiplicity
+        if selberg_type:
+            w *= np.exp(-RHO * self.length) / self.det
+        return w
+
+    @property
+    def chi_bound(self) -> float:
+        if self.chi is None:
+            return 1.0
+        observed = float(np.max(np.abs(self.chi_trace))) if len(self.chi_trace) else 0.0
+        return max(float(self.chi.dimension), observed)
+
+
+def class_table(spectrum: LengthSpectrum, chi: GammaRep | None = None) -> ClassTable:
+    """Read the spectrum's classes and their chi traces once."""
+    classes = spectrum.classes
+    length = np.array([c.length for c in classes], dtype=float)
+    angle = np.array([c.angle for c in classes], dtype=float)
+    if chi is None:
+        chi_trace = np.ones(len(classes), dtype=complex)
+    else:
+        missing = [i for i, c in enumerate(classes) if c.word is None]
+        if missing:
+            raise InvariantViolation(
+                f"class {missing[0]} carries no word; a nontrivial twist needs words"
+            )
+        chi_trace = np.array([character_chi(chi, c.word) for c in classes], dtype=complex)
+    return ClassTable(
+        spectrum=spectrum,
+        chi=chi,
+        length=length,
+        angle=angle,
+        multiplicity=np.array([c.multiplicity for c in classes], dtype=float),
+        det=ad_nbar_det(length, angle),
+        chi_trace=chi_trace,
+    )
+
+
+def table_for(
+    spectrum: LengthSpectrum, chi: GammaRep | None, table: ClassTable | None
+) -> ClassTable:
+    """The given table, checked against (spectrum, chi), or a new one."""
+    if table is None:
+        return class_table(spectrum, chi)
+    if table.spectrum is not spectrum or table.chi is not chi:
+        raise InvariantViolation("class table was built for another spectrum or twist")
+    return table
+
+
+def class_sum(weights: np.ndarray, exponent: np.ndarray) -> complex:
+    """The kernel of every geodesic sum: sum over the classes of
+    weights * exp(exponent), with exponent -s*l or -l^2/4t at one point."""
+    return complex(np.dot(weights, np.exp(exponent)))
+
+
+# requests -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ZetaRequest:
     s: complex
-    sigma: MRep
+    k: float
     spectrum: LengthSpectrum
     kind: str = "selberg"
     chi: GammaRep | None = None
-    growth_constant: float | None = None  # default 2*rho = d-1
+    growth_constant: float | None = None  # default 2*rho
+    # built from (spectrum, chi) when omitted; pass one to reuse it on a grid
+    table: ClassTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "s", complex(self.s))
+        object.__setattr__(self, "k", check_weight(self.k))
         if self.kind not in KINDS:
             raise InvariantViolation(f"unknown zeta kind {self.kind!r}")
-        if self.spectrum.dimension % 2 == 0:
-            raise InvariantViolation("spectrum dimension must be odd")
-        if self.kind in ("symmetrized", "super", "super_ruelle"):
-            require_case_b(self.sigma)
+        if _SHAPES[self.kind][0]:
+            require_case_b(self.k)
         if self.growth_constant is not None and not (self.growth_constant > 0):
             raise InvariantViolation("growth_constant must be positive")
+        object.__setattr__(self, "table", table_for(self.spectrum, self.chi, self.table))
 
     @property
     def growth(self) -> float:
-        if self.growth_constant is not None:
-            return self.growth_constant
-        return float(self.spectrum.dimension - 1)
+        return DEFAULT_GROWTH if self.growth_constant is None else self.growth_constant
 
 
-def convergence_abscissa(kind: str, growth: float, rho: float) -> float:
+def convergence_abscissa(kind: str, growth: float) -> float:
     """Model abscissa: growth - rho for the Selberg-type sums, growth for
     the plain geodesic sums (no exp(-rho l) damping there)."""
-    if kind in ("selberg", "symmetrized", "super"):
-        return growth - rho
-    return growth
+    return growth - RHO if _SHAPES[kind][1] else growth
 
 
-def _check_region(s: complex, kind: str, growth: float, rho: float) -> float:
-    a = convergence_abscissa(kind, growth, rho)
+def _check_region(s: complex, kind: str, growth: float) -> None:
+    a = convergence_abscissa(kind, growth)
     if s.real <= a:
         raise ConvergenceRegionError(s, a)
-    return a
 
 
-def _class_sigma_trace(c: GeodesicClass, sigma: MRep, dimension: int) -> complex:
-    if c.sigma_trace is not None:
-        return c.sigma_trace
-    if dimension != 3:
-        raise Unsupported(
-            "class character values beyond dimension 3 must be supplied as "
-            "per-class sigma_trace data"
-        )
-    return character_sigma(sigma, c.angle)
-
-
-def _class_chi_traces(spectrum: LengthSpectrum, chi: GammaRep | None) -> np.ndarray:
-    if chi is None:
-        return np.ones(len(spectrum.classes), dtype=complex)
-    traces = np.empty(len(spectrum.classes), dtype=complex)
-    for i, c in enumerate(spectrum.classes):
-        if c.word is None:
-            raise InvariantViolation(
-                f"class {i} carries no word; a nontrivial twist needs words"
-            )
-        traces[i] = character_chi(chi, c.word)
-    return traces
-
-
-# tail model helpers -------------------------------------------------------
-
-
-def _growth_prefactor(spectrum: LengthSpectrum, growth: float) -> float:
-    """Least-squares C for the count model N(L) = C exp(growth L)."""
-    if not spectrum.classes:
-        return 0.0
-    logs = [
-        math.log(i + 1) - growth * c.length for i, c in enumerate(spectrum.classes)
-    ]
-    return math.exp(sum(logs) / len(logs))
+# tail model ---------------------------------------------------------------
 
 
 def _tail_integral(p: int, alpha: float, L: float) -> float:
@@ -148,18 +208,10 @@ def _tail_integral(p: int, alpha: float, L: float) -> float:
     return math.exp(-alpha * L) * (L / alpha + 1.0 / (alpha * alpha))
 
 
-def _chi_bound(spectrum: LengthSpectrum, chi: GammaRep | None, traces: np.ndarray) -> float:
-    if chi is None:
-        return 1.0
-    observed = float(np.max(np.abs(traces))) if len(traces) else 0.0
-    return max(float(chi.dimension), observed)
-
-
 def _tail_bound(
-    spectrum: LengthSpectrum,
+    table: ClassTable,
     growth: float,
     beta: float,
-    chi_bound: float,
     sigma_bound: float,
     with_det: bool,
     with_length_factor: bool,
@@ -167,135 +219,75 @@ def _tail_bound(
     """Model bound on the classes beyond the cutoff.
 
     beta is the exponential decay rate of one term; the count model
+    N(L) = C exp(g L), with C fitted by least squares to the class ranks,
     contributes C g exp(g u) du, so the tail decays like exp(-(beta-g) L).
+    sigma_bound bounds |trsigma|: 1 for one character, 2 for a pair.
     """
-    if not spectrum.classes:
-        return 0.0
     alpha = beta - growth
     if alpha <= 0:  # guarded by the abscissa check; belt and braces
         return math.inf
-    L = spectrum.cutoff
-    C = _growth_prefactor(spectrum, growth)
+    L = table.spectrum.cutoff
+    ranks = np.arange(1, len(table.length) + 1)
+    C = math.exp(float(np.mean(np.log(ranks) - growth * table.length)))
     # det(l, theta) >= (1 - exp(-l))^2, decreasing in -l, so the cutoff
     # value floors every omitted term
     det_floor = (1.0 - math.exp(-L)) ** 2 if with_det else 1.0
-    base = chi_bound * sigma_bound * C * growth / det_floor
+    base = table.chi_bound * sigma_bound * C * growth / det_floor
     return base * _tail_integral(1 if with_length_factor else 0, alpha, L)
 
 
-# core sums ----------------------------------------------------------------
+# class sums ---------------------------------------------------------------
 
 
-def _base_log_sum(
-    s: complex,
-    sigma: MRep,
-    spectrum: LengthSpectrum,
-    chi: GammaRep | None,
-    growth: float,
-    selberg_type: bool,
-) -> TruncatedValue:
-    """Shared worker for log Z and log R at a single weight."""
-    d = spectrum.dimension
-    rho = rho_norm(d)
-    if not spectrum.classes:
+def _log_sum(req: ZetaRequest, kind: str) -> TruncatedValue:
+    """log of the zeta of the given kind at req.s, through the kernel."""
+    sign, selberg_type = _SHAPES[kind]
+    if sign:
+        require_case_b(req.k)
+    table = req.table
+    if not len(table.length):
         # empty sum: nothing to converge, nothing omitted
         return TruncatedValue(0.0, 0.0, 0)
-    kind = "selberg" if selberg_type else "ruelle"
-    _check_region(s, kind, growth, rho)
-    if selberg_type and d != 3:
-        raise Unsupported(
-            "the adjoint determinant factor is implemented for dimension 3 only"
-        )
-
-    chi_traces = _class_chi_traces(spectrum, chi)
-    total = 0.0 + 0.0j
-    sigma_max = 0.0
-    for c, trchi in zip(spectrum.classes, chi_traces):
-        trsigma = _class_sigma_trace(c, sigma, d)
-        sigma_max = max(sigma_max, abs(trsigma))
-        if selberg_type:
-            term = (
-                trchi
-                * trsigma
-                * cmath.exp(-(s + rho) * c.length)
-                / (c.multiplicity * ad_nbar_det(c.length, c.angle))
-            )
-        else:
-            term = trchi * trsigma * cmath.exp(-s * c.length) / c.multiplicity
-        total -= term
-
-    beta = s.real + (rho if selberg_type else 0.0)
+    _check_region(req.s, kind, req.growth)
+    value = -class_sum(table.weights(req.k, sign, selberg_type), -req.s * table.length)
     tail = _tail_bound(
-        spectrum,
-        growth,
-        beta,
-        _chi_bound(spectrum, chi, chi_traces),
-        max(sigma_max, 1.0),
+        table,
+        req.growth,
+        req.s.real + (RHO if selberg_type else 0.0),
+        2.0 if sign else 1.0,
         with_det=selberg_type,
         with_length_factor=False,
     )
-    return TruncatedValue(total, tail, len(spectrum.classes))
+    return TruncatedValue(value, tail, len(table.length))
 
 
 def log_selberg(req: ZetaRequest) -> TruncatedValue:
     """Class-sum logarithm of the twisted Selberg-type zeta at req.s."""
-    return _base_log_sum(req.s, req.sigma, req.spectrum, req.chi, req.growth, True)
+    return _log_sum(req, "selberg")
 
 
 def log_ruelle(req: ZetaRequest) -> TruncatedValue:
     """Class-sum logarithm of the twisted Ruelle-type zeta at req.s."""
-    return _base_log_sum(req.s, req.sigma, req.spectrum, req.chi, req.growth, False)
-
-
-def _combine(a: TruncatedValue, b: TruncatedValue, sign: int) -> TruncatedValue:
-    return TruncatedValue(
-        a.value + sign * b.value,
-        a.tail_bound + b.tail_bound,
-        max(a.terms_used, b.terms_used),
-    )
+    return _log_sum(req, "ruelle")
 
 
 def log_symmetrized(req: ZetaRequest) -> TruncatedValue:
-    """log of Z(sigma) * Z(w sigma)."""
-    require_case_b(req.sigma)
-    a = _base_log_sum(req.s, req.sigma, req.spectrum, req.chi, req.growth, True)
-    b = _base_log_sum(
-        req.s, weyl_action(req.sigma), req.spectrum, req.chi, req.growth, True
-    )
-    return _combine(a, b, +1)
+    """log of Z(k) * Z(-k)."""
+    return _log_sum(req, "symmetrized")
 
 
 def log_super(req: ZetaRequest) -> TruncatedValue:
-    """log of Z(sigma) / Z(w sigma)."""
-    require_case_b(req.sigma)
-    a = _base_log_sum(req.s, req.sigma, req.spectrum, req.chi, req.growth, True)
-    b = _base_log_sum(
-        req.s, weyl_action(req.sigma), req.spectrum, req.chi, req.growth, True
-    )
-    return _combine(a, b, -1)
+    """log of Z(k) / Z(-k)."""
+    return _log_sum(req, "super")
 
 
 def log_super_ruelle(req: ZetaRequest) -> TruncatedValue:
-    """log of R(sigma) / R(w sigma)."""
-    require_case_b(req.sigma)
-    a = _base_log_sum(req.s, req.sigma, req.spectrum, req.chi, req.growth, False)
-    b = _base_log_sum(
-        req.s, weyl_action(req.sigma), req.spectrum, req.chi, req.growth, False
-    )
-    return _combine(a, b, -1)
-
-
-_DISPATCH = {
-    "selberg": log_selberg,
-    "ruelle": log_ruelle,
-    "symmetrized": log_symmetrized,
-    "super": log_super,
-    "super_ruelle": log_super_ruelle,
-}
+    """log of R(k) / R(-k)."""
+    return _log_sum(req, "super_ruelle")
 
 
 def log_zeta(req: ZetaRequest) -> TruncatedValue:
-    return _DISPATCH[req.kind](req)
+    return _log_sum(req, req.kind)
 
 
 # logarithmic derivatives --------------------------------------------------
@@ -303,71 +295,47 @@ def log_zeta(req: ZetaRequest) -> TruncatedValue:
 
 def _log_derivative(
     s: complex,
-    sigma: MRep,
+    k: float,
     chi: GammaRep | None,
     spectrum: LengthSpectrum,
-    growth: float,
-    relative_sign: int,
+    growth_constant: float | None,
+    table: ClassTable | None,
+    sign: int,
 ) -> TruncatedValue:
-    """Dirichlet sum sum (l/n) L(gamma; sigma +- w sigma) exp(-s l)."""
-    d = spectrum.dimension
-    rho = rho_norm(d)
-    if not spectrum.classes:
+    """Dirichlet sum sum (l/n) (L(gamma; k) +- L(gamma; -k)) exp(-s l)."""
+    require_case_b(k)
+    s = complex(s)
+    table = table_for(spectrum, chi, table)
+    if not len(table.length):
         return TruncatedValue(0.0, 0.0, 0)
-    if d != 3:
-        raise Unsupported(
-            "the adjoint determinant factor is implemented for dimension 3 only"
-        )
-    _check_region(s, "selberg", growth, rho)
-    wsigma = weyl_action(sigma)
-    chi_traces = _class_chi_traces(spectrum, chi)
-    total = 0.0 + 0.0j
-    sigma_max = 0.0
-    for c, trchi in zip(spectrum.classes, chi_traces):
-        pair = character_sigma(sigma, c.angle) + relative_sign * character_sigma(
-            wsigma, c.angle
-        )
-        sigma_max = max(sigma_max, abs(pair))
-        lsym = trchi * pair * math.exp(-rho * c.length) / ad_nbar_det(c.length, c.angle)
-        total += (c.length / c.multiplicity) * lsym * cmath.exp(-s * c.length)
-
+    growth = DEFAULT_GROWTH if growth_constant is None else growth_constant
+    _check_region(s, "selberg", growth)
+    weights = table.length * table.weights(k, sign, True)
     tail = _tail_bound(
-        spectrum,
-        growth,
-        s.real + rho,
-        _chi_bound(spectrum, chi, chi_traces),
-        max(sigma_max, 1.0),
-        with_det=True,
-        with_length_factor=True,
+        table, growth, s.real + RHO, 2.0, with_det=True, with_length_factor=True
     )
-    return TruncatedValue(total, tail, len(spectrum.classes))
+    return TruncatedValue(class_sum(weights, -s * table.length), tail, len(table.length))
 
 
 def log_derivative_super(
     s: complex,
-    sigma: MRep,
+    k: float,
     chi: GammaRep | None,
     spectrum: LengthSpectrum,
     growth_constant: float | None = None,
+    table: ClassTable | None = None,
 ) -> TruncatedValue:
-    """d/ds of log(Z(sigma)/Z(w sigma)) as a Dirichlet sum."""
-    require_case_b(sigma)
-    growth = growth_constant if growth_constant is not None else float(
-        spectrum.dimension - 1
-    )
-    return _log_derivative(s, sigma, chi, spectrum, growth, -1)
+    """d/ds of log(Z(k)/Z(-k)) as a Dirichlet sum."""
+    return _log_derivative(s, k, chi, spectrum, growth_constant, table, -1)
 
 
 def log_derivative_symmetrized(
     s: complex,
-    sigma: MRep,
+    k: float,
     chi: GammaRep | None,
     spectrum: LengthSpectrum,
     growth_constant: float | None = None,
+    table: ClassTable | None = None,
 ) -> TruncatedValue:
-    """d/ds of log(Z(sigma) * Z(w sigma)) as a Dirichlet sum."""
-    require_case_b(sigma)
-    growth = growth_constant if growth_constant is not None else float(
-        spectrum.dimension - 1
-    )
-    return _log_derivative(s, sigma, chi, spectrum, growth, +1)
+    """d/ds of log(Z(k) * Z(-k)) as a Dirichlet sum."""
+    return _log_derivative(s, k, chi, spectrum, growth_constant, table, +1)

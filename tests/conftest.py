@@ -10,7 +10,6 @@ from zeta_workbench import (
     GeodesicClass,
     GroupPresentation,
     LengthSpectrum,
-    MRep,
     wrap_angle,
 )
 
@@ -34,7 +33,7 @@ def toy_spectrum():
 
 @pytest.fixture
 def sigma_k1():
-    return MRep(3, (1.0,))
+    return 1.0
 
 
 def power_family(l0: float, theta0: float, powers: int, volume=None):

@@ -19,7 +19,6 @@ from zeta_workbench import (
     EnumerationConfig,
     GroupPresentation,
     LaplaceSpectrum,
-    MRep,
     ZetaRequest,
     complex_length,
     continued_sym_logderiv,
@@ -80,10 +79,10 @@ def test_criterion_04_second_order_residues_and_entire_density(capsys):
     assert code == 0
     assert report["max_gap"] <= 1e-8
 
-    sigma = MRep(3, (1.0,))
+    k = 1.0
 
     laplace = LaplaceSpectrum(((0.0, 2), (2.25, 1)))
-    f = lambda z: continued_sym_logderiv(z, laplace, sigma, 1, volume=1.0)
+    f = lambda z: continued_sym_logderiv(z, laplace, k, 1, volume=1.0)
     zero_mode = residue_at(f, 0.0 + 0.0j, 0.05)
     assert abs(zero_mode - 4.0) < 1e-8
     top = residue_at(f, 1.5j, 0.05)
@@ -91,7 +90,7 @@ def test_criterion_04_second_order_residues_and_entire_density(capsys):
 
     # with no eigenvalues left the function is the density term alone,
     # an entire function: every contour integral vanishes
-    g = lambda z: continued_sym_logderiv(z, LaplaceSpectrum(()), sigma, 1, volume=2.0)
+    g = lambda z: continued_sym_logderiv(z, LaplaceSpectrum(()), k, 1, volume=2.0)
     for center in (0.0 + 0.0j, 1.0j, 0.7 + 0.3j):
         assert abs(residue_at(g, center, 0.1)) <= 1e-12
 
@@ -132,8 +131,7 @@ def test_criterion_06_log_derivative_finite_differences(capsys):
 def test_criterion_07_truncated_product_oracles():
     # class-sum logs against literal truncated products on single-class
     # spectra, symmetric-power index and iterate count up to 40, gap 1e-10
-    sigma = MRep(3, (1.0,))
-    k = sigma.weight[0]
+    k = 1.0
     worst = 0.0
     for l0, theta0 in ((2.0, 0.0), (1.5, 1.1)):
         family = single_class_spectrum(l0, theta0, powers=40)
@@ -149,7 +147,7 @@ def test_criterion_07_truncated_product_oracles():
                     )
                     oracle_z += cmath.log(1.0 - w)
             got_z = log_zeta(
-                ZetaRequest(s=s, sigma=sigma, spectrum=family, kind="selberg")
+                ZetaRequest(s=s, k=k, spectrum=family, kind="selberg")
             ).value
             worst = max(worst, abs(got_z - oracle_z))
 
@@ -157,7 +155,7 @@ def test_criterion_07_truncated_product_oracles():
                 1.0 - cmath.exp(1j * k * theta0) * cmath.exp(-s * l0)
             )
             got_r = log_zeta(
-                ZetaRequest(s=s, sigma=sigma, spectrum=family, kind="ruelle")
+                ZetaRequest(s=s, k=k, spectrum=family, kind="ruelle")
             ).value
             worst = max(worst, abs(got_r - oracle_r))
     assert worst <= 1e-10
@@ -177,15 +175,15 @@ def test_criterion_09_identity_term_cancellation():
     # matched even densities integrate to zero against an odd factor;
     # the bound must come from cancellation, not from smallness, so an
     # odd density perturbation has to be clearly visible
-    sigma = MRep(3, (1.0,))
+    k = 1.0
     for t in (0.1, 1.0, 10.0):
-        assert abs(identity_term_dirac(sigma, t)) <= 1e-12
+        assert abs(identity_term_dirac(k, t)) <= 1e-12
 
-    base = plancherel(sigma)
+    base = plancherel(k)
     perturbed = (base.coefficients[0], 0.1, base.coefficients[2])
     control = abs(
         identity_term_dirac(
-            sigma,
+            k,
             1.0,
             plus_coefficients=perturbed,
             minus_coefficients=base.coefficients,

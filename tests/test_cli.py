@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import zeta_workbench
+from zeta_workbench import cli, zeta
 from zeta_workbench.cli import main
 
 
@@ -106,6 +107,23 @@ def test_enumerate_reruns_are_byte_identical(tmp_path, capsys):
     second = capsys.readouterr().out
     assert out1.read_bytes() == out2.read_bytes()
     assert first == second
+
+
+def test_enumerate_cache_miss_and_hit_agree(tmp_path, capsys, monkeypatch):
+    pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
+    argv = ["enumerate", "--presentation", pres, "--max-word-length", "3", "--cutoff", "5.0"]
+    miss_out, hit_out = tmp_path / "miss.json", tmp_path / "hit.json"
+    assert main(argv + ["--output", str(miss_out)]) == 0
+    miss = capsys.readouterr().out
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a cache hit must not walk the group")
+
+    monkeypatch.setattr(cli, "enumerate_spectrum", no_walk)
+    assert main(argv + ["--output", str(hit_out)]) == 0
+    assert capsys.readouterr().out == miss
+    assert hit_out.read_bytes() == miss_out.read_bytes()
 
 
 def test_enumerate_cache_key_is_pinned(tmp_path, capsys):
@@ -225,6 +243,72 @@ def test_zeta_requires_s_start(tmp_path, capsys):
 def test_zeta_schema_error_exit_2(tmp_path, capsys):
     spec = write_json(tmp_path, "bad.json", {"dimension": 3, "cutoff": 2.0, "classes": "nope"})
     assert main(["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "3", "0"]) == 2
+
+
+def test_weight_off_the_half_integers_is_refused(tmp_path, capsys):
+    spec = toy_spectrum_path(tmp_path)
+    assert main(["zeta", "--spectrum", spec, "--sigma", "0.3", "--s-start", "3", "0"]) == 1
+    assert "half-integer" in capsys.readouterr().err
+    assert main(["trace", "--spectrum", spec, "--sigma", "0.3"]) == 1
+    assert "half-integer" in capsys.readouterr().err
+
+
+def test_zeta_refuses_a_spectrum_of_another_dimension(tmp_path, capsys):
+    doc = spectrum_doc(TOY_CLASSES)
+    doc["dimension"] = 5
+    spec = write_json(tmp_path, "d5.json", doc)
+    assert main(["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "6", "0"]) == 2
+    assert "dimension must be 3" in capsys.readouterr().err
+
+
+def test_zeta_refuses_a_per_class_character_override(tmp_path, capsys):
+    # this class field once replaced exp(ik theta) and made the super sums
+    # exactly 0; a document carrying it is now refused, not evaluated
+    field = "sigma_trace"
+    doc = spectrum_doc(TOY_CLASSES)
+    doc["classes"][1][field] = [0.5, 0.0]
+    spec = write_json(tmp_path, "override.json", doc)
+    for kind in ("super", "selberg"):
+        argv = ["zeta", "--spectrum", spec, "--kind", kind, "--sigma", "1", "--s-start", "3", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "class 1" in err and field in err
+    assert main(["trace", "--spectrum", spec, "--sigma", "1"]) == 2
+
+
+WORDED_CLASSES = [(1.0, 0.7, "a"), (1.3, -2.1, "b"), (1.7, 2.9, "ab")]
+
+
+def worded_spectrum_path(tmp_path):
+    doc = spectrum_doc([(l, a, 1) for l, a, _ in WORDED_CLASSES])
+    for record, (_, _, word) in zip(doc["classes"], WORDED_CLASSES):
+        record["word"] = word
+    return write_json(tmp_path, "worded.json", doc)
+
+
+def test_twisted_commands_compute_each_chi_trace_once(tmp_path, capsys, monkeypatch):
+    spec = worded_spectrum_path(tmp_path)
+    chi = write_json(
+        tmp_path,
+        "chi.json",
+        {"dimension": 2, "images": {"a": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+                                    "b": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}},
+    )
+    words = []
+    traced = zeta.character_chi
+
+    def counting(chi_rep, word):
+        words.append(word)
+        return traced(chi_rep, word)
+
+    monkeypatch.setattr(zeta, "character_chi", counting)
+    assert main(["zeta", "--spectrum", spec, "--chi", chi, "--kind", "super", "--sigma", "1",
+                 "--s-start", "3", "0", "--s-stop", "4", "1", "--s-count", "7"]) == 0
+    assert sorted(words) == ["a", "ab", "b"]
+    words.clear()
+    assert main(["trace", "--spectrum", spec, "--chi", chi, "--sigma", "1",
+                 "--t", "0.5", "--t", "1.0", "--t", "2.0"]) == 0
+    assert sorted(words) == ["a", "ab", "b"]
 
 
 def test_zeta_output_file_keeps_stdout_quiet(tmp_path, capsys):

@@ -13,10 +13,8 @@ from zeta_workbench import (
     DegenerateShifts,
     DiracSpectrum,
     LaplaceSpectrum,
-    MRep,
     ParityViolation,
     PathThroughSingularity,
-    ResolventGrid,
     continued_super_logderiv,
     continued_sym_logderiv,
     log_zeta_by_path,
@@ -66,8 +64,6 @@ def test_degenerate_shifts_rejected():
     with pytest.raises(DegenerateShifts):
         # opposite signs square to the same value
         partial_fraction_weights((2.0, -2.0))
-    with pytest.raises(DegenerateShifts):
-        ResolventGrid(shifts=(1.0, 1.0))
 
 
 # continued log-derivatives ---------------------------------------------------
@@ -86,8 +82,8 @@ def test_continued_super_logderiv_refuses_poles(dirac_pm):
 
 def test_continued_sym_logderiv_hand_value():
     lap = LaplaceSpectrum(entries=((1.0, 3),))
-    sigma = MRep(3, (1.0,))
-    got = continued_sym_logderiv(2.0, lap, sigma, 1, volume=1.0)
+    k = 1.0
+    got = continued_sym_logderiv(2.0, lap, k, 1, volume=1.0)
     # 2 s m / (mu + s^2) - 4 pi Vol (k^2 - s^2)/(4 pi^2)
     expected = 2.0 * 2.0 * 3 / 5.0 - (1.0 - 4.0) / math.pi
     assert got == pytest.approx(expected, rel=1e-14)
@@ -119,10 +115,10 @@ def test_residues_recover_multiplicities(dirac_pm):
     assert got_minus == pytest.approx(-1.0, abs=1e-10)
 
     lap = square_spectrum(dirac_pm)
-    sigma = MRep(3, (1.0,))
+    k = 1.0
 
     def l_sym(z):
-        return continued_sym_logderiv(z, lap, sigma, 1, volume=1.0)
+        return continued_sym_logderiv(z, lap, k, 1, volume=1.0)
 
     got = residue_at(l_sym, 1j, 0.2)
     assert got == pytest.approx(3.0, abs=1e-10)
@@ -131,9 +127,9 @@ def test_residues_recover_multiplicities(dirac_pm):
 def test_zero_mode_residue_doubles():
     dirac = DiracSpectrum(entries=((0.0, 2), (1.0, 1)))
     lap = square_spectrum(dirac)
-    sigma = MRep(3, (1.0,))
+    k = 1.0
     got = residue_at(
-        lambda z: continued_sym_logderiv(z, lap, sigma, 1, volume=0.0), 0.0, 0.3
+        lambda z: continued_sym_logderiv(z, lap, k, 1, volume=0.0), 0.0, 0.3
     )
     assert got == pytest.approx(4.0, abs=1e-10)
 
@@ -409,14 +405,13 @@ def test_closed_form_reads_only_super_records(dirac_pm):
 
 def test_ruelle_factorization_points(toy_spectrum):
     for k in (1.0, 0.5):
-        sigma = MRep(3, (k,))
         for s in (complex(3.2), complex(3.8, 0.2)):
-            lhs, rhs, gap = ruelle_factorization_check(s, sigma, None, toy_spectrum)
+            lhs, rhs, gap = ruelle_factorization_check(s, k, None, toy_spectrum)
             assert gap <= 1e-9, (k, s, gap)
 
 
 def test_ruelle_factorization_single_class():
     spec = power_family(1.2, 0.9, powers=3)
-    sigma = MRep(3, (1.0,))
-    lhs, rhs, gap = ruelle_factorization_check(complex(4.0), sigma, None, spec)
+    k = 1.0
+    lhs, rhs, gap = ruelle_factorization_check(complex(4.0), k, None, spec)
     assert gap <= 1e-12

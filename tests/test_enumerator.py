@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from zeta_workbench import (
     enumerate_spectrum,
     parse_group_presentation,
     primitive_decomposition,
-    serialize_group_presentation,
     spectrum_is_incomplete,
     validate_words,
     word_matrix,
@@ -89,8 +89,14 @@ def test_presentation_validation():
 
 def test_presentation_round_trip():
     pres = schottky_pair(3.0)
-    doc = serialize_group_presentation(pres)
-    back = parse_group_presentation(doc)
+    doc = {
+        "generators": [
+            {"name": name, "matrix": [[z.real, z.imag] for z in mat.reshape(-1)]}
+            for name, mat in zip(pres.names, pres.generators)
+        ],
+        "includes_inverses": pres.includes_inverses,
+    }
+    back = parse_group_presentation(json.dumps(doc))
     assert back.names == pres.names
     for a, b in zip(back.generators, pres.generators):
         np.testing.assert_allclose(a, b, atol=1e-15)

@@ -12,80 +12,59 @@ from zeta_workbench import (
     CaseAError,
     GammaRep,
     InvariantViolation,
-    MRep,
     SchemaError,
     UnknownSymbol,
-    Unsupported,
     ad_nbar_det,
-    c_shift,
-    case_of,
     character_chi,
     character_sigma,
+    check_weight,
     parse_gamma_rep,
     plancherel,
-    rho_m,
-    rho_norm,
     serialize_gamma_rep,
-    spin_minus,
-    spin_plus,
     sym_power_trace,
-    trivial_gamma_rep,
-    weyl_action,
 )
+from zeta_workbench.reps import require_case_b
 
 
-def test_rho_values():
-    assert rho_norm(3) == 1.0
-    assert rho_norm(5) == 2.0
-    assert rho_m(3) == (0.0,)
-    assert rho_m(5) == (1.0, 0.0)
-
-
-def test_mrep_validation():
-    MRep(3, (2.0,))
-    MRep(3, (0.5,))
-    MRep(5, (2.0, 1.0))
+def test_weight_validation():
+    assert check_weight(2) == 2.0
+    assert check_weight(0.5) == 0.5
+    assert check_weight(-1.5) == -1.5
     with pytest.raises(InvariantViolation):
-        MRep(3, (1.0, 2.0))  # wrong rank for d = 3
+        check_weight(0.3)  # neither integer nor half-integer
     with pytest.raises(InvariantViolation):
-        MRep(5, (1.0, 2.0))  # not weakly decreasing
-    with pytest.raises(InvariantViolation):
-        MRep(5, (1.5, 1.0))  # mixed integrality
-    with pytest.raises(InvariantViolation):
-        MRep(4, (1.0,))  # even d
+        check_weight(1.25)
 
 
 def test_weyl_action_and_case():
-    sigma = MRep(3, (2.0,))
-    w = weyl_action(sigma)
-    assert w.weight == (-2.0,)
-    assert weyl_action(w) == sigma
-    assert case_of(sigma) == "case_b"
-    assert case_of(MRep(3, (0.0,))) == "case_a"
-    assert case_of(MRep(5, (3.0, 0.0))) == "case_a"
+    # the sign flip sends k to -k, which conjugates the character at a
+    # real angle; only k = 0 (case a) is fixed by it
+    for k in (2.0, 0.5):
+        assert character_sigma(-k, 0.3) == pytest.approx(np.conj(character_sigma(k, 0.3)))
+        require_case_b(k)
+        require_case_b(-k)
+    with pytest.raises(CaseAError):
+        require_case_b(0.0)
+    with pytest.raises(InvariantViolation):
+        require_case_b(0.3)
 
 
 def test_spin_representations():
-    assert spin_plus(3).weight == (0.5,)
-    assert spin_minus(3).weight == (-0.5,)
-    assert spin_plus(5).weight == (0.5, 0.5)
-    assert spin_minus(5).weight == (0.5, -0.5)
-    assert weyl_action(spin_plus(3)) == spin_minus(3)
+    # the spin weights k = +-1/2 are valid and each other's sign flip;
+    # their character changes sign over one full turn
+    assert check_weight(0.5) == -check_weight(-0.5)
+    assert character_sigma(0.5, 2 * math.pi) == pytest.approx(-1.0)
+    assert character_sigma(-0.5, 2 * math.pi) == pytest.approx(-1.0)
 
 
 def test_character_sigma_is_unit_circle():
-    sigma = MRep(3, (2.0,))
-    value = character_sigma(sigma, 0.3)
+    value = character_sigma(2.0, 0.3)
     assert value == pytest.approx(cmath.exp(2j * 0.3))
-    with pytest.raises(Unsupported):
-        character_sigma(MRep(5, (1.0, 1.0)), 0.3)
-
-
-def test_c_shift_is_squared_weight_minus_one():
-    assert c_shift(MRep(3, (0.0,))) == pytest.approx(-1.0)
-    assert c_shift(MRep(3, (1.0,))) == pytest.approx(0.0)
-    assert c_shift(MRep(3, (2.0,))) == pytest.approx(3.0)
-    assert c_shift(MRep(3, (0.5,))) == pytest.approx(-0.75)
+    # arrays of angles evaluate elementwise
+    angles = np.array([0.3, -1.2, 2.9])
+    np.testing.assert_allclose(
+        character_sigma(2.0, angles), [cmath.exp(2j * a) for a in angles], rtol=1e-15
+    )
 
 
 # ad_nbar_det and symmetric-power traces -------------------------------------
@@ -133,19 +112,13 @@ def test_geometric_series_of_sym_traces(l, theta):
 
 
 def test_plancherel_for_weight_k():
-    sigma = MRep(3, (2.0,))
-    poly = plancherel(sigma)
+    poly = plancherel(2.0)
     lam = 1.3
     expected = (lam * lam + 4.0) / (4.0 * math.pi**2)
     assert poly.at_ilambda(lam) == pytest.approx(expected)
     # at_s evaluates the same polynomial at lambda = -i s
     s = complex(0.8, 0.1)
     assert poly.at_s(s) == pytest.approx(poly.at_ilambda(-1j * s))
-
-
-def test_plancherel_rejects_higher_dimensions_without_override():
-    with pytest.raises(Unsupported):
-        plancherel(MRep(5, (1.0, 1.0)))
 
 
 # flat-bundle twist -----------------------------------------------------------
@@ -162,7 +135,7 @@ def test_gamma_rep_validation():
 
 def test_character_chi_trivial_and_products():
     assert character_chi(None, "abc") == 1.0 + 0.0j
-    chi = trivial_gamma_rep(dimension=2, names=("a", "b"))
+    chi = GammaRep(dimension=2, images={"a": np.eye(2), "b": np.eye(2)})
     assert character_chi(chi, "ab") == pytest.approx(2.0 + 0.0j)
 
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])

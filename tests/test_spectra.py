@@ -14,7 +14,6 @@ from zeta_workbench import (
     LaplaceSpectrum,
     LengthSpectrum,
     SchemaError,
-    export_classes_csv,
     parse_eigenvalue_spectrum,
     parse_length_spectrum,
     serialize_eigenvalue_spectrum,
@@ -72,12 +71,9 @@ def test_spectrum_orders_and_cutoff():
             cutoff=0.5,
             classes=(GeodesicClass(length=1.0, angle=0.0),),
         )
-    with pytest.raises(InvariantViolation):
-        LengthSpectrum(
-            dimension=4,
-            cutoff=2.0,
-            classes=(),
-        )
+    # the model is d = 3; another dimension is a schema violation
+    with pytest.raises(SchemaError, match="dimension must be 3"):
+        parse_length_spectrum({"dimension": 4, "cutoff": 2.0, "classes": []})
     # unsorted lengths are refused
     with pytest.raises(InvariantViolation):
         LengthSpectrum(
@@ -154,14 +150,6 @@ def test_parse_reports_field_name():
         assert "length" in str(exc)
     else:
         pytest.fail("expected SchemaError")
-
-
-def test_csv_export(toy_spectrum):
-    text = export_classes_csv(toy_spectrum)
-    lines = text.strip().split("\n")
-    assert lines[0] == "length,angle,multiplicity,primitive,word"
-    assert len(lines) == 1 + len(toy_spectrum.classes)
-    assert lines[1].startswith("1.0,0.7,1,true,")
 
 
 # eigenvalue spectra --------------------------------------------------------

@@ -12,7 +12,6 @@ from zeta_workbench import (
     DiracSpectrum,
     InvariantViolation,
     LaplaceSpectrum,
-    MRep,
     MissingVolume,
     QuadratureFailure,
     ad_nbar_det,
@@ -71,24 +70,24 @@ def test_gaussian_moment_matches_gamma():
 
 
 def test_identity_term_heat_closed_form():
-    sigma = MRep(3, (2.0,))
+    k = 2.0
     t = 0.8
     # density (lam^2 + 4) / (4 pi^2): integral of e^{-t lam^2} P d lam
     expected = (gaussian_moment(t, 1) + 4.0 * gaussian_moment(t, 0)) / (
         4.0 * math.pi**2
     )
-    assert identity_term_heat(sigma, t) == pytest.approx(expected, rel=1e-12)
+    assert identity_term_heat(k, t) == pytest.approx(expected, rel=1e-12)
 
 
 def test_identity_term_dirac_cancels_and_detects():
-    sigma = MRep(3, (1.0,))
+    k = 1.0
     for t in (0.1, 1.0, 10.0):
-        assert abs(identity_term_dirac(sigma, t)) <= 1e-12
+        assert abs(identity_term_dirac(k, t)) <= 1e-12
     # an odd perturbation of one density breaks the cancellation
-    base = plancherel(sigma).coefficients
+    base = plancherel(k).coefficients
     bumped = (base[0], 0.05, base[2])
     val = identity_term_dirac(
-        sigma, 1.0, plus_coefficients=bumped, minus_coefficients=base
+        k, 1.0, plus_coefficients=bumped, minus_coefficients=base
     )
     assert abs(val) > 1e-3
 

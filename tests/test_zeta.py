@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from zeta_workbench import (
     ConvergenceRegionError,
     GeodesicClass,
+    InvariantViolation,
     LengthSpectrum,
-    MRep,
-    Unsupported,
+    SchemaError,
     ZetaRequest,
     ad_nbar_det,
     convergence_abscissa,
@@ -25,6 +25,7 @@ from zeta_workbench import (
     log_super_ruelle,
     log_symmetrized,
     log_zeta,
+    parse_length_spectrum,
 )
 from conftest import TWO_LN_2, power_family
 
@@ -43,8 +44,7 @@ def test_selberg_class_sum_against_product_oracle():
             ) * cmath.exp(-(s + 1.0 + kk) * l0)
             oracle += cmath.log(1.0 - w)
     spectrum = power_family(l0, theta0, powers=40)
-    sigma = MRep(3, (k,))
-    got = log_selberg(ZetaRequest(s=s, sigma=sigma, spectrum=spectrum, kind="selberg"))
+    got = log_selberg(ZetaRequest(s=s, k=k, spectrum=spectrum, kind="selberg"))
     assert got.value == pytest.approx(oracle, abs=1e-10)
     # frozen value of the truncated product itself
     assert oracle == pytest.approx(
@@ -57,8 +57,7 @@ def test_ruelle_class_sum_against_product_oracle():
     s = complex(3.0)
     oracle = cmath.log(1.0 - cmath.exp(1j * k * theta0) * cmath.exp(-s * l0))
     spectrum = power_family(l0, theta0, powers=40)
-    sigma = MRep(3, (k,))
-    got = log_ruelle(ZetaRequest(s=s, sigma=sigma, spectrum=spectrum, kind="ruelle"))
+    got = log_ruelle(ZetaRequest(s=s, k=k, spectrum=spectrum, kind="ruelle"))
     assert got.value == pytest.approx(oracle, abs=1e-12)
     assert oracle == pytest.approx(
         complex(-0.025664085573284135, -0.027149518063063403), abs=1e-14
@@ -68,14 +67,13 @@ def test_ruelle_class_sum_against_product_oracle():
 def test_symmetrized_is_sum_of_selberg_pair(toy_spectrum, sigma_k1):
     s = complex(2.5, 0.3)
     left = log_symmetrized(
-        ZetaRequest(s=s, sigma=sigma_k1, spectrum=toy_spectrum, kind="symmetrized")
+        ZetaRequest(s=s, k=sigma_k1, spectrum=toy_spectrum, kind="symmetrized")
     ).value
     plus = log_selberg(
-        ZetaRequest(s=s, sigma=sigma_k1, spectrum=toy_spectrum, kind="selberg")
+        ZetaRequest(s=s, k=sigma_k1, spectrum=toy_spectrum, kind="selberg")
     ).value
-    minus_rep = MRep(3, (-1.0,))
     minus = log_selberg(
-        ZetaRequest(s=s, sigma=minus_rep, spectrum=toy_spectrum, kind="selberg")
+        ZetaRequest(s=s, k=-1.0, spectrum=toy_spectrum, kind="selberg")
     ).value
     assert left == pytest.approx(plus + minus, abs=1e-14)
 
@@ -83,14 +81,14 @@ def test_symmetrized_is_sum_of_selberg_pair(toy_spectrum, sigma_k1):
 def test_super_is_difference_of_selberg_pair(toy_spectrum, sigma_k1):
     s = complex(2.5, -0.4)
     left = log_super(
-        ZetaRequest(s=s, sigma=sigma_k1, spectrum=toy_spectrum, kind="super")
+        ZetaRequest(s=s, k=sigma_k1, spectrum=toy_spectrum, kind="super")
     ).value
     plus = log_selberg(
-        ZetaRequest(s=s, sigma=sigma_k1, spectrum=toy_spectrum, kind="selberg")
+        ZetaRequest(s=s, k=sigma_k1, spectrum=toy_spectrum, kind="selberg")
     ).value
     minus = log_selberg(
         ZetaRequest(
-            s=s, sigma=MRep(3, (-1.0,)), spectrum=toy_spectrum, kind="selberg"
+            s=s, k=-1.0, spectrum=toy_spectrum, kind="selberg"
         )
     ).value
     assert left == pytest.approx(plus - minus, abs=1e-14)
@@ -99,45 +97,44 @@ def test_super_is_difference_of_selberg_pair(toy_spectrum, sigma_k1):
 def test_super_ruelle_matches_ruelle_pair(toy_spectrum, sigma_k1):
     s = complex(3.5)
     left = log_super_ruelle(
-        ZetaRequest(s=s, sigma=sigma_k1, spectrum=toy_spectrum, kind="super_ruelle")
+        ZetaRequest(s=s, k=sigma_k1, spectrum=toy_spectrum, kind="super_ruelle")
     ).value
     plus = log_ruelle(
-        ZetaRequest(s=s, sigma=sigma_k1, spectrum=toy_spectrum, kind="ruelle")
+        ZetaRequest(s=s, k=sigma_k1, spectrum=toy_spectrum, kind="ruelle")
     ).value
     minus = log_ruelle(
         ZetaRequest(
-            s=s, sigma=MRep(3, (-1.0,)), spectrum=toy_spectrum, kind="ruelle"
+            s=s, k=-1.0, spectrum=toy_spectrum, kind="ruelle"
         )
     ).value
     assert left == pytest.approx(plus - minus, abs=1e-14)
 
 
 def test_case_a_rejected_for_graded_kinds(toy_spectrum):
-    sigma0 = MRep(3, (0.0,))
     from zeta_workbench import CaseAError
 
     with pytest.raises(CaseAError):
-        ZetaRequest(s=3.0, sigma=sigma0, spectrum=toy_spectrum, kind="super")
+        ZetaRequest(s=3.0, k=0.0, spectrum=toy_spectrum, kind="super")
     # plain kinds accept case a
-    log_selberg(ZetaRequest(s=3.0, sigma=sigma0, spectrum=toy_spectrum, kind="selberg"))
+    log_selberg(ZetaRequest(s=3.0, k=0.0, spectrum=toy_spectrum, kind="selberg"))
 
 
 def test_abscissas_and_region_gate(toy_spectrum, sigma_k1):
-    assert convergence_abscissa("selberg", growth=2.0, rho=1.0) == 1.0
-    assert convergence_abscissa("ruelle", growth=2.0, rho=1.0) == 2.0
+    assert convergence_abscissa("selberg", growth=2.0) == 1.0
+    assert convergence_abscissa("ruelle", growth=2.0) == 2.0
     with pytest.raises(ConvergenceRegionError):
         log_selberg(
-            ZetaRequest(s=0.99, sigma=sigma_k1, spectrum=toy_spectrum, kind="selberg")
+            ZetaRequest(s=0.99, k=sigma_k1, spectrum=toy_spectrum, kind="selberg")
         )
     with pytest.raises(ConvergenceRegionError):
         log_ruelle(
-            ZetaRequest(s=1.5, sigma=sigma_k1, spectrum=toy_spectrum, kind="ruelle")
+            ZetaRequest(s=1.5, k=sigma_k1, spectrum=toy_spectrum, kind="ruelle")
         )
     # a custom growth constant moves the gate
     log_ruelle(
         ZetaRequest(
             s=1.5,
-            sigma=sigma_k1,
+            k=sigma_k1,
             spectrum=toy_spectrum,
             kind="ruelle",
             growth_constant=1.0,
@@ -152,7 +149,7 @@ def test_empty_spectrum_gives_log_zero(sigma_k1):
         ("ruelle", log_ruelle),
         ("symmetrized", log_symmetrized),
     ):
-        out = fn(ZetaRequest(s=0.2, sigma=sigma_k1, spectrum=empty, kind=kind))
+        out = fn(ZetaRequest(s=0.2, k=sigma_k1, spectrum=empty, kind=kind))
         assert out.value == 0.0
         assert out.tail_bound == 0.0
         assert out.terms_used == 0
@@ -163,8 +160,8 @@ def test_tail_bound_brackets_missing_terms(sigma_k1):
     s = complex(2.2)
     full = power_family(0.9, 0.5, powers=60)
     short = power_family(0.9, 0.5, powers=6)
-    a = log_selberg(ZetaRequest(s=s, sigma=sigma_k1, spectrum=full, kind="selberg"))
-    b = log_selberg(ZetaRequest(s=s, sigma=sigma_k1, spectrum=short, kind="selberg"))
+    a = log_selberg(ZetaRequest(s=s, k=sigma_k1, spectrum=full, kind="selberg"))
+    b = log_selberg(ZetaRequest(s=s, k=sigma_k1, spectrum=short, kind="selberg"))
     missing = abs(a.value - b.value)
     assert missing <= b.tail_bound
     assert b.tail_bound < 0.05
@@ -177,7 +174,7 @@ def test_tail_bound_shrinks_with_cutoff(sigma_k1):
         spec = power_family(0.9, 0.5, powers=powers)
         bounds.append(
             log_selberg(
-                ZetaRequest(s=s, sigma=sigma_k1, spectrum=spec, kind="selberg")
+                ZetaRequest(s=s, k=sigma_k1, spectrum=spec, kind="selberg")
             ).tail_bound
         )
     assert bounds[0] > bounds[1] > bounds[2]
@@ -186,7 +183,7 @@ def test_tail_bound_shrinks_with_cutoff(sigma_k1):
 def test_chi_twist_scales_by_dimension(toy_spectrum, sigma_k1):
     # a trivial 3-dim twist multiplies every class weight by 3, but the
     # toy spectrum has no words, so build a worded variant
-    from zeta_workbench import trivial_gamma_rep
+    from zeta_workbench import GammaRep
 
     worded = LengthSpectrum(
         dimension=3,
@@ -199,13 +196,13 @@ def test_chi_twist_scales_by_dimension(toy_spectrum, sigma_k1):
         ),
         volume=1.0,
     )
-    chi = trivial_gamma_rep(dimension=3, names=("a", "b"))
+    chi = GammaRep(dimension=3, images={"a": np.eye(3), "b": np.eye(3)})
     s = complex(3.0)
     plain = log_selberg(
-        ZetaRequest(s=s, sigma=sigma_k1, spectrum=worded, kind="selberg")
+        ZetaRequest(s=s, k=sigma_k1, spectrum=worded, kind="selberg")
     ).value
     twisted = log_selberg(
-        ZetaRequest(s=s, sigma=sigma_k1, spectrum=worded, kind="selberg", chi=chi)
+        ZetaRequest(s=s, k=sigma_k1, spectrum=worded, kind="selberg", chi=chi)
     ).value
     assert twisted == pytest.approx(3.0 * plain, abs=1e-14)
 
@@ -216,12 +213,12 @@ def test_log_derivative_matches_finite_difference(toy_spectrum, sigma_k1):
 
     def sym_at(z):
         return log_symmetrized(
-            ZetaRequest(s=z, sigma=sigma_k1, spectrum=toy_spectrum, kind="symmetrized")
+            ZetaRequest(s=z, k=sigma_k1, spectrum=toy_spectrum, kind="symmetrized")
         ).value
 
     def sup_at(z):
         return log_super(
-            ZetaRequest(s=z, sigma=sigma_k1, spectrum=toy_spectrum, kind="super")
+            ZetaRequest(s=z, k=sigma_k1, spectrum=toy_spectrum, kind="super")
         ).value
 
     fd_sym = (sym_at(s + h) - sym_at(s - h)) / (2 * h)
@@ -253,15 +250,14 @@ def test_log_derivative_dirichlet_form(sigma_k1):
     assert got_sym == pytest.approx(expect_sym, abs=1e-12)
 
 
-def test_dimension_five_selberg_unsupported(sigma_k1):
-    spec5 = LengthSpectrum(
-        dimension=5,
-        cutoff=2.0,
-        classes=(GeodesicClass(length=1.0, angle=0.0),),
-    )
-    sigma5 = MRep(5, (1.0, 1.0))
-    with pytest.raises(Unsupported):
-        log_selberg(ZetaRequest(s=6.0, sigma=sigma5, spectrum=spec5, kind="selberg"))
+def test_dimension_five_selberg_unsupported():
+    # the model is d = 3: a spectrum of any other dimension is refused as
+    # input, before any class sum is attempted
+    doc = {"dimension": 5, "cutoff": 2.0, "classes": [{"length": 1.0, "angle": 0.0}]}
+    with pytest.raises(SchemaError, match="dimension must be 3"):
+        parse_length_spectrum(doc)
+    with pytest.raises(InvariantViolation, match="dimension must be 3"):
+        LengthSpectrum(dimension=5, cutoff=2.0, classes=())
 
 
 @settings(max_examples=25, deadline=None)
@@ -269,10 +265,10 @@ def test_dimension_five_selberg_unsupported(sigma_k1):
 def test_log_values_conjugate_symmetry(re, im):
     # real spectra: log Z(conj s) = conj log Z(s)
     spectrum = power_family(1.0, 0.6, powers=10)
-    sigma = MRep(3, (1.0,))
+    k = 1.0
     s = complex(re, im)
-    a = log_selberg(ZetaRequest(s=s, sigma=sigma, spectrum=spectrum, kind="selberg"))
+    a = log_selberg(ZetaRequest(s=s, k=k, spectrum=spectrum, kind="selberg"))
     b = log_selberg(
-        ZetaRequest(s=s.conjugate(), sigma=MRep(3, (-1.0,)), spectrum=spectrum, kind="selberg")
+        ZetaRequest(s=s.conjugate(), k=-1.0, spectrum=spectrum, kind="selberg")
     )
     assert b.value == pytest.approx(a.value.conjugate(), rel=1e-12, abs=1e-12)
