@@ -2,6 +2,7 @@
 
 Keys are sha256 digests of a canonical JSON encoding of the inputs, so a
 hit can never change an answer: identical inputs map to identical files.
+An entry holds the text of the result exactly as the caller writes it out.
 The cache directory defaults to ~/.cache/zeta-workbench and is overridden
 by the ZETA_CACHE_DIR environment variable.
 """
@@ -30,18 +31,15 @@ def cache_key(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def load(key: str) -> dict | None:
-    path = cache_dir() / f"{key}.json"
-    if not path.is_file():
-        return None
+def load(key: str) -> str | None:
+    """The stored text, or None when the entry is absent or unreadable."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError):
+        return (cache_dir() / f"{key}.json").read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError):
         return None
 
 
-def store(key: str, value: dict) -> None:
+def store(key: str, text: str) -> None:
     """Write atomically: each writer fills its own temp file in the cache
     directory and renames it over the entry, so concurrent writers of one
     key never share a file and readers see a complete document or none."""
@@ -50,7 +48,7 @@ def store(key: str, value: dict) -> None:
     fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(value, handle, sort_keys=True)
+            handle.write(text)
         os.replace(tmp, directory / f"{key}.json")
     except BaseException:
         with contextlib.suppress(OSError):

@@ -135,7 +135,6 @@ _CASTS = {
     "volume": float,
     "radius": float,
     "sigma": float,
-    "tolerance": float,
 }
 
 
@@ -190,20 +189,26 @@ def cmd_enumerate(args) -> int:
     key = cache.cache_key(
         {
             "op": "enumerate",
+            # keys without a version name spectra that merged classes
+            # sharing a complex length; bump it when the document changes
+            "version": 2,
             "presentation": raw,
             "max_word_length": config.max_word_length,
             "cutoff": config.length_cutoff,
         }
     )
-    document = cache.load(key)
+    text = cache.load(key)
+    try:
+        document = None if text is None else json.loads(text)
+    except json.JSONDecodeError:
+        document = None  # a torn or foreign entry is a miss
     if document is None:
         spectrum = enumerate_spectrum(presentation, config)
-        document = json.loads(serialize_length_spectrum(spectrum))
-        cache.store(key, document)
+        text = serialize_length_spectrum(spectrum)
+        cache.store(key, text)
     else:
         spectrum = parse_length_spectrum(document)
 
-    text = _json_text(document)
     if args.output:
         _emit(text, args.output)
     lengths = [c.length for c in spectrum.classes]

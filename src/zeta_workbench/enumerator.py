@@ -3,20 +3,23 @@
 The group sits in the unit-determinant 2x2 complex matrices.  A loxodromic
 element with larger eigenvalue lam has geodesic length 2*ln|lam| and
 holonomy angle 2*arg(lam).  Words over the generator alphabet are walked
-breadth-first with immediate-inverse cancellation; conjugacy classes are
-collected from cyclically reduced words, deduplicated exactly by cyclic
-rotation and numerically by trace bucketing plus (length, angle) agreement.
+breadth-first with immediate-inverse cancellation.
 
-A word and its formal inverse are never merged: they share length, angle
-and trace, but in a free group no nontrivial element is conjugate to its
-inverse, and no relations are available to say otherwise.
+The presentation is taken as a free group on its generators, where two
+cyclically reduced words are conjugate exactly when one is a rotation of
+the other.  So each class is a necklace, listed once under its least
+rotation, and a word that repeats a shorter word n times is the n-th power
+class of that word's class.  Nothing is merged numerically: a word, its
+inverse and its reversal share length and angle yet are distinct classes.
+A presentation with relations may list one class under several necklaces;
+the `shared_complex_length` count in the spectrum source flags the
+candidates.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,8 @@ __all__ = [
 
 _DET_TOL = 1e-12
 _UNIT_CIRCLE_TOL = 1e-9
+# the spectrum's matching tolerance, also the window of the shared count
+_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,15 +100,12 @@ class GroupPresentation:
 class EnumerationConfig:
     max_word_length: int
     length_cutoff: float
-    trace_bucket_tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.max_word_length < 1:
             raise InvariantViolation("max_word_length must be positive")
         if not (self.length_cutoff > 0):
             raise InvariantViolation("length_cutoff must be positive")
-        if not (self.trace_bucket_tolerance > 0):
-            raise InvariantViolation("trace_bucket_tolerance must be positive")
 
 
 def parse_group_presentation(document: str | dict) -> GroupPresentation:
@@ -205,67 +207,28 @@ def word_matrix(pres: GroupPresentation, word: str) -> np.ndarray:
     return acc
 
 
-def conjugacy_key(mat: np.ndarray, tol: float) -> tuple[int, int]:
-    """Hashable bucket key from the trace quantized at resolution tol."""
-    tr = complex(mat[0, 0] + mat[1, 1])
-    return (int(round(tr.real / tol)), int(round(tr.imag / tol)))
-
-
 # ---------------------------------------------------------------------------
 # primitivity
 
 
 def primitive_decomposition(
-    classes: list[tuple[float, float, str | None]],
-    tolerance: float = 1e-9,
-    notes: list[str] | None = None,
+    classes: list[tuple[float, float, str]],
 ) -> list[GeodesicClass]:
-    """Assign power multiplicities by root search within the class list.
+    """Give each (length, angle, word) class its power multiplicity.
 
-    A class of length l and angle theta gets multiplicity n, the largest
-    integer for which some class has length about l/n and an angle theta0
-    with n*theta0 matching theta modulo a full turn.  Ambiguous root matches
-    are appended to notes when given.
-
-    The lengths are sorted once and each power n bisects them for a window
-    of +-2*tolerance around l/n, so the search costs O(N n_max log N) for N
-    classes and powers up to n_max; only the classes in the window are
-    tested against the tolerance.
+    A word w with primitive period p (the first nonzero offset at which w
+    occurs in w + w) is the (len(w) / p)-th power of its first p letters, so
+    in a free group its class is that power of a primitive class.
     """
-    if not classes:
-        return []
-    by_length = sorted((c[0], c[1]) for c in classes)
-    lengths = [rl for rl, _ in by_length]
-    min_len = lengths[0]
-    window = 2.0 * tolerance
     out = []
     for length, angle, word in classes:
-        best_n = 1
-        n = 2
-        while length / n >= min_len - tolerance:
-            target = length / n
-            lo = bisect_left(lengths, target - window)
-            hi = bisect_right(lengths, target + window, lo)
-            hits = [
-                (rl, ra)
-                for rl, ra in by_length[lo:hi]
-                if abs(rl - target) <= tolerance
-                and abs(wrap_angle(n * ra - angle)) <= n * tolerance + 1e-12
-            ]
-            if len(hits) > 1 and notes is not None:
-                notes.append(
-                    f"ambiguous root for class at length {length:.12g}: "
-                    f"{len(hits)} candidates at power {n}"
-                )
-            if hits:
-                best_n = n
-            n += 1
+        n = len(word) // (word + word).find(word, 1)
         out.append(
             GeodesicClass(
                 length=length,
                 angle=angle,
-                multiplicity=best_n,
-                primitive=best_n == 1,
+                multiplicity=n,
+                primitive=n == 1,
                 word=word,
             )
         )
@@ -276,34 +239,47 @@ def primitive_decomposition(
 # enumeration
 
 
-def _canonical_rotation(word: str) -> str:
-    return min(word[i:] + word[:i] for i in range(len(word)))
+def _is_least_rotation(word: str) -> bool:
+    # the first-letter test rejects most words before any rotation is built
+    if min(word) != word[0]:
+        return False
+    return all(word <= word[i:] + word[:i] for i in range(1, len(word)))
 
 
-def _formal_inverse(word: str) -> str:
-    return word[::-1].swapcase()
+def _shared_complex_length(classes: list[GeodesicClass]) -> int:
+    """Count the classes whose (length, angle) lies within _TOLERANCE of a
+    class other than itself and its formal inverse.
 
-
-@dataclass
-class _ClassEntry:
-    word: str
-    canonical: str
-    length: float
-    angle: float
+    classes are sorted by length.  A word and its reversal always share the
+    trace in two generators, so the count flags candidates for classes that
+    a relation would identify; nothing is merged on it.
+    """
+    shared: set[int] = set()
+    for i, a in enumerate(classes):
+        inverse = a.word[::-1].swapcase()
+        for j in range(i + 1, len(classes)):
+            b = classes[j]
+            if b.length - a.length > _TOLERANCE:
+                break
+            if abs(wrap_angle(b.angle - a.angle)) > _TOLERANCE:
+                continue
+            if len(b.word) == len(inverse) and b.word in inverse + inverse:
+                continue  # b is a rotation of a's inverse
+            shared.update((i, j))
+    return len(shared)
 
 
 def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> LengthSpectrum:
-    """Walk reduced words breadth-first and collect conjugacy classes.
+    """Walk reduced words breadth-first and emit one class per necklace.
 
     Returns every class found with length <= cfg.length_cutoff among words
     of at most cfg.max_word_length symbols, with multiplicities and
-    primitivity filled in.  The spectrum source records the configuration
-    and a completeness heuristic: if the shortest class discovered at the
-    maximal word length is still below the cutoff, longer words would
-    plausibly contribute further classes and the walk is flagged incomplete.
+    primitivity filled in.  The spectrum source records the configuration,
+    the shared-complex-length count and a completeness heuristic: if the
+    shortest class discovered at the maximal word length is still below the
+    cutoff, longer words would plausibly contribute further classes and the
+    walk is flagged incomplete.
     """
-    tol = cfg.trace_bucket_tolerance
-
     alphabet: list[tuple[str, np.ndarray]] = list(zip(pres.names, pres.generators))
     if not pres.includes_inverses:
         alphabet += [
@@ -317,52 +293,11 @@ def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> Lengt
         name: name.swapcase() for name in letters if name.swapcase() in mats
     }
 
-    if not alphabet:
-        return LengthSpectrum(
-            dimension=3,
-            cutoff=cfg.length_cutoff,
-            classes=(),
-            tolerance=tol,
-            source=_source_string(cfg, incomplete=False, notes=[]),
-        )
-
-    seen_canonical: set[str] = set()
-    buckets: dict[tuple[int, int], list[_ClassEntry]] = {}
-    kept: list[_ClassEntry] = []
+    kept: list[tuple[float, float, str]] = []
 
     # frontier of all reduced words at the current depth
     frontier_words: list[str] = []
     frontier_mats_list: list[np.ndarray] = []
-
-    def consider(word: str, mat: np.ndarray) -> None:
-        # candidate classes come from cyclically reduced words only;
-        # other words are conjugates of shorter ones already visited
-        if len(word) > 1 and inverse_letter.get(word[0]) == word[-1]:
-            return
-        canonical = _canonical_rotation(word)
-        if canonical in seen_canonical:
-            return
-        seen_canonical.add(canonical)
-        length, angle = complex_length(mat, word=word)
-        key = conjugacy_key(mat, tol)
-        inv_canonical = _canonical_rotation(_formal_inverse(word))
-        for dr in (-1, 0, 1):
-            for di in (-1, 0, 1):
-                for entry in buckets.get((key[0] + dr, key[1] + di), ()):
-                    if (
-                        abs(entry.length - length) <= tol
-                        and abs(wrap_angle(entry.angle - angle)) <= tol
-                    ):
-                        same_inverse_pair = (
-                            entry.canonical == inv_canonical
-                            and entry.canonical != canonical
-                        )
-                        if not same_inverse_pair:
-                            return  # same class, earlier word wins
-        entry = _ClassEntry(word=word, canonical=canonical, length=length, angle=angle)
-        buckets.setdefault(key, []).append(entry)
-        if length <= cfg.length_cutoff:
-            kept.append(entry)
 
     for depth in range(1, cfg.max_word_length + 1):
         if depth == 1:
@@ -385,38 +320,37 @@ def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> Lengt
                         new_words.append(frontier_words[i] + letter)
                         new_mats.append(prod[j])
         for word, mat in zip(new_words, new_mats):
-            consider(word, mat)
+            # a class is a necklace of cyclically reduced words; its least
+            # rotation stands for it, so every other word is skipped
+            if len(word) > 1 and inverse_letter.get(word[0]) == word[-1]:
+                continue
+            if not _is_least_rotation(word):
+                continue
+            length, angle = complex_length(mat, word=word)
+            if length <= cfg.length_cutoff:
+                kept.append((length, angle, word))
         frontier_words = new_words
         frontier_mats_list = new_mats
 
-    notes: list[str] = []
-    decomposed = primitive_decomposition(
-        [(e.length, e.angle, e.word) for e in kept], tolerance=tol, notes=notes
-    )
-    decomposed.sort(key=lambda c: (c.length, c.angle, c.word or ""))
+    decomposed = primitive_decomposition(kept)
+    decomposed.sort(key=lambda c: (c.length, c.angle, c.word))
 
-    at_max = [e.length for e in kept if len(e.word) == cfg.max_word_length]
+    at_max = [c.length for c in decomposed if len(c.word) == cfg.max_word_length]
     incomplete = bool(at_max) and min(at_max) < cfg.length_cutoff
-
-    return LengthSpectrum(
-        dimension=3,
-        cutoff=cfg.length_cutoff,
-        classes=tuple(decomposed),
-        tolerance=tol,
-        source=_source_string(cfg, incomplete=incomplete, notes=notes),
-    )
-
-
-def _source_string(cfg: EnumerationConfig, incomplete: bool, notes: list[str]) -> str:
     parts = [
         "enumerated",
         f"max_word_length={cfg.max_word_length}",
         f"length_cutoff={cfg.length_cutoff:g}",
-        f"trace_bucket_tolerance={cfg.trace_bucket_tolerance:g}",
         f"cutoff_incomplete={str(incomplete).lower()}",
+        f"shared_complex_length={_shared_complex_length(decomposed)}",
     ]
-    parts.extend(f"note:{n}" for n in notes)
-    return "; ".join(parts)
+    return LengthSpectrum(
+        dimension=3,
+        cutoff=cfg.length_cutoff,
+        classes=tuple(decomposed),
+        tolerance=_TOLERANCE,
+        source="; ".join(parts),
+    )
 
 
 def spectrum_is_incomplete(spectrum: LengthSpectrum) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,11 +71,13 @@ class GammaRep:
     """Finite-dimensional, possibly non-unitary, representation of the group.
 
     images maps generator names to invertible dimension x dimension matrices.
-    A symbol's inverse is named by swapping its case.
+    A symbol's inverse is named by swapping its case; its image, the matrix
+    inverse, is computed once at construction rather than per word.
     """
 
     dimension: int
     images: dict[str, np.ndarray]
+    _by_symbol: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         imgs = {}
@@ -91,14 +93,19 @@ class GammaRep:
             arr.setflags(write=False)
             imgs[name] = arr
         object.__setattr__(self, "images", imgs)
+        by_symbol = dict(imgs)
+        for name, arr in imgs.items():
+            if name.swapcase() not in by_symbol:
+                inverse = np.linalg.inv(arr)
+                inverse.setflags(write=False)
+                by_symbol[name.swapcase()] = inverse
+        object.__setattr__(self, "_by_symbol", by_symbol)
 
     def image_of_symbol(self, symbol: str) -> np.ndarray:
-        if symbol in self.images:
-            return self.images[symbol]
-        partner = symbol.swapcase()
-        if partner != symbol and partner in self.images:
-            return np.linalg.inv(self.images[partner])
-        raise UnknownSymbol(f"symbol {symbol!r} names no generator or inverse")
+        image = self._by_symbol.get(symbol)
+        if image is None:
+            raise UnknownSymbol(f"symbol {symbol!r} names no generator or inverse")
+        return image
 
 
 def character_chi(chi: GammaRep | None, word: str) -> complex:

@@ -17,6 +17,8 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
+from .errors import InvariantViolation, SchemaError
+
 __all__ = [
     "GeodesicClass",
     "LengthSpectrum",
@@ -59,8 +61,6 @@ class GeodesicClass:
     word: str | None = None
 
     def __post_init__(self):
-        from .errors import InvariantViolation
-
         if not (self.length > 0):
             raise InvariantViolation(f"class length must be positive, got {self.length}")
         if self.multiplicity < 1:
@@ -94,8 +94,6 @@ class LengthSpectrum:
 
 
 def _validate_spectrum(spec: LengthSpectrum) -> None:
-    from .errors import InvariantViolation
-
     if spec.dimension != 3:
         raise InvariantViolation(f"dimension must be 3, got {spec.dimension}")
     if not (spec.cutoff > 0):
@@ -162,8 +160,6 @@ class EigenvalueSpectrum:
     entries: tuple[tuple[complex, int], ...]
 
     def __post_init__(self):
-        from .errors import InvariantViolation
-
         entries = tuple((complex(ev), int(m)) for ev, m in self.entries)
         object.__setattr__(self, "entries", entries)
         seen: set[complex] = set()
@@ -205,8 +201,6 @@ class SingularityRecord:
     zeta_kind: str
 
     def __post_init__(self):
-        from .errors import InvariantViolation
-
         object.__setattr__(self, "location", complex(self.location))
         if self.order == 0:
             raise InvariantViolation("singularity order must be nonzero")
@@ -223,8 +217,6 @@ class TruncatedValue:
     terms_used: int
 
     def __post_init__(self):
-        from .errors import InvariantViolation
-
         object.__setattr__(self, "value", complex(self.value))
         if self.tail_bound < 0:
             raise InvariantViolation("tail_bound must be nonnegative")
@@ -237,8 +229,6 @@ class TruncatedValue:
 
 
 def _require(doc: dict, key: str, types, where: str):
-    from .errors import SchemaError
-
     if key not in doc:
         raise SchemaError(f"{where}: missing field {key!r}")
     val = doc[key]
@@ -259,8 +249,6 @@ def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
     Accepts the JSON text or an already-decoded dict.  The dimension must
     be 3, and a class carrying a field outside the schema is refused.
     """
-    from .errors import SchemaError
-
     if isinstance(document, str):
         try:
             doc = json.loads(document)
@@ -331,7 +319,9 @@ def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
 
 
 def serialize_length_spectrum(spec: LengthSpectrum) -> str:
-    """Emit the JSON document; parse(serialize(x)) == x field for field."""
+    """Emit the JSON document as `enumerate` writes it: sorted keys, an
+    indent of two and a final newline; parse(serialize(x)) == x field for
+    field."""
     doc = {
         "dimension": spec.dimension,
         "cutoff": spec.cutoff,
@@ -349,13 +339,11 @@ def serialize_length_spectrum(spec: LengthSpectrum) -> str:
             for c in spec.classes
         ],
     }
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def parse_eigenvalue_spectrum(document: str | dict, kind: str = "dirac") -> EigenvalueSpectrum:
     """Parse {"entries": [{"re", "im", "multiplicity"}]} into a spectrum."""
-    from .errors import SchemaError
-
     if isinstance(document, str):
         try:
             doc = json.loads(document)

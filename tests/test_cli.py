@@ -126,10 +126,25 @@ def test_enumerate_cache_miss_and_hit_agree(tmp_path, capsys, monkeypatch):
     assert hit_out.read_bytes() == miss_out.read_bytes()
 
 
+def test_enumerate_unreadable_cache_entry_is_a_miss(tmp_path, capsys):
+    pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
+    argv = ["enumerate", "--presentation", pres, "--max-word-length", "3", "--cutoff", "5.0"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(argv + ["--output", str(first)]) == 0
+    summary = capsys.readouterr().out
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    entry.write_text('{"classes": [', encoding="utf-8")
+    assert main(argv + ["--output", str(second)]) == 0
+    assert capsys.readouterr().out == summary
+    assert second.read_bytes() == first.read_bytes()
+    assert entry.read_bytes() == first.read_bytes()
+
+
 def test_enumerate_cache_key_is_pinned(tmp_path, capsys):
     # the key hashes the parsed presentation, so key order and layout in
-    # the file do not matter, and caches written by earlier versions hit
-    pinned = "cache key: 5bf4e777956df75a13b8358793453128586d7fe9e1cf3e1111b0b47c5cdc394f"
+    # the file do not matter; its version field keeps caches written
+    # before one class per necklace from being served
+    pinned = "cache key: 746cd3e1a9a4705f403b3abd659e8c0ba139670af0753ff951e56726cf2f7fc9"
     doc = cyclic_presentation_doc()
     compact = write_json(tmp_path, "compact.json", doc)
     reordered = tmp_path / "reordered.json"

@@ -210,83 +210,84 @@ def test_free_group_class_count_matches_necklace_count(free_two_generator):
 
 
 # ---------------------------------------------------------------------------
-# root search against the all-pairs scan
+# necklaces and word periods on the free pair of test_criterion_10
 
 
-def reference_primitive_decomposition(classes, tolerance, notes):
-    """The O(N^2 n_max) scan over all class pairs, kept as the oracle."""
-    min_len = min(c[0] for c in classes)
-    out = []
-    for length, angle, word in classes:
-        best_n = 1
-        n = 2
-        while length / n >= min_len - tolerance:
-            target = length / n
-            hits = [
-                (rl, ra)
-                for rl, ra, _ in classes
-                if abs(rl - target) <= tolerance
-                and abs(wrap_angle(n * ra - angle)) <= n * tolerance + 1e-12
-            ]
-            if len(hits) > 1:
-                notes.append(
-                    f"ambiguous root for class at length {length:.12g}: "
-                    f"{len(hits)} candidates at power {n}"
-                )
-            if hits:
-                best_n = n
-            n += 1
-        out.append((length, angle, best_n, best_n == 1, word))
+def least_rotation(word):
+    return min(word[i:] + word[:i] for i in range(len(word)))
+
+
+def brute_force_necklaces(depth):
+    """Least rotations of all cyclically reduced words over a, A, b, B."""
+    out = set()
+    stack = list("aAbB")
+    while stack:
+        word = stack.pop()
+        if len(word) == 1 or word[0] != word[-1].swapcase():
+            out.add(least_rotation(word))
+        if len(word) < depth:
+            stack.extend(word + x for x in "aAbB" if x != word[-1].swapcase())
     return out
 
 
-def random_class_list(rng, tol):
-    """Primitive classes, some with angles at the +-pi seam, their exact
-    powers up to 6, second roots that make a power ambiguous, and roots at
-    l/n +- tol (1 +- 1e-6), just inside and just outside the tolerance."""
-    seam = math.pi - 1e-10
-    classes = []
-    for _ in range(25):
-        l0 = rng.uniform(0.5, 3.0)
-        theta0 = [rng.uniform(-math.pi, math.pi), seam, -seam, math.pi][rng.integers(4)]
-        classes.append((l0, wrap_angle(theta0)))
-        for n in range(2, int(rng.integers(2, 7)) + 1):
-            classes.append((n * l0, wrap_angle(n * theta0)))
-    for _ in range(6):
-        l0, theta0 = classes[rng.integers(len(classes))]
-        n = int(rng.integers(2, 7))
-        classes.append((l0, wrap_angle(theta0 + 2.0 * math.pi / n)))
-        classes.append((n * l0, wrap_angle(n * theta0)))
-    for _ in range(12):
-        length, angle = classes[rng.integers(len(classes))]
-        n = int(rng.integers(2, 7))
-        offset = tol * (1.0 + rng.choice([-1e-6, 1e-6])) * rng.choice([-1.0, 1.0])
-        classes.append((length / n + offset, wrap_angle(angle / n)))
-    order = rng.permutation(len(classes))
-    return [(classes[i][0], classes[i][1], f"w{i}") for i in order]
+def smallest_period(word):
+    n = len(word)
+    return next(p for p in range(1, n + 1) if n % p == 0 and word[p:] + word[:p] == word)
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("tol", [1e-9, 1e-6])
-def test_root_search_matches_all_pairs_scan(seed, tol):
-    classes = random_class_list(np.random.default_rng(seed), tol)
-    notes, expected_notes = [], []
-    got = primitive_decomposition(classes, tolerance=tol, notes=notes)
-    expected = reference_primitive_decomposition(classes, tol, expected_notes)
-    assert [
-        (c.length, c.angle, c.multiplicity, c.primitive, c.word) for c in got
-    ] == expected
-    assert notes == expected_notes
-    assert expected_notes, "no ambiguous root was generated"
-    assert max(c.multiplicity for c in got) >= 6
+@pytest.mark.parametrize("depth, count", [(6, 234), (8, 1386), (9, 3582)])
+def test_one_class_per_necklace(free_two_generator, depth, count):
+    spectrum = enumerate_spectrum(
+        free_two_generator, EnumerationConfig(max_word_length=depth, length_cutoff=30.0)
+    )
+    words = [c.word for c in spectrum.classes]
+    assert len(words) == count
+    assert set(words) == brute_force_necklaces(depth)
+    for c in spectrum.classes:
+        n = len(c.word) // smallest_period(c.word)
+        assert (c.multiplicity, c.primitive) == (n, n == 1), c.word
 
 
-def test_root_search_tolerance_edges():
-    # the square of a root at 0.8 is found exactly when the root lies
-    # within the tolerance, on either side of l/n
-    tol = 1e-9
-    for factor, squared in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
-        for sign in (1.0, -1.0):
-            root = (0.8 + sign * tol * factor, 0.2, "r")
-            power = primitive_decomposition([root, (1.6, 0.4, "p")], tol)[1]
-            assert power.multiplicity == (2 if squared else 1)
+def test_planted_powers_and_reversal_pair(free_two_generator):
+    spectrum = enumerate_spectrum(
+        free_two_generator, EnumerationConfig(max_word_length=6, length_cutoff=30.0)
+    )
+    by_word = {c.word: c for c in spectrum.classes}
+    for word, power, root in (("abab", 2, "ab"), ("aBaBaB", 3, "aB"), ("bbb", 3, "b")):
+        cls, root_cls = by_word[least_rotation(word)], by_word[least_rotation(root)]
+        assert (cls.multiplicity, cls.primitive) == (power, False)
+        assert cls.length == pytest.approx(power * root_cls.length, abs=1e-9)
+    # a word and its reversal share the trace, yet are two classes
+    reversal = by_word["Baaba"], by_word["Babaa"]
+    assert reversal[0].length == pytest.approx(reversal[1].length, abs=1e-12)
+    assert wrap_angle(reversal[0].angle - reversal[1].angle) == pytest.approx(0.0, abs=1e-12)
+    validate_words(spectrum, free_two_generator)
+
+
+def test_shared_complex_length_count(free_two_generator):
+    # Up to length 4 every reversal is a rotation of the word or of its
+    # inverse.  At length 5 four necklaces share the complex length of
+    # Baaba: Baaba, its reversal Babaa and their inverses AABAb, AAbAB;
+    # with the families of AAbaB, ABBaB and ABBab that makes 16.
+    for depth, expected in ((4, 0), (5, 16)):
+        spectrum = enumerate_spectrum(
+            free_two_generator, EnumerationConfig(max_word_length=depth, length_cutoff=30.0)
+        )
+        assert f"shared_complex_length={expected}" in spectrum.source.split("; ")
+        reversed_apart = [
+            c.word
+            for c in spectrum.classes
+            if least_rotation(c.word[::-1])
+            not in (c.word, least_rotation(c.word[::-1].swapcase()))
+        ]
+        assert len(reversed_apart) == expected
+    assert {"Baaba", "Babaa", "AABAb", "AAbAB"} <= set(reversed_apart)
+
+
+def test_primitive_decomposition_period_rule():
+    got = primitive_decomposition(
+        [(1.0, 0.5, "ab"), (2.0, 1.0, "abab"), (3.0, 0.0, "aaa"), (2.5, 0.2, "abaab")]
+    )
+    assert [(c.multiplicity, c.primitive) for c in got] == [
+        (1, True), (2, False), (3, False), (1, True)
+    ]

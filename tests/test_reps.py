@@ -148,6 +148,22 @@ def test_character_chi_trivial_and_products():
         character_chi(chi2, "z")
 
 
+def test_inverse_images_inverted_once(monkeypatch):
+    a = np.array([[2.0, 1.0], [1.0, 1.0]])
+    b = np.array([[1.0, 0.5j], [0.0, 1.0]])
+    chi = GammaRep(dimension=2, images={"a": a, "b": b})
+    assert set(chi.images) == {"a", "b"}
+    np.testing.assert_array_equal(chi.image_of_symbol("A"), np.linalg.inv(a))
+    np.testing.assert_array_equal(chi.image_of_symbol("B"), np.linalg.inv(b))
+    expected = character_chi(chi, "aBAb" * 5)
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("a word must not invert a generator image")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    assert character_chi(chi, "aBAb" * 5) == expected
+
+
 @given(st.text(alphabet="ab", min_size=1, max_size=6), st.integers(0, 5))
 def test_character_chi_cyclic_invariance(word, rot):
     mats = {
