@@ -29,6 +29,7 @@ from .enumerator import (
     EnumerationConfig,
     enumerate_spectrum,
     parse_group_presentation,
+    spectrum_is_incomplete,
 )
 from .errors import (
     AtSingularity,
@@ -216,7 +217,7 @@ def cmd_enumerate(args) -> int:
         f"classes: {len(spectrum.classes)}",
         f"min length: {min(lengths):.12g}" if lengths else "min length: n/a",
         f"max length: {max(lengths):.12g}" if lengths else "max length: n/a",
-        f"complete up to cutoff: {'no' if 'cutoff_incomplete=true' in spectrum.source else 'yes'}",
+        f"complete up to cutoff: {'no' if spectrum_is_incomplete(spectrum) else 'yes'}",
         f"cache key: {key}",
     ]
     sys.stdout.write("\n".join(summary) + "\n")

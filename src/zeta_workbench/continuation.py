@@ -33,10 +33,12 @@ from .errors import (
     AtSingularity,
     DegenerateShifts,
     InvariantViolation,
+    MissingVolume,
     NoConvergence,
     ParityViolation,
     PathThroughSingularity,
 )
+from .quadrature import integrate
 from .reps import GammaRep, PlancherelPoly, plancherel
 from .spectra import (
     DiracSpectrum,
@@ -45,6 +47,7 @@ from .spectra import (
     square_spectrum,
     super_multiplicity,
 )
+from .zeta import ZetaRequest, class_table, log_zeta
 
 __all__ = [
     "partial_fraction_weights",
@@ -115,15 +118,13 @@ def continued_sym_logderiv(
     the polynomial term explicitly.
     """
     s = complex(s)
+    if volume is None:
+        raise MissingVolume("the density term needs a volume (0 to disable)")
     for mu, _ in laplace.entries:
         root = 1j * cmath.sqrt(mu)
         if abs(s - root) < _SINGULARITY_EPS or abs(s + root) < _SINGULARITY_EPS:
             raise AtSingularity(f"s = {s} sits on a pole", location=s)
     rational = 2.0 * s * sum(m / (mu + s * s) for mu, m in laplace.entries)
-    if volume is None:
-        from .errors import MissingVolume
-
-        raise MissingVolume("the density term needs a volume (0 to disable)")
     dim_chi = chi.dimension if isinstance(chi, GammaRep) else (chi or 1)
     q = poly if poly is not None else plancherel(k)
     return rational - 4.0 * math.pi * dim_chi * volume * q.at_s(s)
@@ -353,47 +354,20 @@ def super_winding(
     )
 
 
-# QUADPACK's error estimate can fall short of the true error by orders of
-# magnitude (3.6e-8 estimated against a 1e-5 miss on one long segment), so
-# the check asks for far more than the 1e-8 its callers need
-_QUAD_TOL = dict(epsabs=1e-12, epsrel=1e-12)
-
-
 def _segment_integral(f, a: complex, b: complex, breaks=()) -> complex:
     """Integral of f along the horizontal segment from a right to b; the
-    real parts in breaks that fall inside it become quadrature breakpoints."""
-    from scipy.integrate import quad
-
-    direction = b - a
-    points = [(x - a.real) / direction.real for x in sorted(breaks) if a.real < x < b.real]
-
-    def real_part(x: float) -> float:
-        return (f(a + x * direction) * direction).real
-
-    def imag_part(x: float) -> float:
-        return (f(a + x * direction) * direction).imag
-
-    re, _ = quad(real_part, 0.0, 1.0, limit=400, points=points or None, **_QUAD_TOL)
-    im, _ = quad(imag_part, 0.0, 1.0, limit=400, points=points or None, **_QUAD_TOL)
-    return complex(re, im)
+    real parts in breaks become panel edges."""
+    return integrate(lambda x: f(x + 1j * a.imag), a.real, b.real, breaks)
 
 
 def _arc_integral(
     f, center: complex, radius: float, phi_from: float, phi_to: float
 ) -> complex:
-    from scipy.integrate import quad
+    def integrand(phi):
+        offset = radius * np.exp(1j * phi)
+        return f(center + offset) * 1j * offset
 
-    def real_part(phi: float) -> float:
-        z = center + radius * cmath.exp(1j * phi)
-        return (f(z) * 1j * radius * cmath.exp(1j * phi)).real
-
-    def imag_part(phi: float) -> float:
-        z = center + radius * cmath.exp(1j * phi)
-        return (f(z) * 1j * radius * cmath.exp(1j * phi)).imag
-
-    re, _ = quad(real_part, phi_from, phi_to, limit=200, **_QUAD_TOL)
-    im, _ = quad(imag_part, phi_from, phi_to, limit=200, **_QUAD_TOL)
-    return complex(re, im)
+    return integrate(integrand, phi_from, phi_to)
 
 
 def log_zeta_by_path(
@@ -418,8 +392,11 @@ def log_zeta_by_path(
     catalog's super records, sum order/(z - location), and the value is
     the closed form sum order * Log(s - location) + 2 pi i * super_winding
     (no quadrature; tail is not used).  With a callable logderiv the path
-    is integrated by adaptive quadrature, which serves as a check of the
-    closed form and for integrands that are not pure partial fractions.
+    is integrated by the adaptive Gauss-Legendre rule of quadrature.py,
+    with the poles' real parts as panel edges; this serves as a check of
+    the closed form and for integrands that are not pure partial
+    fractions, and a segment or arc that misses the rule's tolerance
+    raises QuadratureFailure.
     tail(w) must then return the remaining -integral_w^inf; when omitted,
     the ray is extended by doubling until |logderiv| * |w| falls below
     1e-12, which covers integrands with quadratic decay.
@@ -453,6 +430,7 @@ def log_zeta_by_path(
     else:
         tail_value = tail(s_max)
 
+    path_f = np.vectorize(logderiv, otypes=[complex])
     breaks = [loc.real for loc in above]
     total = 0.0 + 0.0j
     cursor = s
@@ -461,16 +439,16 @@ def log_zeta_by_path(
         depth = loc.imag - s.imag
         half_chord = math.sqrt(detour_radius * detour_radius - depth * depth)
         exit_angle = math.atan2(-depth, half_chord)
-        total += _segment_integral(logderiv, cursor, complex(loc.real - half_chord, s.imag), breaks)
+        total += _segment_integral(path_f, cursor, complex(loc.real - half_chord, s.imag), breaks)
         total += _arc_integral(
-            logderiv,
+            path_f,
             loc,
             detour_radius,
             math.pi - exit_angle,
             exit_angle if above[loc] else 2.0 * math.pi + exit_angle,
         )
         cursor = complex(loc.real + half_chord, s.imag)
-    total += _segment_integral(logderiv, cursor, s_max, breaks)
+    total += _segment_integral(path_f, cursor, s_max, breaks)
     return -(total) + tail_value
 
 
@@ -491,8 +469,6 @@ def ruelle_factorization_check(
     convergence region, so this is a pure identity check of the adjoint
     determinant expansion.  Returns (lhs, rhs, relative gap).
     """
-    from .zeta import ZetaRequest, class_table, log_zeta
-
     table = class_table(spectrum, chi)
 
     def log(kind: str, s_arg: complex, k_arg: float) -> complex:

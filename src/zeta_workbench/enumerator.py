@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, NotLoxodromic, SchemaError
+from .errors import InvariantViolation, NotLoxodromic, SchemaError, UnknownSymbol
 from .spectra import GeodesicClass, LengthSpectrum, wrap_angle
 
 __all__ = [
@@ -193,8 +193,6 @@ def complex_length(mat: np.ndarray, word: str | None = None) -> tuple[float, flo
 
 def word_matrix(pres: GroupPresentation, word: str) -> np.ndarray:
     """Ordered product of generator matrices over the word's symbols."""
-    from .errors import UnknownSymbol
-
     by_name = dict(zip(pres.names, pres.generators))
     acc = np.eye(2, dtype=complex)
     for sym in word:

@@ -50,7 +50,7 @@ class MissingVolume(WorkbenchError):
 
 
 class QuadratureFailure(WorkbenchError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Adaptive quadrature could not meet its tolerance within its panel budget."""
 
 
 class DegenerateShifts(WorkbenchError):

@@ -14,12 +14,13 @@ k != 0 move under it ("case b"); the graded zeta kinds need one.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CaseAError, InvariantViolation, UnknownSymbol
+from .errors import CaseAError, InvariantViolation, SchemaError, UnknownSymbol
 
 __all__ = [
     "GammaRep",
@@ -124,10 +125,6 @@ def character_chi(chi: GammaRep | None, word: str) -> complex:
 
 def parse_gamma_rep(document: str | dict) -> GammaRep:
     """Parse {"dimension": int, "images": {name: [[[re,im], ...], ...]}}."""
-    import json
-
-    from .errors import SchemaError
-
     if isinstance(document, str):
         try:
             doc = json.loads(document)
@@ -159,8 +156,6 @@ def parse_gamma_rep(document: str | dict) -> GammaRep:
 
 
 def serialize_gamma_rep(chi: GammaRep) -> str:
-    import json
-
     doc = {
         "dimension": chi.dimension,
         "images": {

@@ -177,9 +177,6 @@ class EigenvalueSpectrum:
                 return m
         return 0
 
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
-
 
 class DiracSpectrum(EigenvalueSpectrum):
     """Eigenvalues of a first-order twisted operator; signed spectrum."""

@@ -20,9 +20,11 @@ exp(-s l).
 
 For synthetic inputs the two sides of either formula need not agree; the
 package reports their gap as a diagnostic and never asserts equality.
+Both identity contributions are closed-form sums of Gaussian moments.
 The module also houses the two analytic kernel identities that tie the
 Gaussian-in-t weights to the exponential-in-s weights of the zeta logs,
-each checked by adaptive quadrature against its closed form.
+and the per-class time integral; each is checked against its closed
+form by the adaptive Gauss-Legendre rule of quadrature.py.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .errors import InvariantViolation, MissingVolume, QuadratureFailure
+from .quadrature import integrate
 from .reps import GammaRep, PlancherelPoly, ad_nbar_det, plancherel, require_case_b
 from .reps import (  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     character_chi,
@@ -146,18 +151,16 @@ def identity_term_dirac(
     t: float,
     plus_coefficients: tuple[float, ...] | None = None,
     minus_coefficients: tuple[float, ...] | None = None,
-    abs_tol: float = 1e-13,
 ) -> complex:
-    """Identity contribution of the first-order formula, by quadrature.
+    """Identity contribution of the first-order formula, in closed form.
 
-    Computes integral lam exp(-t lam^2) q_plus(lam) dlam minus the same
-    with q_minus.  With the default densities both integrands are odd in
-    lam and the two densities coincide, so the value is zero; coefficient
+    integral lam exp(-t lam^2) q_plus(lam) dlam minus the same with
+    q_minus.  Only the odd powers lam^j survive, each giving the Gaussian
+    moment of order (j + 1)/2.  With the default densities both
+    polynomials are even and coincide, so the value is zero; coefficient
     overrides (full coefficient lists, lam^0 upward, odd powers allowed)
     exist so tests can verify the cancellation is actually detected.
     """
-    from scipy.integrate import quad
-
     q = plancherel(k)
     wq = plancherel(-k)
     plus = plus_coefficients if plus_coefficients is not None else q.coefficients
@@ -165,47 +168,21 @@ def identity_term_dirac(
     scale_plus = q.normalization if plus_coefficients is None else 1.0
     scale_minus = wq.normalization if minus_coefficients is None else 1.0
 
-    window = math.sqrt(200.0 / t)
-
-    def polyval(coeffs, lam):
-        total = 0.0
-        power = 1.0
-        for c in coeffs:
-            total += c * power
-            power *= lam
-        return total
-
-    def integrand(lam: float) -> float:
-        gaussian = lam * math.exp(-t * lam * lam)
-        return gaussian * (
-            scale_plus * polyval(plus, lam) - scale_minus * polyval(minus, lam)
+    def odd_part(coeffs, scale):
+        return sum(
+            scale * c * gaussian_moment(t, (j + 1) // 2)
+            for j, c in enumerate(coeffs)
+            if j % 2 == 1
         )
 
-    value, err = quad(integrand, -window, window, epsabs=abs_tol, limit=400)
-    if err > 1e-8 * max(1.0, abs(value)):
-        raise QuadratureFailure(f"identity-term quadrature error {err:g}")
-    return complex(value)
+    return complex(odd_part(plus, scale_plus) - odd_part(minus, scale_minus))
 
 
 # ---------------------------------------------------------------------------
 # kernel identities
 
 
-def _complex_quad(f, a, b, abs_tol, limit=400, points=None):
-    from scipy.integrate import quad
-
-    re, re_err = quad(
-        lambda x: f(x).real, a, b, epsabs=abs_tol, limit=limit, points=points
-    )
-    im, im_err = quad(
-        lambda x: f(x).imag, a, b, epsabs=abs_tol, limit=limit, points=points
-    )
-    return complex(re, im), re_err + im_err
-
-
-def _heat_time_integral(
-    c0: complex, length: float, s2: complex, abs_tol: float
-) -> tuple[complex, float]:
+def _heat_time_integral(c0: complex, length: float, s2: complex) -> complex:
     """integral_0^inf c0 t^{-3/2} exp(-l^2/4t) exp(-t s^2) dt, Re(s^2) > 0.
 
     Runs along the real axis to the saddle t* = l/(2|s|), then turns onto
@@ -222,26 +199,20 @@ def _heat_time_integral(
     if u_lo >= u0:
         u_lo = u0 - 1.0
 
-    def leg_small_t(u: float) -> complex:
-        t = math.exp(u)
-        return c0 * cmath.exp(-(length**2) / (4.0 * t) - t * s2 - 0.5 * u)
-
-    small, err_small = _complex_quad(leg_small_t, u_lo, u0, abs_tol)
+    def leg_small_t(u):
+        t = np.exp(u)
+        return c0 * np.exp(-(length**2) / (4.0 * t) - t * s2 - 0.5 * u)
 
     ray = cmath.exp(-1j * cmath.phase(s2))
-    horizon = budget / abs(s2)
 
-    def leg_ray(tau: float) -> complex:
+    def leg_ray(tau):
         t = t_star + ray * tau
-        return c0 * t**-1.5 * cmath.exp(-(length**2) / (4.0 * t) - t * s2) * ray
+        return c0 * t**-1.5 * np.exp(-(length**2) / (4.0 * t) - t * s2) * ray
 
-    large, err_large = _complex_quad(leg_ray, 0.0, horizon, abs_tol)
-    return small + large, err_small + err_large
+    return integrate(leg_small_t, u_lo, u0) + integrate(leg_ray, 0.0, budget / abs(s2))
 
 
-def laplace_kernel_check(
-    length: float, s: complex, abs_tol: float = 1e-12
-) -> tuple[complex, complex, float]:
+def laplace_kernel_check(length: float, s: complex) -> tuple[complex, complex, float]:
     """Check integral_0^inf exp(-t s^2) (4 pi t)^{-3/2} exp(-l^2/4t) dt
     against the closed form exp(-l s) / (4 pi l).
 
@@ -260,18 +231,12 @@ def laplace_kernel_check(
             "integral is not absolutely convergent for Re(s^2) <= 0"
         )
 
-    lhs, err = _heat_time_integral((4.0 * math.pi) ** -1.5, length, s2, abs_tol)
-    # the QUADPACK estimate is floored near 1e-11 by its roundoff accounting
-    # for O(1) integrands; the returned gap is the real accuracy statement
-    if err > 1e-8 * max(1.0, abs(lhs)):
-        raise QuadratureFailure(f"kernel quadrature error {err:g}")
+    lhs = _heat_time_integral((4.0 * math.pi) ** -1.5, length, s2)
     rhs = cmath.exp(-length * s) / (4.0 * math.pi * length)
     return lhs, rhs, abs(lhs - rhs)
 
 
-def fourier_gaussian_check(
-    length: float, t: float, abs_tol: float = 1e-12
-) -> tuple[complex, complex, float]:
+def fourier_gaussian_check(length: float, t: float) -> tuple[complex, complex, float]:
     """Check (1/2pi) integral lam exp(-t lam^2) exp(-i l lam) dlam against
     -i l sqrt(pi) exp(-l^2/4t) / (4 pi t^{3/2}).
 
@@ -281,20 +246,14 @@ def fourier_gaussian_check(
     """
     if not (length > 0 and t > 0):
         raise InvariantViolation("length and t must be positive")
-    window = math.sqrt(200.0 / t)
-
-    from scipy.integrate import quad
 
     # lam cos(l lam) exp(-t lam^2) is odd, so only the sine part survives;
     # folding the domain keeps the cancellation out of the error estimate
-    def integrand(lam: float) -> float:
-        return lam * math.exp(-t * lam * lam) * math.sin(length * lam)
+    def integrand(lam):
+        return lam * np.exp(-t * lam * lam) * np.sin(length * lam)
 
-    half, err = quad(integrand, 0.0, window, epsabs=abs_tol, limit=800)
-    if err > 1e-8 * max(1.0, abs(half)):
-        raise QuadratureFailure(f"fourier quadrature error {err:g}")
-    raw = -2j * half
-    lhs = raw / (2.0 * math.pi)
+    half = integrate(integrand, 0.0, math.sqrt(200.0 / t))
+    lhs = -2j * half / (2.0 * math.pi)
     rhs = (
         -1j
         * length
@@ -310,7 +269,6 @@ def class_term_t_integral(
     angle: float,
     multiplicity: int,
     s: complex,
-    abs_tol: float = 1e-12,
 ) -> tuple[complex, complex, float]:
     """Integrate the first-order per-class weight against exp(-t s^2) in t.
 
@@ -328,9 +286,7 @@ def class_term_t_integral(
         * length**2
         / (multiplicity * dee)
     )
-    lhs, err = _heat_time_integral(c0, length, s * s, abs_tol)
-    if err > 1e-8 * max(1.0, abs(lhs)):
-        raise QuadratureFailure(f"class-term quadrature error {err:g}")
+    lhs = _heat_time_integral(c0, length, s * s)
     rhs = (
         (-0.5j)
         * (length / multiplicity)

@@ -22,6 +22,7 @@ from .continuation import (
     continued_sym_logderiv,
     partial_fraction_weights,
     residue_at,
+    ruelle_factorization_check,
     singularity_catalog,
 )
 from .errors import ParityViolation, WorkbenchError
@@ -33,6 +34,7 @@ from .spectra import (
     LengthSpectrum,
     square_spectrum,
     super_multiplicity,
+    wrap_angle,
 )
 from .traces import (
     class_term_t_integral,
@@ -91,8 +93,6 @@ def single_class_spectrum(
     l0: float, theta0: float, powers: int, volume: float | None = None
 ) -> LengthSpectrum:
     """One primitive class and its first `powers` powers."""
-    from .spectra import wrap_angle
-
     classes = tuple(
         GeodesicClass(
             length=n * l0,
@@ -385,8 +385,6 @@ def suite_logderiv(seed: int = 0) -> dict:
 
 def suite_factorization(seed: int = 0) -> dict:
     """Four-factor product identity for the plain geodesic zeta."""
-    from .continuation import ruelle_factorization_check
-
     rng = np.random.default_rng(seed)
     max_gap, cases, worst = 0.0, 0, None
     spectra = (
@@ -497,8 +495,6 @@ def suite_trace_scaling(seed: int = 0) -> dict:
 
     # 1/n weighting: a primitive class plus its square must equal the
     # primitive side plus half the side of a lone class at the doubled length
-    from .spectra import wrap_angle
-
     l0, th0 = 0.9, 0.7
     family = single_class_spectrum(l0, th0, powers=2)
     lone = LengthSpectrum(

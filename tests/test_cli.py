@@ -589,3 +589,38 @@ def test_enumerate_and_zeta_never_load_scipy(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+NO_SCIPY_PROBE = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import zeta_workbench.cli as cli
+spec, dirac, laplace, out = sys.argv[1:5]
+runs = {
+    "report": ["report", "--output", out + ".report"],
+    "verify kernels": ["verify", "--suite", "kernels", "--output", out + ".kernels"],
+    "trace second": ["trace", "--spectrum", spec, "--sigma", "1", "--order", "second",
+                     "--t", "0.5", "--t", "2.0", "--output", out + ".trace"],
+    "continue laplace": ["continue", "--dirac", dirac, "--laplace", laplace,
+                         "--output", out + ".catalog"],
+    "continue grid": ["continue", "--dirac", dirac, "--s-start", "-0.5", "3", "--s-stop",
+                      "-0.5", "-3", "--s-count", "40", "--output", out + ".grid"],
+}
+for name, argv in runs.items():
+    assert cli.main(argv) == 0, name
+"""
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    spec = toy_spectrum_path(tmp_path)
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc(PORTRAIT_ENTRIES))
+    # the squares of PORTRAIT_ENTRIES, the two at +-0.9 merged
+    squared = [(0.81, 0.0, 3), (2.88, 0.34, 1), (6.76, 0.0, 3)]
+    laplace = write_json(tmp_path, "laplace.json", eigen_doc(squared))
+    env = dict(os.environ, ZETA_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE, spec, dirac, laplace, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

@@ -15,6 +15,7 @@ from zeta_workbench import (
     LaplaceSpectrum,
     ParityViolation,
     PathThroughSingularity,
+    QuadratureFailure,
     continued_super_logderiv,
     continued_sym_logderiv,
     log_zeta_by_path,
@@ -319,6 +320,13 @@ def test_quadrature_check_catches_former_misses(side, monkeypatch):
         closed = by_closed_form(dirac, s, side)
         assert by_quadrature(dirac, s, side) == pytest.approx(closed, abs=1e-10)
         assert cmath.exp(closed) == pytest.approx(mp_product(dirac, s), rel=1e-12)
+
+
+def test_quadrature_check_refuses_a_missed_integral():
+    # a pole at 1 that the catalog does not list lies on the path, so the
+    # integral diverges; the check used to return a finite value for it
+    with pytest.raises(QuadratureFailure):
+        log_zeta_by_path(0j, lambda z: 1 / (z - 1), catalog=[], tail=lambda w: 0j)
 
 
 @pytest.mark.parametrize("offset", [0.0999999, 0.1, 0.1000001, -0.0999999, -0.1, -0.1000001])

@@ -4,6 +4,7 @@ import cmath
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from zeta_workbench import (
     laplace_kernel_check,
     plancherel,
 )
+from zeta_workbench.quadrature import integrate
 from conftest import power_family
 
 
@@ -167,3 +169,87 @@ def test_class_term_t_integral_consistency():
 def test_kernel_identity_property(l, t):
     _, _, gap = fourier_gaussian_check(l, t)
     assert gap <= 1e-10
+
+
+# independent oracles: mpmath quadrature at 30 digits -------------------------
+
+
+def mp_heat_integral(c0, length, s):
+    """integral_0^inf c0 t^{-3/2} exp(-l^2/4t - t s^2) dt along the real
+    t axis, split at every period of exp(-i t Im(s^2))."""
+    with mpmath.workdps(30):
+        s2 = mpmath.mpc(s) ** 2
+        l2 = mpmath.mpf(length) ** 2
+        period = 2 * mpmath.pi / max(abs(s2.imag), 1)
+        edges = [period * k for k in range(int(70 / s2.real / period) + 2)]
+        value = mpmath.quad(
+            lambda t: c0 * t**-1.5 * mpmath.exp(-l2 / (4 * t) - t * s2),
+            edges + [mpmath.inf],
+        )
+        return complex(value)
+
+
+def test_laplace_kernel_lhs_matches_mpmath():
+    # s = 1 + 0.9i puts s^2 = 0.19 + 1.8i close to the imaginary axis
+    for l, s in ((1.0, complex(1.0, 0.9)), (0.3, complex(0.5)), (4.0, complex(2.0, 0.7))):
+        lhs, _, _ = laplace_kernel_check(l, s)
+        assert abs(lhs - mp_heat_integral((4 * math.pi) ** -1.5, l, s)) <= 1e-12, (l, s)
+
+
+def test_fourier_gaussian_lhs_matches_mpmath():
+    for l, t in ((10.0, 0.1), (1.5, 1.0), (0.4, 6.0)):
+        lhs, _, _ = fourier_gaussian_check(l, t)
+        with mpmath.workdps(30):
+            reach = mpmath.sqrt(80 / mpmath.mpf(t))
+            period = 2 * mpmath.pi / l
+            n = int(reach / period) + 1
+            edges = [-mpmath.inf] + [period * k for k in range(-n, n + 1)] + [mpmath.inf]
+            full = mpmath.quad(
+                lambda lam: lam * mpmath.exp(-t * lam**2 - 1j * l * lam), edges
+            )
+            want = complex(full / (2 * mpmath.pi))
+        assert abs(lhs - want) <= 1e-12, (l, t)
+
+
+def test_class_term_t_integral_lhs_matches_mpmath():
+    for l, th, n, s in (
+        (1.0, 0.7, 1, complex(2.0)),
+        (0.6, -1.2, 2, complex(1.5, 0.3)),
+        (2.0, 2.9, 1, complex(1.0, 0.9)),
+    ):
+        lhs, _, _ = class_term_t_integral(l, th, n, s)
+        c0 = -2j * math.pi * (4 * math.pi) ** -1.5 * l**2 / (n * dee_gamma(l, th))
+        assert abs(lhs - mp_heat_integral(c0, l, s)) <= 1e-12, (l, th, n, s)
+
+
+def test_identity_term_dirac_matches_mpmath():
+    base = plancherel(1.0).coefficients
+    plus = (0.3, 0.05, 1.0, -0.02)
+    for t in (0.1, 1.0, 10.0):
+        got = identity_term_dirac(1.0, t, plus_coefficients=plus, minus_coefficients=base)
+        with mpmath.workdps(30):
+            def density(lam):
+                return mpmath.polyval(plus[::-1], lam) - mpmath.polyval(base[::-1], lam)
+
+            want = mpmath.quad(
+                lambda lam: lam * mpmath.exp(-t * lam**2) * density(lam),
+                [-mpmath.inf, 0, mpmath.inf],
+            )
+        assert abs(got - complex(want)) <= 1e-12, t
+
+
+# the quadrature rule ---------------------------------------------------------
+
+
+def test_integrate_refuses_a_divergent_integral():
+    with pytest.raises(QuadratureFailure):
+        integrate(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+def test_integrate_resolves_a_narrow_peak_on_a_breakpoint():
+    width = 1e-3
+
+    def peak(x):
+        return np.exp(-0.5 * ((x - 0.3) / width) ** 2) / (width * math.sqrt(2 * math.pi))
+
+    assert abs(integrate(peak, 0.0, 1.0, breaks=(0.3,)) - 1.0) <= 1e-12
