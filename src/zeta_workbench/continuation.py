@@ -10,7 +10,10 @@ of operator spectra:
 
 These are rational (plus an entire polynomial) and defined on all of C,
 with simple poles at s = +-i lam_k and s = +-i sqrt(mu_k) whose residues
-are the signed and plain algebraic multiplicities.  Everything else here
+are the signed and plain algebraic multiplicities.  Both take a point or
+an array of points, and every contour and path integrand in this module
+maps an array of points to values, the contract of quadrature.integrate,
+so a rule evaluates all its nodes in one call.  Everything else here
 is bookkeeping on top: partial-fraction resolvent weights, contour-based
 residue extraction, a catalog of singularities with integer orders, and
 log-zeta recovery along a path to the right half-plane where the
@@ -39,13 +42,12 @@ from .errors import (
     PathThroughSingularity,
 )
 from .quadrature import integrate
-from .reps import GammaRep, PlancherelPoly, plancherel
+from .reps import GammaRep, plancherel
 from .spectra import (
     DiracSpectrum,
     LaplaceSpectrum,
     SingularityRecord,
     square_spectrum,
-    super_multiplicity,
 )
 from .zeta import ZetaRequest, class_table, log_zeta
 
@@ -95,39 +97,54 @@ def partial_fraction_weights(shifts: tuple[complex, ...]) -> list[complex]:
 # continued logarithmic derivatives
 
 
-def continued_super_logderiv(s: complex, dirac: DiracSpectrum) -> complex:
-    """2i sum m(lam) lam / (lam^2 + s^2); poles +-i lam, residues +-m_s."""
-    s = complex(s)
-    for ev, _ in dirac.entries:
-        if abs(s - 1j * ev) < _SINGULARITY_EPS or abs(s + 1j * ev) < _SINGULARITY_EPS:
-            raise AtSingularity(f"s = {s} sits on a pole", location=s)
-    return 2j * sum(m * ev / (ev * ev + s * s) for ev, m in dirac.entries)
+def _spectral_arrays(entries) -> tuple[np.ndarray, np.ndarray]:
+    values = np.array([v for v, _ in entries], dtype=complex)
+    return values, np.array([m for _, m in entries], dtype=float)
+
+
+def _refuse_poles(z: np.ndarray, poles: np.ndarray) -> None:
+    hit = np.any(np.abs(z[..., None] - poles) < _SINGULARITY_EPS, axis=-1)
+    if np.any(hit):
+        at = complex(np.atleast_1d(z)[np.atleast_1d(hit)][0])
+        raise AtSingularity(f"s = {at} sits on a pole", location=at)
+
+
+def continued_super_logderiv(s, dirac: DiracSpectrum):
+    """2i sum m(lam) lam / (lam^2 + s^2); poles +-i lam, residues +-m_s.
+
+    s is a point or an array of points; the eigenvalue sum is broadcast
+    over them, and any point on a pole is refused with AtSingularity.
+    """
+    z = np.asarray(s, dtype=complex)
+    ev, m = _spectral_arrays(dirac.entries)
+    _refuse_poles(z, np.concatenate([1j * ev, -1j * ev]))
+    zz = z[..., None]
+    return 2j * np.sum(m * ev / (ev * ev + zz * zz), axis=-1)
 
 
 def continued_sym_logderiv(
-    s: complex,
+    s,
     laplace: LaplaceSpectrum,
     k: float,
     chi: GammaRep | int | None,
     volume: float,
-    poly: PlancherelPoly | None = None,
-) -> complex:
+):
     """2s sum m(mu)/(mu + s^2) minus the entire density term.
 
+    s is a point or an array of points, as for continued_super_logderiv.
     chi may be a representation or just its dimension; volume 0 disables
     the polynomial term explicitly.
     """
-    s = complex(s)
     if volume is None:
         raise MissingVolume("the density term needs a volume (0 to disable)")
-    for mu, _ in laplace.entries:
-        root = 1j * cmath.sqrt(mu)
-        if abs(s - root) < _SINGULARITY_EPS or abs(s + root) < _SINGULARITY_EPS:
-            raise AtSingularity(f"s = {s} sits on a pole", location=s)
-    rational = 2.0 * s * sum(m / (mu + s * s) for mu, m in laplace.entries)
+    z = np.asarray(s, dtype=complex)
+    mu, m = _spectral_arrays(laplace.entries)
+    roots = 1j * np.sqrt(mu)
+    _refuse_poles(z, np.concatenate([roots, -roots]))
+    zz = z[..., None]
+    rational = 2.0 * z * np.sum(m / (mu + zz * zz), axis=-1)
     dim_chi = chi.dimension if isinstance(chi, GammaRep) else (chi or 1)
-    q = poly if poly is not None else plancherel(k)
-    return rational - 4.0 * math.pi * dim_chi * volume * q.at_s(s)
+    return rational - 4.0 * math.pi * dim_chi * volume * plancherel(k).at_s(z)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +154,11 @@ def continued_sym_logderiv(
 def residue_at(f, s0: complex, radius: float) -> complex:
     """(1/2 pi i) contour integral of f on the circle |s - s0| = radius.
 
-    Trapezoidal quadrature on the circle converges exponentially for
-    integrands analytic in an annulus; nodes double until two successive
-    values agree to 1e-10.
+    f maps an array of points to values, as in quadrature.integrate, and
+    is called once per node count.  The trapezoidal rule on the circle
+    converges geometrically for integrands analytic in an annulus; it
+    starts at 16 nodes and doubles them until two successive values agree
+    to 1e-10, and raises NoConvergence after 2^17 nodes.
     """
     if not (radius > 0):
         raise InvariantViolation("radius must be positive")
@@ -147,12 +166,11 @@ def residue_at(f, s0: complex, radius: float) -> complex:
     previous = None
     n = 16
     while n <= 1 << 17:
-        angles = 2.0 * math.pi * np.arange(n) / n
-        nodes = s0 + radius * np.exp(1j * angles)
+        nodes = s0 + radius * np.exp(2j * math.pi * np.arange(n) / n)
         # (1/2 pi i) integral f dz with dz = i (z - s0) dphi
-        total = sum(f(z) * (z - s0) for z in nodes) / n
+        total = complex(np.mean(np.asarray(f(nodes)) * (nodes - s0)))
         if previous is not None and abs(total - previous) < 1e-10:
-            return complex(total)
+            return total
         previous = total
         n *= 2
     raise NoConvergence(
@@ -391,12 +409,12 @@ def log_zeta_by_path(
     With logderiv omitted the integrand is the partial-fraction sum of the
     catalog's super records, sum order/(z - location), and the value is
     the closed form sum order * Log(s - location) + 2 pi i * super_winding
-    (no quadrature; tail is not used).  With a callable logderiv the path
-    is integrated by the adaptive Gauss-Legendre rule of quadrature.py,
-    with the poles' real parts as panel edges; this serves as a check of
-    the closed form and for integrands that are not pure partial
-    fractions, and a segment or arc that misses the rule's tolerance
-    raises QuadratureFailure.
+    (no quadrature; tail is not used).  A given logderiv maps an array of
+    points to values, the contract of quadrature.integrate, and the path
+    is integrated by that adaptive Gauss-Legendre rule, with the poles'
+    real parts as panel edges; this serves as a check of the closed form
+    and for integrands that are not pure partial fractions, and a segment
+    or arc that misses the rule's tolerance raises QuadratureFailure.
     tail(w) must then return the remaining -integral_w^inf; when omitted,
     the ray is extended by doubling until |logderiv| * |w| falls below
     1e-12, which covers integrands with quadratic decay.
@@ -430,7 +448,6 @@ def log_zeta_by_path(
     else:
         tail_value = tail(s_max)
 
-    path_f = np.vectorize(logderiv, otypes=[complex])
     breaks = [loc.real for loc in above]
     total = 0.0 + 0.0j
     cursor = s
@@ -439,16 +456,16 @@ def log_zeta_by_path(
         depth = loc.imag - s.imag
         half_chord = math.sqrt(detour_radius * detour_radius - depth * depth)
         exit_angle = math.atan2(-depth, half_chord)
-        total += _segment_integral(path_f, cursor, complex(loc.real - half_chord, s.imag), breaks)
+        total += _segment_integral(logderiv, cursor, complex(loc.real - half_chord, s.imag), breaks)
         total += _arc_integral(
-            path_f,
+            logderiv,
             loc,
             detour_radius,
             math.pi - exit_angle,
             exit_angle if above[loc] else 2.0 * math.pi + exit_angle,
         )
         cursor = complex(loc.real + half_chord, s.imag)
-    total += _segment_integral(path_f, cursor, s_max, breaks)
+    total += _segment_integral(logderiv, cursor, s_max, breaks)
     return -(total) + tail_value
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvariantViolation, MissingVolume, QuadratureFailure
 from .quadrature import integrate
-from .reps import GammaRep, PlancherelPoly, ad_nbar_det, plancherel, require_case_b
+from .reps import GammaRep, ad_nbar_det, plancherel, require_case_b
 from .reps import (  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     character_chi,
     character_sigma,
@@ -91,7 +91,6 @@ def heat_geometric_side(
     spectrum: LengthSpectrum,
     k: float,
     chi: GammaRep | None = None,
-    poly: PlancherelPoly | None = None,
     table: ClassTable | None = None,
 ) -> complex:
     """Identity contribution plus geodesic sum of the second-order formula."""
@@ -101,7 +100,7 @@ def heat_geometric_side(
     if spectrum.volume is None:
         raise MissingVolume("spectrum carries no volume for the identity term")
     dim_chi = 1 if chi is None else chi.dimension
-    identity = 2.0 * dim_chi * spectrum.volume * identity_term_heat(k, t, poly=poly)
+    identity = 2.0 * dim_chi * spectrum.volume * identity_term_heat(k, t)
 
     table = table_for(spectrum, chi, table)
     l = table.length
@@ -136,11 +135,9 @@ def gaussian_moment(t: float, m: int) -> float:
     return math.gamma(m + 0.5) / t ** (m + 0.5)
 
 
-def identity_term_heat(
-    k: float, t: float, poly: PlancherelPoly | None = None
-) -> float:
+def identity_term_heat(k: float, t: float) -> float:
     """integral exp(-t lam^2) P(i lam) dlam in closed Gaussian-moment form."""
-    q = poly if poly is not None else plancherel(k)
+    q = plancherel(k)
     return q.normalization * sum(
         c * gaussian_moment(t, m) for m, c in enumerate(q.even_coefficients)
     )

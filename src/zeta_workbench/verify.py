@@ -1,10 +1,15 @@
 """Self-contained verification suites.
 
 Each suite exercises one family of identities with fresh, seeded random
-data and returns a machine-readable report:
+data and records every case on one ledger: a gap against its tolerance,
+or a requirement that is not a gap (a sensitivity control, a slope, a
+refusal).  The ledger returns a machine-readable report:
 
     {"suite": name, "cases": n, "max_gap": g, "pass": bool,
      "seed": seed, "counterexample": str | None}
+
+pass means no case failed; the counterexample is the label of the worst
+failure, by gap over tolerance (a failed requirement counts as worst).
 
 Suites: kernels, partial-fractions, residues, logderiv, factorization,
 parity, trace-scaling.
@@ -50,23 +55,44 @@ from .zeta import (
     class_table,
     log_derivative_super,
     log_derivative_symmetrized,
-    log_ruelle,
-    log_selberg,
     log_zeta,
 )
 
 __all__ = ["SUITES", "run_suite", "run_all", "toy_spectrum", "single_class_spectrum"]
 
 
-def _report(suite, cases, max_gap, passed, seed, counterexample=None):
-    return {
-        "suite": suite,
-        "cases": cases,
-        "max_gap": max_gap,
-        "pass": bool(passed),
-        "seed": seed,
-        "counterexample": counterexample,
-    }
+class _Ledger:
+    """The cases of one suite run and its worst failure."""
+
+    def __init__(self, suite: str, seed: int):
+        self.suite, self.seed = suite, seed
+        self.cases, self.max_gap = 0, 0.0
+        self.worst: tuple[float, str] | None = None  # (gap / tolerance, label)
+
+    def gap(self, value: float, tol: float, label: str) -> None:
+        self.cases += 1
+        self.max_gap = max(self.max_gap, value)
+        if not value <= tol:  # a NaN gap fails too
+            self._fail(value / tol if value > tol else math.inf, label)
+
+    def require(self, ok: bool, label: str) -> None:
+        self.cases += 1
+        if not ok:
+            self._fail(math.inf, label)
+
+    def _fail(self, excess: float, label: str) -> None:
+        if self.worst is None or excess > self.worst[0]:
+            self.worst = (excess, label)
+
+    def report(self) -> dict:
+        return {
+            "suite": self.suite,
+            "cases": self.cases,
+            "max_gap": self.max_gap,
+            "pass": self.worst is None,
+            "seed": self.seed,
+            "counterexample": None if self.worst is None else self.worst[1],
+        }
 
 
 # shared fixtures -----------------------------------------------------------
@@ -137,23 +163,20 @@ def random_dirac_spectrum(rng: np.random.Generator, max_entries: int = 20) -> Di
 def suite_kernels(seed: int = 0) -> dict:
     """Both analytic kernel identities on a 10x10 log-spaced grid."""
     grid = np.logspace(-1.0, 1.0, 10)
-    max_gap, cases, worst = 0.0, 0, None
+    ledger = _Ledger("kernels", seed)
     for l in grid:
         for x in grid:
-            _, _, gap1 = laplace_kernel_check(float(l), complex(x))
-            _, _, gap2 = fourier_gaussian_check(float(l), float(x))
-            cases += 2
-            for tag, gap in (("laplace", gap1), ("fourier", gap2)):
-                if gap > max_gap:
-                    max_gap, worst = gap, f"{tag} kernel at l={l:g}, par={x:g}"
-    passed = max_gap <= 1e-10
-    return _report("kernels", cases, max_gap, passed, seed, None if passed else worst)
+            _, _, gap = laplace_kernel_check(float(l), complex(x))
+            ledger.gap(gap, 1e-10, f"laplace kernel at l={l:g}, par={x:g}")
+            _, _, gap = fourier_gaussian_check(float(l), float(x))
+            ledger.gap(gap, 1e-10, f"fourier kernel at l={l:g}, par={x:g}")
+    return ledger.report()
 
 
 def suite_partial_fractions(seed: int = 0) -> dict:
     """Resolvent-product identity plus the full-grid spectral reductions."""
     rng = np.random.default_rng(seed)
-    max_gap, cases, worst = 0.0, 0, None
+    ledger = _Ledger("partial-fractions", seed)
 
     for trial in range(100):
         n = int(rng.integers(1, 7))
@@ -176,9 +199,7 @@ def suite_partial_fractions(seed: int = 0) -> dict:
                 product /= x + q
             sum_form = sum(w / (x + q) for w, q in zip(weights, sq))
             rel = abs(product - sum_form) / max(abs(product), 1e-300)
-            cases += 1
-            if rel > max_gap:
-                max_gap, worst = rel, f"grid {trial}: N={n}, x={x}"
+            ledger.gap(rel, 1e-10, f"grid {trial}: N={n}, x={x}")
 
     # full-grid reductions: weighted sums of the continued log-derivatives
     # must equal the direct double sums over (eigenvalue, shift)
@@ -195,10 +216,8 @@ def suite_partial_fractions(seed: int = 0) -> dict:
         dirac = random_dirac_spectrum(rng, max_entries=12)
         laplace = square_spectrum(dirac)
 
-        lhs = sum(
-            w * (-0.5j) * continued_super_logderiv(s, dirac)
-            for w, s in zip(weights, shifts)
-        )
+        points = np.array(shifts)
+        lhs = np.dot(weights, -0.5j * continued_super_logderiv(points, dirac))
         terms = [
             w * m * ev / (ev * ev + s * s)
             for ev, m in dirac.entries
@@ -208,16 +227,10 @@ def suite_partial_fractions(seed: int = 0) -> dict:
         # +lam/-lam eigenvalue pairs cancel exactly, so normalize by the
         # mass of the summed terms rather than by the (possibly zero) total
         scale = max(sum(abs(t) for t in terms), 1e-12)
-        rel = abs(lhs - rhs) / scale
-        cases += 1
-        if rel > max_gap:
-            max_gap, worst = rel, f"first-order reduction, trial {trial}"
+        ledger.gap(abs(lhs - rhs) / scale, 1e-10, f"first-order reduction, trial {trial}")
 
         vol = 1.0
-        lhs2 = sum(
-            w * continued_sym_logderiv(s, laplace, k, 1, vol, poly=poly)
-            for w, s in zip(weights, shifts)
-        )
+        lhs2 = np.dot(weights, continued_sym_logderiv(points, laplace, k, 1, vol))
         terms2 = [
             w * 2.0 * s * m / (mu + s * s)
             for mu, m in laplace.entries
@@ -227,41 +240,28 @@ def suite_partial_fractions(seed: int = 0) -> dict:
         ]
         rhs2 = sum(terms2)
         scale2 = max(sum(abs(t) for t in terms2), 1e-12)
-        rel2 = abs(lhs2 - rhs2) / scale2
-        cases += 1
-        if rel2 > max_gap:
-            max_gap, worst = rel2, f"second-order reduction, trial {trial}"
-
-    passed = max_gap <= 1e-10
-    return _report(
-        "partial-fractions", cases, max_gap, passed, seed, None if passed else worst
-    )
+        ledger.gap(abs(lhs2 - rhs2) / scale2, 1e-10, f"second-order reduction, trial {trial}")
+    return ledger.report()
 
 
 def suite_residues(seed: int = 0) -> dict:
     """Contour residues equal multiplicities, for both continued sums."""
     rng = np.random.default_rng(seed)
     k = 1.0
-    max_gap, cases, worst = 0.0, 0, None
+    ledger = _Ledger("residues", seed)
 
     for trial in range(25):
         dirac = random_dirac_spectrum(rng)
+
+        def l_super(z):
+            return continued_super_logderiv(z, dirac)
+
         for ev, _ in dirac.entries:
             want = super_multiplicity(dirac, ev)
-            got = residue_at(
-                lambda z: continued_super_logderiv(z, dirac), 1j * ev, 0.1
-            )
-            gap = abs(got - want)
-            cases += 1
-            if gap > max_gap:
-                max_gap, worst = gap, f"first order, trial {trial}, ev={ev}"
-            got_neg = residue_at(
-                lambda z: continued_super_logderiv(z, dirac), -1j * ev, 0.1
-            )
-            gap = abs(got_neg - (-want))
-            cases += 1
-            if gap > max_gap:
-                max_gap, worst = gap, f"first order at -i ev, trial {trial}, ev={ev}"
+            got = residue_at(l_super, 1j * ev, 0.1)
+            ledger.gap(abs(got - want), 1e-8, f"first order, trial {trial}, ev={ev}")
+            got = residue_at(l_super, -1j * ev, 0.1)
+            ledger.gap(abs(got + want), 1e-8, f"first order at -i ev, trial {trial}, ev={ev}")
 
         laplace = square_spectrum(dirac)
 
@@ -271,10 +271,7 @@ def suite_residues(seed: int = 0) -> dict:
         for mu, m in laplace.entries:
             root = 1j * cmath.sqrt(mu)
             got = residue_at(l_sym, root, 0.05)
-            gap = abs(got - m)
-            cases += 1
-            if gap > max_gap:
-                max_gap, worst = gap, f"second order, trial {trial}, mu={mu}"
+            ledger.gap(abs(got - m), 1e-8, f"second order, trial {trial}, mu={mu}")
 
     # zero eigenvalue: second-order residue doubles
     dirac0 = DiracSpectrum(entries=((0.0, 3), (1.5, 1)))
@@ -282,10 +279,7 @@ def suite_residues(seed: int = 0) -> dict:
     got = residue_at(
         lambda z: continued_sym_logderiv(z, lap0, k, 1, 0.0), 0.0, 0.2
     )
-    gap = abs(got - 6)
-    cases += 1
-    if gap > max_gap:
-        max_gap, worst = gap, "second order at zero"
+    ledger.gap(abs(got - 6), 1e-8, "second order at zero")
 
     # the density term is entire: no residue anywhere
     empty = LaplaceSpectrum(entries=())
@@ -294,12 +288,8 @@ def suite_residues(seed: int = 0) -> dict:
         complex(0.7, 0.2),
         0.3,
     )
-    cases += 1
-    if abs(got) > max_gap:
-        max_gap, worst = abs(got), "density-term contour"
-
-    passed = max_gap <= 1e-8
-    return _report("residues", cases, max_gap, passed, seed, None if passed else worst)
+    ledger.gap(abs(got), 1e-8, "density-term contour")
+    return ledger.report()
 
 
 def suite_logderiv(seed: int = 0) -> dict:
@@ -310,33 +300,22 @@ def suite_logderiv(seed: int = 0) -> dict:
     table = class_table(spectrum)
     k = 1.0
     h = 1e-4
-    max_gap, cases, worst = 0.0, 0, None
+    ledger = _Ledger("logderiv", seed)
 
     def log_at(kind, s):
         return log_zeta(ZetaRequest(s=s, k=k, spectrum=spectrum, kind=kind, table=table)).value
 
     for i in range(10):
         s = complex(rng.uniform(2.0, 4.0), rng.uniform(-1.0, 1.0))
-
-        got = (log_at("super", s + h) - log_at("super", s - h)) / (2.0 * h)
-        want = log_derivative_super(s, k, None, spectrum, table=table).value
-        gap = abs(got - want)
-        cases += 1
-        if gap > max_gap:
-            max_gap, worst = gap, f"super derivative at s={s}"
-
-        got = (log_at("symmetrized", s + h) - log_at("symmetrized", s - h)) / (2.0 * h)
-        want = log_derivative_symmetrized(s, k, None, spectrum, table=table).value
-        gap = abs(got - want)
-        cases += 1
-        if gap > max_gap:
-            max_gap, worst = gap, f"symmetrized derivative at s={s}"
-
-    if max_gap > 1e-6:
-        return _report("logderiv", cases, max_gap, False, seed, worst)
+        for kind, derivative in (
+            ("super", log_derivative_super),
+            ("symmetrized", log_derivative_symmetrized),
+        ):
+            got = (log_at(kind, s + h) - log_at(kind, s - h)) / (2.0 * h)
+            want = derivative(s, k, None, spectrum, table=table).value
+            ledger.gap(abs(got - want), 1e-6, f"{kind} derivative at s={s}")
 
     # product oracles: truncate the defining products directly
-    product_gap = 0.0
     for l0, theta0 in ((2.0, 0.0), (1.5, 1.1)):
         family = single_class_spectrum(l0, theta0, powers=40)
         family_table = class_table(family)
@@ -351,42 +330,20 @@ def suite_logderiv(seed: int = 0) -> dict:
                         * cmath.exp(-(kk + s + 1.0) * l0)
                     )
                     oracle_z += cmath.log(1.0 - w)
-            got_z = log_selberg(
-                ZetaRequest(s=s, k=k, spectrum=family, kind="selberg", table=family_table)
-            ).value
-            gap = abs(got_z - oracle_z)
-            cases += 1
-            if gap > product_gap:
-                product_gap = gap
-                if gap > 1e-10:
-                    worst = f"selberg product oracle at l0={l0}, s={s_real}"
-
             oracle_r = cmath.log(1.0 - cmath.exp(1j * k * theta0) * cmath.exp(-s * l0))
-            got_r = log_ruelle(
-                ZetaRequest(s=s, k=k, spectrum=family, kind="ruelle", table=family_table)
-            ).value
-            gap = abs(got_r - oracle_r)
-            cases += 1
-            if gap > product_gap:
-                product_gap = gap
-                if gap > 1e-10:
-                    worst = f"ruelle product oracle at l0={l0}, s={s_real}"
-
-    passed = product_gap <= 1e-10
-    return _report(
-        "logderiv",
-        cases,
-        max(max_gap, product_gap),
-        passed,
-        seed,
-        None if passed else worst,
-    )
+            for kind, oracle in (("selberg", oracle_z), ("ruelle", oracle_r)):
+                got = log_zeta(
+                    ZetaRequest(s=s, k=k, spectrum=family, kind=kind, table=family_table)
+                ).value
+                label = f"{kind} product oracle at l0={l0}, s={s_real}"
+                ledger.gap(abs(got - oracle), 1e-10, label)
+    return ledger.report()
 
 
 def suite_factorization(seed: int = 0) -> dict:
     """Four-factor product identity for the plain geodesic zeta."""
     rng = np.random.default_rng(seed)
-    max_gap, cases, worst = 0.0, 0, None
+    ledger = _Ledger("factorization", seed)
     spectra = (
         toy_spectrum(volume=None),
         single_class_spectrum(1.2, 0.9, powers=3),
@@ -396,13 +353,8 @@ def suite_factorization(seed: int = 0) -> dict:
             for i in range(5):
                 s = complex(3.2 + 0.45 * i, float(rng.uniform(-0.3, 0.3)))
                 _, _, gap = ruelle_factorization_check(s, k, None, spectrum)
-                cases += 1
-                if gap > max_gap:
-                    max_gap, worst = gap, f"k={k}, s={s}"
-    passed = max_gap <= 1e-9
-    return _report(
-        "factorization", cases, max_gap, passed, seed, None if passed else worst
-    )
+                ledger.gap(gap, 1e-9, f"k={k}, s={s}")
+    return ledger.report()
 
 
 def suite_parity(seed: int = 0, inject_violation: bool = False) -> dict:
@@ -410,15 +362,15 @@ def suite_parity(seed: int = 0, inject_violation: bool = False) -> dict:
     rejection of graded-parity violations."""
     rng = np.random.default_rng(seed)
     k = 1.0
-    max_gap, cases, worst = 0.0, 0, None
-    failures = []
+    ledger = _Ledger("parity", seed)
 
     for trial in range(10):
         dirac = random_dirac_spectrum(rng, max_entries=8)
         for ev, _ in dirac.entries:
-            if super_multiplicity(dirac, ev) != -super_multiplicity(dirac, -ev):
-                failures.append(f"antisymmetry broken at {ev}")
-            cases += 1
+            ledger.require(
+                super_multiplicity(dirac, ev) == -super_multiplicity(dirac, -ev),
+                f"antisymmetry broken at {ev}",
+            )
         catalog = singularity_catalog(dirac)
         laplace = square_spectrum(dirac)
 
@@ -432,15 +384,11 @@ def suite_parity(seed: int = 0, inject_violation: bool = False) -> dict:
             if record.zeta_kind != "selberg":
                 continue
             got = residue_at(l_plain, record.location, 0.05)
-            gap = abs(got - record.order)
-            cases += 1
-            if gap > max_gap:
-                max_gap, worst = gap, f"order mismatch at {record.location}"
+            ledger.gap(abs(got - record.order), 1e-8, f"order mismatch at {record.location}")
 
     # a spectrum pair no graded operator couple can produce must be refused
     bad_dirac = DiracSpectrum(entries=((1.0, 1),))
     bad_laplace = LaplaceSpectrum(entries=((1.0, 2),))
-    cases += 1
     try:
         singularity_catalog(bad_dirac, bad_laplace)
         rejected = False
@@ -448,34 +396,22 @@ def suite_parity(seed: int = 0, inject_violation: bool = False) -> dict:
         rejected = True
     if inject_violation:
         # caller asked to push the bad pair through as if it were good data
-        if rejected:
-            failures.append(
-                "injected parity violation: catalog refused the spectrum pair"
-            )
-    elif not rejected:
-        failures.append("parity violation was not rejected")
-
-    passed = not failures and max_gap <= 1e-8
-    counter = failures[0] if failures else (worst if max_gap > 1e-8 else None)
-    return _report("parity", cases, max_gap, passed, seed, counter)
+        ledger.require(
+            not rejected, "injected parity violation: catalog refused the spectrum pair"
+        )
+    else:
+        ledger.require(rejected, "parity violation was not rejected")
+    return ledger.report()
 
 
 def suite_trace_scaling(seed: int = 0) -> dict:
     """Identity-term cancellation plus linearity/scaling of the trace sides."""
-    rng = np.random.default_rng(seed)
     k = 1.0
-    spectrum = toy_spectrum()
-    max_gap, cases, worst = 0.0, 0, None
-    failures = []
+    ledger = _Ledger("trace-scaling", seed)
 
     # odd integrand against matched densities: exact zero
     for t in (0.1, 1.0, 10.0):
-        value = abs(identity_term_dirac(k, t))
-        cases += 1
-        if value > max_gap:
-            max_gap, worst = value, f"identity term at t={t}"
-    if max_gap > 1e-12:
-        failures.append(worst)
+        ledger.gap(abs(identity_term_dirac(k, t)), 1e-12, f"identity term at t={t}")
 
     # sensitivity control: an odd density perturbation must show up
     base = plancherel(k)
@@ -489,9 +425,7 @@ def suite_trace_scaling(seed: int = 0) -> dict:
                 minus_coefficients=base.coefficients,
             )
         )
-        cases += 1
-        if value <= 1e-3:
-            failures.append(f"odd perturbation invisible at t={t} (value {value:g})")
+        ledger.require(value > 1e-3, f"odd perturbation invisible at t={t} (value {value:g})")
 
     # 1/n weighting: a primitive class plus its square must equal the
     # primitive side plus half the side of a lone class at the doubled length
@@ -517,9 +451,7 @@ def suite_trace_scaling(seed: int = 0) -> dict:
             t, lone_sq, k
         )
         gap = abs(whole - parts) / max(abs(whole), 1e-300)
-        cases += 1
-        if gap > 1e-12:
-            failures.append(f"multiplicity weighting at t={t} (gap {gap:g})")
+        ledger.gap(gap, 1e-12, f"multiplicity weighting at t={t}")
 
     # identity term scales linearly in volume and twist dimension
     t = 0.7
@@ -527,9 +459,7 @@ def suite_trace_scaling(seed: int = 0) -> dict:
     three = heat_geometric_side(t, toy_spectrum(volume=3.0), k)
     geod = one - 2.0 * identity_term_heat(k, t)
     gap = abs((three - geod) - 3.0 * (one - geod)) / max(abs(one), 1e-300)
-    cases += 1
-    if gap > 1e-12:
-        failures.append(f"volume linearity (gap {gap:g})")
+    ledger.gap(gap, 1e-12, "volume linearity")
 
     # long-time decay of the first-order geodesic sum: slope -3/2
     skew = LengthSpectrum(
@@ -546,9 +476,7 @@ def suite_trace_scaling(seed: int = 0) -> dict:
     v1 /= math.exp(-1.0 / (4.0 * t1))
     v2 /= math.exp(-1.0 / (4.0 * t2))
     slope = (math.log(v2) - math.log(v1)) / (math.log(t2) - math.log(t1))
-    cases += 1
-    if abs(slope + 1.5) > 0.1:
-        failures.append(f"long-time slope {slope:.3f} is not -1.5")
+    ledger.require(abs(slope + 1.5) <= 0.1, f"long-time slope {slope:.3f} is not -1.5")
 
     # the per-class normalization: t-integration against exp(-t s^2)
     # reproduces the super log-derivative weight
@@ -558,15 +486,8 @@ def suite_trace_scaling(seed: int = 0) -> dict:
         (0.8, 2.9, 1, complex(3.0, -0.2)),
     ):
         _, _, gap = class_term_t_integral(length, angle, mult, s)
-        cases += 1
-        if gap > max_gap:
-            max_gap, worst = gap, f"class integral at l={length}"
-        if gap > 1e-9:
-            failures.append(f"class-term integral gap {gap:g} at l={length}")
-
-    passed = not failures
-    counter = failures[0] if failures else None
-    return _report("trace-scaling", cases, max_gap, passed, seed, counter)
+        ledger.gap(gap, 1e-9, f"class integral at l={length}")
+    return ledger.report()
 
 
 SUITES = {

@@ -55,11 +55,6 @@ __all__ = [
     "class_sum",
     "class_table",
     "convergence_abscissa",
-    "log_selberg",
-    "log_ruelle",
-    "log_symmetrized",
-    "log_super",
-    "log_super_ruelle",
     "log_derivative_super",
     "log_derivative_symmetrized",
     "log_zeta",
@@ -239,16 +234,14 @@ def _tail_bound(
 # class sums ---------------------------------------------------------------
 
 
-def _log_sum(req: ZetaRequest, kind: str) -> TruncatedValue:
-    """log of the zeta of the given kind at req.s, through the kernel."""
-    sign, selberg_type = _SHAPES[kind]
-    if sign:
-        require_case_b(req.k)
+def log_zeta(req: ZetaRequest) -> TruncatedValue:
+    """Class-sum logarithm of the zeta of kind req.kind at req.s."""
+    sign, selberg_type = _SHAPES[req.kind]
     table = req.table
     if not len(table.length):
         # empty sum: nothing to converge, nothing omitted
         return TruncatedValue(0.0, 0.0, 0)
-    _check_region(req.s, kind, req.growth)
+    _check_region(req.s, req.kind, req.growth)
     value = -class_sum(table.weights(req.k, sign, selberg_type), -req.s * table.length)
     tail = _tail_bound(
         table,
@@ -259,35 +252,6 @@ def _log_sum(req: ZetaRequest, kind: str) -> TruncatedValue:
         with_length_factor=False,
     )
     return TruncatedValue(value, tail, len(table.length))
-
-
-def log_selberg(req: ZetaRequest) -> TruncatedValue:
-    """Class-sum logarithm of the twisted Selberg-type zeta at req.s."""
-    return _log_sum(req, "selberg")
-
-
-def log_ruelle(req: ZetaRequest) -> TruncatedValue:
-    """Class-sum logarithm of the twisted Ruelle-type zeta at req.s."""
-    return _log_sum(req, "ruelle")
-
-
-def log_symmetrized(req: ZetaRequest) -> TruncatedValue:
-    """log of Z(k) * Z(-k)."""
-    return _log_sum(req, "symmetrized")
-
-
-def log_super(req: ZetaRequest) -> TruncatedValue:
-    """log of Z(k) / Z(-k)."""
-    return _log_sum(req, "super")
-
-
-def log_super_ruelle(req: ZetaRequest) -> TruncatedValue:
-    """log of R(k) / R(-k)."""
-    return _log_sum(req, "super_ruelle")
-
-
-def log_zeta(req: ZetaRequest) -> TruncatedValue:
-    return _log_sum(req, req.kind)
 
 
 # logarithmic derivatives --------------------------------------------------

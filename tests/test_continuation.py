@@ -27,7 +27,7 @@ from zeta_workbench import (
     super_tail_log,
     super_winding,
 )
-from zeta_workbench.errors import InvariantViolation
+from zeta_workbench.errors import InvariantViolation, NoConvergence
 from zeta_workbench.spectra import SingularityRecord
 from zeta_workbench.verify import random_dirac_spectrum
 from conftest import power_family
@@ -81,6 +81,31 @@ def test_continued_super_logderiv_refuses_poles(dirac_pm):
         continued_super_logderiv(1j, dirac_pm)
 
 
+def test_continued_logderivs_take_arrays():
+    rng = np.random.default_rng(5)
+    dirac = random_dirac_spectrum(rng)
+    laplace = square_spectrum(dirac)
+    points = rng.uniform(-3.0, 3.0, 50) + 1j * rng.uniform(-3.0, 3.0, 50)
+    for f in (
+        lambda z: continued_super_logderiv(z, dirac),
+        lambda z: continued_sym_logderiv(z, laplace, 1.0, 1, volume=1.0),
+    ):
+        values = f(points)
+        assert values.shape == points.shape
+        scalars = np.array([f(complex(z)) for z in points])
+        np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0.0)
+
+
+def test_array_with_a_point_on_a_pole_is_refused(dirac_pm):
+    points = np.array([2.0, 0.5 + 0.5j, 1j, 3.0])
+    with pytest.raises(AtSingularity) as caught:
+        continued_super_logderiv(points, dirac_pm)
+    assert caught.value.location == 1j
+    lap = square_spectrum(dirac_pm)
+    with pytest.raises(AtSingularity):
+        continued_sym_logderiv(points, lap, 1.0, 1, volume=1.0)
+
+
 def test_continued_sym_logderiv_hand_value():
     lap = LaplaceSpectrum(entries=((1.0, 3),))
     k = 1.0
@@ -97,15 +122,38 @@ def test_residue_at_known_function():
     z0 = complex(0.3, -0.2)
 
     def f(z):
-        return 5.0 / (z - z0) + cmath.cos(z)
+        return 5.0 / (z - z0) + np.cos(z)
 
     got = residue_at(f, z0, 0.4)
     assert got == pytest.approx(5.0, abs=1e-11)
 
 
 def test_residue_of_analytic_function_is_zero():
-    got = residue_at(cmath.exp, 0.1 + 0.2j, 0.5)
+    got = residue_at(np.exp, 0.1 + 0.2j, 0.5)
     assert abs(got) <= 1e-12
+
+
+def test_residue_at_calls_its_integrand_once_per_node_count():
+    calls = []
+
+    def counted(g):
+        def f(z):
+            calls.append(np.shape(z))
+            return g(z)
+
+        return f
+
+    assert residue_at(counted(lambda z: 1.0 / (z - 0.3)), 0.3, 0.2) == pytest.approx(1.0, abs=1e-12)
+    assert calls == [(16,), (32,)]
+
+    # a step on the circle at angles +-1: the trapezoid values never
+    # settle, so the rule runs through every node count and refuses
+    calls.clear()
+    step = 0.3 + 0.2 * math.cos(1.0)
+    with pytest.raises(NoConvergence):
+        residue_at(counted(lambda z: np.where(z.real > step, 1.0, 0.0)), 0.3, 0.2)
+    assert len(calls) == math.ceil(math.log2((1 << 17) / 16)) + 1
+    assert calls == [(16 << i,) for i in range(len(calls))]
 
 
 def test_residues_recover_multiplicities(dirac_pm):

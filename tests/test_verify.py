@@ -1,7 +1,10 @@
 """Tests for the self-checking verification suites."""
 
+import dataclasses
+
 import pytest
 
+from zeta_workbench import verify
 from zeta_workbench.errors import WorkbenchError
 from zeta_workbench.verify import SUITES, run_all, run_suite
 
@@ -56,3 +59,39 @@ def test_injection_flag_only_affects_parity():
 def test_unknown_suite_rejected():
     with pytest.raises(WorkbenchError, match="unknown suite"):
         run_suite("nonsense")
+
+
+def _shift_gap(result, by):
+    lhs, rhs, gap = result
+    return lhs, rhs, gap + by
+
+
+# per suite: the function it checks, as named in verify, and a small
+# perturbation of its result that the suite must catch
+BREAKS = {
+    "kernels": ("laplace_kernel_check", lambda r: _shift_gap(r, 1e-6)),
+    "partial-fractions": ("partial_fraction_weights", lambda r: [w * (1 + 1e-6) for w in r]),
+    "residues": ("residue_at", lambda r: r + 1e-6),
+    "logderiv": ("log_derivative_super", lambda r: dataclasses.replace(r, value=r.value + 1e-4)),
+    "factorization": ("ruelle_factorization_check", lambda r: _shift_gap(r, 1e-6)),
+    # the plain orders, the ones the suite checks, are positive, so + 1
+    # keeps every record valid
+    "parity": (
+        "singularity_catalog",
+        lambda r: tuple(
+            dataclasses.replace(rec, order=rec.order + 1) if rec.zeta_kind == "selberg" else rec
+            for rec in r
+        ),
+    ),
+    "trace-scaling": ("identity_term_dirac", lambda r: r + 1e-9),
+}
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_every_suite_fails_when_its_check_breaks(name, monkeypatch):
+    attr, perturb = BREAKS[name]
+    original = getattr(verify, attr)
+    monkeypatch.setattr(verify, attr, lambda *a, **kw: perturb(original(*a, **kw)))
+    report = run_suite(name, seed=0)
+    assert report["pass"] is False
+    assert report["counterexample"] is not None

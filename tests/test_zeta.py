@@ -19,11 +19,6 @@ from zeta_workbench import (
     convergence_abscissa,
     log_derivative_super,
     log_derivative_symmetrized,
-    log_ruelle,
-    log_selberg,
-    log_super,
-    log_super_ruelle,
-    log_symmetrized,
     log_zeta,
     parse_length_spectrum,
 )
@@ -44,7 +39,7 @@ def test_selberg_class_sum_against_product_oracle():
             ) * cmath.exp(-(s + 1.0 + kk) * l0)
             oracle += cmath.log(1.0 - w)
     spectrum = power_family(l0, theta0, powers=40)
-    got = log_selberg(ZetaRequest(s=s, k=k, spectrum=spectrum, kind="selberg"))
+    got = log_zeta(ZetaRequest(s=s, k=k, spectrum=spectrum, kind="selberg"))
     assert got.value == pytest.approx(oracle, abs=1e-10)
     # frozen value of the truncated product itself
     assert oracle == pytest.approx(
@@ -57,7 +52,7 @@ def test_ruelle_class_sum_against_product_oracle():
     s = complex(3.0)
     oracle = cmath.log(1.0 - cmath.exp(1j * k * theta0) * cmath.exp(-s * l0))
     spectrum = power_family(l0, theta0, powers=40)
-    got = log_ruelle(ZetaRequest(s=s, k=k, spectrum=spectrum, kind="ruelle"))
+    got = log_zeta(ZetaRequest(s=s, k=k, spectrum=spectrum, kind="ruelle"))
     assert got.value == pytest.approx(oracle, abs=1e-12)
     assert oracle == pytest.approx(
         complex(-0.025664085573284135, -0.027149518063063403), abs=1e-14
@@ -66,13 +61,13 @@ def test_ruelle_class_sum_against_product_oracle():
 
 def test_symmetrized_is_sum_of_selberg_pair(toy_spectrum, sigma_k1):
     s = complex(2.5, 0.3)
-    left = log_symmetrized(
+    left = log_zeta(
         ZetaRequest(s=s, k=sigma_k1, spectrum=toy_spectrum, kind="symmetrized")
     ).value
-    plus = log_selberg(
+    plus = log_zeta(
         ZetaRequest(s=s, k=sigma_k1, spectrum=toy_spectrum, kind="selberg")
     ).value
-    minus = log_selberg(
+    minus = log_zeta(
         ZetaRequest(s=s, k=-1.0, spectrum=toy_spectrum, kind="selberg")
     ).value
     assert left == pytest.approx(plus + minus, abs=1e-14)
@@ -80,13 +75,13 @@ def test_symmetrized_is_sum_of_selberg_pair(toy_spectrum, sigma_k1):
 
 def test_super_is_difference_of_selberg_pair(toy_spectrum, sigma_k1):
     s = complex(2.5, -0.4)
-    left = log_super(
+    left = log_zeta(
         ZetaRequest(s=s, k=sigma_k1, spectrum=toy_spectrum, kind="super")
     ).value
-    plus = log_selberg(
+    plus = log_zeta(
         ZetaRequest(s=s, k=sigma_k1, spectrum=toy_spectrum, kind="selberg")
     ).value
-    minus = log_selberg(
+    minus = log_zeta(
         ZetaRequest(
             s=s, k=-1.0, spectrum=toy_spectrum, kind="selberg"
         )
@@ -96,13 +91,13 @@ def test_super_is_difference_of_selberg_pair(toy_spectrum, sigma_k1):
 
 def test_super_ruelle_matches_ruelle_pair(toy_spectrum, sigma_k1):
     s = complex(3.5)
-    left = log_super_ruelle(
+    left = log_zeta(
         ZetaRequest(s=s, k=sigma_k1, spectrum=toy_spectrum, kind="super_ruelle")
     ).value
-    plus = log_ruelle(
+    plus = log_zeta(
         ZetaRequest(s=s, k=sigma_k1, spectrum=toy_spectrum, kind="ruelle")
     ).value
-    minus = log_ruelle(
+    minus = log_zeta(
         ZetaRequest(
             s=s, k=-1.0, spectrum=toy_spectrum, kind="ruelle"
         )
@@ -116,22 +111,22 @@ def test_case_a_rejected_for_graded_kinds(toy_spectrum):
     with pytest.raises(CaseAError):
         ZetaRequest(s=3.0, k=0.0, spectrum=toy_spectrum, kind="super")
     # plain kinds accept case a
-    log_selberg(ZetaRequest(s=3.0, k=0.0, spectrum=toy_spectrum, kind="selberg"))
+    log_zeta(ZetaRequest(s=3.0, k=0.0, spectrum=toy_spectrum, kind="selberg"))
 
 
 def test_abscissas_and_region_gate(toy_spectrum, sigma_k1):
     assert convergence_abscissa("selberg", growth=2.0) == 1.0
     assert convergence_abscissa("ruelle", growth=2.0) == 2.0
     with pytest.raises(ConvergenceRegionError):
-        log_selberg(
+        log_zeta(
             ZetaRequest(s=0.99, k=sigma_k1, spectrum=toy_spectrum, kind="selberg")
         )
     with pytest.raises(ConvergenceRegionError):
-        log_ruelle(
+        log_zeta(
             ZetaRequest(s=1.5, k=sigma_k1, spectrum=toy_spectrum, kind="ruelle")
         )
     # a custom growth constant moves the gate
-    log_ruelle(
+    log_zeta(
         ZetaRequest(
             s=1.5,
             k=sigma_k1,
@@ -144,12 +139,8 @@ def test_abscissas_and_region_gate(toy_spectrum, sigma_k1):
 
 def test_empty_spectrum_gives_log_zero(sigma_k1):
     empty = LengthSpectrum(dimension=3, cutoff=1.0, classes=())
-    for kind, fn in (
-        ("selberg", log_selberg),
-        ("ruelle", log_ruelle),
-        ("symmetrized", log_symmetrized),
-    ):
-        out = fn(ZetaRequest(s=0.2, k=sigma_k1, spectrum=empty, kind=kind))
+    for kind in ("selberg", "ruelle", "symmetrized"):
+        out = log_zeta(ZetaRequest(s=0.2, k=sigma_k1, spectrum=empty, kind=kind))
         assert out.value == 0.0
         assert out.tail_bound == 0.0
         assert out.terms_used == 0
@@ -160,8 +151,8 @@ def test_tail_bound_brackets_missing_terms(sigma_k1):
     s = complex(2.2)
     full = power_family(0.9, 0.5, powers=60)
     short = power_family(0.9, 0.5, powers=6)
-    a = log_selberg(ZetaRequest(s=s, k=sigma_k1, spectrum=full, kind="selberg"))
-    b = log_selberg(ZetaRequest(s=s, k=sigma_k1, spectrum=short, kind="selberg"))
+    a = log_zeta(ZetaRequest(s=s, k=sigma_k1, spectrum=full, kind="selberg"))
+    b = log_zeta(ZetaRequest(s=s, k=sigma_k1, spectrum=short, kind="selberg"))
     missing = abs(a.value - b.value)
     assert missing <= b.tail_bound
     assert b.tail_bound < 0.05
@@ -173,7 +164,7 @@ def test_tail_bound_shrinks_with_cutoff(sigma_k1):
     for powers in (4, 8, 16):
         spec = power_family(0.9, 0.5, powers=powers)
         bounds.append(
-            log_selberg(
+            log_zeta(
                 ZetaRequest(s=s, k=sigma_k1, spectrum=spec, kind="selberg")
             ).tail_bound
         )
@@ -198,10 +189,10 @@ def test_chi_twist_scales_by_dimension(toy_spectrum, sigma_k1):
     )
     chi = GammaRep(dimension=3, images={"a": np.eye(3), "b": np.eye(3)})
     s = complex(3.0)
-    plain = log_selberg(
+    plain = log_zeta(
         ZetaRequest(s=s, k=sigma_k1, spectrum=worded, kind="selberg")
     ).value
-    twisted = log_selberg(
+    twisted = log_zeta(
         ZetaRequest(s=s, k=sigma_k1, spectrum=worded, kind="selberg", chi=chi)
     ).value
     assert twisted == pytest.approx(3.0 * plain, abs=1e-14)
@@ -212,12 +203,12 @@ def test_log_derivative_matches_finite_difference(toy_spectrum, sigma_k1):
     h = 1e-5
 
     def sym_at(z):
-        return log_symmetrized(
+        return log_zeta(
             ZetaRequest(s=z, k=sigma_k1, spectrum=toy_spectrum, kind="symmetrized")
         ).value
 
     def sup_at(z):
-        return log_super(
+        return log_zeta(
             ZetaRequest(s=z, k=sigma_k1, spectrum=toy_spectrum, kind="super")
         ).value
 
@@ -267,8 +258,8 @@ def test_log_values_conjugate_symmetry(re, im):
     spectrum = power_family(1.0, 0.6, powers=10)
     k = 1.0
     s = complex(re, im)
-    a = log_selberg(ZetaRequest(s=s, k=k, spectrum=spectrum, kind="selberg"))
-    b = log_selberg(
+    a = log_zeta(ZetaRequest(s=s, k=k, spectrum=spectrum, kind="selberg"))
+    b = log_zeta(
         ZetaRequest(s=s.conjugate(), k=-1.0, spectrum=spectrum, kind="selberg")
     )
     assert b.value == pytest.approx(a.value.conjugate(), rel=1e-12, abs=1e-12)
