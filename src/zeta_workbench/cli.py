@@ -191,8 +191,9 @@ def cmd_enumerate(args) -> int:
         {
             "op": "enumerate",
             # keys without a version name spectra that merged classes
-            # sharing a complex length; bump it when the document changes
-            "version": 2,
+            # sharing a complex length, version 2 an indented document;
+            # bump it when the document changes
+            "version": 3,
             "presentation": raw,
             "max_word_length": config.max_word_length,
             "cutoff": config.length_cutoff,

@@ -2,8 +2,7 @@
 
 The group sits in the unit-determinant 2x2 complex matrices.  A loxodromic
 element with larger eigenvalue lam has geodesic length 2*ln|lam| and
-holonomy angle 2*arg(lam).  Words over the generator alphabet are walked
-breadth-first with immediate-inverse cancellation.
+holonomy angle 2*arg(lam).
 
 The presentation is taken as a free group on its generators, where two
 cyclically reduced words are conjugate exactly when one is a rotation of
@@ -14,6 +13,12 @@ inverse and its reversal share length and angle yet are distinct classes.
 A presentation with relations may list one class under several necklaces;
 the `shared_complex_length` count in the spectrum source flags the
 candidates.
+
+The walk is the Fredricksen-Kessler-Maiorana necklace generation (Ruskey,
+Savage and Wang, J. Algorithms 1992), depth-first over reduced
+prenecklaces, the prefixes of least rotations.  The length p of a
+prenecklace's longest Lyndon prefix says both which letters may follow it
+and whether it is a necklace, so no other word is ever built.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, NotLoxodromic, SchemaError, UnknownSymbol
-from .spectra import GeodesicClass, LengthSpectrum, wrap_angle
+from .spectra import GeodesicClass, LengthSpectrum, _close_pairs, wrap_angle
 
 __all__ = [
     "GroupPresentation",
@@ -237,13 +242,6 @@ def primitive_decomposition(
 # enumeration
 
 
-def _is_least_rotation(word: str) -> bool:
-    # the first-letter test rejects most words before any rotation is built
-    if min(word) != word[0]:
-        return False
-    return all(word <= word[i:] + word[:i] for i in range(1, len(word)))
-
-
 def _shared_complex_length(classes: list[GeodesicClass]) -> int:
     """Count the classes whose (length, angle) lies within _TOLERANCE of a
     class other than itself and its formal inverse.
@@ -253,22 +251,17 @@ def _shared_complex_length(classes: list[GeodesicClass]) -> int:
     a relation would identify; nothing is merged on it.
     """
     shared: set[int] = set()
-    for i, a in enumerate(classes):
-        inverse = a.word[::-1].swapcase()
-        for j in range(i + 1, len(classes)):
-            b = classes[j]
-            if b.length - a.length > _TOLERANCE:
-                break
-            if abs(wrap_angle(b.angle - a.angle)) > _TOLERANCE:
-                continue
-            if len(b.word) == len(inverse) and b.word in inverse + inverse:
-                continue  # b is a rotation of a's inverse
-            shared.update((i, j))
+    for i, j in _close_pairs(classes, _TOLERANCE):
+        inverse, word = classes[i].word[::-1].swapcase(), classes[j].word
+        if len(word) == len(inverse) and word in inverse + inverse:
+            continue  # classes[j] is a rotation of the inverse of classes[i]
+        shared.update((i, j))
     return len(shared)
 
 
 def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> LengthSpectrum:
-    """Walk reduced words breadth-first and emit one class per necklace.
+    """Walk reduced prenecklaces depth-first and emit one class per
+    cyclically reduced necklace, carrying each word's matrix down the walk.
 
     Returns every class found with length <= cfg.length_cutoff among words
     of at most cfg.max_word_length symbols, with multiplicities and
@@ -278,57 +271,47 @@ def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> Lengt
     cutoff, longer words would plausibly contribute further classes and the
     walk is flagged incomplete.
     """
-    alphabet: list[tuple[str, np.ndarray]] = list(zip(pres.names, pres.generators))
+    mats = dict(zip(pres.names, pres.generators))
     if not pres.includes_inverses:
-        alphabet += [
-            (name.swapcase(), np.linalg.inv(mat))
-            for name, mat in zip(pres.names, pres.generators)
-        ]
-    letters = [name for name, _ in alphabet]
-    mats = {name: mat for name, mat in alphabet}
+        mats |= {name.swapcase(): np.linalg.inv(mat) for name, mat in mats.items()}
+    letters = sorted(mats)
     # cancellation applies whenever a symbol's formal inverse is in the alphabet
     inverse_letter = {
         name: name.swapcase() for name in letters if name.swapcase() in mats
     }
 
     kept: list[tuple[float, float, str]] = []
-
-    # frontier of all reduced words at the current depth
-    frontier_words: list[str] = []
-    frontier_mats_list: list[np.ndarray] = []
-
-    for depth in range(1, cfg.max_word_length + 1):
-        if depth == 1:
-            new_words = [name for name, _ in alphabet]
-            new_mats = [mat for _, mat in alphabet]
-        else:
-            new_words = []
-            new_mats = []
-            if frontier_words:
-                stacked = np.stack(frontier_mats_list)
-                for letter in letters:
-                    inv = inverse_letter.get(letter)
-                    idx = [
-                        i for i, w in enumerate(frontier_words) if w[-1] != inv
-                    ]
-                    if not idx:
-                        continue
-                    prod = stacked[idx] @ mats[letter]
-                    for j, i in enumerate(idx):
-                        new_words.append(frontier_words[i] + letter)
-                        new_mats.append(prod[j])
-        for word, mat in zip(new_words, new_mats):
-            # a class is a necklace of cyclically reduced words; its least
-            # rotation stands for it, so every other word is skipped
-            if len(word) > 1 and inverse_letter.get(word[0]) == word[-1]:
+    failed: NotLoxodromic | None = None
+    # (prenecklace, its matrix, length of its longest Lyndon prefix)
+    stack = [(x, mats[x], 1) for x in reversed(letters)]
+    while stack:
+        word, mat, p = stack.pop()
+        t = len(word)
+        # a prenecklace is its own least rotation when its Lyndon prefix
+        # tiles it; the class also needs a cyclically reduced word
+        if t % p == 0 and (t == 1 or inverse_letter.get(word[0]) != word[-1]):
+            try:
+                length, angle = complex_length(mat, word=word)
+            except NotLoxodromic as exc:
+                # the error names the shortest such word, not the first
+                # one the walk meets; its extensions are longer still
+                if failed is None or t < len(failed.word):
+                    failed = exc
                 continue
-            if not _is_least_rotation(word):
-                continue
-            length, angle = complex_length(mat, word=word)
             if length <= cfg.length_cutoff:
                 kept.append((length, angle, word))
-        frontier_words = new_words
-        frontier_mats_list = new_mats
+        if t == cfg.max_word_length:
+            continue
+        # a letter below word[t - p] would make a smaller rotation; pushed
+        # in reverse, the words are visited in lexicographic order
+        least, last = word[t - p], inverse_letter.get(word[-1])
+        for x in reversed(letters):
+            if x < least:
+                break
+            if x != last:
+                stack.append((word + x, mat @ mats[x], p if x == least else t + 1))
+    if failed is not None:
+        raise failed
 
     decomposed = primitive_decomposition(kept)
     decomposed.sort(key=lambda c: (c.length, c.angle, c.word))

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by every module.
 
-Each error maps to a stable CLI exit code (see cli.EXIT_CODES).
+Each error maps to a stable CLI exit code: the cli module docstring lists
+the codes, and cli.main maps the errors onto them.
 """
 
 from __future__ import annotations

@@ -93,6 +93,18 @@ class LengthSpectrum:
         return replace(self, volume=volume)
 
 
+def _close_pairs(classes, tol: float):
+    """Yield the index pairs i < j of length-sorted classes whose lengths
+    and angles agree within tol."""
+    for i, a in enumerate(classes):
+        for j in range(i + 1, len(classes)):
+            b = classes[j]
+            if b.length - a.length > tol:
+                break
+            if abs(wrap_angle(b.angle - a.angle)) <= tol:
+                yield i, j
+
+
 def _validate_spectrum(spec: LengthSpectrum) -> None:
     if spec.dimension != 3:
         raise InvariantViolation(f"dimension must be 3, got {spec.dimension}")
@@ -117,17 +129,13 @@ def _validate_spectrum(spec: LengthSpectrum) -> None:
     # Duplicate (length, angle) pairs are allowed only when the classes carry
     # distinct words: a class and its inverse share both invariants yet are
     # distinct conjugacy classes.
-    for i, a in enumerate(spec.classes):
-        for j in range(i + 1, len(spec.classes)):
-            b = spec.classes[j]
-            if b.length - a.length > tol:
-                break
-            if abs(wrap_angle(a.angle - b.angle)) <= tol:
-                if a.word is None or b.word is None or a.word == b.word:
-                    raise InvariantViolation(
-                        f"classes {i} and {j} duplicate (length, angle) "
-                        f"({a.length}, {a.angle}) without distinguishing words"
-                    )
+    for i, j in _close_pairs(spec.classes, tol):
+        a, b = spec.classes[i], spec.classes[j]
+        if a.word is None or b.word is None or a.word == b.word:
+            raise InvariantViolation(
+                f"classes {i} and {j} duplicate (length, angle) "
+                f"({a.length}, {a.angle}) without distinguishing words"
+            )
 
     # Every n-th power class must have its primitive root present.
     for i, c in enumerate(spec.classes):
@@ -316,9 +324,9 @@ def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
 
 
 def serialize_length_spectrum(spec: LengthSpectrum) -> str:
-    """Emit the JSON document as `enumerate` writes it: sorted keys, an
-    indent of two and a final newline; parse(serialize(x)) == x field for
-    field."""
+    """Emit the JSON document as `enumerate` writes it: sorted keys on one
+    line (an indent would force json onto its pure-Python encoder) and a
+    final newline; parse(serialize(x)) == x field for field."""
     doc = {
         "dimension": spec.dimension,
         "cutoff": spec.cutoff,
@@ -336,7 +344,7 @@ def serialize_length_spectrum(spec: LengthSpectrum) -> str:
             for c in spec.classes
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def parse_eigenvalue_spectrum(document: str | dict, kind: str = "dirac") -> EigenvalueSpectrum:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,16 +218,18 @@ def least_rotation(word):
     return min(word[i:] + word[:i] for i in range(len(word)))
 
 
-def brute_force_necklaces(depth):
-    """Least rotations of all cyclically reduced words over a, A, b, B."""
+def brute_force_necklaces(depth, alphabet="aAbB"):
+    """Least rotations of all cyclically reduced words over the alphabet,
+    where a letter cancels against its case partner if that is a letter."""
+    inverse = {x: x.swapcase() for x in alphabet if x.swapcase() in alphabet}
     out = set()
-    stack = list("aAbB")
+    stack = list(alphabet)
     while stack:
         word = stack.pop()
-        if len(word) == 1 or word[0] != word[-1].swapcase():
+        if len(word) == 1 or inverse.get(word[0]) != word[-1]:
             out.add(least_rotation(word))
         if len(word) < depth:
-            stack.extend(word + x for x in "aAbB" if x != word[-1].swapcase())
+            stack.extend(word + x for x in alphabet if x != inverse.get(word[-1]))
     return out
 
 
@@ -235,17 +238,71 @@ def smallest_period(word):
     return next(p for p in range(1, n + 1) if n % p == 0 and word[p:] + word[:p] == word)
 
 
-@pytest.mark.parametrize("depth, count", [(6, 234), (8, 1386), (9, 3582)])
-def test_one_class_per_necklace(free_two_generator, depth, count):
+def over_alphabet(pair, alphabet):
+    """The free pair for aAbB, a free triple for aAbBcC (c fixes -1/2 and
+    -1, apart from the fixed points of a and b) and the monoid walk for ab."""
+    if alphabet == "aAbBcC":
+        m = np.array([[-1.0, 1.0], [1.0, -2.0]], dtype=complex)
+        lam = 4.0 * np.exp(0.9j)
+        c = m @ np.diag([lam, 1.0 / lam]) @ np.linalg.inv(m)
+        return GroupPresentation(generators=pair.generators + (c,), names=("a", "b", "c"))
+    if alphabet == "ab":
+        return GroupPresentation(
+            generators=pair.generators, names=("a", "b"), includes_inverses=True
+        )
+    return pair
+
+
+@pytest.mark.parametrize(
+    "alphabet, depth, count",
+    [
+        pytest.param("aAbB", 6, 234, id="6-234"),
+        pytest.param("aAbB", 8, 1386, id="8-1386"),
+        pytest.param("aAbB", 9, 3582, id="9-3582"),
+        pytest.param("aAbBcC", 5, 868, id="three-generators-5-868"),
+        # no case partners: one class per binary necklace of length 1-8
+        pytest.param("ab", 8, 93, id="monoid-8-93"),
+    ],
+)
+def test_one_class_per_necklace(free_two_generator, alphabet, depth, count):
     spectrum = enumerate_spectrum(
-        free_two_generator, EnumerationConfig(max_word_length=depth, length_cutoff=30.0)
+        over_alphabet(free_two_generator, alphabet),
+        EnumerationConfig(max_word_length=depth, length_cutoff=30.0),
     )
     words = [c.word for c in spectrum.classes]
     assert len(words) == count
-    assert set(words) == brute_force_necklaces(depth)
+    assert set(words) == brute_force_necklaces(depth, alphabet)
     for c in spectrum.classes:
         n = len(c.word) // smallest_period(c.word)
         assert (c.multiplicity, c.primitive) == (n, n == 1), c.word
+
+
+def test_explicit_inverse_names_match_implicit(free_two_generator):
+    a, b = free_two_generator.generators
+    explicit = GroupPresentation(
+        generators=(a, np.linalg.inv(a), b, np.linalg.inv(b)),
+        names=("a", "A", "b", "B"),
+        includes_inverses=True,
+    )
+    config = EnumerationConfig(max_word_length=7, length_cutoff=30.0)
+    assert enumerate_spectrum(explicit, config) == enumerate_spectrum(
+        free_two_generator, config
+    )
+
+
+def test_walk_memory_stays_near_result_size(free_two_generator):
+    # the walk keeps a stack of prenecklaces, not every reduced word of a
+    # depth (4 * 3**7 words and matrices at depth 8)
+    config = EnumerationConfig(max_word_length=8, length_cutoff=30.0)
+    enumerate_spectrum(free_two_generator, config)  # first-call allocations
+    tracemalloc.start()
+    try:
+        spectrum = enumerate_spectrum(free_two_generator, config)
+        result, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spectrum.classes) == 1386
+    assert peak < 2 * result, (peak, result)
 
 
 def test_planted_powers_and_reversal_pair(free_two_generator):
@@ -282,6 +339,15 @@ def test_shared_complex_length_count(free_two_generator):
         ]
         assert len(reversed_apart) == expected
     assert {"Baaba", "Babaa", "AABAb", "AAbAB"} <= set(reversed_apart)
+
+
+def test_not_loxodromic_names_a_shortest_word():
+    # b is elliptic; in lexicographic order the walk meets AABB first
+    rot = np.array([[np.cos(0.7), np.sin(0.7)], [-np.sin(0.7), np.cos(0.7)]])
+    pres = GroupPresentation(generators=(np.diag([3.0, 1 / 3.0]), rot), names=("a", "b"))
+    with pytest.raises(NotLoxodromic) as info:
+        enumerate_spectrum(pres, EnumerationConfig(max_word_length=5, length_cutoff=30.0))
+    assert info.value.word in ("b", "B")
 
 
 def test_primitive_decomposition_period_rule():
