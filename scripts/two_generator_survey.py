@@ -19,7 +19,6 @@ from zeta_workbench import (
     EnumerationConfig,
     GroupPresentation,
     ZetaRequest,
-    class_table,
     enumerate_spectrum,
     log_zeta,
 )
@@ -60,10 +59,9 @@ for depth in range(2, MAX_DEPTH + 1):
 print()
 print(f"zeta on the deepest spectrum ({len(spectrum.classes)} classes)")
 print(f"{'s':>5} {'log Z':>24} {'log R':>24} {'tail Z':>9} {'tail R':>9}")
-table = class_table(spectrum)
 for s in S_GRID:
-    rz = log_zeta(ZetaRequest(s=s, k=K, spectrum=spectrum, kind="selberg", table=table))
-    rr = log_zeta(ZetaRequest(s=s, k=K, spectrum=spectrum, kind="ruelle", table=table))
+    rz = log_zeta(ZetaRequest(s=s, k=K, spectrum=spectrum, kind="selberg"))
+    rr = log_zeta(ZetaRequest(s=s, k=K, spectrum=spectrum, kind="ruelle"))
     print(
         f"{s:>5.2f} {rz.value:>24.12f} {rr.value:>24.12f} "
         f"{rz.tail_bound:>9.1e} {rr.tail_bound:>9.1e}"

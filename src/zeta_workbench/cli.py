@@ -53,7 +53,7 @@ from .traces import (
     heat_spectral_side,
 )
 from .verify import SUITES, run_all, run_suite
-from .zeta import ZetaRequest, class_table, log_zeta
+from .zeta import ZetaRequest, log_zeta
 
 __all__ = ["main", "build_parser"]
 
@@ -232,7 +232,6 @@ def cmd_zeta(args) -> int:
     spectrum = parse_length_spectrum(_read_json(args.spectrum))
     chi = _chi(args)
     grid = _s_grid(args)
-    table = class_table(spectrum, chi)
     rows = []
     for s in grid:
         request = ZetaRequest(
@@ -242,7 +241,6 @@ def cmd_zeta(args) -> int:
             kind=args.kind,
             chi=chi,
             growth_constant=args.growth,
-            table=table,
         )
         result = log_zeta(request)
         value = cmath.exp(result.value)
@@ -287,15 +285,14 @@ def cmd_trace(args) -> int:
         eigen = parse_eigenvalue_spectrum(_read_json(args.laplace), kind="laplace")
     if args.order == "second" and args.volume is not None:
         spectrum = spectrum.with_volume(float(args.volume))
-    table = class_table(spectrum, chi)
     rows = []
     for t in args.t:
         t = float(t)
         if args.order == "first":
-            geo = dirac_geometric_side(t, spectrum, args.sigma, chi, table=table)
+            geo = dirac_geometric_side(t, spectrum, args.sigma, chi)
             spec_side = dirac_spectral_side(t, eigen) if eigen else None
         else:
-            geo = heat_geometric_side(t, spectrum, args.sigma, chi, table=table)
+            geo = heat_geometric_side(t, spectrum, args.sigma, chi)
             spec_side = heat_spectral_side(t, eigen) if eigen else None
         row = {"t": t, "geometric": _pair(geo)}
         if spec_side is not None:

@@ -49,7 +49,7 @@ from .spectra import (
     SingularityRecord,
     square_spectrum,
 )
-from .zeta import ZetaRequest, class_table, log_zeta
+from .zeta import ZetaRequest, log_zeta
 
 __all__ = [
     "partial_fraction_weights",
@@ -486,8 +486,6 @@ def ruelle_factorization_check(
     convergence region, so this is a pure identity check of the adjoint
     determinant expansion.  Returns (lhs, rhs, relative gap).
     """
-    table = class_table(spectrum, chi)
-
     def log(kind: str, s_arg: complex, k_arg: float) -> complex:
         req = ZetaRequest(
             s=s_arg,
@@ -496,7 +494,6 @@ def ruelle_factorization_check(
             kind=kind,
             chi=chi,
             growth_constant=growth_constant,
-            table=table,
         )
         return log_zeta(req).value
 

@@ -248,12 +248,14 @@ def _shared_complex_length(classes: list[GeodesicClass]) -> int:
 
     classes are sorted by length.  A word and its reversal always share the
     trace in two generators, so the count flags candidates for classes that
-    a relation would identify; nothing is merged on it.
+    a relation would identify; nothing is merged on it.  A word with a
+    caseless letter has no formal inverse.
     """
     shared: set[int] = set()
     for i, j in _close_pairs(classes, _TOLERANCE):
         inverse, word = classes[i].word[::-1].swapcase(), classes[j].word
-        if len(word) == len(inverse) and word in inverse + inverse:
+        invertible = all(x != x.swapcase() for x in inverse)
+        if invertible and len(word) == len(inverse) and word in inverse + inverse:
             continue  # classes[j] is a rotation of the inverse of classes[i]
         shared.update((i, j))
     return len(shared)
@@ -275,9 +277,12 @@ def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> Lengt
     if not pres.includes_inverses:
         mats |= {name.swapcase(): np.linalg.inv(mat) for name, mat in mats.items()}
     letters = sorted(mats)
-    # cancellation applies whenever a symbol's formal inverse is in the alphabet
+    # cancellation applies whenever a symbol's formal inverse is in the
+    # alphabet; a caseless name such as '1' is never its own inverse
     inverse_letter = {
-        name: name.swapcase() for name in letters if name.swapcase() in mats
+        name: name.swapcase()
+        for name in letters
+        if name.swapcase() != name and name.swapcase() in mats
     }
 
     kept: list[tuple[float, float, str]] = []

@@ -2,7 +2,8 @@
 
 A length spectrum is a finite list of conjugacy-class records (length,
 holonomy angle, multiplicity, primitivity, optional word) below a stated
-cutoff, together with manifold metadata.  Operator spectra are finite
+cutoff, together with manifold metadata, and the same classes read once
+into read-only arrays for the class sums.  Operator spectra are finite
 eigenvalue lists with algebraic multiplicities; eigenvalues are complex
 throughout because the group representation twisting the operator need
 not be unitary.
@@ -16,6 +17,8 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import InvariantViolation, SchemaError
 
@@ -76,7 +79,12 @@ class GeodesicClass:
 
 @dataclass(frozen=True)
 class LengthSpectrum:
-    """Finite list of geodesic classes with length <= cutoff, plus metadata."""
+    """Finite list of geodesic classes with length <= cutoff, plus metadata.
+
+    length, angle and multiplicity hold the classes' fields as read-only
+    arrays, built once; twist_memo is where zeta.chi_trace keeps the traces
+    of the last twist read over the class words.
+    """
 
     dimension: int
     cutoff: float
@@ -84,10 +92,18 @@ class LengthSpectrum:
     tolerance: float = 1e-9
     volume: float | None = None
     source: str = ""
+    length: np.ndarray = field(init=False, repr=False, compare=False)
+    angle: np.ndarray = field(init=False, repr=False, compare=False)
+    multiplicity: np.ndarray = field(init=False, repr=False, compare=False)
+    twist_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
         _validate_spectrum(self)
+        for name in ("length", "angle", "multiplicity"):
+            arr = np.array([getattr(c, name) for c in self.classes], dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def with_volume(self, volume: float) -> "LengthSpectrum":
         return replace(self, volume=volume)

@@ -15,8 +15,8 @@ and the second-order one pairs sum_k m(mu_k) exp(-t mu_k) with an identity
 contribution 2 dim(V_chi) Vol integral exp(-t lam^2) P(i lam) dlam plus a
 geodesic sum weighted by (l/n) (L(gamma; k) + L(gamma; -k)) exp(-l^2/4t)
 (4 pi t)^{-1/2}.  Both geodesic sums are the one class-sum kernel of
-zeta.py over the spectrum's ClassTable, with exp(-l^2/4t) in place of
-exp(-s l).
+zeta.py over the spectrum's class arrays, with the class weights of the
+zeta sums and exp(-l^2/4t) in place of exp(-s l).
 
 For synthetic inputs the two sides of either formula need not agree; the
 package reports their gap as a diagnostic and never asserts equality.
@@ -42,7 +42,7 @@ from .reps import (  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     character_sigma,
 )
 from .spectra import DiracSpectrum, LaplaceSpectrum, LengthSpectrum
-from .zeta import RHO, ClassTable, class_sum, table_for
+from .zeta import RHO, class_sum, class_weights
 
 __all__ = [
     "dee_gamma",
@@ -73,16 +73,14 @@ def dirac_geometric_side(
     spectrum: LengthSpectrum,
     k: float,
     chi: GammaRep | None = None,
-    table: ClassTable | None = None,
 ) -> complex:
     """Geodesic sum of the first-order trace formula at heat time t."""
     require_case_b(k)
     if not (t > 0):
         raise InvariantViolation("t must be positive")
-    table = table_for(spectrum, chi, table)
-    l = table.length
+    l = spectrum.length
     prefactor = -2j * math.pi / (4.0 * math.pi * t) ** 1.5
-    weights = prefactor * l**2 * table.weights(k, -1, True)
+    weights = prefactor * l**2 * class_weights(spectrum, chi, k, -1, True)
     return class_sum(weights, -(l**2) / (4.0 * t))
 
 
@@ -91,7 +89,6 @@ def heat_geometric_side(
     spectrum: LengthSpectrum,
     k: float,
     chi: GammaRep | None = None,
-    table: ClassTable | None = None,
 ) -> complex:
     """Identity contribution plus geodesic sum of the second-order formula."""
     require_case_b(k)
@@ -102,9 +99,8 @@ def heat_geometric_side(
     dim_chi = 1 if chi is None else chi.dimension
     identity = 2.0 * dim_chi * spectrum.volume * identity_term_heat(k, t)
 
-    table = table_for(spectrum, chi, table)
-    l = table.length
-    weights = l * table.weights(k, +1, True) / math.sqrt(4.0 * math.pi * t)
+    l = spectrum.length
+    weights = l * class_weights(spectrum, chi, k, +1, True) / math.sqrt(4.0 * math.pi * t)
     return identity + class_sum(weights, -(l**2) / (4.0 * t))
 
 

@@ -20,10 +20,11 @@ and both vanish as Re(s) grows, which pins the integration constant.
 The symmetrized, super and super-Ruelle variants are the sums and
 differences of the base sums at k and at its sign flip -k.
 
-A spectrum and a twist are read once into a ClassTable, a struct of
-arrays over the classes.  Every geodesic sum, here and in traces.py, is
-then one kernel, class_sum: a per-class weight vector dotted with
-exp(-s l) or exp(-l^2/4t), one grid point at a time.
+A spectrum carries its classes as arrays, and chi_trace reads a twist
+over the class words once per (spectrum, twist).  Every geodesic sum,
+here and in traces.py, is then one kernel, class_sum: the per-class
+weights of class_weights dotted with exp(-s l) or exp(-l^2/4t), one grid
+point at a time.
 
 Sums are only evaluated above a model-based convergence abscissa derived
 from an exponential geodesic-count model N(L) <= C exp(g L); requests
@@ -34,7 +35,7 @@ not certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +51,10 @@ from .reps import (
 from .spectra import LengthSpectrum, TruncatedValue
 
 __all__ = [
-    "ClassTable",
     "ZetaRequest",
+    "chi_trace",
     "class_sum",
-    "class_table",
+    "class_weights",
     "convergence_abscissa",
     "log_derivative_super",
     "log_derivative_symmetrized",
@@ -75,74 +76,55 @@ _SHAPES = {
 KINDS = tuple(_SHAPES)
 
 
-# the class table and the kernel ---------------------------------------------
+# class weights and the kernel ---------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ClassTable:
-    """One spectrum under one twist as arrays over its classes."""
+def chi_trace(spectrum: LengthSpectrum, chi: GammaRep | None) -> np.ndarray:
+    """Trace of chi over each class word; ones without a twist.
 
-    spectrum: LengthSpectrum
-    chi: GammaRep | None
-    length: np.ndarray
-    angle: np.ndarray
-    multiplicity: np.ndarray
-    det: np.ndarray  # det(Id - Ad|nbar)
-    chi_trace: np.ndarray  # trace of chi; ones without a twist
-
-    def weights(self, k: float, sign: int, selberg_type: bool) -> np.ndarray:
-        """trchi * (exp(i k theta) + sign * exp(-i k theta)) / n per class,
-        times exp(-rho l) / det for the Selberg-type sums."""
-        trsigma = character_sigma(k, self.angle)
-        if sign:
-            trsigma = trsigma + sign * character_sigma(-k, self.angle)
-        w = self.chi_trace * trsigma / self.multiplicity
-        if selberg_type:
-            w *= np.exp(-RHO * self.length) / self.det
-        return w
-
-    @property
-    def chi_bound(self) -> float:
-        if self.chi is None:
-            return 1.0
-        observed = float(np.max(np.abs(self.chi_trace))) if len(self.chi_trace) else 0.0
-        return max(float(self.chi.dimension), observed)
-
-
-def class_table(spectrum: LengthSpectrum, chi: GammaRep | None = None) -> ClassTable:
-    """Read the spectrum's classes and their chi traces once."""
-    classes = spectrum.classes
-    length = np.array([c.length for c in classes], dtype=float)
-    angle = np.array([c.angle for c in classes], dtype=float)
+    The spectrum keeps the traces of the last twist it was read under,
+    keyed by the twist's identity: both are immutable, so a grid of sums
+    under one twist reads the words once.
+    """
     if chi is None:
-        chi_trace = np.ones(len(classes), dtype=complex)
-    else:
-        missing = [i for i, c in enumerate(classes) if c.word is None]
-        if missing:
-            raise InvariantViolation(
-                f"class {missing[0]} carries no word; a nontrivial twist needs words"
-            )
-        chi_trace = np.array([character_chi(chi, c.word) for c in classes], dtype=complex)
-    return ClassTable(
-        spectrum=spectrum,
-        chi=chi,
-        length=length,
-        angle=angle,
-        multiplicity=np.array([c.multiplicity for c in classes], dtype=float),
-        det=ad_nbar_det(length, angle),
-        chi_trace=chi_trace,
-    )
+        return np.ones(len(spectrum.classes), dtype=complex)
+    memo = spectrum.twist_memo
+    if memo is not None and memo[0] is chi:
+        return memo[1]
+    classes = spectrum.classes
+    missing = [i for i, c in enumerate(classes) if c.word is None]
+    if missing:
+        raise InvariantViolation(
+            f"class {missing[0]} carries no word; a nontrivial twist needs words"
+        )
+    trace = np.array([character_chi(chi, c.word) for c in classes], dtype=complex)
+    trace.setflags(write=False)
+    object.__setattr__(spectrum, "twist_memo", (chi, trace))
+    return trace
 
 
-def table_for(
-    spectrum: LengthSpectrum, chi: GammaRep | None, table: ClassTable | None
-) -> ClassTable:
-    """The given table, checked against (spectrum, chi), or a new one."""
-    if table is None:
-        return class_table(spectrum, chi)
-    if table.spectrum is not spectrum or table.chi is not chi:
-        raise InvariantViolation("class table was built for another spectrum or twist")
-    return table
+def class_weights(
+    spectrum: LengthSpectrum, chi: GammaRep | None, k: float, sign: int, selberg_type: bool
+) -> np.ndarray:
+    """trchi * (exp(i k theta) + sign * exp(-i k theta)) / n per class,
+    times exp(-rho l) / det(Id - Ad|nbar) for the Selberg-type sums."""
+    trsigma = character_sigma(k, spectrum.angle)
+    if sign:
+        trsigma = trsigma + sign * character_sigma(-k, spectrum.angle)
+    w = chi_trace(spectrum, chi) * trsigma / spectrum.multiplicity
+    if selberg_type:
+        w *= np.exp(-RHO * spectrum.length) / ad_nbar_det(spectrum.length, spectrum.angle)
+    return w
+
+
+def _chi_bound(spectrum: LengthSpectrum, chi: GammaRep | None) -> float:
+    """Bound on |trchi| over the classes: the twist's dimension, or a larger
+    trace that a non-unitary twist shows on the spectrum."""
+    if chi is None:
+        return 1.0
+    trace = chi_trace(spectrum, chi)
+    observed = float(np.max(np.abs(trace))) if len(trace) else 0.0
+    return max(float(chi.dimension), observed)
 
 
 def class_sum(weights: np.ndarray, exponent: np.ndarray) -> complex:
@@ -162,8 +144,6 @@ class ZetaRequest:
     kind: str = "selberg"
     chi: GammaRep | None = None
     growth_constant: float | None = None  # default 2*rho
-    # built from (spectrum, chi) when omitted; pass one to reuse it on a grid
-    table: ClassTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "s", complex(self.s))
@@ -172,13 +152,16 @@ class ZetaRequest:
             raise InvariantViolation(f"unknown zeta kind {self.kind!r}")
         if _SHAPES[self.kind][0]:
             require_case_b(self.k)
-        if self.growth_constant is not None and not (self.growth_constant > 0):
-            raise InvariantViolation("growth_constant must be positive")
-        object.__setattr__(self, "table", table_for(self.spectrum, self.chi, self.table))
+        _growth(self.growth_constant)
 
-    @property
-    def growth(self) -> float:
-        return DEFAULT_GROWTH if self.growth_constant is None else self.growth_constant
+
+def _growth(growth_constant: float | None) -> float:
+    """The count model's growth constant: 2 rho when omitted, else positive."""
+    if growth_constant is None:
+        return DEFAULT_GROWTH
+    if not (growth_constant > 0):
+        raise InvariantViolation("growth_constant must be positive")
+    return growth_constant
 
 
 def convergence_abscissa(kind: str, growth: float) -> float:
@@ -204,7 +187,8 @@ def _tail_integral(p: int, alpha: float, L: float) -> float:
 
 
 def _tail_bound(
-    table: ClassTable,
+    spectrum: LengthSpectrum,
+    chi: GammaRep | None,
     growth: float,
     beta: float,
     sigma_bound: float,
@@ -221,13 +205,13 @@ def _tail_bound(
     alpha = beta - growth
     if alpha <= 0:  # guarded by the abscissa check; belt and braces
         return math.inf
-    L = table.spectrum.cutoff
-    ranks = np.arange(1, len(table.length) + 1)
-    C = math.exp(float(np.mean(np.log(ranks) - growth * table.length)))
+    L = spectrum.cutoff
+    ranks = np.arange(1, len(spectrum.classes) + 1)
+    C = math.exp(float(np.mean(np.log(ranks) - growth * spectrum.length)))
     # det(l, theta) >= (1 - exp(-l))^2, decreasing in -l, so the cutoff
     # value floors every omitted term
     det_floor = (1.0 - math.exp(-L)) ** 2 if with_det else 1.0
-    base = table.chi_bound * sigma_bound * C * growth / det_floor
+    base = _chi_bound(spectrum, chi) * sigma_bound * C * growth / det_floor
     return base * _tail_integral(1 if with_length_factor else 0, alpha, L)
 
 
@@ -237,21 +221,23 @@ def _tail_bound(
 def log_zeta(req: ZetaRequest) -> TruncatedValue:
     """Class-sum logarithm of the zeta of kind req.kind at req.s."""
     sign, selberg_type = _SHAPES[req.kind]
-    table = req.table
-    if not len(table.length):
+    spectrum, chi, growth = req.spectrum, req.chi, _growth(req.growth_constant)
+    if not spectrum.classes:
         # empty sum: nothing to converge, nothing omitted
         return TruncatedValue(0.0, 0.0, 0)
-    _check_region(req.s, req.kind, req.growth)
-    value = -class_sum(table.weights(req.k, sign, selberg_type), -req.s * table.length)
+    _check_region(req.s, req.kind, growth)
+    weights = class_weights(spectrum, chi, req.k, sign, selberg_type)
+    value = -class_sum(weights, -req.s * spectrum.length)
     tail = _tail_bound(
-        table,
-        req.growth,
+        spectrum,
+        chi,
+        growth,
         req.s.real + (RHO if selberg_type else 0.0),
         2.0 if sign else 1.0,
         with_det=selberg_type,
         with_length_factor=False,
     )
-    return TruncatedValue(value, tail, len(table.length))
+    return TruncatedValue(value, tail, len(spectrum.classes))
 
 
 # logarithmic derivatives --------------------------------------------------
@@ -263,22 +249,21 @@ def _log_derivative(
     chi: GammaRep | None,
     spectrum: LengthSpectrum,
     growth_constant: float | None,
-    table: ClassTable | None,
     sign: int,
 ) -> TruncatedValue:
     """Dirichlet sum sum (l/n) (L(gamma; k) +- L(gamma; -k)) exp(-s l)."""
     require_case_b(k)
     s = complex(s)
-    table = table_for(spectrum, chi, table)
-    if not len(table.length):
+    growth = _growth(growth_constant)
+    if not spectrum.classes:
         return TruncatedValue(0.0, 0.0, 0)
-    growth = DEFAULT_GROWTH if growth_constant is None else growth_constant
     _check_region(s, "selberg", growth)
-    weights = table.length * table.weights(k, sign, True)
+    l = spectrum.length
+    weights = l * class_weights(spectrum, chi, k, sign, True)
     tail = _tail_bound(
-        table, growth, s.real + RHO, 2.0, with_det=True, with_length_factor=True
+        spectrum, chi, growth, s.real + RHO, 2.0, with_det=True, with_length_factor=True
     )
-    return TruncatedValue(class_sum(weights, -s * table.length), tail, len(table.length))
+    return TruncatedValue(class_sum(weights, -s * l), tail, len(spectrum.classes))
 
 
 def log_derivative_super(
@@ -287,10 +272,9 @@ def log_derivative_super(
     chi: GammaRep | None,
     spectrum: LengthSpectrum,
     growth_constant: float | None = None,
-    table: ClassTable | None = None,
 ) -> TruncatedValue:
     """d/ds of log(Z(k)/Z(-k)) as a Dirichlet sum."""
-    return _log_derivative(s, k, chi, spectrum, growth_constant, table, -1)
+    return _log_derivative(s, k, chi, spectrum, growth_constant, -1)
 
 
 def log_derivative_symmetrized(
@@ -299,7 +283,6 @@ def log_derivative_symmetrized(
     chi: GammaRep | None,
     spectrum: LengthSpectrum,
     growth_constant: float | None = None,
-    table: ClassTable | None = None,
 ) -> TruncatedValue:
     """d/ds of log(Z(k) * Z(-k)) as a Dirichlet sum."""
-    return _log_derivative(s, k, chi, spectrum, growth_constant, table, +1)
+    return _log_derivative(s, k, chi, spectrum, growth_constant, +1)

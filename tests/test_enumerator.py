@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -357,3 +358,32 @@ def test_primitive_decomposition_period_rule():
     assert [(c.multiplicity, c.primitive) for c in got] == [
         (1, True), (2, False), (3, False), (1, True)
     ]
+
+
+def test_caseless_names_are_never_their_own_inverse(free_two_generator):
+    # the monoid walk over a and b, and the same matrices named 1 and 2: a
+    # caseless name has no case partner, so 11 is a word, not a cancellation
+    config = EnumerationConfig(max_word_length=9, length_cutoff=30.0)
+    lettered, digits = (
+        enumerate_spectrum(
+            GroupPresentation(
+                generators=free_two_generator.generators, names=names, includes_inverses=True
+            ),
+            config,
+        )
+        for names in (("a", "b"), ("1", "2"))
+    )
+    rename = str.maketrans("ab", "12")
+    renamed = dataclasses.replace(
+        lettered,
+        classes=tuple(
+            dataclasses.replace(c, word=c.word.translate(rename)) for c in lettered.classes
+        ),
+    )
+    assert renamed == digits
+    assert len(digits.classes) == 153
+    assert "shared_complex_length=46" in digits.source.split("; ")
+    # the free pair with implicit inverses is unchanged
+    free = enumerate_spectrum(free_two_generator, config)
+    assert len(free.classes) == 3582
+    assert "shared_complex_length=2760" in free.source.split("; ")

@@ -263,3 +263,34 @@ def test_log_values_conjugate_symmetry(re, im):
         ZetaRequest(s=s.conjugate(), k=-1.0, spectrum=spectrum, kind="selberg")
     )
     assert b.value == pytest.approx(a.value.conjugate(), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("derivative", [log_derivative_super, log_derivative_symmetrized])
+@pytest.mark.parametrize("growth", [0.0, -1.0])
+def test_log_derivatives_refuse_nonpositive_growth(toy_spectrum, derivative, growth):
+    with pytest.raises(InvariantViolation, match="growth_constant must be positive"):
+        ZetaRequest(s=3.0, k=1.0, spectrum=toy_spectrum, growth_constant=growth)
+    with pytest.raises(InvariantViolation, match="growth_constant must be positive"):
+        derivative(3.0, 1.0, None, toy_spectrum, growth_constant=growth)
+
+
+def test_twist_memo_never_serves_a_stale_twist():
+    from zeta_workbench import GammaRep, serialize_length_spectrum
+
+    classes = tuple(
+        GeodesicClass(length=length, angle=angle, word=word)
+        for length, angle, word in ((1.0, 0.7, "a"), (1.3, -2.1, "b"), (1.7, 2.9, "ab"))
+    )
+    spectrum = LengthSpectrum(dimension=3, cutoff=2.0, classes=classes)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    twist_a = GammaRep(dimension=2, images={"a": swap, "b": shear})
+    twist_b = GammaRep(dimension=2, images={"a": shear, "b": swap @ shear})
+
+    def value(spec, chi):
+        return log_zeta(ZetaRequest(s=3.0, k=1.0, spectrum=spec, kind="selberg", chi=chi))
+
+    for chi in (twist_a, twist_b, twist_a):
+        fresh = parse_length_spectrum(serialize_length_spectrum(spectrum))
+        assert value(spectrum, chi) == value(fresh, chi)
+    assert value(spectrum, twist_a) != value(spectrum, twist_b)
