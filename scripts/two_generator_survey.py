@@ -50,10 +50,9 @@ for depth in range(2, MAX_DEPTH + 1):
         pres, EnumerationConfig(max_word_length=depth, length_cutoff=CUTOFF)
     )
     dt = time.monotonic() - t0
-    lengths = [c.length for c in spectrum.classes]
     print(
-        f"{depth:>5} {len(spectrum.classes):>8} {min(lengths):>10.6f} "
-        f"{max(lengths):>10.6f} {dt:>7.2f}"
+        f"{depth:>5} {len(spectrum.classes):>8} {spectrum.length.min():>10.6f} "
+        f"{spectrum.length.max():>10.6f} {dt:>7.2f}"
     )
 
 print()

@@ -10,7 +10,6 @@ by the ZETA_CACHE_DIR environment variable.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import tempfile
@@ -27,6 +26,8 @@ def cache_dir() -> Path:
 
 
 def cache_key(payload: dict) -> str:
+    import hashlib  # here, not at module level: only enumerate keys its output
+
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -213,11 +213,11 @@ def cmd_enumerate(args) -> int:
 
     if args.output:
         _emit(text, args.output)
-    lengths = [c.length for c in spectrum.classes]
+    lengths = spectrum.length
     summary = [
         f"classes: {len(spectrum.classes)}",
-        f"min length: {min(lengths):.12g}" if lengths else "min length: n/a",
-        f"max length: {max(lengths):.12g}" if lengths else "max length: n/a",
+        f"min length: {lengths.min():.12g}" if lengths.size else "min length: n/a",
+        f"max length: {lengths.max():.12g}" if lengths.size else "max length: n/a",
         f"complete up to cutoff: {'no' if spectrum_is_incomplete(spectrum) else 'yes'}",
         f"cache key: {key}",
     ]

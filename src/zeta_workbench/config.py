@@ -6,15 +6,20 @@ file act as defaults; explicit command-line flags always win.
 
 from __future__ import annotations
 
-import configparser
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import SchemaError
+
+if TYPE_CHECKING:
+    import configparser
 
 __all__ = ["load_config", "section_defaults"]
 
 
 def load_config(path: str | Path) -> configparser.ConfigParser:
+    import configparser  # here, not at module level: only --config reads a file
+
     parser = configparser.ConfigParser()
     read = parser.read(str(path))
     if not read:

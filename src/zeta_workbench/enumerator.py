@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolation, NotLoxodromic, SchemaError, UnknownSymbol
-from .spectra import GeodesicClass, LengthSpectrum, _close_pairs, wrap_angle
+from .spectra import ClassColumns, LengthSpectrum, close_pairs, wrap_angle
 
 __all__ = [
     "GroupPresentation",
@@ -214,35 +216,29 @@ def word_matrix(pres: GroupPresentation, word: str) -> np.ndarray:
 # primitivity
 
 
-def primitive_decomposition(
-    classes: list[tuple[float, float, str]],
-) -> list[GeodesicClass]:
+def primitive_decomposition(classes: Iterable[tuple[float, float, str]]) -> ClassColumns:
     """Give each (length, angle, word) class its power multiplicity.
 
     A word w with primitive period p (the first nonzero offset at which w
     occurs in w + w) is the (len(w) / p)-th power of its first p letters, so
-    in a free group its class is that power of a primitive class.
+    in a free group its class is that power of a primitive class.  The
+    classes come back as columns, in the order given.
     """
-    out = []
-    for length, angle, word in classes:
-        n = len(word) // (word + word).find(word, 1)
-        out.append(
-            GeodesicClass(
-                length=length,
-                angle=angle,
-                multiplicity=n,
-                primitive=n == 1,
-                word=word,
-            )
-        )
-    return out
+    length, angle, words = array("d"), array("d"), []
+    for class_length, class_angle, word in classes:
+        length.append(class_length)
+        angle.append(class_angle)
+        words.append(word)
+    return ClassColumns(
+        length, angle, [len(w) // (w + w).find(w, 1) for w in words], words
+    )
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
 
-def _shared_complex_length(classes: list[GeodesicClass]) -> int:
+def _shared_complex_length(classes: ClassColumns) -> int:
     """Count the classes whose (length, angle) lies within _TOLERANCE of a
     class other than itself and its formal inverse.
 
@@ -251,28 +247,23 @@ def _shared_complex_length(classes: list[GeodesicClass]) -> int:
     a relation would identify; nothing is merged on it.  A word with a
     caseless letter has no formal inverse.
     """
-    shared: set[int] = set()
-    for i, j in _close_pairs(classes, _TOLERANCE):
-        inverse, word = classes[i].word[::-1].swapcase(), classes[j].word
+    words = classes.words
+    first, second = close_pairs(classes.length, classes.angle, _TOLERANCE)
+    apart = []
+    for i, j in zip(first, second):
+        inverse, word = words[i][::-1].swapcase(), words[j]
         invertible = all(x != x.swapcase() for x in inverse)
-        if invertible and len(word) == len(inverse) and word in inverse + inverse:
-            continue  # classes[j] is a rotation of the inverse of classes[i]
-        shared.update((i, j))
-    return len(shared)
+        # words[j] may be a rotation of the inverse of words[i]
+        apart.append(not (invertible and len(word) == len(inverse) and word in inverse + inverse))
+    apart = np.array(apart, dtype=bool)
+    shared = np.zeros(len(words), dtype=bool)
+    shared[first[apart]] = shared[second[apart]] = True
+    return int(np.count_nonzero(shared))
 
 
-def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> LengthSpectrum:
-    """Walk reduced prenecklaces depth-first and emit one class per
-    cyclically reduced necklace, carrying each word's matrix down the walk.
-
-    Returns every class found with length <= cfg.length_cutoff among words
-    of at most cfg.max_word_length symbols, with multiplicities and
-    primitivity filled in.  The spectrum source records the configuration,
-    the shared-complex-length count and a completeness heuristic: if the
-    shortest class discovered at the maximal word length is still below the
-    cutoff, longer words would plausibly contribute further classes and the
-    walk is flagged incomplete.
-    """
+def _walk(pres: GroupPresentation, cfg: EnumerationConfig) -> ClassColumns:
+    """The necklace walk: every class below the cutoff, sorted by (length,
+    angle, word), with its multiplicity."""
     mats = dict(zip(pres.names, pres.generators))
     if not pres.includes_inverses:
         mats |= {name.swapcase(): np.linalg.inv(mat) for name, mat in mats.items()}
@@ -285,7 +276,8 @@ def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> Lengt
         if name.swapcase() != name and name.swapcase() in mats
     }
 
-    kept: list[tuple[float, float, str]] = []
+    # the kept classes as columns: Python floats would triple their size
+    lengths, angles, words = array("d"), array("d"), []
     failed: NotLoxodromic | None = None
     # (prenecklace, its matrix, length of its longest Lyndon prefix)
     stack = [(x, mats[x], 1) for x in reversed(letters)]
@@ -304,7 +296,9 @@ def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> Lengt
                     failed = exc
                 continue
             if length <= cfg.length_cutoff:
-                kept.append((length, angle, word))
+                lengths.append(length)
+                angles.append(angle)
+                words.append(word)
         if t == cfg.max_word_length:
             continue
         # a letter below word[t - p] would make a smaller rotation; pushed
@@ -318,22 +312,43 @@ def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> Lengt
     if failed is not None:
         raise failed
 
-    decomposed = primitive_decomposition(kept)
-    decomposed.sort(key=lambda c: (c.length, c.angle, c.word))
+    # the walk meets the words in string order, so a stable sort by length,
+    # then angle, orders the classes by (length, angle, word)
+    order = np.lexsort((angles, lengths))
+    return primitive_decomposition(
+        zip(np.asarray(lengths)[order], np.asarray(angles)[order], (words[i] for i in order))
+    )
 
-    at_max = [c.length for c in decomposed if len(c.word) == cfg.max_word_length]
-    incomplete = bool(at_max) and min(at_max) < cfg.length_cutoff
+
+def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> LengthSpectrum:
+    """Walk reduced prenecklaces depth-first and emit one class per
+    cyclically reduced necklace, carrying each word's matrix down the walk.
+
+    Returns every class found with length <= cfg.length_cutoff among words
+    of at most cfg.max_word_length symbols, with multiplicities and
+    primitivity filled in.  The spectrum source records the configuration,
+    the shared-complex-length count and a completeness heuristic: if the
+    shortest class discovered at the maximal word length is still below the
+    cutoff, longer words would plausibly contribute further classes and the
+    walk is flagged incomplete.
+    """
+    classes = _walk(pres, cfg)
+    shortest_at_max = min(
+        (l for l, w in zip(classes.length, classes.words) if len(w) == cfg.max_word_length),
+        default=None,
+    )
+    incomplete = shortest_at_max is not None and shortest_at_max < cfg.length_cutoff
     parts = [
         "enumerated",
         f"max_word_length={cfg.max_word_length}",
         f"length_cutoff={cfg.length_cutoff:g}",
         f"cutoff_incomplete={str(incomplete).lower()}",
-        f"shared_complex_length={_shared_complex_length(decomposed)}",
+        f"shared_complex_length={_shared_complex_length(classes)}",
     ]
     return LengthSpectrum(
         dimension=3,
         cutoff=cfg.length_cutoff,
-        classes=tuple(decomposed),
+        classes=classes,
         tolerance=_TOLERANCE,
         source="; ".join(parts),
     )

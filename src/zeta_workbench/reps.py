@@ -14,8 +14,10 @@ k != 0 move under it ("case b"); the graded zeta kinds need one.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,18 +111,41 @@ class GammaRep:
         return image
 
 
-def character_chi(chi: GammaRep | None, word: str) -> complex:
-    """Trace of the ordered product of generator images over the word.
+def character_chi(chi: GammaRep | None, word: str | Iterable[str]) -> complex | np.ndarray:
+    """Trace of the ordered product of generator images over a word, or
+    an array of them over a sequence of words.
 
     chi=None means the trivial one-dimensional twist.  The empty word maps
     to the identity, so its character is the representation dimension.
+    The words of a sequence are multiplied out together, grouped by
+    length: from the identity, one stacked product per letter position,
+    left to right, which is the one-word product bit for bit.
     """
+    if isinstance(word, str):
+        return complex(character_chi(chi, [word])[0])
+    words = list(word)
     if chi is None:
-        return 1.0 + 0.0j
-    acc = np.eye(chi.dimension, dtype=complex)
-    for symbol in word:
-        acc = acc @ chi.image_of_symbol(symbol)
-    return complex(np.trace(acc))
+        return np.ones(len(words), dtype=complex)
+    symbols = sorted(chi._by_symbol)
+    code = {symbol: i for i, symbol in enumerate(symbols)}
+    try:
+        coded = [[code[x] for x in w] for w in words]
+    except KeyError:
+        for symbol in itertools.chain.from_iterable(words):
+            chi.image_of_symbol(symbol)  # the first unknown symbol raises
+    images = np.stack([chi._by_symbol[symbol] for symbol in symbols])
+    by_length: dict[int, list[int]] = {}
+    for i, codes in enumerate(coded):
+        by_length.setdefault(len(codes), []).append(i)
+    traces = np.empty(len(words), dtype=complex)
+    identity = np.eye(chi.dimension, dtype=complex)
+    for n, group in by_length.items():
+        letters = np.array([coded[i] for i in group], dtype=int).reshape(len(group), n)
+        acc = np.broadcast_to(identity, (len(group),) + identity.shape)
+        for position in range(n):
+            acc = acc @ images[letters[:, position]]
+        traces[group] = np.trace(acc, axis1=1, axis2=2)
+    return traces
 
 
 def parse_gamma_rep(document: str | dict) -> GammaRep:

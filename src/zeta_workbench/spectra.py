@@ -1,14 +1,18 @@
 """Core domain types: geodesic length spectra and operator spectra.
 
-A length spectrum is a finite list of conjugacy-class records (length,
-holonomy angle, multiplicity, primitivity, optional word) below a stated
-cutoff, together with manifold metadata, and the same classes read once
-into read-only arrays for the class sums.  Operator spectra are finite
+A length spectrum is a finite set of conjugacy classes below a stated
+cutoff, with manifold metadata.  It holds the classes as columns: read-only
+length, angle and multiplicity arrays and a tuple of optional words, which
+the class sums read directly.  The same classes read as GeodesicClass
+records (length, holonomy angle, multiplicity, primitivity, word) through
+LengthSpectrum.classes, built on first access.  Operator spectra are finite
 eigenvalue lists with algebraic multiplicities; eigenvalues are complex
 throughout because the group representation twisting the operator need
 not be unitary.
 
-All types are immutable after construction and validated eagerly.
+All types are immutable after construction and validated eagerly; a
+spectrum's columns are checked as arrays, and every refusal names the
+first offending class.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,6 +28,7 @@ import numpy as np
 from .errors import InvariantViolation, SchemaError
 
 __all__ = [
+    "ClassColumns",
     "GeodesicClass",
     "LengthSpectrum",
     "EigenvalueSpectrum",
@@ -48,6 +54,14 @@ def wrap_angle(theta: float) -> float:
     if y <= -math.pi:
         y += TAU
     return y
+
+
+def angle_gap(delta: np.ndarray) -> np.ndarray:
+    """|wrap_angle(delta)| for an array: the distance to the nearest multiple
+    of 2 pi.  fmod is exact, and so is TAU - r for r >= pi, so this equals
+    abs(math.remainder(delta, TAU)) bit for bit."""
+    r = np.fmod(np.abs(delta), TAU)
+    return np.minimum(r, TAU - r)
 
 
 @dataclass(frozen=True)
@@ -77,48 +91,133 @@ class GeodesicClass:
             )
 
 
+class ClassColumns(Sequence):
+    """A spectrum's classes as columns: read-only length and angle (float)
+    and multiplicity (int) arrays and a tuple of words (str or None).
+
+    As a sequence it yields GeodesicClass records, built on first item
+    access; its length reads the columns.  Equality compares the columns,
+    which is equality of the records.
+    """
+
+    def __init__(self, length, angle, multiplicity, words):
+        # arrays and buffers of the right type are taken over, not copied
+        self.length = np.asarray(length, dtype=float)
+        self.angle = np.asarray(angle, dtype=float)
+        self.multiplicity = np.asarray(multiplicity, dtype=int)
+        for column in (self.length, self.angle, self.multiplicity):
+            column.setflags(write=False)
+        self.words = tuple(words)
+        self._records = None
+
+    @classmethod
+    def of(cls, records) -> "ClassColumns":
+        """The columns of GeodesicClass records, which are kept as they are."""
+        records = tuple(records)
+        columns = cls(
+            [c.length for c in records],
+            [c.angle for c in records],
+            [c.multiplicity for c in records],
+            [c.word for c in records],
+        )
+        columns._records = records
+        return columns
+
+    def _built(self) -> tuple[GeodesicClass, ...]:
+        if self._records is None:
+            self._records = tuple(
+                GeodesicClass(length, angle, n, n == 1, word)
+                for length, angle, n, word in zip(
+                    self.length.tolist(),
+                    self.angle.tolist(),
+                    self.multiplicity.tolist(),
+                    self.words,
+                )
+            )
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ClassColumns):
+            return NotImplemented
+        return (
+            self.words == other.words
+            and np.array_equal(self.length, other.length)
+            and np.array_equal(self.angle, other.angle)
+            and np.array_equal(self.multiplicity, other.multiplicity)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.words)
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
 @dataclass(frozen=True)
 class LengthSpectrum:
-    """Finite list of geodesic classes with length <= cutoff, plus metadata.
+    """Finite set of geodesic classes with length <= cutoff, plus metadata.
 
-    length, angle and multiplicity hold the classes' fields as read-only
-    arrays, built once; twist_memo is where zeta.chi_trace keeps the traces
-    of the last twist read over the class words.
+    classes takes GeodesicClass records or ClassColumns and holds
+    ClassColumns; length, angle, multiplicity and words are its columns.
+    memo is where zeta.py keeps the twist traces and class weights it last
+    computed on this spectrum.
     """
 
     dimension: int
     cutoff: float
-    classes: tuple[GeodesicClass, ...]
+    classes: Sequence[GeodesicClass]
     tolerance: float = 1e-9
     volume: float | None = None
     source: str = ""
     length: np.ndarray = field(init=False, repr=False, compare=False)
     angle: np.ndarray = field(init=False, repr=False, compare=False)
     multiplicity: np.ndarray = field(init=False, repr=False, compare=False)
-    twist_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    words: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
+        columns = self.classes
+        if not isinstance(columns, ClassColumns):
+            columns = ClassColumns.of(columns)
+            object.__setattr__(self, "classes", columns)
+        for name in ("length", "angle", "multiplicity", "words"):
+            object.__setattr__(self, name, getattr(columns, name))
         _validate_spectrum(self)
-        for name in ("length", "angle", "multiplicity"):
-            arr = np.array([getattr(c, name) for c in self.classes], dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     def with_volume(self, volume: float) -> "LengthSpectrum":
         return replace(self, volume=volume)
 
 
-def _close_pairs(classes, tol: float):
-    """Yield the index pairs i < j of length-sorted classes whose lengths
-    and angles agree within tol."""
-    for i, a in enumerate(classes):
-        for j in range(i + 1, len(classes)):
-            b = classes[j]
-            if b.length - a.length > tol:
-                break
-            if abs(wrap_angle(b.angle - a.angle)) <= tol:
-                yield i, j
+def close_pairs(length: np.ndarray, angle: np.ndarray, tol: float):
+    """Index arrays (i, j), i < j, of the length-sorted classes whose lengths
+    and angles agree within tol, in no particular order.
+
+    Class i is paired with the classes after it up to the first one more
+    than tol longer; offset d = j - i is one vectorised pass, and the sweep
+    stops at the first offset where no class has a close enough partner.
+    """
+    firsts, seconds = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    reach = np.arange(len(length))  # classes whose run of close lengths goes on
+    d = 1
+    while True:
+        reach = reach[reach + d < len(length)]
+        reach = reach[length[reach + d] - length[reach] <= tol]
+        if not reach.size:
+            break
+        i = reach[angle_gap(angle[reach + d] - angle[reach]) <= tol]
+        firsts.append(i)
+        seconds.append(i + d)
+        d += 1
+    return np.concatenate(firsts), np.concatenate(seconds)
 
 
 def _validate_spectrum(spec: LengthSpectrum) -> None:
@@ -131,46 +230,59 @@ def _validate_spectrum(spec: LengthSpectrum) -> None:
     if spec.volume is not None and not (spec.volume > 0):
         raise InvariantViolation(f"volume must be positive, got {spec.volume}")
 
-    tol = spec.tolerance
-    prev = 0.0
-    for i, c in enumerate(spec.classes):
-        if c.length > spec.cutoff + tol:
+    tol, length, angle = spec.tolerance, spec.length, spec.angle
+    # the longest class before each one (0 before the first)
+    prev = np.maximum.accumulate(np.concatenate(([0.0], length)))[:-1]
+    above = length > spec.cutoff + tol
+    bad = np.flatnonzero(above | (length < prev - tol))
+    if bad.size:
+        i = int(bad[0])
+        if above[i]:
             raise InvariantViolation(
-                f"class {i} has length {c.length} above cutoff {spec.cutoff}"
+                f"class {i} has length {float(length[i])} above cutoff {spec.cutoff}"
             )
-        if c.length < prev - tol:
-            raise InvariantViolation(f"classes not sorted by length (index {i})")
-        prev = max(prev, c.length)
+        raise InvariantViolation(f"classes not sorted by length (index {i})")
 
     # Duplicate (length, angle) pairs are allowed only when the classes carry
     # distinct words: a class and its inverse share both invariants yet are
     # distinct conjugacy classes.
-    for i, j in _close_pairs(spec.classes, tol):
-        a, b = spec.classes[i], spec.classes[j]
-        if a.word is None or b.word is None or a.word == b.word:
-            raise InvariantViolation(
-                f"classes {i} and {j} duplicate (length, angle) "
-                f"({a.length}, {a.angle}) without distinguishing words"
-            )
-
-    # Every n-th power class must have its primitive root present.
-    for i, c in enumerate(spec.classes):
-        n = c.multiplicity
-        if n == 1:
-            continue
-        root_len = c.length / n
-        if root_len > spec.cutoff + tol:
-            continue
-        found = any(
-            abs(r.length - root_len) <= tol
-            and abs(wrap_angle(n * r.angle - c.angle)) <= tol * n + 1e-12
-            for r in spec.classes
+    i, j = close_pairs(length, angle, tol)
+    words = np.array(spec.words, dtype=object)
+    first, second = words[i], words[j]
+    bad = np.equal(first, None) | np.equal(second, None) | (first == second)
+    if bad.any():
+        i, j = min(zip(i[bad].tolist(), j[bad].tolist()))
+        raise InvariantViolation(
+            f"classes {i} and {j} duplicate (length, angle) "
+            f"({float(length[i])}, {float(angle[i])}) without distinguishing words"
         )
-        if not found:
-            raise InvariantViolation(
-                f"class {i} has multiplicity {n} but no root class of length "
-                f"{root_len:.12g} with compatible angle is present"
-            )
+
+    # Every n-th power class must have its primitive root present.  The
+    # lengths are sorted up to tol, so their running maximum bounds a window
+    # of candidate roots that searchsorted finds; the exact test runs on it.
+    powers = np.flatnonzero(spec.multiplicity > 1)
+    n = spec.multiplicity[powers]
+    root_len = length[powers] / n
+    needed = root_len <= spec.cutoff + tol
+    powers, n, root_len = powers[needed], n[needed], root_len[needed]
+    top = np.maximum.accumulate(length)
+    pad = 2.0 * tol + 1e-12 * root_len  # rounding room; the window only widens
+    lo = np.searchsorted(top, root_len - pad, "left")
+    hi = np.searchsorted(top, root_len + tol + pad, "right")
+    found = np.zeros(len(powers), dtype=bool)
+    for d in range(int(np.max(hi - lo, initial=0))):
+        r = np.minimum(lo + d, len(length) - 1)
+        found |= (
+            (lo + d < hi)
+            & (np.abs(length[r] - root_len) <= tol)
+            & (angle_gap(n * angle[r] - angle[powers]) <= tol * n + 1e-12)
+        )
+    if not found.all():
+        k = int(np.argmin(found))
+        raise InvariantViolation(
+            f"class {int(powers[k])} has multiplicity {int(n[k])} but no root class of length "
+            f"{float(root_len[k]):.12g} with compatible angle is present"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +374,89 @@ def _require(doc: dict, key: str, types, where: str):
 
 
 _CLASS_FIELDS = {"length", "angle", "multiplicity", "primitive", "word"}
+_MISSING = object()
+
+
+def _misfits(values: list, types: tuple) -> list[bool]:
+    """Per value, whether it lies outside types, bool counting as a number
+    only where types name it.  One set of the exact types settles the
+    common case of a clean column."""
+    if set(map(type, values)) <= set(types):
+        return []
+    return [
+        not isinstance(v, types) or (isinstance(v, bool) and bool not in types)
+        for v in values
+    ]
+
+
+def _class_columns(raw: list, first: int = 0) -> ClassColumns:
+    """Read the class objects into columns, one check per field across
+    all classes, and refuse the document at the first check that fails.
+
+    The classes are numbered from first.  The checks run in the order
+    object, fields, length, angle, multiplicity, primitive, word, then the
+    GeodesicClass invariants, so a single class is refused as a per-class
+    reader refuses it.
+    """
+
+    def refuse(flags, error) -> None:
+        hits = np.flatnonzero(np.asarray(flags, dtype=bool))
+        if hits.size:
+            raise error(int(hits[0]))
+
+    def schema(message):
+        return lambda i: SchemaError(f"class {first + i}: {message(i)}")
+
+    refuse([not isinstance(rc, dict) for rc in raw], schema(lambda i: "must be an object"))
+    if not set().union(*raw) <= _CLASS_FIELDS:
+        refuse(
+            [not _CLASS_FIELDS.issuperset(rc) for rc in raw],
+            schema(lambda i: f"unknown field {min(set(raw[i]) - _CLASS_FIELDS)!r}"),
+        )
+    numbers = []
+    for key in ("length", "angle"):
+        values = [rc.get(key, _MISSING) for rc in raw]
+        refuse(
+            _misfits(values, (int, float)),
+            schema(
+                lambda i: f"missing field {key!r}"
+                if values[i] is _MISSING
+                else f"field {key!r} has wrong type {type(values[i]).__name__}"
+            ),
+        )
+        numbers.append(values)
+    mult = [rc.get("multiplicity", 1) for rc in raw]
+    refuse(_misfits(mult, (int,)), schema(lambda i: "field 'multiplicity' must be an integer"))
+    if mult and not -(2**63) < min(mult) <= max(mult) < 2**63:  # the column is int64
+        refuse(
+            [not -(2**63) < n < 2**63 for n in mult],
+            schema(lambda i: "field 'multiplicity' is out of range"),
+        )
+    primitive = [rc.get("primitive", n == 1) for rc, n in zip(raw, mult)]
+    refuse(_misfits(primitive, (bool,)), schema(lambda i: "field 'primitive' must be a boolean"))
+    words = [rc.get("word") for rc in raw]
+    refuse(
+        _misfits(words, (str, type(None))),
+        schema(lambda i: "field 'word' must be a string or null"),
+    )
+
+    length, angle = numbers
+    columns = ClassColumns(length, angle, mult, words)
+    n = columns.multiplicity
+    # the faulty class's record raises the refusal in its own words
+    refuse(
+        ~(columns.length > 0) | (n < 1) | (np.array(primitive, dtype=bool) != (n == 1)),
+        lambda i: GeodesicClass(float(length[i]), float(angle[i]), mult[i], primitive[i]),
+    )
+    return columns
 
 
 def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
     """Parse and validate a length-spectrum JSON document.
 
     Accepts the JSON text or an already-decoded dict.  The dimension must
-    be 3, and a class carrying a field outside the schema is refused.
+    be 3, and a class carrying a field outside the schema is refused.  The
+    classes are read field by field into ClassColumns; no record is built.
     """
     if isinstance(document, str):
         try:
@@ -300,39 +488,18 @@ def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
         raise SchemaError("spectrum: field 'source' must be a string")
     raw_classes = _require(doc, "classes", list, "spectrum")
 
-    classes = []
-    for i, rc in enumerate(raw_classes):
-        if not isinstance(rc, dict):
-            raise SchemaError(f"class {i}: must be an object")
-        where = f"class {i}"
-        unknown = sorted(set(rc) - _CLASS_FIELDS)
-        if unknown:
-            raise SchemaError(f"{where}: unknown field {unknown[0]!r}")
-        length = float(_require(rc, "length", (int, float), where))
-        angle = float(_require(rc, "angle", (int, float), where))
-        mult = rc.get("multiplicity", 1)
-        if isinstance(mult, bool) or not isinstance(mult, int):
-            raise SchemaError(f"{where}: field 'multiplicity' must be an integer")
-        primitive = rc.get("primitive", mult == 1)
-        if not isinstance(primitive, bool):
-            raise SchemaError(f"{where}: field 'primitive' must be a boolean")
-        word = rc.get("word")
-        if word is not None and not isinstance(word, str):
-            raise SchemaError(f"{where}: field 'word' must be a string or null")
-        classes.append(
-            GeodesicClass(
-                length=length,
-                angle=angle,
-                multiplicity=mult,
-                primitive=primitive,
-                word=word,
-            )
-        )
-
+    try:
+        classes = _class_columns(raw_classes)
+    except (SchemaError, InvariantViolation):
+        # the first faulty class, read alone, names the fault that a
+        # class-by-class reading meets first
+        for i, rc in enumerate(raw_classes):
+            _class_columns([rc], first=i)
+        raise
     return LengthSpectrum(
         dimension=dimension,
         cutoff=cutoff,
-        classes=tuple(classes),
+        classes=classes,
         tolerance=tolerance,
         volume=volume,
         source=source,
@@ -342,25 +509,31 @@ def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
 def serialize_length_spectrum(spec: LengthSpectrum) -> str:
     """Emit the JSON document as `enumerate` writes it: sorted keys on one
     line (an indent would force json onto its pure-Python encoder) and a
-    final newline; parse(serialize(x)) == x field for field."""
-    doc = {
-        "dimension": spec.dimension,
-        "cutoff": spec.cutoff,
-        "tolerance": spec.tolerance,
-        "volume": spec.volume,
-        "source": spec.source,
-        "classes": [
-            {
-                "length": c.length,
-                "angle": c.angle,
-                "multiplicity": c.multiplicity,
-                "primitive": c.primitive,
-                "word": c.word,
-            }
-            for c in spec.classes
-        ],
-    }
-    return json.dumps(doc, sort_keys=True) + "\n"
+    final newline; parse(serialize(x)) == x field for field.
+
+    Each class is encoded on its own, so no object per class outlives its
+    text; "classes" is the first key in sorted order, so the joined text
+    is that of one dump of the whole document.
+    """
+    encode = json.JSONEncoder(sort_keys=True).encode
+    classes = ", ".join(
+        encode(
+            {"length": length, "angle": angle, "multiplicity": n, "primitive": n == 1, "word": word}
+        )
+        for length, angle, n, word in zip(
+            spec.length.tolist(), spec.angle.tolist(), spec.multiplicity.tolist(), spec.words
+        )
+    )
+    rest = encode(
+        {
+            "dimension": spec.dimension,
+            "cutoff": spec.cutoff,
+            "tolerance": spec.tolerance,
+            "volume": spec.volume,
+            "source": spec.source,
+        }
+    )
+    return '{"classes": [' + classes + "], " + rest[1:] + "\n"
 
 
 def parse_eigenvalue_spectrum(document: str | dict, kind: str = "dirac") -> EigenvalueSpectrum:

@@ -20,10 +20,12 @@ and both vanish as Re(s) grows, which pins the integration constant.
 The symmetrized, super and super-Ruelle variants are the sums and
 differences of the base sums at k and at its sign flip -k.
 
-A spectrum carries its classes as arrays, and chi_trace reads a twist
-over the class words once per (spectrum, twist).  Every geodesic sum,
-here and in traces.py, is then one kernel, class_sum: the per-class
-weights of class_weights dotted with exp(-s l) or exp(-l^2/4t), one grid
+A spectrum carries its classes as columns.  chi_trace reads a twist over
+all the class words in one batched character_chi call, once per
+(spectrum, twist), and class_weights computes the per-class weights once
+per (spectrum, twist, k, kind shape); the spectrum keeps the last of
+each.  Every geodesic sum, here and in traces.py, is then one kernel,
+class_sum: those weights dotted with exp(-s l) or exp(-l^2/4t), one grid
 point at a time.
 
 Sums are only evaluated above a model-based convergence abscissa derived
@@ -82,24 +84,24 @@ KINDS = tuple(_SHAPES)
 def chi_trace(spectrum: LengthSpectrum, chi: GammaRep | None) -> np.ndarray:
     """Trace of chi over each class word; ones without a twist.
 
-    The spectrum keeps the traces of the last twist it was read under,
-    keyed by the twist's identity: both are immutable, so a grid of sums
-    under one twist reads the words once.
+    One batched character_chi call reads every class word.  The spectrum
+    keeps the traces of the last twist it was read under, keyed by the
+    twist's identity: both are immutable, so a grid of sums under one
+    twist reads the words once.
     """
     if chi is None:
-        return np.ones(len(spectrum.classes), dtype=complex)
-    memo = spectrum.twist_memo
+        return np.ones(len(spectrum.words), dtype=complex)
+    memo = spectrum.memo.get("chi")
     if memo is not None and memo[0] is chi:
         return memo[1]
-    classes = spectrum.classes
-    missing = [i for i, c in enumerate(classes) if c.word is None]
-    if missing:
+    if None in spectrum.words:
         raise InvariantViolation(
-            f"class {missing[0]} carries no word; a nontrivial twist needs words"
+            f"class {spectrum.words.index(None)} carries no word; "
+            "a nontrivial twist needs words"
         )
-    trace = np.array([character_chi(chi, c.word) for c in classes], dtype=complex)
+    trace = character_chi(chi, spectrum.words)
     trace.setflags(write=False)
-    object.__setattr__(spectrum, "twist_memo", (chi, trace))
+    spectrum.memo["chi"] = (chi, trace)
     return trace
 
 
@@ -107,13 +109,25 @@ def class_weights(
     spectrum: LengthSpectrum, chi: GammaRep | None, k: float, sign: int, selberg_type: bool
 ) -> np.ndarray:
     """trchi * (exp(i k theta) + sign * exp(-i k theta)) / n per class,
-    times exp(-rho l) / det(Id - Ad|nbar) for the Selberg-type sums."""
+    times exp(-rho l) / det(Id - Ad|nbar) for the Selberg-type sums.
+
+    The spectrum keeps the last weights it gave, read-only, keyed by the
+    twist's identity, k and the kind's shape, so a grid of sums computes
+    them once.  The key spells k in hex, which tells -0.0 from 0.0: their
+    characters differ in the sign of a zero.
+    """
+    key = (float(k).hex(), sign, selberg_type)
+    memo = spectrum.memo.get("weights")
+    if memo is not None and memo[0] is chi and memo[1] == key:
+        return memo[2]
     trsigma = character_sigma(k, spectrum.angle)
     if sign:
         trsigma = trsigma + sign * character_sigma(-k, spectrum.angle)
     w = chi_trace(spectrum, chi) * trsigma / spectrum.multiplicity
     if selberg_type:
         w *= np.exp(-RHO * spectrum.length) / ad_nbar_det(spectrum.length, spectrum.angle)
+    w.setflags(write=False)
+    spectrum.memo["weights"] = (chi, key, w)
     return w
 
 

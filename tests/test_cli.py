@@ -310,21 +310,22 @@ def test_twisted_commands_compute_each_chi_trace_once(tmp_path, capsys, monkeypa
         {"dimension": 2, "images": {"a": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
                                     "b": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}},
     )
-    words = []
+    # one batched call per command reads every class word once
+    calls = []
     traced = zeta.character_chi
 
-    def counting(chi_rep, word):
-        words.append(word)
-        return traced(chi_rep, word)
+    def counting(chi_rep, words):
+        calls.append(sorted(words))
+        return traced(chi_rep, words)
 
     monkeypatch.setattr(zeta, "character_chi", counting)
     assert main(["zeta", "--spectrum", spec, "--chi", chi, "--kind", "super", "--sigma", "1",
                  "--s-start", "3", "0", "--s-stop", "4", "1", "--s-count", "7"]) == 0
-    assert sorted(words) == ["a", "ab", "b"]
-    words.clear()
+    assert calls == [["a", "ab", "b"]]
+    calls.clear()
     assert main(["trace", "--spectrum", spec, "--chi", chi, "--sigma", "1",
                  "--t", "0.5", "--t", "1.0", "--t", "2.0"]) == 0
-    assert sorted(words) == ["a", "ab", "b"]
+    assert calls == [["a", "ab", "b"]]
 
 
 def test_zeta_output_file_keeps_stdout_quiet(tmp_path, capsys):
@@ -625,3 +626,33 @@ def test_no_subcommand_loads_scipy(tmp_path):
         env=env, capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+STDLIB_PROBE = """
+import json, sys
+import zeta_workbench.cli as cli
+spec, chi, out = sys.argv[1:4]
+assert cli.main(["zeta", "--spectrum", spec, "--chi", chi, "--sigma", "1", "--s-start", "3",
+                 "0", "--s-stop", "4", "0", "--s-count", "5", "--output", out + ".zeta"]) == 0
+assert cli.main(["trace", "--spectrum", spec, "--sigma", "1", "--order", "second",
+                 "--t", "0.5", "--t", "2.0", "--output", out + ".trace"]) == 0
+print(json.dumps(sorted(m for m in ("hashlib", "configparser") if m in sys.modules)))
+"""
+
+
+def test_zeta_and_trace_never_load_hashlib_or_configparser(tmp_path):
+    # only a cache key needs hashlib and only --config needs configparser
+    spec = worded_spectrum_path(tmp_path)
+    chi = write_json(
+        tmp_path,
+        "chi.json",
+        {"dimension": 2, "images": {"a": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+                                    "b": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}},
+    )
+    env = dict(os.environ, ZETA_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", STDLIB_PROBE, spec, chi, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == []

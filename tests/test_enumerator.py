@@ -174,6 +174,17 @@ def test_free_group_enumeration(free_two_generator):
         assert angle == pytest.approx(cls.angle, abs=1e-9)
 
 
+def test_classes_come_sorted_by_length_angle_word(free_two_generator):
+    # many classes tie exactly in (length, angle), so the word decides
+    spectrum = enumerate_spectrum(
+        free_two_generator, EnumerationConfig(max_word_length=7, length_cutoff=30.0)
+    )
+    keys = list(zip(spectrum.length.tolist(), spectrum.angle.tolist(), spectrum.words))
+    ties = sum(a[:2] == b[:2] for a, b in zip(keys, keys[1:]))
+    assert ties > 10
+    assert keys == sorted(keys)
+
+
 def test_free_group_counts_conjugates_once(free_two_generator):
     config = EnumerationConfig(max_word_length=3, length_cutoff=20.0)
     spectrum = enumerate_spectrum(free_two_generator, config)

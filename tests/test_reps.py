@@ -193,3 +193,42 @@ def test_gamma_rep_round_trip():
         np.testing.assert_allclose(back.image_of_symbol(name), chi.image_of_symbol(name))
     with pytest.raises(SchemaError):
         parse_gamma_rep({"dimension": 2})
+
+
+def _random_twist(rng, unitary: bool) -> GammaRep:
+    images = {}
+    for name in "ab":
+        z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        if unitary:
+            q, r = np.linalg.qr(z)
+            z = q * (np.diag(r) / np.abs(np.diag(r)))
+        images[name] = z
+    return GammaRep(dimension=3, images=images)
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_batched_character_chi_is_the_per_word_product(unitary):
+    rng = np.random.default_rng(12 if unitary else 13)
+    chi = _random_twist(rng, unitary)
+    words = [""] + [
+        "".join(rng.choice(list("aAbB"), size=rng.integers(1, 11))) for _ in range(400)
+    ]
+    expected = []
+    for word in words:
+        acc = np.eye(3, dtype=complex)
+        for symbol in word:
+            acc = acc @ chi.image_of_symbol(symbol)
+        expected.append(np.trace(acc))
+    batched = character_chi(chi, words)
+    assert batched.shape == (len(words),)
+    assert np.array_equal(batched, np.array(expected))
+    assert [character_chi(chi, w) for w in words[:20]] == expected[:20]
+    assert np.array_equal(character_chi(None, words), np.ones(len(words)))
+
+
+def test_batched_character_chi_names_an_unknown_letter():
+    chi = _random_twist(np.random.default_rng(14), True)
+    with pytest.raises(UnknownSymbol, match="'x'"):
+        character_chi(chi, ["ab", "aBxb", "Ay"])
+    with pytest.raises(UnknownSymbol, match="'x'"):
+        character_chi(chi, "abx")

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from zeta_workbench import (
     LaplaceSpectrum,
     LengthSpectrum,
     SchemaError,
+    WorkbenchError,
     parse_eigenvalue_spectrum,
     parse_length_spectrum,
     serialize_eigenvalue_spectrum,
@@ -200,3 +203,211 @@ def test_super_multiplicity_is_odd_function(entries):
     dirac = DiracSpectrum(entries=tuple((complex(e), m) for e, m in entries))
     for ev, _ in dirac.entries:
         assert super_multiplicity(dirac, ev) == -super_multiplicity(dirac, -ev)
+
+
+# the columnwise parser against the per-class one ---------------------------
+
+_ORACLE_FIELDS = {"length", "angle", "multiplicity", "primitive", "word"}
+
+
+def _oracle_require(doc, key, types, where):
+    if key not in doc:
+        raise SchemaError(f"{where}: missing field {key!r}")
+    val = doc[key]
+    if not isinstance(val, types):
+        raise SchemaError(f"{where}: field {key!r} has wrong type {type(val).__name__}")
+    if isinstance(val, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
+        raise SchemaError(f"{where}: field {key!r} has wrong type bool")
+    return val
+
+
+def oracle_parse_classes(doc):
+    """The per-class parser and validator the columns replaced: one
+    GeodesicClass per class, each check a loop over the records."""
+    classes = []
+    for i, rc in enumerate(doc["classes"]):
+        if not isinstance(rc, dict):
+            raise SchemaError(f"class {i}: must be an object")
+        where = f"class {i}"
+        unknown = sorted(set(rc) - _ORACLE_FIELDS)
+        if unknown:
+            raise SchemaError(f"{where}: unknown field {unknown[0]!r}")
+        length = float(_oracle_require(rc, "length", (int, float), where))
+        angle = float(_oracle_require(rc, "angle", (int, float), where))
+        mult = rc.get("multiplicity", 1)
+        if isinstance(mult, bool) or not isinstance(mult, int):
+            raise SchemaError(f"{where}: field 'multiplicity' must be an integer")
+        primitive = rc.get("primitive", mult == 1)
+        if not isinstance(primitive, bool):
+            raise SchemaError(f"{where}: field 'primitive' must be a boolean")
+        word = rc.get("word")
+        if word is not None and not isinstance(word, str):
+            raise SchemaError(f"{where}: field 'word' must be a string or null")
+        classes.append(GeodesicClass(length, angle, mult, primitive, word))
+
+    cutoff, tol = float(doc["cutoff"]), doc.get("tolerance", 1e-9)
+    prev = 0.0
+    for i, c in enumerate(classes):
+        if c.length > cutoff + tol:
+            raise InvariantViolation(f"class {i} has length {c.length} above cutoff {cutoff}")
+        if c.length < prev - tol:
+            raise InvariantViolation(f"classes not sorted by length (index {i})")
+        prev = max(prev, c.length)
+    for i, a in enumerate(classes):
+        for j in range(i + 1, len(classes)):
+            b = classes[j]
+            if b.length - a.length > tol:
+                break
+            if abs(wrap_angle(b.angle - a.angle)) <= tol and (
+                a.word is None or b.word is None or a.word == b.word
+            ):
+                raise InvariantViolation(
+                    f"classes {i} and {j} duplicate (length, angle) "
+                    f"({a.length}, {a.angle}) without distinguishing words"
+                )
+    for i, c in enumerate(classes):
+        n = c.multiplicity
+        root_len = c.length / n
+        if n == 1 or root_len > cutoff + tol:
+            continue
+        if not any(
+            abs(r.length - root_len) <= tol
+            and abs(wrap_angle(n * r.angle - c.angle)) <= tol * n + 1e-12
+            for r in classes
+        ):
+            raise InvariantViolation(
+                f"class {i} has multiplicity {n} but no root class of length "
+                f"{root_len:.12g} with compatible angle is present"
+            )
+    return tuple(classes)
+
+
+def seeded_document(rng):
+    """A valid document: primitive classes, some worded, some sharing a
+    (length, angle) with a partner of another word, and powers of a few
+    with their roots present."""
+    classes = []
+    for index in range(rng.randint(8, 30)):
+        length, angle = rng.uniform(0.3, 3.0), rng.uniform(-math.pi, math.pi)
+        word = "".join(rng.choice("aAbB") for _ in range(8)) + str(index)
+        classes.append({"length": length, "angle": angle, "word": word})
+        if rng.random() < 0.3:
+            classes.append({"length": length, "angle": angle, "word": word.swapcase()})
+        elif rng.random() < 0.3:
+            del classes[-1]["word"]
+        if rng.random() < 0.3:
+            n = rng.randint(2, 3)
+            classes.append(
+                {"length": n * length, "angle": wrap_angle(n * angle),
+                 "multiplicity": n, "primitive": False}
+            )
+    classes.sort(key=lambda c: c["length"])
+    return {"dimension": 3, "cutoff": classes[-1]["length"] + 0.5, "classes": classes}
+
+
+def _corrupt(rng, doc, fault):
+    """Put one fault of the given kind into a copy of doc; the class is
+    drawn at random among those it can apply to."""
+    doc = json.loads(json.dumps(doc))
+    classes = doc["classes"]
+    i = rng.randrange(len(classes))
+    c = classes[i]
+    if fault == "non-object":
+        classes[i] = rng.choice([[1.0, 0.5], "class", 7, None])
+    elif fault == "unknown field":
+        c[rng.choice(["colour", "Length", "zeta"])] = 1
+    elif fault in ("missing length", "missing angle"):
+        del c[fault.split()[1]]
+    elif fault == "bool multiplicity":
+        c["multiplicity"] = rng.choice([True, False])
+    elif fault == "non-bool primitive":
+        c["primitive"] = rng.choice([1, 0, "yes", None])
+    elif fault == "non-string word":
+        c["word"] = rng.choice([7, 1.5, ["a"], True])
+    elif fault == "nonpositive length":
+        c["length"] = rng.choice([0, 0.0, -1.5])
+    elif fault == "primitive mismatch":
+        c["primitive"] = c.get("multiplicity", 1) != 1
+    elif fault == "above cutoff":
+        classes[-1]["length"] = doc["cutoff"] + 1e-6
+    elif fault == "unsorted":
+        classes.insert(i, dict(classes[-1], word="late"))
+    elif fault == "duplicate without words":
+        twin = dict(c)
+        if "word" in twin and rng.random() < 0.5:
+            del twin["word"]  # otherwise the twin repeats the word, or both lack one
+        classes.insert(i + 1, twin)
+    elif fault == "missing root":
+        powers = [p for p in classes if p.get("multiplicity", 1) > 1]
+        if not powers:
+            return None
+        power = rng.choice(powers)
+        doc["classes"] = [
+            r for r in classes
+            if abs(r["length"] * power["multiplicity"] - power["length"]) > 1e-9
+        ]
+    return doc
+
+
+FAULTS = (
+    "non-object", "unknown field", "missing length", "missing angle",
+    "bool multiplicity", "non-bool primitive", "non-string word",
+    "nonpositive length", "primitive mismatch", "above cutoff", "unsorted",
+    "duplicate without words", "missing root",
+)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_columnwise_parse_refuses_as_the_per_class_parser(fault):
+    rng = random.Random(f"columns:{fault}")
+    refused = 0
+    for _ in range(25):
+        doc = _corrupt(rng, seeded_document(rng), fault)
+        if doc is None:
+            continue
+        with pytest.raises(WorkbenchError) as expected:
+            oracle_parse_classes(doc)
+        with pytest.raises(type(expected.value)) as got:
+            parse_length_spectrum(doc)
+        assert str(got.value) == str(expected.value)
+        refused += 1
+    assert refused >= 10
+
+
+def test_columnwise_parse_reads_as_the_per_class_parser():
+    rng = random.Random("columns:valid")
+    for _ in range(25):
+        doc = seeded_document(rng)
+        records = oracle_parse_classes(doc)
+        spectrum = parse_length_spectrum(doc)
+        assert np.array_equal(spectrum.length, [c.length for c in records])
+        assert np.array_equal(spectrum.angle, [c.angle for c in records])
+        assert np.array_equal(spectrum.multiplicity, [c.multiplicity for c in records])
+        assert spectrum.words == tuple(c.word for c in records)
+        assert len(spectrum.classes) == len(records)
+        assert tuple(spectrum.classes) == records
+        assert spectrum == LengthSpectrum(3, spectrum.cutoff, records)
+
+
+def test_columnwise_parse_refuses_the_first_of_two_faulty_classes():
+    # the columns are checked field by field, yet a later class with an
+    # earlier-checked fault must not hide an earlier class
+    rng = random.Random("columns:two faults")
+    for _ in range(60):
+        doc = seeded_document(rng)
+        for fault in rng.sample(FAULTS[:9], 2):
+            doc = _corrupt(rng, doc, fault)
+        with pytest.raises(WorkbenchError) as expected:
+            oracle_parse_classes(doc)
+        with pytest.raises(type(expected.value)) as got:
+            parse_length_spectrum(doc)
+        assert str(got.value) == str(expected.value)
+
+
+def test_parse_refuses_a_multiplicity_beyond_64_bits():
+    doc = {"dimension": 3, "cutoff": 2.0, "classes": [
+        {"length": 1.0, "angle": 0.5},
+        {"length": 1.5, "angle": 0.5, "multiplicity": 2**70, "primitive": False},
+    ]}
+    with pytest.raises(SchemaError, match="class 1: field 'multiplicity' is out of range"):
+        parse_length_spectrum(doc)

@@ -294,3 +294,45 @@ def test_twist_memo_never_serves_a_stale_twist():
         fresh = parse_length_spectrum(serialize_length_spectrum(spectrum))
         assert value(spectrum, chi) == value(fresh, chi)
     assert value(spectrum, twist_a) != value(spectrum, twist_b)
+
+
+def test_weight_memo_serves_only_its_own_twist_weight_and_kind():
+    from zeta_workbench import GammaRep, serialize_length_spectrum
+    from zeta_workbench.zeta import chi_trace, class_weights
+
+    classes = tuple(
+        GeodesicClass(length=length, angle=angle, word=word)
+        for length, angle, word in ((1.0, 0.7, "a"), (1.3, -2.1, "b"), (1.7, 2.9, "ab"))
+    )
+    spectrum = LengthSpectrum(dimension=3, cutoff=2.0, classes=classes)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    twist_a = GammaRep(dimension=2, images={"a": swap, "b": shear})
+    twist_b = GammaRep(dimension=2, images={"a": shear, "b": swap @ shear})
+
+    def value(spec, chi, k, kind):
+        return log_zeta(ZetaRequest(s=3.0, k=k, spectrum=spec, kind=kind, chi=chi))
+
+    sequence = [
+        (twist_a, 1.0, "selberg"),
+        (twist_a, 2.0, "super"),
+        (twist_b, 1.0, "selberg"),
+        (twist_a, 1.0, "selberg"),
+    ]
+    seen = []
+    for chi, k, kind in sequence:
+        fresh = parse_length_spectrum(serialize_length_spectrum(spectrum))
+        got = value(spectrum, chi, k, kind)
+        assert got == value(fresh, chi, k, kind)
+        seen.append(got.value)
+    assert len(set(seen[:3])) == 3 and seen[3] == seen[0]
+
+    # the weights and traces handed out are read-only, so no caller can
+    # change a later sum through them
+    before = value(spectrum, twist_a, 1.0, "selberg")
+    handed = (class_weights(spectrum, twist_a, 1.0, 0, True), chi_trace(spectrum, twist_a))
+    for handed_out in handed:
+        assert not handed_out.flags.writeable
+        with pytest.raises(ValueError):
+            handed_out[0] = 0.0
+    assert value(spectrum, twist_a, 1.0, "selberg") == before
