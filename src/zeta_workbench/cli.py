@@ -5,8 +5,16 @@ Subcommands: enumerate, zeta, trace, verify, continue, report.
 Exit codes are a stable contract: 0 success, 2 input parse/schema error,
 3 non-loxodromic generator or word, 4 evaluation outside the convergence
 region, 5 verification failure, 6 graded-parity violation, 7 grid point
-at or too close to a catalogued singularity. Commands are deterministic
+at or too close to a catalogued singularity, 1 any other workbench error.
+A failing check raises a WorkbenchError, whose class carries its code as
+exit_code; a suite that fails returns 5. Commands are deterministic
 given (inputs, config, seed); repeated runs emit byte-identical output.
+
+The parser is the one schema of the options: each flag declares its
+type, count, choices and default. A --config INI file has one section
+per subcommand, whose values pass their flags' own checks and then
+become that subcommand's defaults, so flags given on the command line
+win.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ import sys
 from pathlib import Path
 
 from . import cache
-from .config import load_config, section_defaults
 from .continuation import (
     continued_super_logderiv,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     log_zeta_by_path,
@@ -31,17 +38,10 @@ from .enumerator import (
     parse_group_presentation,
     spectrum_is_incomplete,
 )
-from .errors import (
-    AtSingularity,
-    ConvergenceRegionError,
-    NotLoxodromic,
-    ParityViolation,
-    PathThroughSingularity,
-    SchemaError,
-    WorkbenchError,
-)
+from .errors import AtSingularity, SchemaError, WorkbenchError
 from .reps import parse_gamma_rep
 from .spectra import (
+    ZETA_KINDS,
     parse_eigenvalue_spectrum,
     parse_length_spectrum,
     serialize_length_spectrum,
@@ -83,16 +83,22 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
+def _csv_text(columns: tuple[str, ...], rows: list[dict]) -> str:
+    """CSV of the rows under the header columns.  A column name_re or
+    name_im holds the real or imaginary half of the row's pair `name`; a
+    field the row lacks is left blank."""
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+        lines.append(",".join(_cell(row, column) for column in columns))
     return "\n".join(lines) + "\n"
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
+def _cell(row: dict, column: str) -> str:
+    name, _, half = column.rpartition("_")
+    if half in ("re", "im"):
+        value = row[name][half == "im"] if name in row else ""
+    else:
+        value = row.get(column, "")
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -123,55 +129,77 @@ def _s_grid(args) -> list[complex]:
     return [start + i * step for i in range(count)]
 
 
-# config-file merging: every optional argument defaults to None so that a
-# value from the config file can fill it in; flags given on the command
-# line always win. Casts below turn INI strings into argument values.
+class _Repeat(argparse.Action):
+    """append, except that the first flag replaces the default list (the
+    flag's own or the config file's) instead of adding to it."""
 
-_CASTS = {
-    "max_word_length": int,
-    "s_count": int,
-    "seed": int,
-    "cutoff": float,
-    "growth": float,
-    "volume": float,
-    "radius": float,
-    "sigma": float,
-}
+    def __call__(self, parser, namespace, value, option_string=None):
+        items = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, ([] if items is self.default else items) + [value])
 
 
-def _cast_config_value(dest: str, raw: str):
-    if dest in _CASTS:
-        return _CASTS[dest](raw)
-    if dest in ("s_start", "s_stop"):
-        parts = raw.replace(",", " ").split()
-        if len(parts) != 2:
-            raise SchemaError(f"config value for {dest} must be two numbers (re im)")
-        return [float(parts[0]), float(parts[1])]
-    if dest == "t":
-        return [float(p) for p in raw.replace(",", " ").split()]
-    if dest in ("catalog", "inject_parity_violation"):
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    return raw
+def _config_defaults(parser: argparse.ArgumentParser, args) -> None:
+    """Make the values of the config file's section for args.command that
+    command's defaults, so that flags given on the command line win.
 
+    Each value passes its flag's own checks: type, count (nargs, or one or
+    more for a repeatable flag; several values are split at commas and
+    spaces) and choices; a switch takes configparser's boolean words.  A
+    value that fails, or a key that names no option, is a SchemaError.
+    """
+    import configparser  # here, not at module level: only --config reads a file
 
-def _apply_config(args) -> None:
-    if not args.config:
+    ini = configparser.ConfigParser()
+    if not ini.read(args.config):
+        raise SchemaError(f"config file not found or unreadable: {args.config}")
+    if not ini.has_section(args.command):
         return
-    section = section_defaults(load_config(args.config), args.command)
-    for key, raw in section.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+    # argparse has no public accessor for a parser's actions
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    command = commands.choices[args.command]
+    options = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
+    defaults = {}
+    for key, raw in ini.items(args.command):
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             raise SchemaError(
                 f"config key {key!r} is not an option of command {args.command!r}"
             )
-        if getattr(args, dest) is None:
-            setattr(args, dest, _cast_config_value(dest, raw))
+        defaults[action.dest] = _config_value(action, key, raw, ini.BOOLEAN_STATES)
+    command.set_defaults(**defaults)
 
 
-def _fill(args, **defaults) -> None:
-    for dest, value in defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+def _config_value(action: argparse.Action, key: str, raw: str, booleans: dict):
+    if action.nargs == 0:  # a switch
+        if raw.lower() not in booleans:
+            raise SchemaError(
+                f"config key {key!r}: {raw!r} is not a boolean "
+                "(1/yes/true/on or 0/no/false/off)"
+            )
+        return booleans[raw.lower()]
+    many = action.nargs is not None or isinstance(action, _Repeat)
+    parts = raw.replace(",", " ").split() if many else [raw]
+    if not parts or (action.nargs and len(parts) != action.nargs):
+        raise SchemaError(
+            f"config key {key!r} takes {action.nargs or 'one or more'} values, "
+            f"got {len(parts)}"
+        )
+    values = []
+    for part in parts:
+        if action.type is not None:
+            try:
+                part = action.type(part)
+            except ValueError:
+                raise SchemaError(
+                    f"config key {key!r}: invalid {action.type.__name__} value: {part!r}"
+                ) from None
+        if action.choices is not None and part not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise SchemaError(
+                f"config key {key!r}: invalid choice: {part!r} (choose from {choices})"
+            )
+        values.append(part)
+    return values if many else values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +207,11 @@ def _fill(args, **defaults) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    _fill(args, max_word_length=6, cutoff=5.0, format="json")
     raw = _read_json(args.presentation)
     presentation = parse_group_presentation(raw)
     if not presentation.generators:
         sys.stderr.write("warning: presentation has no generators; spectrum is empty\n")
-    config = EnumerationConfig(
-        max_word_length=int(args.max_word_length), length_cutoff=float(args.cutoff)
-    )
+    config = EnumerationConfig(max_word_length=args.max_word_length, length_cutoff=args.cutoff)
     key = cache.cache_key(
         {
             "op": "enumerate",
@@ -226,7 +251,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    _fill(args, s_count=1, format="json", kind="selberg")
     if args.s_start is None:
         raise SchemaError("--s-start is required (two numbers: re im)")
     spectrum = parse_length_spectrum(_read_json(args.spectrum))
@@ -254,28 +278,15 @@ def cmd_zeta(args) -> int:
             }
         )
     if args.format == "csv":
-        header = [
-            "s_re",
-            "s_im",
-            "log_re",
-            "log_im",
-            "value_re",
-            "value_im",
-            "tail_bound",
-            "terms_used",
-        ]
-        table = [
-            r["s"] + r["log"] + r["value"] + [r["tail_bound"], r["terms_used"]]
-            for r in rows
-        ]
-        _emit(_csv_text(header, table), args.output)
+        columns = ("s_re", "s_im", "log_re", "log_im", "value_re", "value_im",
+                   "tail_bound", "terms_used")
+        _emit(_csv_text(columns, rows), args.output)
     else:
         _emit(_json_text({"kind": args.kind, "rows": rows}), args.output)
     return 0
 
 
 def cmd_trace(args) -> int:
-    _fill(args, order="first", format="json", t=[1.0])
     spectrum = parse_length_spectrum(_read_json(args.spectrum))
     chi = _chi(args)
     eigen = None
@@ -284,10 +295,9 @@ def cmd_trace(args) -> int:
     if args.order == "second" and args.laplace:
         eigen = parse_eigenvalue_spectrum(_read_json(args.laplace), kind="laplace")
     if args.order == "second" and args.volume is not None:
-        spectrum = spectrum.with_volume(float(args.volume))
+        spectrum = spectrum.with_volume(args.volume)
     rows = []
     for t in args.t:
-        t = float(t)
         if args.order == "first":
             geo = dirac_geometric_side(t, spectrum, args.sigma, chi)
             spec_side = dirac_spectral_side(t, eigen) if eigen else None
@@ -300,32 +310,23 @@ def cmd_trace(args) -> int:
             row["diagnostic_gap"] = abs(geo - spec_side)
         rows.append(row)
     if args.format == "csv":
-        header = ["t", "geometric_re", "geometric_im", "spectral_re", "spectral_im", "diagnostic_gap"]
-        table = []
-        for r in rows:
-            spec_pair = r.get("spectral", ["", ""])
-            table.append(
-                [r["t"]] + r["geometric"] + list(spec_pair) + [r.get("diagnostic_gap", "")]
-            )
-        _emit(_csv_text(header, table), args.output)
+        columns = ("t", "geometric_re", "geometric_im", "spectral_re", "spectral_im",
+                   "diagnostic_gap")
+        _emit(_csv_text(columns, rows), args.output)
     else:
         _emit(_json_text({"order": args.order, "rows": rows}), args.output)
     return 0
 
 
 def cmd_verify(args) -> int:
-    _fill(args, seed=0)
     report = run_suite(
-        args.suite,
-        seed=int(args.seed),
-        inject_parity_violation=bool(args.inject_parity_violation),
+        args.suite, seed=args.seed, inject_parity_violation=args.inject_parity_violation
     )
     _emit(_json_text(report), args.output)
     return 0 if report["pass"] else 5
 
 
 def cmd_continue(args) -> int:
-    _fill(args, s_count=1, format="json", radius=0.1, detour="above")
     dirac = parse_eigenvalue_spectrum(_read_json(args.dirac), kind="dirac")
     laplace = None
     if args.laplace:
@@ -333,7 +334,7 @@ def cmd_continue(args) -> int:
     catalog = singularity_catalog(dirac, laplace)
 
     want_grid = args.s_start is not None
-    want_catalog = bool(args.catalog) or not want_grid
+    want_catalog = args.catalog or not want_grid
 
     payload = {}
     if want_catalog:
@@ -347,8 +348,7 @@ def cmd_continue(args) -> int:
         ]
     rows = []
     if want_grid:
-        radius = float(args.radius)
-        if not radius > 0:
+        if not args.radius > 0:
             raise SchemaError("radius must be positive")
         super_records = [r for r in catalog if r.zeta_kind == "super"]
         for s in _s_grid(args):
@@ -359,7 +359,7 @@ def cmd_continue(args) -> int:
                         location=rec.location,
                     )
             log_value = log_zeta_by_path(
-                s, catalog=super_records, detour_radius=radius, detour_side=args.detour
+                s, catalog=super_records, detour_radius=args.radius, detour_side=args.detour
             )
             value = cmath.exp(log_value)
             rows.append(
@@ -368,29 +368,23 @@ def cmd_continue(args) -> int:
                     "log": _pair(log_value),
                     "abs": abs(value),
                     "arg": cmath.phase(value),
-                    "winding": super_winding(s, super_records, radius, args.detour),
+                    "winding": super_winding(s, super_records, args.radius, args.detour),
                 }
             )
         payload["rows"] = rows
 
     if args.format == "csv" and want_grid:
-        header = ["s_re", "s_im", "abs", "arg"]
-        table = [r["s"] + [r["abs"], r["arg"]] for r in rows]
-        _emit(_csv_text(header, table), args.output)
+        _emit(_csv_text(("s_re", "s_im", "abs", "arg"), rows), args.output)
     elif args.format == "csv":
-        header = ["zeta_kind", "location_re", "location_im", "order"]
-        table = [
-            [rec.zeta_kind] + _pair(rec.location) + [rec.order] for rec in catalog
-        ]
-        _emit(_csv_text(header, table), args.output)
+        columns = ("zeta_kind", "location_re", "location_im", "order")
+        _emit(_csv_text(columns, payload["catalog"]), args.output)
     else:
         _emit(_json_text(payload), args.output)
     return 0
 
 
 def cmd_report(args) -> int:
-    _fill(args, seed=0)
-    reports = run_all(seed=int(args.seed))
+    reports = run_all(seed=args.seed)
     payload = {
         "reports": reports,
         "all_pass": all(r["pass"] for r in reports),
@@ -431,26 +425,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="walk a matrix group and emit its length spectrum")
     p.add_argument("--presentation", required=True, help="presentation JSON path")
-    p.add_argument("--max-word-length", type=int, default=None)
-    p.add_argument("--cutoff", type=float, default=None, help="length cutoff")
+    p.add_argument("--max-word-length", type=int, default=6)
+    p.add_argument("--cutoff", type=float, default=5.0, help="length cutoff")
     p.add_argument("--output", default=None, help="write spectrum JSON here")
-    p.add_argument("--format", choices=("json",), default=None)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("zeta", help="evaluate log zeta on an s-grid")
     p.add_argument("--spectrum", required=True, help="length-spectrum JSON path")
-    p.add_argument(
-        "--kind",
-        choices=("selberg", "ruelle", "symmetrized", "super", "super_ruelle"),
-        default=None,
-    )
+    p.add_argument("--kind", choices=ZETA_KINDS, default="selberg")
     p.add_argument("--sigma", type=float, required=True, help="weight k of the twist")
     p.add_argument("--chi", default=None, help="flat-bundle representation JSON path")
     p.add_argument("--s-start", type=float, nargs=2, default=None, metavar=("RE", "IM"))
     p.add_argument("--s-stop", type=float, nargs=2, default=None, metavar=("RE", "IM"))
-    p.add_argument("--s-count", type=int, default=None)
+    p.add_argument("--s-count", type=int, default=1)
     p.add_argument("--growth", type=float, default=None, help="exponential growth rate of the length count")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_zeta)
 
@@ -458,23 +447,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--chi", default=None)
-    p.add_argument("--order", choices=("first", "second"), default=None)
-    p.add_argument("--t", type=float, action="append", default=None, help="repeatable heat time")
+    p.add_argument("--order", choices=("first", "second"), default="first")
+    p.add_argument("--t", type=float, action=_Repeat, default=[1.0], help="repeatable heat time")
     p.add_argument("--dirac", default=None, help="first-order eigenvalue JSON for the spectral side")
     p.add_argument("--laplace", default=None, help="second-order eigenvalue JSON for the spectral side")
     p.add_argument("--volume", type=float, default=None, help="override the spectrum volume")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("verify", help="run one verification suite")
     p.add_argument("--suite", required=True, choices=tuple(SUITES))
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--inject-parity-violation",
-        action="store_const",
-        const=True,
-        default=None,
+        action="store_true",
         help="negative control: feed the parity suite an invalid spectrum pair",
     )
     p.add_argument("--output", default=None)
@@ -483,18 +470,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("continue", help="singularity catalog and path-continued values from eigenvalue data")
     p.add_argument("--dirac", required=True, help="first-order eigenvalue JSON path")
     p.add_argument("--laplace", default=None, help="optional independent second-order eigenvalues")
-    p.add_argument("--catalog", action="store_const", const=True, default=None)
+    p.add_argument("--catalog", action="store_true")
     p.add_argument("--s-start", type=float, nargs=2, default=None, metavar=("RE", "IM"))
     p.add_argument("--s-stop", type=float, nargs=2, default=None, metavar=("RE", "IM"))
-    p.add_argument("--s-count", type=int, default=None)
-    p.add_argument("--radius", type=float, default=None, help="detour radius around singularities")
-    p.add_argument("--detour", choices=("above", "below"), default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
+    p.add_argument("--s-count", type=int, default=1)
+    p.add_argument("--radius", type=float, default=0.1, help="detour radius around singularities")
+    p.add_argument("--detour", choices=("above", "below"), default="above")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_continue)
 
     p = sub.add_parser("report", help="run every verification suite and summarize")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_report)
 
@@ -505,26 +492,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            _config_defaults(parser, args)
+            args = parser.parse_args(argv)
         return args.func(args)
-    except SchemaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except NotLoxodromic as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except ConvergenceRegionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except ParityViolation as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 6
-    except (AtSingularity, PathThroughSingularity) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 7
     except WorkbenchError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

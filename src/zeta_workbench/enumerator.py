@@ -23,7 +23,6 @@ and whether it is a necklace, so no other word is ever built.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from collections.abc import Iterable
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, NotLoxodromic, SchemaError, UnknownSymbol
-from .spectra import ClassColumns, LengthSpectrum, close_pairs, wrap_angle
+from .spectra import ClassColumns, LengthSpectrum, close_pairs, json_object, wrap_angle
 
 __all__ = [
     "GroupPresentation",
@@ -121,15 +120,7 @@ def parse_group_presentation(document: str | dict) -> GroupPresentation:
     The matrix is four [re, im] pairs in row-major order; a nested 2x2
     layout of pairs is accepted too.
     """
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-    else:
-        doc = document
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
+    doc = json_object(document)
     if "generators" not in doc or not isinstance(doc["generators"], list):
         raise SchemaError("missing or non-list field 'generators'")
     if "includes_inverses" not in doc or not isinstance(doc["includes_inverses"], bool):

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by every module.
 
-Each error maps to a stable CLI exit code: the cli module docstring lists
-the codes, and cli.main maps the errors onto them.
+Each error carries its stable CLI exit code as the class attribute
+exit_code, which subclasses inherit; cli.main exits with it, and the cli
+module docstring lists the codes.
 """
 
 from __future__ import annotations
@@ -10,9 +11,13 @@ from __future__ import annotations
 class WorkbenchError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class SchemaError(WorkbenchError):
     """Input document does not conform to the expected structure."""
+
+    exit_code = 2
 
 
 class InvariantViolation(WorkbenchError):
@@ -21,6 +26,8 @@ class InvariantViolation(WorkbenchError):
 
 class NotLoxodromic(WorkbenchError):
     """Matrix has no eigenvalue off the unit circle (elliptic/parabolic/trivial)."""
+
+    exit_code = 3
 
     def __init__(self, message: str, word: str | None = None):
         super().__init__(message)
@@ -37,6 +44,8 @@ class CaseAError(WorkbenchError):
 
 class ConvergenceRegionError(WorkbenchError):
     """Evaluation point lies at or below the estimated convergence abscissa."""
+
+    exit_code = 4
 
     def __init__(self, s: complex, abscissa: float):
         super().__init__(
@@ -61,6 +70,8 @@ class DegenerateShifts(WorkbenchError):
 class AtSingularity(WorkbenchError):
     """Evaluation point coincides with a catalogued singularity."""
 
+    exit_code = 7
+
     def __init__(self, message: str, location: complex | None = None):
         super().__init__(message)
         self.location = location
@@ -68,6 +79,8 @@ class AtSingularity(WorkbenchError):
 
 class ParityViolation(WorkbenchError):
     """Eigenvalue data cannot come from a graded operator pair: odd order sum."""
+
+    exit_code = 6
 
     def __init__(self, message: str, eigenvalue: complex | None = None):
         super().__init__(message)
@@ -80,3 +93,5 @@ class NoConvergence(WorkbenchError):
 
 class PathThroughSingularity(WorkbenchError):
     """Integration path cannot avoid a catalogued singularity."""
+
+    exit_code = 7

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CaseAError, InvariantViolation, SchemaError, UnknownSymbol
+from .spectra import json_object
 
 __all__ = [
     "GammaRep",
@@ -150,15 +151,7 @@ def character_chi(chi: GammaRep | None, word: str | Iterable[str]) -> complex | 
 
 def parse_gamma_rep(document: str | dict) -> GammaRep:
     """Parse {"dimension": int, "images": {name: [[[re,im], ...], ...]}}."""
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-    else:
-        doc = document
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
+    doc = json_object(document)
     if "dimension" not in doc or not isinstance(doc["dimension"], int):
         raise SchemaError("missing or non-integer field 'dimension'")
     if "images" not in doc or not isinstance(doc["images"], dict):

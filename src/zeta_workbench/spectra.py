@@ -168,8 +168,8 @@ class LengthSpectrum:
 
     classes takes GeodesicClass records or ClassColumns and holds
     ClassColumns; length, angle, multiplicity and words are its columns.
-    memo is where zeta.py keeps the twist traces and class weights it last
-    computed on this spectrum.
+    memo is where zeta.py keeps the twist traces, class weights and tail
+    model constants it last computed on this spectrum.
     """
 
     dimension: int
@@ -361,6 +361,19 @@ class TruncatedValue:
 # serialization
 
 
+def json_object(document: str | dict) -> dict:
+    """The JSON object a parser reads: the document's text decoded, or the
+    already-decoded dict; anything else is a SchemaError."""
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"not valid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise SchemaError("top level must be an object")
+    return document
+
+
 def _require(doc: dict, key: str, types, where: str):
     if key not in doc:
         raise SchemaError(f"{where}: missing field {key!r}")
@@ -458,15 +471,7 @@ def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
     be 3, and a class carrying a field outside the schema is refused.  The
     classes are read field by field into ClassColumns; no record is built.
     """
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-    else:
-        doc = document
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
+    doc = json_object(document)
 
     dimension = _require(doc, "dimension", int, "spectrum")
     if dimension != 3:
@@ -538,15 +543,7 @@ def serialize_length_spectrum(spec: LengthSpectrum) -> str:
 
 def parse_eigenvalue_spectrum(document: str | dict, kind: str = "dirac") -> EigenvalueSpectrum:
     """Parse {"entries": [{"re", "im", "multiplicity"}]} into a spectrum."""
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-    else:
-        doc = document
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
+    doc = json_object(document)
     raw = _require(doc, "entries", list, "spectrum")
     entries = []
     for i, re in enumerate(raw):

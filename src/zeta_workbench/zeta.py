@@ -24,7 +24,8 @@ A spectrum carries its classes as columns.  chi_trace reads a twist over
 all the class words in one batched character_chi call, once per
 (spectrum, twist), and class_weights computes the per-class weights once
 per (spectrum, twist, k, kind shape); the spectrum keeps the last of
-each.  Every geodesic sum, here and in traces.py, is then one kernel,
+each, and the tail model's constants for its last (twist, growth).
+Every geodesic sum, here and in traces.py, is then one kernel,
 class_sum: those weights dotted with exp(-s l) or exp(-l^2/4t), one grid
 point at a time.
 
@@ -50,7 +51,7 @@ from .reps import (
     check_weight,
     require_case_b,
 )
-from .spectra import LengthSpectrum, TruncatedValue
+from .spectra import ZETA_KINDS, LengthSpectrum, TruncatedValue
 
 __all__ = [
     "ZetaRequest",
@@ -66,16 +67,16 @@ __all__ = [
 RHO = 1.0  # half the sum of the positive restricted roots
 DEFAULT_GROWTH = 2.0 * RHO  # volume entropy of hyperbolic 3-space
 
-# per kind: sign of the flipped character in the weight (0: k alone), and
-# whether the Selberg-type factor exp(-rho l) / det enters
-_SHAPES = {
-    "selberg": (0, True),
-    "ruelle": (0, False),
-    "symmetrized": (+1, True),
-    "super": (-1, True),
-    "super_ruelle": (-1, False),
-}
-KINDS = tuple(_SHAPES)
+# per kind, in the order of ZETA_KINDS: sign of the flipped character in
+# the weight (0: k alone), and whether the Selberg-type factor
+# exp(-rho l) / det enters
+_SHAPES = dict(
+    zip(
+        ZETA_KINDS,
+        ((0, True), (0, False), (+1, True), (-1, True), (-1, False)),
+        strict=True,
+    )
+)
 
 
 # class weights and the kernel ---------------------------------------------
@@ -131,16 +132,6 @@ def class_weights(
     return w
 
 
-def _chi_bound(spectrum: LengthSpectrum, chi: GammaRep | None) -> float:
-    """Bound on |trchi| over the classes: the twist's dimension, or a larger
-    trace that a non-unitary twist shows on the spectrum."""
-    if chi is None:
-        return 1.0
-    trace = chi_trace(spectrum, chi)
-    observed = float(np.max(np.abs(trace))) if len(trace) else 0.0
-    return max(float(chi.dimension), observed)
-
-
 def class_sum(weights: np.ndarray, exponent: np.ndarray) -> complex:
     """The kernel of every geodesic sum: sum over the classes of
     weights * exp(exponent), with exponent -s*l or -l^2/4t at one point."""
@@ -162,7 +153,7 @@ class ZetaRequest:
     def __post_init__(self):
         object.__setattr__(self, "s", complex(self.s))
         object.__setattr__(self, "k", check_weight(self.k))
-        if self.kind not in KINDS:
+        if self.kind not in ZETA_KINDS:
             raise InvariantViolation(f"unknown zeta kind {self.kind!r}")
         if _SHAPES[self.kind][0]:
             require_case_b(self.k)
@@ -200,6 +191,29 @@ def _tail_integral(p: int, alpha: float, L: float) -> float:
     return math.exp(-alpha * L) * (L / alpha + 1.0 / (alpha * alpha))
 
 
+def _count_model(
+    spectrum: LengthSpectrum, chi: GammaRep | None, growth: float
+) -> tuple[float, float]:
+    """A bound on |trchi| over the nonempty spectrum's classes, and the
+    count constant C of N(L) = C exp(g L), fitted by least squares to the
+    class ranks.  Like the weights, the spectrum keeps the pair for its
+    last twist (by identity) and growth."""
+    memo = spectrum.memo.get("count_model")
+    if memo is not None and memo[0] is chi and memo[1] == growth:
+        return memo[2]
+    chi_bound = 1.0
+    if chi is not None:
+        # the twist's dimension, or a larger trace that a non-unitary twist
+        # shows on the spectrum
+        observed = float(np.max(np.abs(chi_trace(spectrum, chi))))
+        chi_bound = max(float(chi.dimension), observed)
+    ranks = np.arange(1, len(spectrum.classes) + 1)
+    C = math.exp(float(np.mean(np.log(ranks) - growth * spectrum.length)))
+    model = (chi_bound, C)
+    spectrum.memo["count_model"] = (chi, growth, model)
+    return model
+
+
 def _tail_bound(
     spectrum: LengthSpectrum,
     chi: GammaRep | None,
@@ -212,20 +226,19 @@ def _tail_bound(
     """Model bound on the classes beyond the cutoff.
 
     beta is the exponential decay rate of one term; the count model
-    N(L) = C exp(g L), with C fitted by least squares to the class ranks,
-    contributes C g exp(g u) du, so the tail decays like exp(-(beta-g) L).
+    N(L) = C exp(g L) contributes C g exp(g u) du, so the tail decays
+    like exp(-(beta-g) L).
     sigma_bound bounds |trsigma|: 1 for one character, 2 for a pair.
     """
     alpha = beta - growth
     if alpha <= 0:  # guarded by the abscissa check; belt and braces
         return math.inf
     L = spectrum.cutoff
-    ranks = np.arange(1, len(spectrum.classes) + 1)
-    C = math.exp(float(np.mean(np.log(ranks) - growth * spectrum.length)))
+    chi_bound, C = _count_model(spectrum, chi, growth)
     # det(l, theta) >= (1 - exp(-l))^2, decreasing in -l, so the cutoff
     # value floors every omitted term
     det_floor = (1.0 - math.exp(-L)) ** 2 if with_det else 1.0
-    base = _chi_bound(spectrum, chi) * sigma_bound * C * growth / det_floor
+    base = chi_bound * sigma_bound * C * growth / det_floor
     return base * _tail_integral(1 if with_length_factor else 0, alpha, L)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import zeta_workbench
-from zeta_workbench import cli, zeta
+from zeta_workbench import cli, errors, zeta
 from zeta_workbench.cli import main
 
 
@@ -561,6 +561,88 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
                  "--s-start", "3", "0"])
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
+        ("zeta", "format = xml"),
+        ("zeta", "kind = bogus"),
+        ("continue", "detour = sideways"),
+        ("zeta", "s-count = abc"),
+        ("zeta", "s-start = 3"),
+        ("continue", "catalog = flase"),
+    ],
+)
+def test_config_value_failing_its_flags_checks_exit_2(tmp_path, capsys, section, line):
+    # each value is refused as its flag would be, even where a flag given
+    # on the command line overrides it
+    commands = {
+        "zeta": ["zeta", "--spectrum", toy_spectrum_path(tmp_path), "--sigma", "1",
+                 "--s-start", "3", "0"],
+        "continue": ["continue", "--dirac",
+                     write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1)]))],
+    }
+    ini = tmp_path / "wb.ini"
+    ini.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+    assert main(["--config", str(ini)] + commands[section]) == 2
+    captured = capsys.readouterr()
+    key = line.split(" = ")[0]
+    assert f"config key {key!r}" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_t_replaces_the_config_t_list(tmp_path, capsys):
+    spec = toy_spectrum_path(tmp_path)
+    ini = tmp_path / "wb.ini"
+    ini.write_text("[trace]\nt = 0.5, 2.0\n", encoding="utf-8")
+    trace = ["trace", "--spectrum", spec, "--sigma", "1"]
+    runs = [
+        (trace, [1.0]),
+        (trace + ["--t", "3"], [3.0]),
+        (["--config", str(ini)] + trace, [0.5, 2.0]),
+        (["--config", str(ini)] + trace + ["--t", "3"], [3.0]),
+        (["--config", str(ini)] + trace + ["--t", "3", "--t", "4"], [3.0, 4.0]),
+    ]
+    for argv, times in runs:
+        assert main(argv) == 0
+        assert [row["t"] for row in json.loads(capsys.readouterr().out)["rows"]] == times
+
+
+def test_trace_csv_header_does_not_depend_on_the_spectral_side(tmp_path, capsys):
+    spec = toy_spectrum_path(tmp_path)
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 2), (-1.0, 0.0, 1)]))
+    argv = ["trace", "--spectrum", spec, "--sigma", "1", "--t", "0.5", "--format", "csv"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--dirac", dirac]) == 0
+    spectral = capsys.readouterr().out.splitlines()
+    header = "t,geometric_re,geometric_im,spectral_re,spectral_im,diagnostic_gap"
+    assert plain[0] == spectral[0] == header
+    assert plain[1] == ",".join(spectral[1].split(",")[:3] + ["", "", ""])
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.WorkbenchError("other"), 1),
+        (errors.InvariantViolation("other"), 1),
+        (errors.SchemaError("schema"), 2),
+        (errors.NotLoxodromic("elliptic"), 3),
+        (errors.ConvergenceRegionError(0.5, 1.0), 4),
+        (errors.ParityViolation("odd"), 6),
+        (errors.AtSingularity("pole"), 7),
+        (errors.PathThroughSingularity("pole"), 7),
+    ],
+)
+def test_an_error_exits_with_its_class_code(tmp_path, capsys, monkeypatch, error, code):
+    def failing(request):
+        raise error
+
+    monkeypatch.setattr(cli, "log_zeta", failing)
+    spec = toy_spectrum_path(tmp_path)
+    assert main(["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "3", "0"]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 # ---------------------------------------------------------------------------

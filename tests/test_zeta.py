@@ -336,3 +336,37 @@ def test_weight_memo_serves_only_its_own_twist_weight_and_kind():
         with pytest.raises(ValueError):
             handed_out[0] = 0.0
     assert value(spectrum, twist_a, 1.0, "selberg") == before
+
+
+def test_count_model_memo_serves_only_its_own_twist_and_growth():
+    from zeta_workbench import GammaRep, serialize_length_spectrum
+
+    classes = tuple(
+        GeodesicClass(length=length, angle=angle, word=word)
+        for length, angle, word in ((1.0, 0.7, "a"), (1.3, -2.1, "b"), (1.7, 2.9, "ab"))
+    )
+    spectrum = LengthSpectrum(dimension=3, cutoff=2.0, classes=classes)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    twist_a = GammaRep(dimension=2, images={"a": swap, "b": shear})
+    # non-unitary: |tr| reaches 3 on "a", above the dimension
+    twist_b = GammaRep(dimension=2, images={"a": np.diag([2.0, 1.0]), "b": swap @ shear})
+
+    def tail(spec, chi, growth, s=5.0):
+        request = ZetaRequest(s=s, k=1.0, spectrum=spec, kind="super", chi=chi,
+                              growth_constant=growth)
+        return log_zeta(request).tail_bound
+
+    sequence = [(twist_a, None), (twist_a, 3.0), (twist_b, 3.0), (None, 3.0), (twist_a, None)]
+    seen = []
+    for chi, growth in sequence:
+        fresh = parse_length_spectrum(serialize_length_spectrum(spectrum))
+        got = tail(spectrum, chi, growth)
+        assert got == tail(fresh, chi, growth)
+        seen.append(got)
+    assert len(set(seen[:4])) == 4 and seen[4] == seen[0]
+
+    # a grid under one twist and growth fits the model once
+    model = spectrum.memo["count_model"]
+    tail(spectrum, twist_a, None, s=6.0)
+    assert spectrum.memo["count_model"] is model
