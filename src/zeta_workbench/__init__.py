@@ -2,173 +2,71 @@
 3-manifold data: length-spectrum ingestion and enumeration, twisted
 class-sum evaluation, trace-side diagnostics, and meromorphic
 continuation from eigenvalue data.
+
+A public name loads its module on first use (PEP 562), so importing the
+package, or one of its modules, loads no other module.
 """
 
 from __future__ import annotations
 
-from .continuation import (
-    continued_super_logderiv,
-    continued_sym_logderiv,
-    log_zeta_by_path,
-    partial_fraction_weights,
-    residue_at,
-    ruelle_factorization_check,
-    singularity_catalog,
-    super_tail_log,
-    super_winding,
-)
-from .enumerator import (
-    EnumerationConfig,
-    GroupPresentation,
-    complex_length,
-    enumerate_spectrum,
-    parse_group_presentation,
-    primitive_decomposition,
-    spectrum_is_incomplete,
-    validate_words,
-    word_matrix,
-)
-from .errors import (
-    AtSingularity,
-    CaseAError,
-    ConvergenceRegionError,
-    DegenerateShifts,
-    InvariantViolation,
-    MissingVolume,
-    NoConvergence,
-    NotLoxodromic,
-    ParityViolation,
-    PathThroughSingularity,
-    QuadratureFailure,
-    SchemaError,
-    UnknownSymbol,
-    WorkbenchError,
-)
-from .reps import (
-    GammaRep,
-    PlancherelPoly,
-    ad_nbar_det,
-    character_chi,
-    character_sigma,
-    check_weight,
-    parse_gamma_rep,
-    plancherel,
-    serialize_gamma_rep,
-    sym_power_trace,
-)
-from .spectra import (
-    DiracSpectrum,
-    EigenvalueSpectrum,
-    GeodesicClass,
-    LaplaceSpectrum,
-    LengthSpectrum,
-    SingularityRecord,
-    TruncatedValue,
-    parse_eigenvalue_spectrum,
-    parse_length_spectrum,
-    serialize_eigenvalue_spectrum,
-    serialize_length_spectrum,
-    square_spectrum,
-    super_multiplicity,
-    wrap_angle,
-)
-from .traces import (
-    class_term_t_integral,
-    dee_gamma,
-    dirac_geometric_side,
-    dirac_spectral_side,
-    fourier_gaussian_check,
-    gaussian_moment,
-    heat_geometric_side,
-    heat_spectral_side,
-    identity_term_dirac,
-    identity_term_heat,
-    laplace_kernel_check,
-)
-from .verify import run_all, run_suite
-from .zeta import (
-    ZetaRequest,
-    convergence_abscissa,
-    log_derivative_super,
-    log_derivative_symmetrized,
-    log_zeta,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtSingularity",
-    "CaseAError",
-    "ConvergenceRegionError",
-    "DegenerateShifts",
-    "DiracSpectrum",
-    "EigenvalueSpectrum",
-    "EnumerationConfig",
-    "GammaRep",
-    "GeodesicClass",
-    "GroupPresentation",
-    "InvariantViolation",
-    "LaplaceSpectrum",
-    "LengthSpectrum",
-    "MissingVolume",
-    "NoConvergence",
-    "NotLoxodromic",
-    "ParityViolation",
-    "PathThroughSingularity",
-    "PlancherelPoly",
-    "QuadratureFailure",
-    "SchemaError",
-    "SingularityRecord",
-    "TruncatedValue",
-    "UnknownSymbol",
-    "WorkbenchError",
-    "ZetaRequest",
-    "ad_nbar_det",
-    "character_chi",
-    "character_sigma",
-    "check_weight",
-    "class_term_t_integral",
-    "complex_length",
-    "continued_super_logderiv",
-    "continued_sym_logderiv",
-    "convergence_abscissa",
-    "dee_gamma",
-    "dirac_geometric_side",
-    "dirac_spectral_side",
-    "enumerate_spectrum",
-    "fourier_gaussian_check",
-    "gaussian_moment",
-    "heat_geometric_side",
-    "heat_spectral_side",
-    "identity_term_dirac",
-    "identity_term_heat",
-    "laplace_kernel_check",
-    "log_derivative_super",
-    "log_derivative_symmetrized",
-    "log_zeta",
-    "log_zeta_by_path",
-    "parse_eigenvalue_spectrum",
-    "parse_gamma_rep",
-    "parse_group_presentation",
-    "parse_length_spectrum",
-    "partial_fraction_weights",
-    "plancherel",
-    "primitive_decomposition",
-    "residue_at",
-    "ruelle_factorization_check",
-    "run_all",
-    "run_suite",
-    "serialize_eigenvalue_spectrum",
-    "serialize_gamma_rep",
-    "serialize_length_spectrum",
-    "singularity_catalog",
-    "spectrum_is_incomplete",
-    "square_spectrum",
-    "super_multiplicity",
-    "super_tail_log",
-    "super_winding",
-    "sym_power_trace",
-    "validate_words",
-    "word_matrix",
-    "wrap_angle",
-]
+# the public names, by the module that defines them
+_EXPORTS = {
+    "continuation": (
+        "continued_super_logderiv", "continued_sym_logderiv", "log_zeta_by_path",
+        "partial_fraction_weights", "residue_at", "ruelle_factorization_check",
+        "singularity_catalog", "super_tail_log", "super_winding",
+    ),
+    "enumerator": (
+        "EnumerationConfig", "GroupPresentation", "complex_length", "enumerate_spectrum",
+        "parse_group_presentation", "primitive_decomposition", "spectrum_is_incomplete",
+        "validate_words", "word_matrix",
+    ),
+    "errors": (
+        "AtSingularity", "CaseAError", "ConvergenceRegionError", "DegenerateShifts",
+        "InvariantViolation", "MissingVolume", "NoConvergence", "NotLoxodromic",
+        "ParityViolation", "PathThroughSingularity", "QuadratureFailure", "SchemaError",
+        "UnknownSymbol", "WorkbenchError",
+    ),
+    "reps": (
+        "GammaRep", "PlancherelPoly", "ad_nbar_det", "character_chi", "character_sigma",
+        "check_weight", "parse_gamma_rep", "plancherel", "serialize_gamma_rep",
+        "sym_power_trace",
+    ),
+    "spectra": (
+        "DiracSpectrum", "EigenvalueSpectrum", "GeodesicClass", "LaplaceSpectrum",
+        "LengthSpectrum", "SingularityRecord", "TruncatedValue", "parse_eigenvalue_spectrum",
+        "parse_length_spectrum", "serialize_eigenvalue_spectrum", "serialize_length_spectrum",
+        "square_spectrum", "super_multiplicity", "wrap_angle",
+    ),
+    "traces": (
+        "class_term_t_integral", "dee_gamma", "dirac_geometric_side", "dirac_spectral_side",
+        "fourier_gaussian_check", "gaussian_moment", "heat_geometric_side",
+        "heat_spectral_side", "identity_term_dirac", "identity_term_heat",
+        "laplace_kernel_check",
+    ),
+    "verify": ("run_all", "run_suite"),
+    "zeta": (
+        "ZetaRequest", "convergence_abscissa", "log_derivative_super",
+        "log_derivative_symmetrized", "log_zeta",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

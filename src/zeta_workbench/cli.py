@@ -25,37 +25,54 @@ import json
 import sys
 from pathlib import Path
 
-from . import cache
-from .continuation import (
-    continued_super_logderiv,  # noqa: F401  (wrapped by name in perfbench/tracing.py)
-    log_zeta_by_path,
-    singularity_catalog,
-    super_winding,
-)
-from .enumerator import (
-    EnumerationConfig,
-    enumerate_spectrum,
-    parse_group_presentation,
-    spectrum_is_incomplete,
-)
 from .errors import AtSingularity, SchemaError, WorkbenchError
-from .reps import parse_gamma_rep
-from .spectra import (
-    ZETA_KINDS,
-    parse_eigenvalue_spectrum,
-    parse_length_spectrum,
-    serialize_length_spectrum,
-)
-from .traces import (
-    dirac_geometric_side,
-    dirac_spectral_side,
-    heat_geometric_side,
-    heat_spectral_side,
-)
-from .verify import SUITES, run_all, run_suite
-from .zeta import ZetaRequest, log_zeta
+from .names import SUITE_NAMES, ZETA_KINDS
 
 __all__ = ["main", "build_parser"]
+
+
+# ---------------------------------------------------------------------------
+# layers
+#
+# A command loads only the modules it runs: main binds the package names
+# the command calls into this module's namespace before running it, and
+# the command calls them from here.  So `cli.log_zeta` is the name a test
+# or a tracer replaces, and a name bound already is kept.
+
+_LAYERS = {
+    "enumerate": (
+        "EnumerationConfig", "enumerate_spectrum", "parse_group_presentation",
+        "parse_length_spectrum", "serialize_length_spectrum", "spectrum_is_incomplete",
+    ),
+    "zeta": ("parse_length_spectrum", "parse_gamma_rep", "ZetaRequest", "log_zeta"),
+    "trace": (
+        "parse_length_spectrum", "parse_gamma_rep", "parse_eigenvalue_spectrum",
+        "dirac_geometric_side", "dirac_spectral_side", "heat_geometric_side",
+        "heat_spectral_side",
+    ),
+    "verify": ("run_suite",),
+    "continue": (
+        "parse_eigenvalue_spectrum", "singularity_catalog", "log_zeta_by_path",
+        "super_winding",
+        "continued_super_logderiv",  # not called here; wrapped by name in perfbench/tracing.py
+    ),
+    "report": ("run_all",),
+}
+
+
+def _bind(names) -> None:
+    package = sys.modules[__package__]
+    for name in names:
+        if name not in globals():
+            globals()[name] = getattr(package, name)
+
+
+def __getattr__(name: str):
+    """A layer name looked up from outside before a command bound it."""
+    if not any(name in names for names in _LAYERS.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind((name,))
+    return globals()[name]
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +182,11 @@ def _config_defaults(parser: argparse.ArgumentParser, args) -> None:
             raise SchemaError(
                 f"config key {key!r} is not an option of command {args.command!r}"
             )
+        if action.required:  # argparse would still demand the flag
+            raise SchemaError(
+                f"config key {key!r}: {action.option_strings[0]} is required "
+                "on the command line"
+            )
         defaults[action.dest] = _config_value(action, key, raw, ini.BOOLEAN_STATES)
     command.set_defaults(**defaults)
 
@@ -207,6 +229,8 @@ def _config_value(action: argparse.Action, key: str, raw: str, booleans: dict):
 
 
 def cmd_enumerate(args) -> int:
+    from . import cache  # a module, not a layer name: its load and store are replaced on it
+
     raw = _read_json(args.presentation)
     presentation = parse_group_presentation(raw)
     if not presentation.generators:
@@ -225,16 +249,16 @@ def cmd_enumerate(args) -> int:
         }
     )
     text = cache.load(key)
-    try:
-        document = None if text is None else json.loads(text)
-    except json.JSONDecodeError:
-        document = None  # a torn or foreign entry is a miss
-    if document is None:
+    spectrum = None
+    if text is not None:
+        try:
+            spectrum = parse_length_spectrum(text)
+        except WorkbenchError:
+            pass  # a torn or foreign entry is a miss: walk again and rewrite it
+    if spectrum is None:
         spectrum = enumerate_spectrum(presentation, config)
         text = serialize_length_spectrum(spectrum)
         cache.store(key, text)
-    else:
-        spectrum = parse_length_spectrum(document)
 
     if args.output:
         _emit(text, args.output)
@@ -457,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("verify", help="run one verification suite")
-    p.add_argument("--suite", required=True, choices=tuple(SUITES))
+    p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--inject-parity-violation",
@@ -495,6 +519,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config:
             _config_defaults(parser, args)
             args = parser.parse_args(argv)
+        _bind(_LAYERS[args.command])
         return args.func(args)
     except WorkbenchError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvariantViolation, SchemaError
+from .names import ZETA_KINDS
 
 __all__ = [
     "ClassColumns",
@@ -320,9 +321,6 @@ class DiracSpectrum(EigenvalueSpectrum):
 
 class LaplaceSpectrum(EigenvalueSpectrum):
     """Eigenvalues of the squared operator."""
-
-
-ZETA_KINDS = ("selberg", "ruelle", "symmetrized", "super", "super_ruelle")
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .continuation import (
     singularity_catalog,
 )
 from .errors import ParityViolation, WorkbenchError
+from .names import SUITE_NAMES
 from .reps import plancherel
 from .spectra import (
     DiracSpectrum,
@@ -485,15 +486,7 @@ def suite_trace_scaling(seed: int = 0) -> dict:
     return ledger.report()
 
 
-SUITES = {
-    "kernels": suite_kernels,
-    "partial-fractions": suite_partial_fractions,
-    "residues": suite_residues,
-    "logderiv": suite_logderiv,
-    "factorization": suite_factorization,
-    "parity": suite_parity,
-    "trace-scaling": suite_trace_scaling,
-}
+SUITES = {name: globals()["suite_" + name.replace("-", "_")] for name in SUITE_NAMES}
 
 
 def run_suite(name: str, seed: int = 0, inject_parity_violation: bool = False) -> dict:

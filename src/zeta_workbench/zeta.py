@@ -51,7 +51,8 @@ from .reps import (
     check_weight,
     require_case_b,
 )
-from .spectra import ZETA_KINDS, LengthSpectrum, TruncatedValue
+from .names import ZETA_KINDS
+from .spectra import LengthSpectrum, TruncatedValue
 
 __all__ = [
     "ZetaRequest",

@@ -71,3 +71,37 @@ def test_traced_hooks_read_requests_and_spectra(tracing, tmp_path, monkeypatch):
     assert tracer.counts["zeta.class_terms"] == 4 * len(classes) * tracing.BASE_SUMS["super"]
     assert tracer.calls["traces.geometric_side"] == 2
     assert tracer.counts["traces.class_terms"] == 2 * len(classes)
+
+
+def test_enumerate_and_continue_layers_are_traced(tracing, tmp_path, monkeypatch):
+    # a command that bound a layer anywhere but cli.<name> would run it
+    # unwrapped and leave its span empty
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path / "cache"))
+    pres = tmp_path / "pres.json"
+    pres.write_text(
+        json.dumps({"generators": [{"name": "a", "matrix": [[2, 0], [0, 0], [0, 0], [0.5, 0]]}],
+                    "includes_inverses": True}),
+        encoding="utf-8",
+    )
+    dirac = tmp_path / "dirac.json"
+    dirac.write_text(
+        json.dumps({"entries": [{"re": 1.0, "im": 0.0, "multiplicity": 2},
+                                {"re": -1.0, "im": 0.0, "multiplicity": 1}]}),
+        encoding="utf-8",
+    )
+    enumerate_argv = ["enumerate", "--presentation", str(pres), "--max-word-length", "3"]
+    calls = [
+        ("enumerate cold", enumerate_argv, 0),
+        ("enumerate cached", enumerate_argv, 0),
+        ("continue", ["continue", "--dirac", str(dirac), "--s-start", "-0.5", "3",
+                      "--s-stop", "-0.5", "-3", "--s-count", "4",
+                      "--output", str(tmp_path / "continued.json")], 0),
+    ]
+    modules = tracing.workbench()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer, modules):
+        tracing.run_calls(modules["cli"].main, calls, tmp_path / "cache")
+    for span in ("spectra.parse", "spectra.serialize", "cache.load", "enumerator.enumerate",
+                 "continuation.catalog", "continuation.path"):
+        assert tracer.calls[span] > 0, span
+    assert tracer.counts["cache.hits"] == 1

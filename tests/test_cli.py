@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import zeta_workbench
-from zeta_workbench import cli, errors, zeta
+from zeta_workbench import cli, errors, verify, zeta
 from zeta_workbench.cli import main
 
 
@@ -138,6 +138,23 @@ def test_enumerate_unreadable_cache_entry_is_a_miss(tmp_path, capsys):
     assert capsys.readouterr().out == summary
     assert second.read_bytes() == first.read_bytes()
     assert entry.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("fault", ["empty object", "wrong dimension"])
+def test_enumerate_cache_entry_that_is_no_spectrum_is_a_miss(tmp_path, capsys, fault):
+    # valid JSON that parse_length_spectrum refuses is walked again and
+    # rewritten, not served as a schema error on every later call
+    pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
+    argv = ["enumerate", "--presentation", pres, "--max-word-length", "3", "--cutoff", "5.0"]
+    cold = tmp_path / "cold.json"
+    assert main(argv + ["--output", str(cold)]) == 0
+    summary = capsys.readouterr().out
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    foreign = {} if fault == "empty object" else dict(json.loads(cold.read_text()), dimension=5)
+    entry.write_text(json.dumps(foreign), encoding="utf-8")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == summary
+    assert entry.read_bytes() == cold.read_bytes()
 
 
 def test_enumerate_cache_key_is_pinned(tmp_path, capsys):
@@ -566,6 +583,43 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "section, line",
     [
+        ("zeta", "spectrum = other.json"),
+        ("zeta", "sigma = 2"),
+        ("enumerate", "presentation = other.json"),
+        ("verify", "suite = parity"),
+    ],
+)
+def test_config_key_for_a_required_flag_exit_2(tmp_path, capsys, section, line):
+    # argparse demands a required flag on the command line, so a config
+    # value for it could never apply; it is refused, not ignored
+    commands = {
+        "zeta": ["zeta", "--spectrum", toy_spectrum_path(tmp_path), "--sigma", "1",
+                 "--s-start", "3", "0"],
+        "enumerate": ["enumerate", "--presentation",
+                      write_json(tmp_path, "pres.json", cyclic_presentation_doc())],
+        "verify": ["verify", "--suite", "kernels"],
+    }
+    ini = tmp_path / "wb.ini"
+    ini.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+    assert main(["--config", str(ini)] + commands[section]) == 2
+    captured = capsys.readouterr()
+    key = line.split(" = ")[0]
+    assert f"config key {key!r}" in captured.err
+    assert "required" in captured.err
+    assert captured.out == ""
+
+
+def test_suite_choices_are_the_verify_suites_in_order():
+    # the parser reads the names without importing verify; both must agree
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+    assert tuple(suite.choices) == tuple(verify.SUITES)
+
+
+@pytest.mark.parametrize(
+    "section, line",
+    [
         ("zeta", "format = xml"),
         ("zeta", "kind = bogus"),
         ("continue", "detour = sideways"),
@@ -738,3 +792,58 @@ def test_zeta_and_trace_never_load_hashlib_or_configparser(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+MODULES_PROBE = """
+import json, sys
+import zeta_workbench.cli as cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "zeta_workbench")]))
+"""
+
+# every call loads the package, the parser's module and what it imports
+PARSER = {"zeta_workbench", "cli", "errors", "names"}
+CLASS_SUMS = PARSER | {"spectra", "reps", "zeta"}
+ENUMERATE = PARSER | {"spectra", "enumerator", "cache"}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    spec = worded_spectrum_path(tmp_path)
+    chi = write_json(
+        tmp_path,
+        "chi.json",
+        {"dimension": 2, "images": {"a": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+                                    "b": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}},
+    )
+    pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc(PORTRAIT_ENTRIES))
+    zeta_argv = ["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "3", "0"]
+    enumerate_argv = ["enumerate", "--presentation", pres, "--max-word-length", "3"]
+    # in order: the second enumerate reads the entry the first one wrote
+    table = [
+        ("help", ["--help"], PARSER),
+        ("zeta", zeta_argv, CLASS_SUMS),
+        ("zeta --chi", zeta_argv + ["--chi", chi], CLASS_SUMS),
+        ("trace", ["trace", "--spectrum", spec, "--sigma", "1", "--order", "second"],
+         CLASS_SUMS | {"quadrature", "traces"}),
+        ("enumerate cold", enumerate_argv, ENUMERATE),
+        ("enumerate cached", enumerate_argv, ENUMERATE),
+        ("continue", ["continue", "--dirac", dirac, "--s-start", "-0.5", "3", "--s-stop",
+                      "-0.5", "-3", "--s-count", "4"],
+         CLASS_SUMS | {"quadrature", "continuation"}),
+        ("verify", ["verify", "--suite", "kernels"],
+         CLASS_SUMS | {"quadrature", "traces", "continuation", "verify"}),
+    ]
+    env = dict(os.environ, ZETA_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])
+    for label, argv, expected in table:
+        result = subprocess.run(
+            [sys.executable, "-c", MODULES_PROBE, *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, modules = json.loads(result.stdout.splitlines()[-1])
+        assert code == 0, (label, result.stderr)
+        assert {m.removeprefix("zeta_workbench.") for m in modules} == expected, label
