@@ -11,6 +11,8 @@ branch the detoured path to the right half-plane picks up.
 
 import cmath
 
+import numpy as np
+
 from zeta_workbench import (
     DiracSpectrum,
     log_zeta_by_path,
@@ -38,22 +40,21 @@ for rec in catalog:
     print(f"  {rec.zeta_kind:>11}  {rec.location!s:>12}  {rec.order:+d}")
 
 super_records = [r for r in catalog if r.zeta_kind == "super"]
+points = np.array([complex(LINE_RE, im) for im in IMS])
+# one call per quantity for the whole line
+logs = log_zeta_by_path(points, catalog=super_records, detour_radius=RADIUS, detour_side="above")
+above = super_winding(points, super_records, RADIUS, "above")
+below = super_winding(points, super_records, RADIUS, "below")
 print()
 print(f"continued values on Re(s) = {LINE_RE}")
 print("(log Z^s and its winding for detours above the poles; the winding")
 print(" for detours below is printed alongside)")
 print(f"{'Im(s)':>6} {'log Z^s':>28} {'|Z^s|':>12} {'arg':>8} {'above':>6} {'below':>6}")
-for im in IMS:
-    s = complex(LINE_RE, im)
-    log_value = log_zeta_by_path(
-        s, catalog=super_records, detour_radius=RADIUS, detour_side="above"
-    )
-    above = super_winding(s, super_records, RADIUS, "above")
-    below = super_winding(s, super_records, RADIUS, "below")
+for im, log_value, up, down in zip(IMS, logs.tolist(), above.tolist(), below.tolist()):
     value = cmath.exp(log_value)
     print(
         f"{im:>6.2f} {log_value:>28.12f} {abs(value):>12.6g} "
-        f"{cmath.phase(value):>8.4f} {above:>+6d} {below:>+6d}"
+        f"{cmath.phase(value):>8.4f} {up:>+6d} {down:>+6d}"
     )
 
 print()

@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "continuation": (
         "continued_super_logderiv", "continued_sym_logderiv", "log_zeta_by_path",
-        "partial_fraction_weights", "residue_at", "ruelle_factorization_check",
-        "singularity_catalog", "super_tail_log", "super_winding",
+        "partial_fraction_weights", "residue_at", "singularity_catalog", "super_tail_log",
+        "super_winding",
     ),
     "enumerator": (
         "EnumerationConfig", "GroupPresentation", "complex_length", "enumerate_spectrum",
@@ -48,7 +48,7 @@ _EXPORTS = {
         "heat_spectral_side", "identity_term_dirac", "identity_term_heat",
         "laplace_kernel_check",
     ),
-    "verify": ("run_all", "run_suite"),
+    "verify": ("ruelle_factorization_check", "run_all", "run_suite"),
     "zeta": (
         "ZetaRequest", "convergence_abscissa", "log_derivative_super",
         "log_derivative_symmetrized", "log_zeta",

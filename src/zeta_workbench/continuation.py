@@ -23,6 +23,13 @@ log is written down in closed form with exact branch tracking:
 sum order * Log(s - pole) plus 2 pi i times the integer winding of the
 detoured path.  Quadrature along the path is kept only as a check, and
 for integrands that are not pure partial fractions.
+
+The closed form, the winding, the path plan and residue_at take a point
+or an array of points (of centres, for residue_at) and work on the whole
+array at once: the logs and the winding rule are arrays over (points x
+catalog records), and a grid's refusals are masks over the same, so an
+array gives what the points give one by one and the first point refused
+raises the error that point would raise alone.  A point gives a number.
 """
 
 from __future__ import annotations
@@ -49,7 +56,6 @@ from .spectra import (
     SingularityRecord,
     square_spectrum,
 )
-from .zeta import ZetaRequest, log_zeta
 
 __all__ = [
     "partial_fraction_weights",
@@ -60,10 +66,42 @@ __all__ = [
     "log_zeta_by_path",
     "super_tail_log",
     "super_winding",
-    "ruelle_factorization_check",
 ]
 
 _SINGULARITY_EPS = 1e-12
+
+
+def _number_or_array(s, values: np.ndarray):
+    """values for the points of s: a Python number when s is one point."""
+    return values.item() if np.ndim(s) == 0 else values
+
+
+def _near(queries: np.ndarray, values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (q, v) of the pairs with |queries[q] - values[v]| < tol.
+
+    Up to a few thousand pairs are all compared at once.  Beyond that,
+    one sort of the values along the axis, real or imaginary, on which
+    they spread more: a query meets only the values in a window around
+    its own coordinate, and the scan takes one vectorised step per offset
+    into the windows.
+    """
+    if queries.size * values.size <= 4096:
+        return np.nonzero(np.abs(queries[:, None] - values) < tol)
+    wide_real = values.real.max() - values.real.min() >= values.imag.max() - values.imag.min()
+    along = np.real if wide_real else np.imag
+    order = np.argsort(along(values), kind="stable")
+    key = along(values)[order]
+    # twice the width, so that rounding the window's ends loses no pair
+    lo = np.searchsorted(key, along(queries) - 2.0 * tol, side="right")
+    width = np.searchsorted(key, along(queries) + 2.0 * tol, side="left") - lo
+    qs, vs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for d in range(int(width.max())):
+        q = np.flatnonzero(width > d)
+        v = order[lo[q] + d]
+        hit = np.abs(queries[q] - values[v]) < tol
+        qs.append(q[hit])
+        vs.append(v[hit])
+    return np.concatenate(qs), np.concatenate(vs)
 
 
 def partial_fraction_weights(shifts: tuple[complex, ...]) -> list[complex]:
@@ -103,10 +141,23 @@ def _spectral_arrays(entries) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _refuse_poles(z: np.ndarray, poles: np.ndarray) -> None:
-    hit = np.any(np.abs(z[..., None] - poles) < _SINGULARITY_EPS, axis=-1)
-    if np.any(hit):
-        at = complex(np.atleast_1d(z)[np.atleast_1d(hit)][0])
+    hit, _ = _near(z.ravel(), poles, _SINGULARITY_EPS)
+    if hit.size:
+        at = complex(z.ravel()[hit.min()])
         raise AtSingularity(f"s = {at} sits on a pole", location=at)
+
+
+def _spectral_sum(term, z: np.ndarray, size: int) -> np.ndarray:
+    """sum_k term(z)_k at each point of z, where term maps a column of
+    points to a (points x size) array.  The points go in blocks, so that
+    the temporaries stay near 64 kB however many points and eigenvalues
+    there are; each point's sum is the same in any block."""
+    flat = z.reshape(-1, 1)
+    step = max(1, 4096 // max(size, 1))
+    out = np.empty(len(flat), dtype=complex)
+    for start in range(0, len(flat), step):
+        out[start : start + step] = np.sum(term(flat[start : start + step]), axis=-1)
+    return out.reshape(z.shape)
 
 
 def continued_super_logderiv(s, dirac: DiracSpectrum):
@@ -118,8 +169,7 @@ def continued_super_logderiv(s, dirac: DiracSpectrum):
     z = np.asarray(s, dtype=complex)
     ev, m = _spectral_arrays(dirac.entries)
     _refuse_poles(z, np.concatenate([1j * ev, -1j * ev]))
-    zz = z[..., None]
-    return 2j * np.sum(m * ev / (ev * ev + zz * zz), axis=-1)
+    return 2j * _spectral_sum(lambda zz: m * ev / (ev * ev + zz * zz), z, len(ev))
 
 
 def continued_sym_logderiv(
@@ -141,8 +191,7 @@ def continued_sym_logderiv(
     mu, m = _spectral_arrays(laplace.entries)
     roots = 1j * np.sqrt(mu)
     _refuse_poles(z, np.concatenate([roots, -roots]))
-    zz = z[..., None]
-    rational = 2.0 * z * np.sum(m / (mu + zz * zz), axis=-1)
+    rational = 2.0 * z * _spectral_sum(lambda zz: m / (mu + zz * zz), z, len(mu))
     dim_chi = chi.dimension if isinstance(chi, GammaRep) else (chi or 1)
     return rational - 4.0 * math.pi * dim_chi * volume * plancherel(k).at_s(z)
 
@@ -151,31 +200,43 @@ def continued_sym_logderiv(
 # residues
 
 
-def residue_at(f, s0: complex, radius: float) -> complex:
+def residue_at(f, s0, radius: float):
     """(1/2 pi i) contour integral of f on the circle |s - s0| = radius.
 
-    f maps an array of points to values, as in quadrature.integrate, and
-    is called once per node count.  The trapezoidal rule on the circle
-    converges geometrically for integrands analytic in an annulus; it
-    starts at 16 nodes and doubles them until two successive values agree
-    to 1e-10, and raises NoConvergence after 2^17 nodes.
+    s0 is a centre or an array of centres.  f maps an array of points to
+    values, as in quadrature.integrate, and is called once per node count:
+    with the n nodes of the circle for one centre, and with one row of n
+    nodes per centre still open for an array.  The trapezoidal rule on
+    the circle converges geometrically for integrands analytic in an
+    annulus; it starts at 16 nodes and doubles them, each centre stopping
+    once two successive values agree to 1e-10, and raises NoConvergence
+    after 2^17 nodes, naming the first centre still open.
     """
     if not (radius > 0):
         raise InvariantViolation("radius must be positive")
-    s0 = complex(s0)
+    centres = np.asarray(s0, dtype=complex)
+    rows = centres.reshape(-1, 1)
+    result = np.empty(len(rows), dtype=complex)
+    open_ = np.arange(len(rows))
     previous = None
     n = 16
     while n <= 1 << 17:
-        nodes = s0 + radius * np.exp(2j * math.pi * np.arange(n) / n)
+        nodes = rows[open_] + radius * np.exp(2j * math.pi * np.arange(n) / n)
+        values = np.asarray(f(nodes if centres.ndim else nodes[0])).reshape(nodes.shape)
         # (1/2 pi i) integral f dz with dz = i (z - s0) dphi
-        total = complex(np.mean(np.asarray(f(nodes)) * (nodes - s0)))
-        if previous is not None and abs(total - previous) < 1e-10:
-            return total
+        total = np.mean(values * (nodes - rows[open_]), axis=-1)
+        if previous is not None:
+            delta = np.abs(total - previous)
+            settled = delta < 1e-10
+            result[open_[settled]] = total[settled]
+            open_, total, delta = open_[~settled], total[~settled], delta[~settled]
+            if not open_.size:
+                return _number_or_array(s0, result.reshape(centres.shape))
         previous = total
         n *= 2
     raise NoConvergence(
-        f"contour values at {s0} did not settle (last delta around "
-        f"{abs(total - previous):g})"
+        f"contour values at {complex(rows[open_[0], 0])} did not settle (last delta "
+        f"around {delta[0]:g})"
     )
 
 
@@ -202,38 +263,33 @@ def singularity_catalog(
     refuses data that no graded operator pair could produce.
     """
     lap = laplace if laplace is not None else square_spectrum(dirac)
+    ev, m_ev = _spectral_arrays(dirac.entries)
+    mu, m_mu = _spectral_arrays(lap.entries)
+    roots = np.array([cmath.sqrt(x) for x in mu.tolist()], dtype=complex)
 
-    # work over the set of distinct "frequencies" nu: location is i*nu
-    freqs: list[complex] = []
-
-    def push(nu: complex) -> None:
-        for known in freqs:
-            if abs(known - nu) < _SINGULARITY_EPS:
-                return
-        freqs.append(nu)
-
-    for ev, _ in dirac.entries:
-        push(complex(ev))
-        push(-complex(ev))
-    for mu, _ in lap.entries:
-        root = cmath.sqrt(mu)
-        push(root)
-        push(-root)
-
-    def m_dirac(nu: complex) -> int:
-        return dirac.multiplicity(nu, tol=_SINGULARITY_EPS)
-
-    def m_lap(mu: complex) -> int:
-        for known, m in lap.entries:
-            if abs(known - mu) < _SINGULARITY_EPS:
-                return m
-        return 0
+    # the distinct "frequencies" nu, location i*nu, in one sorted pass:
+    # +-lam, then +-sqrt(mu), each kept unless closer than the tolerance
+    # to one kept before it
+    candidates = np.stack([np.concatenate([ev, roots]), -np.concatenate([ev, roots])], 1).ravel()
+    later, first = _near(candidates, candidates, _SINGULARITY_EPS)
+    earlier = first < later
+    kept = np.ones(len(candidates), dtype=bool)
+    for j, i in sorted(zip(later[earlier].tolist(), first[earlier].tolist())):
+        kept[j] = kept[j] and not kept[i]
+    freqs = candidates[kept]
+    # the same pairs give the signed multiplicity m(nu) - m(-nu), summed
+    # over every entry within the tolerance: candidates 2i and 2i + 1 are
+    # lam_i and -lam_i
+    entry = first < 2 * len(ev)
+    signed = m_ev[first[entry] // 2] * (1 - 2 * (first[entry] % 2))
+    m_signed = np.bincount(later[entry], weights=signed, minlength=len(candidates))[kept]
+    q, v = _near(freqs * freqs, mu, _SINGULARITY_EPS)
+    m_squared = np.bincount(q, weights=m_mu[v], minlength=len(freqs))
 
     records: list[SingularityRecord] = []
-    for nu in freqs:
-        m_super = m_dirac(nu) - m_dirac(-nu)
-        mu = nu * nu
-        m_second = m_lap(mu)
+    for nu, m_super, m_second in zip(
+        freqs.tolist(), m_signed.astype(int).tolist(), m_squared.astype(int).tolist()
+    ):
         location = 1j * nu
         at_zero = abs(nu) < _SINGULARITY_EPS
         if at_zero:
@@ -279,9 +335,10 @@ def super_tail_log(dirac: DiracSpectrum, w: complex) -> complex:
 
 
 def _path_plan(
-    s: complex, locations, detour_radius: float, detour_side: str
-) -> tuple[dict[complex, bool], list[complex]]:
-    """Decide on which side the path from s passes each catalogued pole.
+    z: np.ndarray, locations, detour_radius: float, detour_side: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decide on which side the path from each start point in the 1-d
+    array z passes each catalogued pole.
 
     The path runs right from s along the horizontal ray.  A pole ahead of
     s and closer than detour_radius to the ray is passed on detour_side,
@@ -289,49 +346,42 @@ def _path_plan(
     passed on its natural side, above it when it lies on or below the ray.
     The path therefore keeps at least detour_radius from every pole.  A
     start point closer than that to a pole, and a detour circle that
-    overlaps the circle around another pole, are refused.
+    overlaps the circle around another pole, are refused: the first point
+    refused raises, naming the first pole within reach of it or else its
+    first detoured pole whose circle meets another's.
 
-    Returns whether each distinct location is passed above, and the
-    detoured locations in the order the path meets them.
+    Returns the distinct locations, in catalog order, and two masks over
+    (points x locations): the locations passed above and those detoured.
     """
     if not detour_radius > 0:
         raise InvariantViolation("detour_radius must be positive")
     if detour_side not in ("above", "below"):
         raise InvariantViolation(f"detour_side must be 'above' or 'below', not {detour_side!r}")
     # records of several zeta kinds share locations; plan each point once
-    distinct = list(dict.fromkeys(locations))
-    above: dict[complex, bool] = {}
-    detoured: list[complex] = []
-    for loc in distinct:
-        if abs(s - loc) < detour_radius:
+    distinct = np.array(list(dict.fromkeys(locations)), dtype=complex)
+    s = z[:, None]
+    too_close = np.abs(s - distinct) < detour_radius
+    detoured = (distinct.real > s.real) & (np.abs(distinct.imag - s.imag) < detour_radius)
+    above = np.where(detoured, detour_side == "above", distinct.imag <= s.imag)
+    # the closeness of the distinct locations does not depend on the point
+    loc, other = _near(distinct, distinct, 2.0 * detour_radius)
+    loc, other = loc[loc != other], other[loc != other]
+    crowded = np.bincount(loc, minlength=len(distinct)) > 0
+    refused = np.flatnonzero(too_close.any(axis=1) | (detoured & crowded).any(axis=1))
+    if refused.size:
+        p = refused[0]
+        start = complex(z[p])
+        if too_close[p].any():
             raise PathThroughSingularity(
-                f"start point {s} is within {detour_radius} of singularity {loc}"
+                f"start point {start} is within {detour_radius} of singularity "
+                f"{complex(distinct[np.argmax(too_close[p])])}"
             )
-        if loc.real > s.real and abs(loc.imag - s.imag) < detour_radius:
-            above[loc] = detour_side == "above"
-            detoured.append(loc)
-        else:
-            above[loc] = loc.imag <= s.imag
-    for loc in detoured:
-        for other in distinct:
-            if other != loc and abs(other - loc) < 2.0 * detour_radius:
-                raise PathThroughSingularity(
-                    f"detour circles around {loc} and {other} overlap; "
-                    f"reduce detour_radius"
-                )
-    detoured.sort(key=lambda z: z.real)
-    return above, detoured
-
-
-def _winding(s: complex, loc: complex, above: bool) -> int:
-    """Signed crossings of the path from s with the cut {loc - t : t > 0}
-    of the principal Log(z - loc): the log continued back along the path
-    ends at Log(s - loc) + 2 pi i * winding."""
-    if above and s.imag < loc.imag:
-        return 1
-    if not above and s.imag >= loc.imag:
-        return -1
-    return 0
+        j = np.argmax(detoured[p] & crowded)
+        raise PathThroughSingularity(
+            f"detour circles around {complex(distinct[j])} and "
+            f"{complex(distinct[other[loc == j].min()])} overlap; reduce detour_radius"
+        )
+    return distinct, above, detoured
 
 
 def _super_records(catalog) -> list[SingularityRecord]:
@@ -344,19 +394,13 @@ def _super_records(catalog) -> list[SingularityRecord]:
     return records
 
 
-def _principal_log(z: complex) -> complex:
-    # on the cut cmath.log returns -pi for a negative zero imaginary part;
-    # the winding rule counts the cut as +pi
-    return cmath.log(complex(z.real, z.imag + 0.0))
-
-
 def super_winding(
-    s: complex,
+    s,
     catalog,
     detour_radius: float = 0.1,
     detour_side: str = "above",
-) -> int:
-    """Branch offset of the continued super log at s.
+):
+    """Branch offset of the continued super log at s, a point or an array.
 
     Sum of order * w over the catalog's super records, where w in
     {-1, 0, +1} counts the crossings of the path with the cut of
@@ -364,12 +408,17 @@ def super_winding(
     -1 for a pole passed below from its height or above, else 0.  The
     continued log is sum order * Log(s - location) + 2 pi i * winding.
     """
-    s = complex(s)
-    above, _ = _path_plan(s, [r.location for r in catalog], detour_radius, detour_side)
-    return sum(
-        rec.order * _winding(s, rec.location, above[rec.location])
-        for rec in _super_records(catalog)
-    )
+    z = np.asarray(s, dtype=complex)
+    locations = [r.location for r in catalog]
+    distinct, above, _ = _path_plan(z.ravel(), locations, detour_radius, detour_side)
+    records = _super_records(catalog)
+    column = {loc: j for j, loc in enumerate(distinct.tolist())}
+    columns = [column[r.location] for r in records]
+    passed_above = above[:, columns]
+    below_height = z.reshape(-1, 1).imag < distinct.imag[columns]
+    crossings = (passed_above & below_height).astype(int) - (~passed_above & ~below_height)
+    winding = crossings @ np.array([r.order for r in records], dtype=int)
+    return _number_or_array(s, winding.reshape(z.shape))
 
 
 def _segment_integral(f, a: complex, b: complex, breaks=()) -> complex:
@@ -389,13 +438,13 @@ def _arc_integral(
 
 
 def log_zeta_by_path(
-    s: complex,
+    s,
     logderiv=None,
     catalog: list[SingularityRecord] | None = None,
     detour_radius: float = 0.1,
     detour_side: str = "above",
     tail=None,
-) -> complex:
+):
     """-integral_s^inf of a continued log-derivative along a rightward ray.
 
     Exponentiating the result gives the continued zeta value; different
@@ -409,9 +458,10 @@ def log_zeta_by_path(
     With logderiv omitted the integrand is the partial-fraction sum of the
     catalog's super records, sum order/(z - location), and the value is
     the closed form sum order * Log(s - location) + 2 pi i * super_winding
-    (no quadrature; tail is not used).  A given logderiv maps an array of
-    points to values, the contract of quadrature.integrate, and the path
-    is integrated by that adaptive Gauss-Legendre rule, with the poles'
+    (no quadrature; tail is not used), for a point or for an array of
+    points at once.  A given logderiv maps an array of points to values,
+    the contract of quadrature.integrate, and the path from the one point
+    s is integrated by that adaptive Gauss-Legendre rule, with the poles'
     real parts as panel edges; this serves as a check of the closed form
     and for integrands that are not pure partial fractions, and a segment
     or arc that misses the rule's tolerance raises QuadratureFailure.
@@ -419,17 +469,25 @@ def log_zeta_by_path(
     the ray is extended by doubling until |logderiv| * |w| falls below
     1e-12, which covers integrands with quadratic decay.
     """
-    s = complex(s)
     catalog = list(catalog or ())
     if logderiv is None:
-        principal = sum(
-            (rec.order * _principal_log(s - rec.location) for rec in _super_records(catalog)),
-            0.0 + 0.0j,
-        )
-        return principal + 2j * math.pi * super_winding(s, catalog, detour_radius, detour_side)
+        z = np.asarray(s, dtype=complex)
+        records = _super_records(catalog)
+        # the plan refuses a point on a pole before its log is taken
+        winding = super_winding(z, catalog, detour_radius, detour_side)
+        # + 0.0 makes a zero imaginary part positive: the winding rule
+        # counts the cut as +pi.  cmath.log, not np.log, whose log|z| can
+        # differ in the last bit: each point's log is its scalar formula's
+        offsets = z.reshape(-1, 1) - np.array([r.location for r in records], dtype=complex) + 0.0
+        logs = np.fromiter(map(cmath.log, offsets.ravel().tolist()), complex, offsets.size)
+        principal = np.zeros(z.size, dtype=complex)
+        for rec, column in zip(records, logs.reshape(offsets.shape).T):
+            principal = principal + rec.order * column
+        return _number_or_array(s, principal.reshape(z.shape) + 2j * math.pi * winding)
 
+    s = complex(s)
     locations = [r.location for r in catalog]
-    above, detoured = _path_plan(s, locations, detour_radius, detour_side)
+    distinct, above, detoured = _path_plan(np.array([s]), locations, detour_radius, detour_side)
 
     reach = max([abs(loc) for loc in locations] + [abs(s), 1.0])
     s_max = complex(max(20.0, 5.0 * reach), s.imag)
@@ -448,11 +506,13 @@ def log_zeta_by_path(
     else:
         tail_value = tail(s_max)
 
-    breaks = [loc.real for loc in above]
+    breaks = distinct.real.tolist()
     total = 0.0 + 0.0j
     cursor = s
-    for loc in detoured:
+    ahead = np.flatnonzero(detoured[0])
+    for j in ahead[np.argsort(distinct.real[ahead], kind="stable")].tolist():
         # straight run up to the pole's circle, then round it on its side
+        loc = complex(distinct[j])
         depth = loc.imag - s.imag
         half_chord = math.sqrt(detour_radius * detour_radius - depth * depth)
         exit_angle = math.atan2(-depth, half_chord)
@@ -462,47 +522,8 @@ def log_zeta_by_path(
             loc,
             detour_radius,
             math.pi - exit_angle,
-            exit_angle if above[loc] else 2.0 * math.pi + exit_angle,
+            exit_angle if above[0, j] else 2.0 * math.pi + exit_angle,
         )
         cursor = complex(loc.real + half_chord, s.imag)
     total += _segment_integral(logderiv, cursor, s_max, breaks)
     return -(total) + tail_value
-
-
-# ---------------------------------------------------------------------------
-# factorization of the plain geodesic zeta into Selberg-type factors
-
-
-def ruelle_factorization_check(
-    s: complex,
-    k: float,
-    chi,
-    spectrum,
-    growth_constant: float | None = None,
-) -> tuple[complex, complex, float]:
-    """Compare R(s; k) with Z(s-1; k) Z(s+1; k) / (Z(s; k+1) Z(s; k-1)).
-
-    All five factors are evaluated as geodesic sums in the common
-    convergence region, so this is a pure identity check of the adjoint
-    determinant expansion.  Returns (lhs, rhs, relative gap).
-    """
-    def log(kind: str, s_arg: complex, k_arg: float) -> complex:
-        req = ZetaRequest(
-            s=s_arg,
-            k=k_arg,
-            spectrum=spectrum,
-            kind=kind,
-            chi=chi,
-            growth_constant=growth_constant,
-        )
-        return log_zeta(req).value
-
-    lhs = cmath.exp(log("ruelle", s, k))
-    rhs = cmath.exp(
-        log("selberg", s - 1.0, k)
-        + log("selberg", s + 1.0, k)
-        - log("selberg", s, k + 1.0)
-        - log("selberg", s, k - 1.0)
-    )
-    gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return lhs, rhs, gap

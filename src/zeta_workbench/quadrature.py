@@ -5,7 +5,8 @@ panel is that value minus the sum of the same rule on its two halves.
 A panel whose error is within the tolerance contributes its half-panel
 sum, every other panel is bisected, and all open panels are evaluated
 in one vectorised call per round, so integrands take arrays and may be
-complex.
+complex.  A batch of integrals shares those rounds, and each integral
+sums its own panels in order: it is bit-identical to the same one alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ __all__ = ["integrate"]
 
 # a panel is done when its error is at most _TOL * max(1, |panel value|)
 _TOL = 1e-13
-_MAX_PANELS = 4000
+_MAX_PANELS = 4000  # per integral
 
 
 @functools.cache
@@ -36,40 +37,55 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, 2.0 * vectors[0] ** 2
 
 
-def _rule(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _rule(f, lo: np.ndarray, hi: np.ndarray, which: np.ndarray) -> np.ndarray:
     nodes, weights = _gauss_legendre()
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
-    return half * (np.asarray(f(x)) @ weights)
+    # a row sum: a matrix product may round a row by how many share the call
+    return half * (np.asarray(f(x, which)) * weights).sum(axis=1)
 
 
-def integrate(f, a: float, b: float, breaks=()) -> complex:
+def integrate(f, a, b, breaks=()):
     """Integral of f from a to b; f maps an array of points to values.
 
+    Arrays a and b give the array of their integrals, and f(x, which) then
+    also gets the index of the integral that each row of points is for.
     The points of breaks that lie strictly between a and b are the first
     panel edges, so a feature placed on one is never straddled by a
-    panel.  Raises QuadratureFailure once 4000 panels have not met the
-    tolerance.
+    panel.  Raises QuadratureFailure once an integral has used 4000
+    panels without meeting the tolerance.
     """
-    inside = sorted(x for x in breaks if min(a, b) < x < max(a, b))
-    edges = np.array([a, *(inside if a < b else inside[::-1]), b], dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    whole = _rule(f, lo, hi)
-    total, panels = 0.0, len(lo)
+    batch = np.ndim(a) > 0 or np.ndim(b) > 0
+    g = f if batch else lambda x, which: f(x)
+    a, b = (np.ravel(v).astype(float) for v in np.broadcast_arrays(a, b))
+    lo, hi, which = [], [], []
+    for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
+        inside = sorted(x for x in breaks if min(ai, bi) < x < max(ai, bi))
+        edges = [ai, *(inside if ai < bi else inside[::-1]), bi]
+        lo += edges[:-1]
+        hi += edges[1:]
+        which += [i] * (len(edges) - 1)
+    lo, hi, which = np.array(lo), np.array(hi), np.array(which, dtype=int)
+    whole = _rule(g, lo, hi, which)
+    total = np.zeros(len(a), dtype=complex)
+    panels = np.bincount(which, minlength=len(a))
     while len(lo):
-        panels += 2 * len(lo)
-        if panels > _MAX_PANELS:
+        open_count = np.bincount(which, minlength=len(a))
+        panels += 2 * open_count
+        if np.any(panels > _MAX_PANELS):
+            i = np.argmax(panels > _MAX_PANELS)
             raise QuadratureFailure(
-                f"{len(lo)} panels of [{a:g}, {b:g}] still miss the tolerance "
-                f"after {_MAX_PANELS} panels"
+                f"{open_count[i]} panels of [{a[i]:g}, {b[i]:g}] still miss the "
+                f"tolerance after {_MAX_PANELS} panels"
             )
         mid = 0.5 * (lo + hi)
-        halves = _rule(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        halves = _rule(g, np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(which, 2))
         left, right = np.split(halves, 2)
         refined = left + right
         done = np.abs(whole - refined) <= _TOL * np.maximum(1.0, np.abs(refined))
-        total += refined[done].sum()
+        np.add.at(total, which[done], refined[done])
         open_ = ~done
         lo, hi = np.concatenate([lo[open_], mid[open_]]), np.concatenate([mid[open_], hi[open_]])
+        which = np.tile(which[open_], 2)
         whole = np.concatenate([left[open_], right[open_]])
-    return complex(total)
+    return total if batch else complex(total[0])

@@ -307,12 +307,9 @@ class EigenvalueSpectrum:
                 raise InvariantViolation(f"eigenvalue {ev} listed twice")
             seen.add(ev)
 
-    def multiplicity(self, ev: complex, tol: float = 0.0) -> int:
+    def multiplicity(self, ev: complex) -> int:
         ev = complex(ev)
-        for e, m in self.entries:
-            if e == ev or (tol > 0 and abs(e - ev) <= tol):
-                return m
-        return 0
+        return next((m for e, m in self.entries if e == ev), 0)
 
 
 class DiracSpectrum(EigenvalueSpectrum):

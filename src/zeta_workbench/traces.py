@@ -175,8 +175,10 @@ def identity_term_dirac(
 # kernel identities
 
 
-def _heat_time_integral(c0: complex, length: float, s2: complex) -> complex:
-    """integral_0^inf c0 t^{-3/2} exp(-l^2/4t) exp(-t s^2) dt, Re(s^2) > 0.
+def _heat_time_integral(c0, length, s2):
+    """integral_0^inf c0 t^{-3/2} exp(-l^2/4t) exp(-t s^2) dt, Re(s^2) > 0,
+    for each element of c0, length and s2 (broadcast together), all in one
+    batched integrate call per leg.
 
     Runs along the real axis to the saddle t* = l/(2|s|), then turns onto
     the ray where t s^2 advances through real values, so the integrand
@@ -185,76 +187,77 @@ def _heat_time_integral(c0: complex, length: float, s2: complex) -> complex:
     the principal branch of t^{-3/2} is smooth and exp(-l^2/4t) is
     bounded by one, so the rotation is legitimate.
     """
+    shape = np.broadcast(c0, length, s2).shape
+    c0, length, s2 = (np.ravel(v) for v in np.broadcast_arrays(c0, length, s2))
     budget = 120.0
-    t_star = length / (2.0 * math.sqrt(abs(s2)))
-    u0 = math.log(t_star)
-    u_lo = math.log(length * length / (4.0 * budget))
-    if u_lo >= u0:
-        u_lo = u0 - 1.0
+    t_star = length / (2.0 * np.sqrt(np.abs(s2)))
+    u0 = np.log(t_star)
+    u_lo = np.log(length * length / (4.0 * budget))
+    u_lo = np.where(u_lo >= u0, u0 - 1.0, u_lo)
+    tau_hi = budget / np.abs(s2)
+    ray = np.exp(-1j * np.angle(s2))
+    # from here on columns: row i of a block of panel nodes takes integral i's constants
+    c0, l2, s2, t_star, ray = (v[:, None] for v in (c0, length**2, s2, t_star, ray))
 
-    def leg_small_t(u):
+    def leg_small_t(u, i):
         t = np.exp(u)
-        return c0 * np.exp(-(length**2) / (4.0 * t) - t * s2 - 0.5 * u)
+        return c0[i] * np.exp(-l2[i] / (4.0 * t) - t * s2[i] - 0.5 * u)
 
-    ray = cmath.exp(-1j * cmath.phase(s2))
+    def leg_ray(tau, i):
+        t = t_star[i] + ray[i] * tau
+        return c0[i] * t**-1.5 * np.exp(-l2[i] / (4.0 * t) - t * s2[i]) * ray[i]
 
-    def leg_ray(tau):
-        t = t_star + ray * tau
-        return c0 * t**-1.5 * np.exp(-(length**2) / (4.0 * t) - t * s2) * ray
-
-    return integrate(leg_small_t, u_lo, u0) + integrate(leg_ray, 0.0, budget / abs(s2))
+    total = integrate(leg_small_t, u_lo, u0) + integrate(leg_ray, 0.0, tau_hi)
+    return total.reshape(shape)[()]
 
 
-def laplace_kernel_check(length: float, s: complex) -> tuple[complex, complex, float]:
+def laplace_kernel_check(length, s):
     """Check integral_0^inf exp(-t s^2) (4 pi t)^{-3/2} exp(-l^2/4t) dt
     against the closed form exp(-l s) / (4 pi l).
 
-    Returns (lhs, rhs, gap).  The substitution t = exp(u) turns the
+    length and s are numbers or arrays, broadcast together; returns (lhs,
+    rhs, gap) of their shape.  The substitution t = exp(u) turns the
     integrand into a doubly exponentially decaying bump, which adaptive
     quadrature resolves cheaply.
     """
-    s = complex(s)
-    if not (length > 0):
+    length, s = np.broadcast_arrays(np.asarray(length, dtype=float), np.asarray(s, dtype=complex))
+    if not np.all(length > 0):
         raise InvariantViolation("length must be positive")
-    if s.real <= 0:
+    if np.any(s.real <= 0):
         raise InvariantViolation("need Re(s) > 0")
     s2 = s * s
-    if s2.real <= 0:
-        raise QuadratureFailure(
-            "integral is not absolutely convergent for Re(s^2) <= 0"
-        )
+    if np.any(s2.real <= 0):
+        raise QuadratureFailure("integral is not absolutely convergent for Re(s^2) <= 0")
 
     lhs = _heat_time_integral((4.0 * math.pi) ** -1.5, length, s2)
-    rhs = cmath.exp(-length * s) / (4.0 * math.pi * length)
-    return lhs, rhs, abs(lhs - rhs)
+    rhs = np.exp(-length * s) / (4.0 * math.pi * length)
+    return lhs, rhs, np.abs(lhs - rhs)
 
 
-def fourier_gaussian_check(length: float, t: float) -> tuple[complex, complex, float]:
+def fourier_gaussian_check(length, t):
     """Check (1/2pi) integral lam exp(-t lam^2) exp(-i l lam) dlam against
     -i l sqrt(pi) exp(-l^2/4t) / (4 pi t^{3/2}).
 
+    length and t are numbers or arrays, as for laplace_kernel_check.
     Multiplying the closed form by l reproduces the per-class weight of the
     first-order geodesic side, which is how the two printed forms of that
     formula pass into one another.
     """
-    if not (length > 0 and t > 0):
+    length, t = np.broadcast_arrays(np.asarray(length, dtype=float), np.asarray(t, dtype=float))
+    if not (np.all(length > 0) and np.all(t > 0)):
         raise InvariantViolation("length and t must be positive")
+    l_flat, t_flat = length.ravel(), t.ravel()
 
     # lam cos(l lam) exp(-t lam^2) is odd, so only the sine part survives;
     # folding the domain keeps the cancellation out of the error estimate
-    def integrand(lam):
-        return lam * np.exp(-t * lam * lam) * np.sin(length * lam)
+    def integrand(lam, i):
+        return lam * np.exp(-t_flat[i, None] * lam * lam) * np.sin(l_flat[i, None] * lam)
 
-    half = integrate(integrand, 0.0, math.sqrt(200.0 / t))
-    lhs = -2j * half / (2.0 * math.pi)
-    rhs = (
-        -1j
-        * length
-        * math.sqrt(math.pi)
-        * math.exp(-length**2 / (4.0 * t))
-        / (4.0 * math.pi * t**1.5)
-    )
-    return lhs, rhs, abs(lhs - rhs)
+    half = integrate(integrand, 0.0, np.sqrt(200.0 / t_flat)).reshape(length.shape)
+    lhs = (-2j * half / (2.0 * math.pi))[()]
+    rhs = -1j * length * math.sqrt(math.pi) * np.exp(-(length**2) / (4.0 * t))
+    rhs = rhs / (4.0 * math.pi * t**1.5)
+    return lhs, rhs, np.abs(lhs - rhs)
 
 
 def class_term_t_integral(

@@ -27,7 +27,6 @@ from .continuation import (
     continued_sym_logderiv,
     partial_fraction_weights,
     residue_at,
-    ruelle_factorization_check,
     singularity_catalog,
 )
 from .errors import ParityViolation, WorkbenchError
@@ -58,7 +57,14 @@ from .zeta import (
     log_zeta,
 )
 
-__all__ = ["SUITES", "run_suite", "run_all", "toy_spectrum", "single_class_spectrum"]
+__all__ = [
+    "SUITES",
+    "run_suite",
+    "run_all",
+    "ruelle_factorization_check",
+    "toy_spectrum",
+    "single_class_spectrum",
+]
 
 
 class _Ledger:
@@ -70,10 +76,17 @@ class _Ledger:
         self.worst: tuple[float, str] | None = None  # (gap / tolerance, label)
 
     def gap(self, value: float, tol: float, label: str) -> None:
-        self.cases += 1
-        self.max_gap = max(self.max_gap, value)
-        if not value <= tol:  # a NaN gap fails too
-            self._fail(value / tol if value > tol else math.inf, label)
+        self.gaps([value], tol, lambda i: label)
+
+    def gaps(self, values, tol: float, label) -> None:
+        """One case per value, in order; label(i) names case i, and is
+        formatted only for a case that fails."""
+        values = np.asarray(values, dtype=float)
+        self.cases += values.size
+        self.max_gap = float(np.fmax.reduce(values, initial=self.max_gap))  # NaN is no maximum
+        for i in np.flatnonzero(~(values <= tol)).tolist():  # a NaN gap fails too
+            value = float(values[i])
+            self._fail(value / tol if value > tol else math.inf, label(i))
 
     def require(self, ok: bool, label: str) -> None:
         self.cases += 1
@@ -157,19 +170,61 @@ def random_dirac_spectrum(rng: np.random.Generator, max_entries: int = 20) -> Di
     return DiracSpectrum(entries=tuple(entries))
 
 
+# factorization of the plain geodesic zeta into Selberg-type factors ----------
+
+
+def ruelle_factorization_check(
+    s: complex,
+    k: float,
+    chi,
+    spectrum,
+    growth_constant: float | None = None,
+) -> tuple[complex, complex, float]:
+    """Compare R(s; k) with Z(s-1; k) Z(s+1; k) / (Z(s; k+1) Z(s; k-1)).
+
+    All five factors are evaluated as geodesic sums in the common
+    convergence region, so this is a pure identity check of the adjoint
+    determinant expansion.  Returns (lhs, rhs, relative gap).
+    """
+    def log(kind: str, s_arg: complex, k_arg: float) -> complex:
+        req = ZetaRequest(
+            s=s_arg,
+            k=k_arg,
+            spectrum=spectrum,
+            kind=kind,
+            chi=chi,
+            growth_constant=growth_constant,
+        )
+        return log_zeta(req).value
+
+    lhs = cmath.exp(log("ruelle", s, k))
+    rhs = cmath.exp(
+        log("selberg", s - 1.0, k)
+        + log("selberg", s + 1.0, k)
+        - log("selberg", s, k + 1.0)
+        - log("selberg", s, k - 1.0)
+    )
+    gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    return lhs, rhs, gap
+
+
 # suites --------------------------------------------------------------------
 
 
 def suite_kernels(seed: int = 0) -> dict:
-    """Both analytic kernel identities on a 10x10 log-spaced grid."""
+    """Both analytic kernel identities on a 10x10 log-spaced grid, one
+    batched check per identity."""
     grid = np.logspace(-1.0, 1.0, 10)
     ledger = _Ledger("kernels", seed)
-    for l in grid:
-        for x in grid:
-            _, _, gap = laplace_kernel_check(float(l), complex(x))
-            ledger.gap(gap, 1e-10, f"laplace kernel at l={l:g}, par={x:g}")
-            _, _, gap = fourier_gaussian_check(float(l), float(x))
-            ledger.gap(gap, 1e-10, f"fourier kernel at l={l:g}, par={x:g}")
+    lengths, pars = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    _, _, laplace_gaps = laplace_kernel_check(lengths, pars.astype(complex))
+    _, _, fourier_gaps = fourier_gaussian_check(lengths, pars)
+    # case 2i is the laplace identity at grid point i, case 2i + 1 the fourier one
+    def label(i: int) -> str:
+        kernel, (l, x) = ("laplace", "fourier")[i % 2], (lengths[i // 2], pars[i // 2])
+        return f"{kernel} kernel at l={l:g}, par={x:g}"
+
+    ledger.gaps(np.stack([laplace_gaps, fourier_gaps], 1).ravel(), 1e-10, label)
     return ledger.report()
 
 
@@ -178,8 +233,14 @@ def suite_partial_fractions(seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     ledger = _Ledger("partial-fractions", seed)
 
-    for trial in range(100):
-        n = int(rng.integers(1, 7))
+    # every trial is drawn first, in the order of one trial at a time, and
+    # then all are checked in one array pass: row t holds trial t's 20
+    # points, and its missing shifts are padded with weight 0 and a
+    # denominator of 1, which leave its products and sums as they are
+    most = 6
+    sizes, squares, weights, points = [], [], [], []
+    for _ in range(100):
+        n = int(rng.integers(1, most + 1))
         shifts = []
         while len(shifts) < n:
             cand = complex(rng.uniform(0.5, 3.0), rng.uniform(-1.0, 1.0))
@@ -188,18 +249,26 @@ def suite_partial_fractions(seed: int = 0) -> dict:
             # exactly degenerate case is rejected as DegenerateShifts
             if all(abs(cand * cand - s * s) > 0.25 for s in shifts):
                 shifts.append(cand)
-        weights = partial_fraction_weights(tuple(shifts))
-        sq = [s * s for s in shifts]
-        for _ in range(20):
-            x = complex(rng.uniform(-0.4, 4.0), rng.uniform(-2.0, 2.0))
-            if any(abs(x + q) < 1e-2 for q in sq):
-                continue
-            product = 1.0 + 0.0j
-            for q in sq:
-                product /= x + q
-            sum_form = sum(w / (x + q) for w, q in zip(weights, sq))
-            rel = abs(product - sum_form) / max(abs(product), 1e-300)
-            ledger.gap(rel, 1e-10, f"grid {trial}: N={n}, x={x}")
+        sizes.append(n)
+        squares.append([s * s for s in shifts] + [0j] * (most - n))
+        weights.append(partial_fraction_weights(tuple(shifts)) + [0j] * (most - n))
+        # (re, im) after (re, im), as one scalar draw after another
+        points.append(rng.uniform((-0.4, -2.0), (4.0, 2.0), size=(20, 2)).view(complex).ravel())
+    x, sq, w = np.array(points), np.array(squares), np.array(weights)
+    valid = np.arange(most) < np.array(sizes)[:, None]
+    keep = np.ones(x.shape, dtype=bool)  # points within 1e-2 of a pole are skipped
+    product = np.ones(x.shape, dtype=complex)
+    sum_form = np.zeros(x.shape, dtype=complex)
+    for j in range(most):
+        denominator = np.where(valid[:, j, None], x + sq[:, j, None], 1.0)
+        keep &= ~valid[:, j, None] | (np.abs(denominator) >= 1e-2)
+        product = product / denominator
+        sum_form = sum_form + w[:, j, None] / denominator
+    rel = np.abs(product - sum_form) / np.maximum(np.abs(product), 1e-300)
+    trial, kept = np.nonzero(keep)[0], x[keep]
+    ledger.gaps(
+        rel[keep], 1e-10, lambda i: f"grid {trial[i]}: N={sizes[trial[i]]}, x={complex(kept[i])}"
+    )
 
     # full-grid reductions: weighted sums of the continued log-derivatives
     # must equal the direct double sums over (eigenvalue, shift)
@@ -245,33 +314,41 @@ def suite_partial_fractions(seed: int = 0) -> dict:
 
 
 def suite_residues(seed: int = 0) -> dict:
-    """Contour residues equal multiplicities, for both continued sums."""
+    """Contour residues equal multiplicities, for both continued sums; one
+    batched residue_at call per continued sum and trial."""
     rng = np.random.default_rng(seed)
     k = 1.0
     ledger = _Ledger("residues", seed)
 
     for trial in range(25):
         dirac = random_dirac_spectrum(rng)
+        ev = np.array([e for e, _ in dirac.entries])
 
         def l_super(z):
             return continued_super_logderiv(z, dirac)
 
-        for ev, _ in dirac.entries:
-            want = super_multiplicity(dirac, ev)
-            got = residue_at(l_super, 1j * ev, 0.1)
-            ledger.gap(abs(got - want), 1e-8, f"first order, trial {trial}, ev={ev}")
-            got = residue_at(l_super, -1j * ev, 0.1)
-            ledger.gap(abs(got + want), 1e-8, f"first order at -i ev, trial {trial}, ev={ev}")
+        got = residue_at(l_super, np.concatenate([1j * ev, -1j * ev]), 0.1)
+        want = np.array([super_multiplicity(dirac, e) for e, _ in dirac.entries])
+        # case 2i is the residue at i ev_i, case 2i + 1 the one at -i ev_i
+        gaps = np.stack(np.split(np.abs(got - np.concatenate([want, -want])), 2), 1).ravel()
+
+        def label(i: int) -> str:
+            at = ("", " at -i ev")[i % 2]
+            return f"first order{at}, trial {trial}, ev={dirac.entries[i // 2][0]}"
+
+        ledger.gaps(gaps, 1e-8, label)
 
         laplace = square_spectrum(dirac)
 
         def l_sym(z):
             return continued_sym_logderiv(z, laplace, k, 1, 1.0)
 
-        for mu, m in laplace.entries:
-            root = 1j * cmath.sqrt(mu)
-            got = residue_at(l_sym, root, 0.05)
-            ledger.gap(abs(got - m), 1e-8, f"second order, trial {trial}, mu={mu}")
+        got = residue_at(l_sym, np.array([1j * cmath.sqrt(mu) for mu, _ in laplace.entries]), 0.05)
+        ledger.gaps(
+            np.abs(got - np.array([m for _, m in laplace.entries])),
+            1e-8,
+            lambda i: f"second order, trial {trial}, mu={laplace.entries[i][0]}",
+        )
 
     # zero eigenvalue: second-order residue doubles
     dirac0 = DiracSpectrum(entries=((0.0, 3), (1.5, 1)))
@@ -376,11 +453,13 @@ def suite_parity(seed: int = 0, inject_violation: bool = False) -> dict:
                 + continued_super_logderiv(z, dirac)
             )
 
-        for record in catalog:
-            if record.zeta_kind != "selberg":
-                continue
-            got = residue_at(l_plain, record.location, 0.05)
-            ledger.gap(abs(got - record.order), 1e-8, f"order mismatch at {record.location}")
+        plain = [record for record in catalog if record.zeta_kind == "selberg"]
+        got = residue_at(l_plain, np.array([record.location for record in plain]), 0.05)
+        ledger.gaps(
+            np.abs(got - np.array([record.order for record in plain])),
+            1e-8,
+            lambda i: f"order mismatch at {plain[i].location}",
+        )
 
     # a spectrum pair no graded operator couple can produce must be refused
     bad_dirac = DiracSpectrum(entries=((1.0, 1),))

@@ -460,6 +460,31 @@ def test_continue_grid_point_on_singularity_exit_7(tmp_path, capsys):
     assert "singularity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entries, line, count, message",
+    [
+        # on a pole; the 4th point is within the radius of another
+        ([(2.0, 0.0, 1), (1.0, -0.05, 1)], ["0", "4", "0", "0"], "5",
+         "grid point 2j lies on a catalogued singularity"),
+        # within the radius of a pole; the 4th point is on one
+        ([(2.0, -0.05, 1), (1.0, 0.0, 1)], ["0", "4", "0", "0"], "5",
+         "start point 2j is within 0.1 of singularity (0.05+2j)"),
+        # the pole at 1j is detoured, and its circle meets the one around 1.15j
+        ([(1.0, 0.0, 1), (1.15, 0.0, 2)], ["-1", "3", "-1", "0"], "4",
+         "detour circles around 1j and 1.15j overlap; reduce detour_radius"),
+    ],
+    ids=["on-pole", "within-radius", "overlapping-detours"],
+)
+def test_continue_grid_refuses_its_first_failing_point(tmp_path, capsys, entries, line, count,
+                                                       message):
+    # in each grid the third point is the first to fail
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc(entries))
+    code = main(["continue", "--dirac", dirac, "--s-start", *line[:2], "--s-stop", *line[2:],
+                 "--s-count", count])
+    assert code == 7
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 PORTRAIT_ENTRIES = [(0.9, 0.0, 2), (-0.9, 0.0, 1), (1.7, 0.1, 1), (2.6, 0.0, 3)]
 PORTRAIT_LINE = ["--s-start", "-0.5", "3", "--s-stop", "-0.5", "-3", "--s-count", "40"]
 
@@ -833,7 +858,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         ("enumerate cached", enumerate_argv, ENUMERATE),
         ("continue", ["continue", "--dirac", dirac, "--s-start", "-0.5", "3", "--s-stop",
                       "-0.5", "-3", "--s-count", "4"],
-         CLASS_SUMS | {"quadrature", "continuation"}),
+         PARSER | {"spectra", "reps", "quadrature", "continuation"}),
         ("verify", ["verify", "--suite", "kernels"],
          CLASS_SUMS | {"quadrature", "traces", "continuation", "verify"}),
     ]

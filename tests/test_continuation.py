@@ -7,6 +7,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeta_workbench import (
     AtSingularity,
@@ -27,6 +29,7 @@ from zeta_workbench import (
     super_tail_log,
     super_winding,
 )
+from zeta_workbench.continuation import _near
 from zeta_workbench.errors import InvariantViolation, NoConvergence
 from zeta_workbench.spectra import SingularityRecord
 from zeta_workbench.verify import random_dirac_spectrum
@@ -231,6 +234,136 @@ def test_catalog_accepts_consistent_override():
 
 def test_empty_catalog():
     assert singularity_catalog(DiracSpectrum(entries=())) == ()
+
+
+def residue_oracles(dirac, laplace):
+    """Each zeta kind's continued log-derivative, whose residues are the
+    catalog's orders for that kind."""
+
+    def l_super(z):
+        return continued_super_logderiv(z, dirac)
+
+    def l_sym(z):
+        return continued_sym_logderiv(z, laplace, 1.0, 1, volume=0.0)
+
+    def l_plain(z):
+        return 0.5 * (l_sym(z) + l_super(z))
+
+    return {"super": l_super, "symmetrized": l_sym, "selberg": l_plain}
+
+
+@pytest.mark.parametrize("laplace", [None, LaplaceSpectrum(entries=((1.0, 1), (1.0 + 2e-13, 2)))])
+def test_catalog_sums_the_multiplicities_of_entries_within_the_tolerance(laplace):
+    # 1.0 and 1.0 + 1e-13 are one eigenvalue to the catalog, which kept the
+    # first entry's multiplicity only: order 1 at i where the residue is 3
+    dirac = DiracSpectrum(entries=((1.0, 1), (1.0 + 1e-13, 2)))
+    catalog = singularity_catalog(dirac, laplace)
+    table = {(r.zeta_kind, r.location): r.order for r in catalog}
+    assert table == {
+        ("super", 1j): 3,
+        ("super", -1j): -3,
+        ("symmetrized", 1j): 3,
+        ("symmetrized", -1j): 3,
+        ("selberg", 1j): 3,
+    }
+    oracles = residue_oracles(dirac, laplace or square_spectrum(dirac))
+    for record in catalog:
+        got = residue_at(oracles[record.zeta_kind], record.location, 0.1)
+        assert got == pytest.approx(record.order, abs=1e-9), record
+    # the continued log is sum m Log((s - i lam)/(s + i lam)) over the data,
+    # up to whole turns; it was -0.482-4.129i against -1.446+6.463i
+    s = complex(-0.5, 0.3)
+    got = by_closed_form(dirac, s, "above")
+    want = sum(m * cmath.log((s - 1j * ev) / (s + 1j * ev)) for ev, m in dirac.entries)
+    assert cmath.exp(got) == pytest.approx(cmath.exp(want), rel=1e-9)
+    turns = (got - want) / (2j * math.pi)
+    assert abs(turns - round(turns.real)) < 1e-9
+
+
+def brute_force_catalog(dirac, laplace):
+    """The catalog by pairwise scans: the first of every run of entries
+    closer than 1e-12 gives the location, and all of them the order."""
+    near = 1e-12
+    roots = [cmath.sqrt(mu) for mu, _ in laplace.entries]
+    freqs = []
+    candidates = [c for ev, _ in dirac.entries for c in (ev, -ev)]
+    for nu in candidates + [c for r in roots for c in (r, -r)]:
+        if all(abs(known - nu) >= near for known in freqs):
+            freqs.append(nu)
+
+    def m(entries, x):
+        return sum(mult for value, mult in entries if abs(value - x) < near)
+
+    table = {}
+    for nu in freqs:
+        m_super = m(dirac.entries, nu) - m(dirac.entries, -nu)
+        m_second = m(laplace.entries, nu * nu)
+        if abs(nu) < near:
+            orders = {"super": m_super, "symmetrized": 2 * m_second, "selberg": m_second}
+        elif (m_super - m_second) % 2:
+            return ParityViolation
+        else:
+            orders = {"super": m_super, "symmetrized": m_second}
+            orders["selberg"] = (m_super + m_second) // 2
+        table.update({(kind, 1j * nu): order for kind, order in orders.items() if order})
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 0.5, 1.0, complex(1.5, 0.2), 3j]),
+            st.sampled_from([0.0, 3e-13, -4e-13, 9e-13, 2e-12, 1e-13j]),
+            st.sampled_from([1, -1]),
+            st.integers(1, 3),
+        ),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda t: t[2] * (t[0] + t[1]),
+    ),
+    st.booleans(),
+)
+def test_catalog_matches_the_pairwise_scan(entries, own_laplace):
+    dirac = DiracSpectrum(entries=tuple((sign * (base + d), m) for base, d, sign, m in entries))
+    laplace = square_spectrum(dirac)
+    if own_laplace:  # a second-order list whose squares sit off those of the first
+        laplace = LaplaceSpectrum(entries=tuple((mu * (1 + 1e-13), m) for mu, m in laplace.entries))
+    want = brute_force_catalog(dirac, laplace)
+    if want is ParityViolation:
+        with pytest.raises(ParityViolation):
+            singularity_catalog(dirac, laplace)
+        return
+    assert {(r.zeta_kind, r.location): r.order for r in singularity_catalog(dirac, laplace)} == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 120),
+    st.integers(1, 120),
+    st.sampled_from([1e-12, 0.05, 0.3]),
+    st.booleans(),
+)
+def test_closeness_scan_finds_every_close_pair(seed, n_queries, n_values, tol, on_a_line):
+    # past a few thousand pairs the scan sorts instead of comparing every pair
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-2.0, 2.0, n_values) + 1j * rng.uniform(-2.0, 2.0, n_values)
+    if on_a_line:  # spread along the imaginary axis only, as the poles i lam are
+        values = 1j * values.imag + 0.01 * values.real
+    picks = values[rng.integers(0, n_values, n_queries)]
+    jitter = tol * (rng.uniform(-1.5, 1.5, n_queries) + 1j * rng.uniform(-1.5, 1.5, n_queries))
+    queries = np.where(rng.random(n_queries) < 0.5, picks + jitter, picks)
+    q, v = _near(queries, values, tol)
+    want = {(i, j) for i in range(n_queries) for j in range(n_values) if abs(queries[i] - values[j]) < tol}
+    assert sorted(zip(q.tolist(), v.tolist())) == sorted(want)
+
+
+def test_catalog_keeps_the_first_location_of_a_merged_eigenvalue():
+    dirac = DiracSpectrum(entries=((1.0 + 1e-13, 2), (1.0, 1), (-1.0 - 5e-13, 1)))
+    catalog = singularity_catalog(dirac)
+    super_orders = {r.location: r.order for r in catalog if r.zeta_kind == "super"}
+    assert super_orders == {1j * (1.0 + 1e-13): 2, -1j * (1.0 + 1e-13): -2}
 
 
 # path continuation -----------------------------------------------------------
@@ -454,6 +587,95 @@ def test_closed_form_reads_only_super_records(dirac_pm):
     s = complex(-0.5, 0.3)
     mixed = list(singularity_catalog(dirac_pm)) + [SingularityRecord(3j, 5, "selberg")]
     assert log_zeta_by_path(s, catalog=mixed) == log_zeta_by_path(s, catalog=super_catalog(dirac_pm))
+
+
+# array forms -----------------------------------------------------------------
+
+
+def bits(values) -> np.ndarray:
+    """The bytes of complex values, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+GRID_DIRACS = (
+    DiracSpectrum(entries=((0.9, 2), (-0.9, 1), (complex(1.7, 0.1), 1), (2.6, 3))),
+    DiracSpectrum(entries=((complex(1.0, 0.05), 2), (2.0, 1), (-2.0, 3))),
+    DiracSpectrum(entries=((2j, 1), (complex(1.05, 0.4), 2), (complex(-0.97, 0.2), 3))),
+)
+
+
+@st.composite
+def grids(draw):
+    """A spectrum and up to 12 points, many at a pole's exact height, on
+    the real axis with either sign of zero, or near a pole."""
+    dirac = draw(st.sampled_from(GRID_DIRACS))
+    poles = [r.location for r in super_catalog(dirac)]
+    heights = st.sampled_from([p.imag for p in poles] + [0.0, -0.0])
+    point = st.one_of(
+        st.builds(complex, st.floats(-4.0, 4.0), st.one_of(heights, st.floats(-4.0, 4.0))),
+        st.builds(
+            lambda p, d: p + d, st.sampled_from(poles), st.complex_numbers(max_magnitude=0.3)
+        ),
+    )
+    return dirac, draw(st.lists(point, min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids(), st.sampled_from(["above", "below"]), st.sampled_from([0.05, 0.1, 0.25]))
+def test_array_path_is_the_points_one_by_one(case, side, radius):
+    dirac, points = case
+    catalog = super_catalog(dirac)
+    options = dict(detour_radius=radius, detour_side=side)
+    try:
+        logs = [log_zeta_by_path(s, catalog=catalog, **options) for s in points]
+        windings = [super_winding(s, catalog, radius, side) for s in points]
+    except PathThroughSingularity as refusal:
+        # the array refuses with the first refused point's own message
+        for f in (lambda z: log_zeta_by_path(z, catalog=catalog, **options),
+                  lambda z: super_winding(z, catalog, radius, side)):
+            with pytest.raises(PathThroughSingularity) as caught:
+                f(np.array(points))
+            assert str(caught.value) == str(refusal)
+        return
+    assert all(type(w) is int for w in windings) and all(type(v) is complex for v in logs)
+    got = log_zeta_by_path(np.array(points), catalog=catalog, **options)
+    assert np.array_equal(bits(got), bits(logs))
+    assert super_winding(np.array(points), catalog, radius, side).tolist() == windings
+    grid = np.array(points[:1] * 6).reshape(2, 3)
+    assert log_zeta_by_path(grid, catalog=catalog, **options).shape == (2, 3)
+
+
+def test_array_path_keeps_a_negative_zero_imaginary_part_on_the_cut():
+    dirac = DiracSpectrum(entries=((2j, 1),))  # poles on the real axis
+    points = np.array([complex(-3.0, 0.0), complex(-3.0, -0.0)])
+    for side in ("above", "below"):
+        got = log_zeta_by_path(points, catalog=super_catalog(dirac), detour_side=side)
+        assert np.array_equal(bits(got[1:]), bits(got[:1]))
+        assert got[0] == by_closed_form(dirac, points[1], side)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([0.05, 0.1]))
+def test_array_residues_are_the_centres_one_by_one(seed, radius):
+    dirac = random_dirac_spectrum(np.random.default_rng(seed))
+    laplace = square_spectrum(dirac)
+    ev = np.array([e for e, _ in dirac.entries])
+    centres = np.concatenate([1j * ev, -1j * ev, [0.35 + 0.2j]])
+    for f in (lambda z: continued_super_logderiv(z, dirac),
+              lambda z: continued_sym_logderiv(z, laplace, 1.0, 1, volume=1.0)):
+        got = residue_at(f, centres, radius)
+        assert np.array_equal(bits(got), bits([residue_at(f, c, radius) for c in centres]))
+        assert residue_at(f, centres.reshape(1, -1), radius).shape == (1, len(centres))
+
+
+def test_array_residue_refusal_names_the_first_open_centre():
+    step = 0.3 + 0.2 * math.cos(1.0)
+
+    def f(z):  # a step on the circle around 0.3: its values never settle
+        return np.where(np.abs(z - 0.3) < 0.25, np.where(z.real > step, 1.0, 0.0), 1.0 / (z - 2.0))
+
+    with pytest.raises(NoConvergence, match=r"at \(0\.3\+0j\)"):
+        residue_at(f, np.array([2.0, 0.3, 0.3 + 0.0j]), 0.2)
 
 
 # factorization ---------------------------------------------------------------

@@ -253,3 +253,49 @@ def test_integrate_resolves_a_narrow_peak_on_a_breakpoint():
         return np.exp(-0.5 * ((x - 0.3) / width) ** 2) / (width * math.sqrt(2 * math.pi))
 
     assert abs(integrate(peak, 0.0, 1.0, breaks=(0.3,)) - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.05, 4.0)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_batched_integrate_is_the_integrals_one_by_one(cases):
+    a, b, width = (np.array(column) for column in zip(*cases))
+
+    def f(x, which):
+        w = width[which][:, None]
+        return np.exp(-((x - 0.5) / w) ** 2) * (1.0 + 1j * np.sin(x / w))
+
+    got = integrate(f, a, b, breaks=(0.5, -1.0))
+    for i in range(len(cases)):
+        alone = integrate(lambda x: f(x, np.full(len(x), i)), a[i], b[i], breaks=(0.5, -1.0))
+        assert type(alone) is complex
+        assert got[i : i + 1].view(np.uint64).tolist() == np.array([alone]).view(np.uint64).tolist()
+
+
+def test_each_integral_of_a_batch_has_its_own_budget_and_message():
+    def f(x, which):
+        # integral 1 diverges at 0; integral 0 is smooth
+        return np.where(which[:, None] == 1, 1.0 / np.where(x == 0, 1e-300, x), np.cos(x))
+
+    with pytest.raises(QuadratureFailure, match=r"panels of \[0, 1\] still miss"):
+        integrate(f, np.array([0.0, 0.0]), np.array([2.0, 1.0]))
+    smooth = integrate(f, np.array([0.0, 0.5]), np.array([2.0, 1.0]))
+    assert smooth == pytest.approx([math.sin(2.0), math.log(2.0)], abs=1e-13)
+
+
+def test_kernel_checks_take_arrays():
+    lengths = np.array([0.3, 1.0, 4.0])
+    s = np.array([complex(0.5), complex(2.0, 0.7), complex(1.0, -0.9)])
+    lhs, rhs, gap = laplace_kernel_check(lengths, s)
+    assert lhs.shape == rhs.shape == gap.shape == (3,)
+    for i in range(3):
+        one = laplace_kernel_check(lengths[i], s[i])
+        assert lhs[i] == one[0] and gap[i] <= 1e-12
+    lhs, _, gap = fourier_gaussian_check(lengths[:, None], np.array([0.2, 6.0]))
+    assert lhs.shape == (3, 2) and np.all(gap <= 1e-12)
+    assert lhs[2, 1] == fourier_gaussian_check(4.0, 6.0)[0]

@@ -30,6 +30,20 @@ def test_run_all_covers_every_suite():
     assert all(r["pass"] for r in reports)
 
 
+CASES = {
+    0: {"kernels": 200, "partial-fractions": 2040, "residues": 477, "logderiv": 28,
+        "factorization": 30, "parity": 93, "trace-scaling": 13},
+}
+CASES[104] = dict(CASES[0], residues=415, parity=57)
+
+
+@pytest.mark.parametrize("seed", sorted(CASES))
+def test_run_all_still_runs_every_case(seed):
+    # batched suites record one case per identity, point or residue, as
+    # the suites that checked them one call at a time did
+    assert {r["suite"]: r["cases"] for r in run_all(seed=seed)} == CASES[seed]
+
+
 def test_seeds_change_data_not_outcome():
     # different seeds draw different random spectra but the identities
     # hold regardless, so both runs pass with (generically) different gaps
