@@ -41,9 +41,10 @@ for rec in catalog:
 
 super_records = [r for r in catalog if r.zeta_kind == "super"]
 points = np.array([complex(LINE_RE, im) for im in IMS])
-# one call per quantity for the whole line
-logs = log_zeta_by_path(points, catalog=super_records, detour_radius=RADIUS, detour_side="above")
-above = super_winding(points, super_records, RADIUS, "above")
+# the whole line at once: the log and its winding above, then the winding below
+logs, above = log_zeta_by_path(
+    points, catalog=super_records, detour_radius=RADIUS, detour_side="above", return_winding=True
+)
 below = super_winding(points, super_records, RADIUS, "below")
 print()
 print(f"continued values on Re(s) = {LINE_RE}")

@@ -53,7 +53,6 @@ _LAYERS = {
     "verify": ("run_suite",),
     "continue": (
         "parse_eigenvalue_spectrum", "singularity_catalog", "log_zeta_by_path",
-        "super_winding",
         "continued_super_logderiv",  # not called here; wrapped by name in perfbench/tracing.py
     ),
     "report": ("run_all",),
@@ -382,15 +381,15 @@ def cmd_continue(args) -> int:
         # the points before the first one on a pole go first, so the first
         # point that fails names the refusal, as one point at a time would
         stop = int(np.argmax(on_pole.any(axis=1))) if on_pole.any() else len(grid)
-        logs = log_zeta_by_path(
-            grid[:stop], catalog=super_records, detour_radius=args.radius, detour_side=args.detour
+        logs, windings = log_zeta_by_path(
+            grid[:stop], catalog=super_records, detour_radius=args.radius,
+            detour_side=args.detour, return_winding=True,
         )
         if stop < len(grid):
             raise AtSingularity(
                 f"grid point {complex(grid[stop])} lies on a catalogued singularity",
                 location=super_records[int(np.argmax(on_pole[stop]))].location,
             )
-        windings = super_winding(grid, super_records, args.radius, args.detour)
         for s, log_value, winding in zip(grid.tolist(), logs.tolist(), windings.tolist()):
             value = cmath.exp(log_value)
             rows.append(

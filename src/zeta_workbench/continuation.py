@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 _SINGULARITY_EPS = 1e-12
+_BLOCK = 4096  # pairs per block of the all-pairs temporaries
 
 
 def _number_or_array(s, values: np.ndarray):
@@ -79,28 +80,16 @@ def _number_or_array(s, values: np.ndarray):
 def _near(queries: np.ndarray, values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (q, v) of the pairs with |queries[q] - values[v]| < tol.
 
-    Up to a few thousand pairs are all compared at once.  Beyond that,
-    one sort of the values along the axis, real or imaginary, on which
-    they spread more: a query meets only the values in a window around
-    its own coordinate, and the scan takes one vectorised step per offset
-    into the windows.
+    Every pair is compared.  The queries go in blocks of _BLOCK pairs, as
+    in _spectral_sum, so the temporaries stay near 64 kB however many
+    queries and values there are.
     """
-    if queries.size * values.size <= 4096:
-        return np.nonzero(np.abs(queries[:, None] - values) < tol)
-    wide_real = values.real.max() - values.real.min() >= values.imag.max() - values.imag.min()
-    along = np.real if wide_real else np.imag
-    order = np.argsort(along(values), kind="stable")
-    key = along(values)[order]
-    # twice the width, so that rounding the window's ends loses no pair
-    lo = np.searchsorted(key, along(queries) - 2.0 * tol, side="right")
-    width = np.searchsorted(key, along(queries) + 2.0 * tol, side="left") - lo
+    step = max(1, _BLOCK // max(values.size, 1))
     qs, vs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for d in range(int(width.max())):
-        q = np.flatnonzero(width > d)
-        v = order[lo[q] + d]
-        hit = np.abs(queries[q] - values[v]) < tol
-        qs.append(q[hit])
-        vs.append(v[hit])
+    for start in range(0, queries.size, step):
+        q, v = np.nonzero(np.abs(queries[start : start + step, None] - values) < tol)
+        qs.append(q + start)
+        vs.append(v)
     return np.concatenate(qs), np.concatenate(vs)
 
 
@@ -153,7 +142,7 @@ def _spectral_sum(term, z: np.ndarray, size: int) -> np.ndarray:
     the temporaries stay near 64 kB however many points and eigenvalues
     there are; each point's sum is the same in any block."""
     flat = z.reshape(-1, 1)
-    step = max(1, 4096 // max(size, 1))
+    step = max(1, _BLOCK // max(size, 1))
     out = np.empty(len(flat), dtype=complex)
     for start in range(0, len(flat), step):
         out[start : start + step] = np.sum(term(flat[start : start + step]), axis=-1)
@@ -267,9 +256,9 @@ def singularity_catalog(
     mu, m_mu = _spectral_arrays(lap.entries)
     roots = np.array([cmath.sqrt(x) for x in mu.tolist()], dtype=complex)
 
-    # the distinct "frequencies" nu, location i*nu, in one sorted pass:
-    # +-lam, then +-sqrt(mu), each kept unless closer than the tolerance
-    # to one kept before it
+    # the distinct "frequencies" nu, location i*nu, from one pass over the
+    # close pairs: +-lam, then +-sqrt(mu), each kept unless closer than
+    # the tolerance to one kept before it
     candidates = np.stack([np.concatenate([ev, roots]), -np.concatenate([ev, roots])], 1).ravel()
     later, first = _near(candidates, candidates, _SINGULARITY_EPS)
     earlier = first < later
@@ -444,6 +433,7 @@ def log_zeta_by_path(
     detour_radius: float = 0.1,
     detour_side: str = "above",
     tail=None,
+    return_winding: bool = False,
 ):
     """-integral_s^inf of a continued log-derivative along a rightward ray.
 
@@ -459,7 +449,8 @@ def log_zeta_by_path(
     catalog's super records, sum order/(z - location), and the value is
     the closed form sum order * Log(s - location) + 2 pi i * super_winding
     (no quadrature; tail is not used), for a point or for an array of
-    points at once.  A given logderiv maps an array of points to values,
+    points at once; with return_winding it returns (log, winding) from
+    its one path plan.  A given logderiv maps an array of points to values,
     the contract of quadrature.integrate, and the path from the one point
     s is integrated by that adaptive Gauss-Legendre rule, with the poles'
     real parts as panel edges; this serves as a check of the closed form
@@ -470,6 +461,8 @@ def log_zeta_by_path(
     1e-12, which covers integrands with quadratic decay.
     """
     catalog = list(catalog or ())
+    if return_winding and logderiv is not None:
+        raise InvariantViolation("return_winding needs the closed form: omit logderiv")
     if logderiv is None:
         z = np.asarray(s, dtype=complex)
         records = _super_records(catalog)
@@ -483,7 +476,8 @@ def log_zeta_by_path(
         principal = np.zeros(z.size, dtype=complex)
         for rec, column in zip(records, logs.reshape(offsets.shape).T):
             principal = principal + rec.order * column
-        return _number_or_array(s, principal.reshape(z.shape) + 2j * math.pi * winding)
+        log = _number_or_array(s, principal.reshape(z.shape) + 2j * math.pi * winding)
+        return (log, winding) if return_winding else log
 
     s = complex(s)
     locations = [r.location for r in catalog]

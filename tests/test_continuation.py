@@ -344,19 +344,44 @@ def test_catalog_matches_the_pairwise_scan(entries, own_laplace):
     st.integers(1, 120),
     st.sampled_from([1e-12, 0.05, 0.3]),
     st.booleans(),
+    st.sampled_from([1.0, 4e4, 1e9]),
 )
-def test_closeness_scan_finds_every_close_pair(seed, n_queries, n_values, tol, on_a_line):
-    # past a few thousand pairs the scan sorts instead of comparing every pair
+def test_closeness_scan_finds_every_close_pair(seed, n_queries, n_values, tol, on_a_line, scale):
+    # far from the origin the ulp exceeds 1e-12, and only exact repeats are
+    # that close; some values repeat exactly, and half the queries are values
     rng = np.random.default_rng(seed)
-    values = rng.uniform(-2.0, 2.0, n_values) + 1j * rng.uniform(-2.0, 2.0, n_values)
+    values = scale * (rng.uniform(-2.0, 2.0, n_values) + 1j * rng.uniform(-2.0, 2.0, n_values))
     if on_a_line:  # spread along the imaginary axis only, as the poles i lam are
         values = 1j * values.imag + 0.01 * values.real
+    values[rng.integers(0, n_values, n_values // 4)] = values[rng.integers(0, n_values, n_values // 4)]
     picks = values[rng.integers(0, n_values, n_queries)]
     jitter = tol * (rng.uniform(-1.5, 1.5, n_queries) + 1j * rng.uniform(-1.5, 1.5, n_queries))
     queries = np.where(rng.random(n_queries) < 0.5, picks + jitter, picks)
     q, v = _near(queries, values, tol)
     want = {(i, j) for i in range(n_queries) for j in range(n_values) if abs(queries[i] - values[j]) < tol}
     assert sorted(zip(q.tolist(), v.tolist())) == sorted(want)
+
+
+@pytest.mark.parametrize("large", [4e4, 200.0, 1e9])
+def test_catalog_of_a_long_list_merges_exact_repeats_far_from_the_origin(large):
+    # 47 entries: past 2^15 (here at a frequency, or at a square for 200)
+    # the ulp exceeds 1e-12, so a value is close only to its exact repeats,
+    # such as itself and the root of its square
+    entries = [(0.37 * k, 1) for k in range(1, 45)] + [(large, 2), (-large, 1), (3.0, 2)]
+    dirac = DiracSpectrum(entries=tuple(entries))
+    want = brute_force_catalog(dirac, square_spectrum(dirac))
+    assert want[("super", 1j * large)] == 1 and want[("symmetrized", 1j * large)] == 3
+    assert {(r.zeta_kind, r.location): r.order for r in singularity_catalog(dirac)} == want
+
+
+def test_long_arrays_refuse_a_point_on_a_pole_far_from_the_origin():
+    dirac = DiracSpectrum(entries=tuple((0.37 * k, 1) for k in range(1, 60)) + ((4e4, 1),))
+    points = np.linspace(0.5, 2.0, 100) + 0.1j
+    points[57] = 4e4j
+    with pytest.raises(AtSingularity, match=r"s = 40000j sits on a pole"):
+        continued_super_logderiv(points, dirac)
+    with pytest.raises(AtSingularity):
+        continued_sym_logderiv(points, square_spectrum(dirac), 1.0, 1, 0.0)
 
 
 def test_catalog_keeps_the_first_location_of_a_merged_eigenvalue():
@@ -572,6 +597,9 @@ def test_closed_form_needs_the_complete_partial_fractions(dirac_pm):
         log_zeta_by_path(complex(2.0), catalog=partial)
     with pytest.raises(InvariantViolation):
         log_zeta_by_path(complex(2.0), catalog=super_catalog(dirac_pm), detour_radius=0.0)
+    with pytest.raises(InvariantViolation, match="closed form"):
+        log_zeta_by_path(complex(2.0), lambda z: continued_super_logderiv(z, dirac_pm),
+                         catalog=super_catalog(dirac_pm), return_winding=True)
 
 
 def test_closed_form_ignores_the_sign_of_a_zero_imaginary_part():
@@ -641,6 +669,10 @@ def test_array_path_is_the_points_one_by_one(case, side, radius):
     got = log_zeta_by_path(np.array(points), catalog=catalog, **options)
     assert np.array_equal(bits(got), bits(logs))
     assert super_winding(np.array(points), catalog, radius, side).tolist() == windings
+    both = log_zeta_by_path(np.array(points), catalog=catalog, return_winding=True, **options)
+    assert np.array_equal(bits(both[0]), bits(logs)) and both[1].tolist() == windings
+    assert log_zeta_by_path(points[0], catalog=catalog, return_winding=True, **options) == (
+        logs[0], windings[0])
     grid = np.array(points[:1] * 6).reshape(2, 3)
     assert log_zeta_by_path(grid, catalog=catalog, **options).shape == (2, 3)
 
