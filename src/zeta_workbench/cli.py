@@ -239,9 +239,10 @@ def cmd_enumerate(args) -> int:
         {
             "op": "enumerate",
             # keys without a version name spectra that merged classes
-            # sharing a complex length, version 2 an indented document;
+            # sharing a complex length, version 2 an indented document,
+            # version 3 a source with the shared-complex-length count;
             # bump it when the document changes
-            "version": 3,
+            "version": 4,
             "presentation": raw,
             "max_word_length": config.max_word_length,
             "cutoff": config.length_cutoff,

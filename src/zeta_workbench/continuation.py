@@ -49,7 +49,7 @@ from .errors import (
     PathThroughSingularity,
 )
 from .quadrature import integrate
-from .reps import GammaRep, plancherel
+from .reps import plancherel
 from .spectra import (
     DiracSpectrum,
     LaplaceSpectrum,
@@ -165,14 +165,14 @@ def continued_sym_logderiv(
     s,
     laplace: LaplaceSpectrum,
     k: float,
-    chi: GammaRep | int | None,
+    dim_chi: int,
     volume: float,
 ):
     """2s sum m(mu)/(mu + s^2) minus the entire density term.
 
     s is a point or an array of points, as for continued_super_logderiv.
-    chi may be a representation or just its dimension; volume 0 disables
-    the polynomial term explicitly.
+    dim_chi is the dimension of the twist; volume 0 disables the
+    polynomial term explicitly.
     """
     if volume is None:
         raise MissingVolume("the density term needs a volume (0 to disable)")
@@ -181,7 +181,6 @@ def continued_sym_logderiv(
     roots = 1j * np.sqrt(mu)
     _refuse_poles(z, np.concatenate([roots, -roots]))
     rational = 2.0 * z * _spectral_sum(lambda zz: m / (mu + zz * zz), z, len(mu))
-    dim_chi = chi.dimension if isinstance(chi, GammaRep) else (chi or 1)
     return rational - 4.0 * math.pi * dim_chi * volume * plancherel(k).at_s(z)
 
 
@@ -231,12 +230,6 @@ def residue_at(f, s0, radius: float):
 
 # ---------------------------------------------------------------------------
 # singularity catalog
-
-
-def _half(x: int, context: str) -> int:
-    if x % 2 != 0:
-        raise ParityViolation(f"odd order sum in {context}")
-    return x // 2
 
 
 def singularity_catalog(
@@ -294,7 +287,8 @@ def singularity_catalog(
                     eigenvalue=nu,
                 )
             order_sym = m_second
-            order_z = _half(m_super + order_sym, f"plain order at {location}")
+            # even: m_super - m_second is even, checked just above
+            order_z = (m_super + order_sym) // 2
         if m_super != 0:
             records.append(SingularityRecord(location, m_super, "super"))
         if order_sym != 0:
@@ -456,13 +450,14 @@ def log_zeta_by_path(
     real parts as panel edges; this serves as a check of the closed form
     and for integrands that are not pure partial fractions, and a segment
     or arc that misses the rule's tolerance raises QuadratureFailure.
-    tail(w) must then return the remaining -integral_w^inf; when omitted,
-    the ray is extended by doubling until |logderiv| * |w| falls below
-    1e-12, which covers integrands with quadratic decay.
+    tail(w) must then return the remaining -integral_w^inf; a logderiv
+    without tail is refused with InvariantViolation.
     """
     catalog = list(catalog or ())
     if return_winding and logderiv is not None:
         raise InvariantViolation("return_winding needs the closed form: omit logderiv")
+    if logderiv is not None and tail is None:
+        raise InvariantViolation("a given logderiv needs tail, the remaining integral")
     if logderiv is None:
         z = np.asarray(s, dtype=complex)
         records = _super_records(catalog)
@@ -485,20 +480,7 @@ def log_zeta_by_path(
 
     reach = max([abs(loc) for loc in locations] + [abs(s), 1.0])
     s_max = complex(max(20.0, 5.0 * reach), s.imag)
-    if tail is None:
-        w = s_max
-        for _ in range(60):
-            if abs(logderiv(w)) * abs(w) < 1e-12:
-                break
-            w = complex(w.real * 2.0, w.imag)
-        else:
-            raise NoConvergence(
-                "log-derivative does not decay along the ray; no path tail"
-            )
-        s_max = w
-        tail_value = 0.0 + 0.0j
-    else:
-        tail_value = tail(s_max)
+    tail_value = tail(s_max)
 
     breaks = distinct.real.tolist()
     total = 0.0 + 0.0j

@@ -10,9 +10,7 @@ the other.  So each class is a necklace, listed once under its least
 rotation, and a word that repeats a shorter word n times is the n-th power
 class of that word's class.  Nothing is merged numerically: a word, its
 inverse and its reversal share length and angle yet are distinct classes.
-A presentation with relations may list one class under several necklaces;
-the `shared_complex_length` count in the spectrum source flags the
-candidates.
+A presentation with relations may list one class under several necklaces.
 
 The walk is the Fredricksen-Kessler-Maiorana necklace generation (Ruskey,
 Savage and Wang, J. Algorithms 1992), depth-first over reduced
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, NotLoxodromic, SchemaError, UnknownSymbol
-from .spectra import ClassColumns, LengthSpectrum, close_pairs, json_object, wrap_angle
+from .spectra import ClassColumns, LengthSpectrum, json_object, wrap_angle
 
 __all__ = [
     "GroupPresentation",
@@ -46,7 +44,7 @@ __all__ = [
 
 _DET_TOL = 1e-12
 _UNIT_CIRCLE_TOL = 1e-9
-# the spectrum's matching tolerance, also the window of the shared count
+# the spectrum's matching tolerance
 _TOLERANCE = 1e-9
 
 
@@ -229,29 +227,6 @@ def primitive_decomposition(classes: Iterable[tuple[float, float, str]]) -> Clas
 # enumeration
 
 
-def _shared_complex_length(classes: ClassColumns) -> int:
-    """Count the classes whose (length, angle) lies within _TOLERANCE of a
-    class other than itself and its formal inverse.
-
-    classes are sorted by length.  A word and its reversal always share the
-    trace in two generators, so the count flags candidates for classes that
-    a relation would identify; nothing is merged on it.  A word with a
-    caseless letter has no formal inverse.
-    """
-    words = classes.words
-    first, second = close_pairs(classes.length, classes.angle, _TOLERANCE)
-    apart = []
-    for i, j in zip(first, second):
-        inverse, word = words[i][::-1].swapcase(), words[j]
-        invertible = all(x != x.swapcase() for x in inverse)
-        # words[j] may be a rotation of the inverse of words[i]
-        apart.append(not (invertible and len(word) == len(inverse) and word in inverse + inverse))
-    apart = np.array(apart, dtype=bool)
-    shared = np.zeros(len(words), dtype=bool)
-    shared[first[apart]] = shared[second[apart]] = True
-    return int(np.count_nonzero(shared))
-
-
 def _walk(pres: GroupPresentation, cfg: EnumerationConfig) -> ClassColumns:
     """The necklace walk: every class below the cutoff, sorted by (length,
     angle, word), with its multiplicity."""
@@ -317,11 +292,10 @@ def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> Lengt
 
     Returns every class found with length <= cfg.length_cutoff among words
     of at most cfg.max_word_length symbols, with multiplicities and
-    primitivity filled in.  The spectrum source records the configuration,
-    the shared-complex-length count and a completeness heuristic: if the
-    shortest class discovered at the maximal word length is still below the
-    cutoff, longer words would plausibly contribute further classes and the
-    walk is flagged incomplete.
+    primitivity filled in.  The spectrum source records the configuration
+    and a completeness heuristic: if the shortest class discovered at the
+    maximal word length is still below the cutoff, longer words would
+    plausibly contribute further classes and the walk is flagged incomplete.
     """
     classes = _walk(pres, cfg)
     shortest_at_max = min(
@@ -334,7 +308,6 @@ def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> Lengt
         f"max_word_length={cfg.max_word_length}",
         f"length_cutoff={cfg.length_cutoff:g}",
         f"cutoff_incomplete={str(incomplete).lower()}",
-        f"shared_complex_length={_shared_complex_length(classes)}",
     ]
     return LengthSpectrum(
         dimension=3,

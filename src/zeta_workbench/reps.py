@@ -221,18 +221,16 @@ class PlancherelPoly:
     """Even polynomial q with q(lam) the spectral density at parameter lam.
 
     even_coefficients stores (c_0, c_2, c_4, ...); odd coefficients are
-    identically zero.  normalization scales every evaluation.
+    identically zero.  DEFAULT_PLANCHEREL_NORMALIZATION scales every
+    evaluation.
     """
 
     even_coefficients: tuple[float, ...]
-    normalization: float = DEFAULT_PLANCHEREL_NORMALIZATION
 
     def __post_init__(self):
         object.__setattr__(
             self, "even_coefficients", tuple(float(c) for c in self.even_coefficients)
         )
-        if not (self.normalization > 0):
-            raise InvariantViolation("normalization must be positive")
 
     @property
     def coefficients(self) -> tuple[float, ...]:
@@ -250,7 +248,7 @@ class PlancherelPoly:
         for c in self.even_coefficients:
             total += c * power
             power *= lam2
-        return self.normalization * total
+        return DEFAULT_PLANCHEREL_NORMALIZATION * total
 
     def at_s(self, s: complex) -> complex:
         """Evaluate the polynomial at argument s, i.e. q(-i*s)."""

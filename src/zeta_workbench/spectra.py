@@ -198,7 +198,7 @@ class LengthSpectrum:
         return replace(self, volume=volume)
 
 
-def close_pairs(length: np.ndarray, angle: np.ndarray, tol: float):
+def _close_pairs(length: np.ndarray, angle: np.ndarray, tol: float):
     """Index arrays (i, j), i < j, of the length-sorted classes whose lengths
     and angles agree within tol, in no particular order.
 
@@ -247,7 +247,7 @@ def _validate_spectrum(spec: LengthSpectrum) -> None:
     # Duplicate (length, angle) pairs are allowed only when the classes carry
     # distinct words: a class and its inverse share both invariants yet are
     # distinct conjugacy classes.
-    i, j = close_pairs(length, angle, tol)
+    i, j = _close_pairs(length, angle, tol)
     words = np.array(spec.words, dtype=object)
     first, second = words[i], words[j]
     bad = np.equal(first, None) | np.equal(second, None) | (first == second)
@@ -569,14 +569,10 @@ def serialize_eigenvalue_spectrum(spec: EigenvalueSpectrum) -> str:
 def square_spectrum(dirac: DiracSpectrum) -> LaplaceSpectrum:
     """Square each eigenvalue, merging multiplicities of coinciding squares."""
     squares: dict[complex, int] = {}
-    order: list[complex] = []
     for ev, m in dirac.entries:
         mu = ev * ev
-        if mu not in squares:
-            squares[mu] = 0
-            order.append(mu)
-        squares[mu] += m
-    return LaplaceSpectrum(entries=tuple((mu, squares[mu]) for mu in order))
+        squares[mu] = squares.get(mu, 0) + m
+    return LaplaceSpectrum(entries=tuple(squares.items()))
 
 
 def super_multiplicity(dirac: DiracSpectrum, ev: complex) -> int:

@@ -36,7 +36,13 @@ import numpy as np
 
 from .errors import InvariantViolation, MissingVolume, QuadratureFailure
 from .quadrature import integrate
-from .reps import GammaRep, ad_nbar_det, plancherel, require_case_b
+from .reps import (
+    DEFAULT_PLANCHEREL_NORMALIZATION,
+    GammaRep,
+    ad_nbar_det,
+    plancherel,
+    require_case_b,
+)
 from .reps import (  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     character_chi,
     character_sigma,
@@ -134,7 +140,7 @@ def gaussian_moment(t: float, m: int) -> float:
 def identity_term_heat(k: float, t: float) -> float:
     """integral exp(-t lam^2) P(i lam) dlam in closed Gaussian-moment form."""
     q = plancherel(k)
-    return q.normalization * sum(
+    return DEFAULT_PLANCHEREL_NORMALIZATION * sum(
         c * gaussian_moment(t, m) for m, c in enumerate(q.even_coefficients)
     )
 
@@ -158,8 +164,8 @@ def identity_term_dirac(
     wq = plancherel(-k)
     plus = plus_coefficients if plus_coefficients is not None else q.coefficients
     minus = minus_coefficients if minus_coefficients is not None else wq.coefficients
-    scale_plus = q.normalization if plus_coefficients is None else 1.0
-    scale_minus = wq.normalization if minus_coefficients is None else 1.0
+    scale_plus = DEFAULT_PLANCHEREL_NORMALIZATION if plus_coefficients is None else 1.0
+    scale_minus = DEFAULT_PLANCHEREL_NORMALIZATION if minus_coefficients is None else 1.0
 
     def odd_part(coeffs, scale):
         return sum(

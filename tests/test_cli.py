@@ -161,8 +161,9 @@ def test_enumerate_cache_key_is_pinned(tmp_path, capsys):
     # the key hashes the parsed presentation, so key order and layout in
     # the file do not matter; its version field keeps caches written
     # before one class per necklace (version 2: before the one-line
-    # document) from being served
-    pinned = "cache key: d12600e87f93a61fc379899aa06c91f41a91716416bcf47c779cfba748d44284"
+    # document, version 3: with the shared-complex-length count) from
+    # being served
+    pinned = "cache key: 4e5a28fba4c6813b0efccb8c3177002bac3acee5ebd16bbc4cd55735e67a210c"
     doc = cyclic_presentation_doc()
     compact = write_json(tmp_path, "compact.json", doc)
     reordered = tmp_path / "reordered.json"
@@ -174,6 +175,33 @@ def test_enumerate_cache_key_is_pinned(tmp_path, capsys):
                 "--cutoff", "4.0"]
         assert main(argv) == 0
         assert pinned in capsys.readouterr().out.splitlines()
+
+
+def test_enumerate_document_source_names_the_walk(tmp_path, capsys):
+    pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
+    out = tmp_path / "spec.json"
+    assert main(["enumerate", "--presentation", pres, "--max-word-length", "3",
+                 "--cutoff", "4.0", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["source"].split("; ") == [
+        "enumerated", "max_word_length=3", "length_cutoff=4", "cutoff_incomplete=false"
+    ]
+
+
+@pytest.mark.parametrize(
+    "generator, includes_inverses, message",
+    [
+        ({"name": "ab"}, True, "must be a single character"),
+        ({"name": "1"}, False, "has no case partner"),
+    ],
+)
+def test_enumerate_refuses_a_generator_name_exit_2(tmp_path, capsys, generator,
+                                                   includes_inverses, message):
+    matrix = cyclic_presentation_doc()["generators"][0]["matrix"]
+    pres = write_json(tmp_path, "pres.json", {
+        "generators": [{**generator, "matrix": matrix}], "includes_inverses": includes_inverses
+    })
+    assert main(["enumerate", "--presentation", pres]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_enumerate_empty_presentation_warns(tmp_path, capsys):
@@ -227,6 +255,13 @@ def test_zeta_json_rows(tmp_path, capsys):
     assert abs(cmath.exp(log) - value) < 1e-12
     assert row["terms_used"] > 0
     assert row["tail_bound"] >= 0.0
+
+
+def test_zeta_empty_grid_exit_2(tmp_path, capsys):
+    spec = toy_spectrum_path(tmp_path)
+    assert main(["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "3", "0",
+                 "--s-count", "0"]) == 2
+    assert "s-count must be at least 1" in capsys.readouterr().err
 
 
 def test_zeta_grid_row_count_and_spacing(tmp_path, capsys):

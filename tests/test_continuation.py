@@ -118,6 +118,16 @@ def test_continued_sym_logderiv_hand_value():
     assert got == pytest.approx(expected, rel=1e-14)
 
 
+def test_continued_sym_density_term_scales_with_the_twist_dimension():
+    lap = LaplaceSpectrum(entries=((1.0, 3),))
+    points = np.array([2.0, 0.5 + 1.5j])
+    rational = continued_sym_logderiv(points, lap, 1.0, 1, volume=0.0)
+    one, two = (continued_sym_logderiv(points, lap, 1.0, d, volume=1.0) - rational
+                for d in (1, 2))
+    assert np.all(one != 0)
+    np.testing.assert_allclose(two, 2.0 * one, rtol=1e-14)
+
+
 # contour residues ------------------------------------------------------------
 
 
@@ -533,6 +543,14 @@ def test_quadrature_check_refuses_a_missed_integral():
     # integral diverges; the check used to return a finite value for it
     with pytest.raises(QuadratureFailure):
         log_zeta_by_path(0j, lambda z: 1 / (z - 1), catalog=[], tail=lambda w: 0j)
+
+
+def test_quadrature_check_needs_its_tail(dirac_pm):
+    # the path ends at a fixed point of the ray; the caller gives the
+    # integral beyond it
+    with pytest.raises(InvariantViolation, match="tail"):
+        log_zeta_by_path(complex(2.0), lambda z: continued_super_logderiv(z, dirac_pm),
+                         catalog=super_catalog(dirac_pm))
 
 
 @pytest.mark.parametrize("offset", [0.0999999, 0.1, 0.1000001, -0.0999999, -0.1, -0.1000001])

@@ -146,6 +146,21 @@ def test_parse_rejects_malformed():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("tolerance", "1e-9", "'tolerance' must be a number"),
+        ("tolerance", True, "'tolerance' must be a number"),
+        ("volume", "1.0", "'volume' must be a number or null"),
+        ("source", 7, "'source' must be a string"),
+    ],
+)
+def test_parse_refuses_malformed_metadata(field, value, message):
+    doc = {"dimension": 3, "cutoff": 2.0, "classes": [], field: value}
+    with pytest.raises(SchemaError, match=message):
+        parse_length_spectrum(doc)
+
+
 def test_parse_reports_field_name():
     try:
         parse_length_spectrum({"dimension": 3, "cutoff": 2.0, "classes": [{"angle": 0.0}]})
