@@ -2,14 +2,16 @@
 
 Keys are sha256 digests of a canonical JSON encoding of the inputs, so a
 hit can never change an answer: identical inputs map to identical files.
-An entry holds the text of the result exactly as the caller writes it out.
-The cache directory defaults to ~/.cache/zeta-workbench and is overridden
-by the ZETA_CACHE_DIR environment variable.
+An entry is one line holding the sha256 hex digest of the text, then the
+text exactly as the caller gave it, so load returns exactly what store was
+given, or None.  The cache directory defaults to ~/.cache/zeta-workbench
+and is overridden by the ZETA_CACHE_DIR environment variable.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import tempfile
@@ -26,30 +28,41 @@ def cache_dir() -> Path:
 
 
 def cache_key(payload: dict) -> str:
-    import hashlib  # here, not at module level: only enumerate keys its output
-
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _digest_line(body: bytes) -> bytes:
+    return hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
+
+
 def load(key: str) -> str | None:
-    """The stored text, or None when the entry is absent or unreadable."""
+    """The text stored under key, or None when the entry is absent,
+    unreadable, or not the digest line of the bytes that follow it: a
+    torn, foreign or older-layout entry is a miss."""
     try:
-        return (cache_dir() / f"{key}.json").read_text(encoding="utf-8")
+        data = (cache_dir() / f"{key}.json").read_bytes()
+        newline = data.find(b"\n") + 1
+        body = data[newline:]
+        if newline and data[:newline] == _digest_line(body):
+            return body.decode("utf-8")
     except (OSError, UnicodeDecodeError):
-        return None
+        pass
+    return None
 
 
 def store(key: str, text: str) -> None:
     """Write atomically: each writer fills its own temp file in the cache
     directory and renames it over the entry, so concurrent writers of one
-    key never share a file and readers see a complete document or none."""
+    key never share a file and readers see a complete entry or none."""
     directory = cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
+    body = text.encode("utf-8")
     fd, tmp = tempfile.mkstemp(prefix=f"{key}.", suffix=".tmp", dir=directory)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(_digest_line(body))
+            handle.write(body)
         os.replace(tmp, directory / f"{key}.json")
     except BaseException:
         with contextlib.suppress(OSError):

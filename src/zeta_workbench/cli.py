@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .errors import AtSingularity, SchemaError, WorkbenchError
-from .names import SUITE_NAMES, ZETA_KINDS
+from .names import SUITE_NAMES, ZETA_KINDS, source_is_incomplete
 
 __all__ = ["main", "build_parser"]
 
@@ -40,10 +40,7 @@ __all__ = ["main", "build_parser"]
 # or a tracer replaces, and a name bound already is kept.
 
 _LAYERS = {
-    "enumerate": (
-        "EnumerationConfig", "enumerate_spectrum", "parse_group_presentation",
-        "parse_length_spectrum", "serialize_length_spectrum", "spectrum_is_incomplete",
-    ),
+    "enumerate": (),  # a cache hit runs no layer; a miss binds _WALK itself
     "zeta": ("parse_length_spectrum", "parse_gamma_rep", "ZetaRequest", "log_zeta"),
     "trace": (
         "parse_length_spectrum", "parse_gamma_rep", "parse_eigenvalue_spectrum",
@@ -58,6 +55,12 @@ _LAYERS = {
     "report": ("run_all",),
 }
 
+# what an enumerate cache miss runs
+_WALK = (
+    "EnumerationConfig", "enumerate_spectrum", "parse_group_presentation",
+    "serialize_length_spectrum",
+)
+
 
 def _bind(names) -> None:
     package = sys.modules[__package__]
@@ -68,7 +71,7 @@ def _bind(names) -> None:
 
 def __getattr__(name: str):
     """A layer name looked up from outside before a command bound it."""
-    if not any(name in names for names in _LAYERS.values()):
+    if name not in _WALK and not any(name in names for names in _LAYERS.values()):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind((name,))
     return globals()[name]
@@ -227,47 +230,62 @@ def _config_value(action: argparse.Action, key: str, raw: str, booleans: dict):
 # commands
 
 
+_NO_GENERATORS = "warning: presentation has no generators; spectrum is empty\n"
+
+
 def cmd_enumerate(args) -> int:
     from . import cache  # a module, not a layer name: its load and store are replaced on it
 
     raw = _read_json(args.presentation)
-    presentation = parse_group_presentation(raw)
-    if not presentation.generators:
-        sys.stderr.write("warning: presentation has no generators; spectrum is empty\n")
-    config = EnumerationConfig(max_word_length=args.max_word_length, length_cutoff=args.cutoff)
     key = cache.cache_key(
         {
             "op": "enumerate",
             # keys without a version name spectra that merged classes
             # sharing a complex length, version 2 an indented document,
             # version 3 a source with the shared-complex-length count;
-            # bump it when the document changes
+            # bump it when the document changes, or when the checks on a
+            # presentation or config change: a hit skips them
             "version": 4,
             "presentation": raw,
-            "max_word_length": config.max_word_length,
-            "cutoff": config.length_cutoff,
+            "max_word_length": args.max_word_length,
+            "cutoff": args.cutoff,
         }
     )
+    # only a walk that passed every check stores its document, and the key
+    # holds all of the walk's input, so a hit may skip parsing and walking
     text = cache.load(key)
-    spectrum = None
     if text is not None:
-        try:
-            spectrum = parse_length_spectrum(text)
-        except WorkbenchError:
-            pass  # a torn or foreign entry is a miss: walk again and rewrite it
-    if spectrum is None:
+        if not raw["generators"]:
+            sys.stderr.write(_NO_GENERATORS)
+        doc = json.loads(text)
+        lengths = [c["length"] for c in doc["classes"]]
+        count, source = len(lengths), doc["source"]
+        shortest, longest = min(lengths, default=None), max(lengths, default=None)
+    else:
+        _bind(_WALK)
+        presentation = parse_group_presentation(raw)
+        if not presentation.generators:
+            sys.stderr.write(_NO_GENERATORS)
+        config = EnumerationConfig(
+            max_word_length=args.max_word_length, length_cutoff=args.cutoff
+        )
         spectrum = enumerate_spectrum(presentation, config)
         text = serialize_length_spectrum(spectrum)
-        cache.store(key, text)
+        try:
+            cache.store(key, text)
+        except OSError as exc:
+            sys.stderr.write(f"warning: cannot write the cache entry: {exc}\n")
+        lengths = spectrum.length
+        count, source = lengths.size, spectrum.source
+        shortest, longest = (lengths.min(), lengths.max()) if lengths.size else (None, None)
 
     if args.output:
         _emit(text, args.output)
-    lengths = spectrum.length
     summary = [
-        f"classes: {len(spectrum.classes)}",
-        f"min length: {lengths.min():.12g}" if lengths.size else "min length: n/a",
-        f"max length: {lengths.max():.12g}" if lengths.size else "max length: n/a",
-        f"complete up to cutoff: {'no' if spectrum_is_incomplete(spectrum) else 'yes'}",
+        f"classes: {count}",
+        f"min length: {'n/a' if shortest is None else format(shortest, '.12g')}",
+        f"max length: {'n/a' if longest is None else format(longest, '.12g')}",
+        f"complete up to cutoff: {'no' if source_is_incomplete(source) else 'yes'}",
         f"cache key: {key}",
     ]
     sys.stdout.write("\n".join(summary) + "\n")

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, NotLoxodromic, SchemaError, UnknownSymbol
+from .names import source_is_incomplete
 from .spectra import ClassColumns, LengthSpectrum, json_object, wrap_angle
 
 __all__ = [
@@ -319,7 +320,7 @@ def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> Lengt
 
 
 def spectrum_is_incomplete(spectrum: LengthSpectrum) -> bool:
-    return "cutoff_incomplete=true" in spectrum.source
+    return source_is_incomplete(spectrum.source)
 
 
 def validate_words(spectrum: LengthSpectrum, pres: GroupPresentation) -> None:

@@ -1,7 +1,8 @@
-"""Names the library and the command-line parser share, declared once.
+"""Names and rules the library and the command-line front end share,
+declared once.
 
 The module imports nothing, so building the parser, whose choices these
-are, loads no layer of the workbench.
+are, or summarizing a cached spectrum loads no layer of the workbench.
 """
 
 ZETA_KINDS = ("selberg", "ruelle", "symmetrized", "super", "super_ruelle")
@@ -16,3 +17,9 @@ SUITE_NAMES = (
     "parity",
     "trace-scaling",
 )
+
+
+def source_is_incomplete(source: str) -> bool:
+    """Whether an enumerated spectrum's source flags that longer words may
+    still hold classes under its cutoff."""
+    return "cutoff_incomplete=true" in source

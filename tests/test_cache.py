@@ -1,8 +1,12 @@
-"""Result cache: atomic writes under concurrent writers of one key."""
+"""Result cache: atomic writes under concurrent writers of one key, and an
+entry that is not its digest line then its text is a miss."""
 
+import hashlib
 import json
 import os
 import types
+
+import pytest
 
 from zeta_workbench import cache
 
@@ -57,4 +61,41 @@ def test_store_then_load_round_trip(tmp_path, monkeypatch):
     assert cache.load(key) == text
     # bytes that are not UTF-8 cannot be the text of a result: a miss
     (tmp_path / "nested" / f"{key}.json").write_bytes(b"\xff\xfe{")
+    assert cache.load(key) is None
+
+
+@pytest.mark.parametrize("text", ["", '{"x": 1}', "one\ntwo\r\nthree \u00e9"])
+def test_load_returns_exactly_what_store_was_given(tmp_path, monkeypatch, text):
+    # the empty text and a text with no final newline round-trip too
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    key = cache.cache_key({"op": "exact", "text": text})
+    cache.store(key, text)
+    assert cache.load(key) == text
+
+
+def _digest(body: bytes) -> bytes:
+    return hashlib.sha256(body).hexdigest().encode("ascii") + b"\n"
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["flipped body byte", "no digest line", "empty file", "digest line alone",
+     "digest of another text"],
+)
+def test_an_entry_that_is_not_its_own_is_a_miss(tmp_path, monkeypatch, fault):
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(tmp_path))
+    key = cache.cache_key({"op": "checked"})
+    text = json.dumps({"classes": [1.5, 2.5], "source": "enumerated"}) + "\n"
+    cache.store(key, text)
+    entry = tmp_path / f"{key}.json"
+    body = text.encode("utf-8")
+    assert entry.read_bytes() == _digest(body) + body
+    corrupt = {
+        "flipped body byte": _digest(body) + body.replace(b"1.5", b"1.6"),
+        "no digest line": body,  # the layout before entries carried their digest
+        "empty file": b"",
+        "digest line alone": _digest(body),
+        "digest of another text": _digest(b"{}") + body,
+    }[fault]
+    entry.write_bytes(corrupt)
     assert cache.load(key) is None

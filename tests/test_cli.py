@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import zeta_workbench
-from zeta_workbench import cli, errors, verify, zeta
+from zeta_workbench import cache, cli, errors, verify, zeta
 from zeta_workbench.cli import main
 
 
@@ -137,12 +137,12 @@ def test_enumerate_unreadable_cache_entry_is_a_miss(tmp_path, capsys):
     assert main(argv + ["--output", str(second)]) == 0
     assert capsys.readouterr().out == summary
     assert second.read_bytes() == first.read_bytes()
-    assert entry.read_bytes() == first.read_bytes()
+    assert cache.load(entry.stem) == first.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("fault", ["empty object", "wrong dimension"])
 def test_enumerate_cache_entry_that_is_no_spectrum_is_a_miss(tmp_path, capsys, fault):
-    # valid JSON that parse_length_spectrum refuses is walked again and
+    # valid JSON without the digest line of its text is walked again and
     # rewritten, not served as a schema error on every later call
     pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
     argv = ["enumerate", "--presentation", pres, "--max-word-length", "3", "--cutoff", "5.0"]
@@ -154,7 +154,62 @@ def test_enumerate_cache_entry_that_is_no_spectrum_is_a_miss(tmp_path, capsys, f
     entry.write_text(json.dumps(foreign), encoding="utf-8")
     assert main(argv) == 0
     assert capsys.readouterr().out == summary
-    assert entry.read_bytes() == cold.read_bytes()
+    assert cache.load(entry.stem) == cold.read_text(encoding="utf-8")
+
+
+def test_enumerate_old_layout_entry_is_rewritten_once(tmp_path, capsys, monkeypatch):
+    # an entry without a digest line, as version 4 wrote it, is walked
+    # again once; the rewritten entry is a hit from then on
+    pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
+    argv = ["enumerate", "--presentation", pres, "--max-word-length", "3", "--cutoff", "5.0"]
+    cold = tmp_path / "cold.json"
+    assert main(argv + ["--output", str(cold)]) == 0
+    summary = capsys.readouterr().out
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    entry.write_bytes(cold.read_bytes())
+    walks = []
+    walk = cli.enumerate_spectrum
+    monkeypatch.setattr(cli, "enumerate_spectrum", lambda *a: walks.append(a) or walk(*a))
+    for _ in range(3):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == summary
+    assert len(walks) == 1
+    assert cache.load(entry.stem) == cold.read_text(encoding="utf-8")
+
+
+def test_enumerate_cache_hit_parses_nothing(tmp_path, capsys, monkeypatch):
+    pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
+    argv = ["enumerate", "--presentation", pres, "--max-word-length", "3", "--cutoff", "5.0"]
+    miss_out, hit_out = tmp_path / "miss.json", tmp_path / "hit.json"
+    assert main(argv + ["--output", str(miss_out)]) == 0
+    miss = capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit must not parse or walk")
+
+    for name in ("parse_group_presentation", "parse_length_spectrum", "enumerate_spectrum"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(argv + ["--output", str(hit_out)]) == 0
+    hit = capsys.readouterr()
+    assert (hit.out, hit.err) == (miss.out, miss.err)
+    assert hit_out.read_bytes() == miss_out.read_bytes()
+
+
+def test_enumerate_unusable_cache_directory_warns_and_answers(tmp_path, capsys, monkeypatch):
+    # a cache directory under a regular file cannot be made: the walk's
+    # answer is still written, with one warning
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setenv("ZETA_CACHE_DIR", str(blocker / "sub"))
+    pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
+    out = tmp_path / "spec.json"
+    assert main(["enumerate", "--presentation", pres, "--max-word-length", "3",
+                 "--cutoff", "4.0", "--output", str(out)]) == 0
+    captured = capsys.readouterr()
+    (warning,) = captured.err.splitlines()
+    assert warning.startswith("warning: cannot write the cache entry")
+    assert "classes: 2" in captured.out
+    assert len(json.loads(out.read_text())["classes"]) == 2
 
 
 def test_enumerate_cache_key_is_pinned(tmp_path, capsys):
@@ -202,6 +257,33 @@ def test_enumerate_refuses_a_generator_name_exit_2(tmp_path, capsys, generator,
     })
     assert main(["enumerate", "--presentation", pres]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_enumerate_empty_presentation_warns_on_a_hit_too(tmp_path, capsys):
+    pres = write_json(
+        tmp_path, "pres.json", {"generators": [], "includes_inverses": False}
+    )
+    outputs = []
+    for _ in range(2):
+        assert main(["enumerate", "--presentation", pres]) == 0
+        outputs.append(capsys.readouterr())
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+    assert outputs[0] == outputs[1]
+    assert "no generators" in outputs[1].err
+
+
+@pytest.mark.parametrize("generator, code", [
+    ({"name": "ab", "matrix": [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}, 2),
+    ({"name": "a", "matrix": [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]]}, 3),
+])
+def test_enumerate_refused_presentation_is_refused_again(tmp_path, capsys, generator, code):
+    pres = write_json(
+        tmp_path, "pres.json", {"generators": [generator], "includes_inverses": True}
+    )
+    for _ in range(2):
+        assert main(["enumerate", "--presentation", pres]) == code
+        assert "error:" in capsys.readouterr().err
+    assert not list((tmp_path / "cache").glob("*"))
 
 
 def test_enumerate_empty_presentation_warns(tmp_path, capsys):
@@ -861,7 +943,8 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:  # --help
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "zeta_workbench")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "zeta_workbench"),
+                  "numpy" in sys.modules]))
 """
 
 # every call loads the package, the parser's module and what it imports
@@ -890,7 +973,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         ("trace", ["trace", "--spectrum", spec, "--sigma", "1", "--order", "second"],
          CLASS_SUMS | {"quadrature", "traces"}),
         ("enumerate cold", enumerate_argv, ENUMERATE),
-        ("enumerate cached", enumerate_argv, ENUMERATE),
+        ("enumerate cached", enumerate_argv, PARSER | {"cache"}),
         ("continue", ["continue", "--dirac", dirac, "--s-start", "-0.5", "3", "--s-stop",
                       "-0.5", "-3", "--s-count", "4"],
          PARSER | {"spectra", "reps", "quadrature", "continuation"}),
@@ -904,6 +987,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
             [sys.executable, "-c", MODULES_PROBE, *argv],
             env=env, capture_output=True, text=True, check=True,
         )
-        code, modules = json.loads(result.stdout.splitlines()[-1])
+        code, modules, numpy_loaded = json.loads(result.stdout.splitlines()[-1])
         assert code == 0, (label, result.stderr)
         assert {m.removeprefix("zeta_workbench.") for m in modules} == expected, label
+        # the parser and the cache need no numpy; every layer does
+        assert numpy_loaded == bool(expected - PARSER - {"cache"}), label
