@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -87,7 +88,7 @@ def _read_json(path: str) -> dict:
             return json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int literal past Python's digit limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -146,6 +147,17 @@ def _s_grid(args) -> list[complex]:
         return [start]
     step = (stop - start) / (count - 1)
     return [start + i * step for i in range(count)]
+
+
+def _finite(text: str) -> float:
+    """A float option's value, which must be finite: nan, inf and values
+    that overflow to inf, such as 1e999, are refused."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
+_finite.__name__ = "finite float"  # argparse and config errors: "invalid finite float value"
 
 
 class _Repeat(argparse.Action):
@@ -242,10 +254,11 @@ def cmd_enumerate(args) -> int:
             "op": "enumerate",
             # keys without a version name spectra that merged classes
             # sharing a complex length, version 2 an indented document,
-            # version 3 a source with the shared-complex-length count;
-            # bump it when the document changes, or when the checks on a
-            # presentation or config change: a hit skips them
-            "version": 4,
+            # version 3 a source with the shared-complex-length count,
+            # version 4 a reader that took NaN for a number; bump it when
+            # the document changes, or when the checks on a presentation
+            # or config change: a hit skips them
+            "version": 5,
             "presentation": raw,
             "max_word_length": args.max_word_length,
             "cutoff": args.cutoff,
@@ -475,32 +488,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="walk a matrix group and emit its length spectrum")
     p.add_argument("--presentation", required=True, help="presentation JSON path")
     p.add_argument("--max-word-length", type=int, default=6)
-    p.add_argument("--cutoff", type=float, default=5.0, help="length cutoff")
+    p.add_argument("--cutoff", type=_finite, default=5.0, help="length cutoff")
     p.add_argument("--output", default=None, help="write spectrum JSON here")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("zeta", help="evaluate log zeta on an s-grid")
     p.add_argument("--spectrum", required=True, help="length-spectrum JSON path")
     p.add_argument("--kind", choices=ZETA_KINDS, default="selberg")
-    p.add_argument("--sigma", type=float, required=True, help="weight k of the twist")
+    p.add_argument("--sigma", type=_finite, required=True, help="weight k of the twist")
     p.add_argument("--chi", default=None, help="flat-bundle representation JSON path")
-    p.add_argument("--s-start", type=float, nargs=2, default=None, metavar=("RE", "IM"))
-    p.add_argument("--s-stop", type=float, nargs=2, default=None, metavar=("RE", "IM"))
+    p.add_argument("--s-start", type=_finite, nargs=2, default=None, metavar=("RE", "IM"))
+    p.add_argument("--s-stop", type=_finite, nargs=2, default=None, metavar=("RE", "IM"))
     p.add_argument("--s-count", type=int, default=1)
-    p.add_argument("--growth", type=float, default=None, help="exponential growth rate of the length count")
+    p.add_argument("--growth", type=_finite, default=None, help="exponential growth rate of the length count")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_zeta)
 
     p = sub.add_parser("trace", help="geometric trace sides on a t-grid, with optional spectral diagnostics")
     p.add_argument("--spectrum", required=True)
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--sigma", type=_finite, required=True)
     p.add_argument("--chi", default=None)
     p.add_argument("--order", choices=("first", "second"), default="first")
-    p.add_argument("--t", type=float, action=_Repeat, default=[1.0], help="repeatable heat time")
+    p.add_argument("--t", type=_finite, action=_Repeat, default=[1.0], help="repeatable heat time")
     p.add_argument("--dirac", default=None, help="first-order eigenvalue JSON for the spectral side")
     p.add_argument("--laplace", default=None, help="second-order eigenvalue JSON for the spectral side")
-    p.add_argument("--volume", type=float, default=None, help="override the spectrum volume")
+    p.add_argument("--volume", type=_finite, default=None, help="override the spectrum volume")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_trace)
@@ -520,10 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dirac", required=True, help="first-order eigenvalue JSON path")
     p.add_argument("--laplace", default=None, help="optional independent second-order eigenvalues")
     p.add_argument("--catalog", action="store_true")
-    p.add_argument("--s-start", type=float, nargs=2, default=None, metavar=("RE", "IM"))
-    p.add_argument("--s-stop", type=float, nargs=2, default=None, metavar=("RE", "IM"))
+    p.add_argument("--s-start", type=_finite, nargs=2, default=None, metavar=("RE", "IM"))
+    p.add_argument("--s-stop", type=_finite, nargs=2, default=None, metavar=("RE", "IM"))
     p.add_argument("--s-count", type=int, default=1)
-    p.add_argument("--radius", type=float, default=0.1, help="detour radius around singularities")
+    p.add_argument("--radius", type=_finite, default=0.1, help="detour radius around singularities")
     p.add_argument("--detour", choices=("above", "below"), default="above")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None)

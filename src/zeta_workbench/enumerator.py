@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NotLoxodromic, SchemaError, UnknownSymbol
 from .names import source_is_incomplete
-from .spectra import ClassColumns, LengthSpectrum, json_object, wrap_angle
+from .spectra import ClassColumns, LengthSpectrum, json_object, require, wrap_angle
 
 __all__ = [
     "GroupPresentation",
@@ -120,38 +120,27 @@ def parse_group_presentation(document: str | dict) -> GroupPresentation:
     layout of pairs is accepted too.
     """
     doc = json_object(document)
-    if "generators" not in doc or not isinstance(doc["generators"], list):
-        raise SchemaError("missing or non-list field 'generators'")
-    if "includes_inverses" not in doc or not isinstance(doc["includes_inverses"], bool):
-        raise SchemaError("missing or non-boolean field 'includes_inverses'")
+    generators = require(doc, "generators", list, "presentation")
+    includes_inverses = require(doc, "includes_inverses", bool, "presentation")
 
     names, matrices = [], []
-    for i, g in enumerate(doc["generators"]):
-        if not isinstance(g, dict) or "name" not in g or "matrix" not in g:
-            raise SchemaError(f"generator {i}: need 'name' and 'matrix'")
-        if not isinstance(g["name"], str):
-            raise SchemaError(f"generator {i}: 'name' must be a string")
-        raw = g["matrix"]
-        try:
-            flat = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"generator {i}: matrix entries must be numbers") from exc
-        if flat.shape == (4, 2):
-            mat = (flat[:, 0] + 1j * flat[:, 1]).reshape(2, 2)
-        elif flat.shape == (2, 2, 2):
-            mat = flat[:, :, 0] + 1j * flat[:, :, 1]
-        else:
+    for i, g in enumerate(generators):
+        where = f"generator {i}"
+        if not isinstance(g, dict):
+            raise SchemaError(f"{where}: must be an object")
+        names.append(require(g, "name", str, where))
+        flat = require(g, "matrix", np.ndarray, where)
+        if flat.shape not in ((4, 2), (2, 2, 2)):
             raise SchemaError(
-                f"generator {i}: matrix must be four [re, im] pairs, got shape "
-                f"{flat.shape}"
+                f"{where}: matrix must be four [re, im] pairs, got shape {flat.shape}"
             )
-        names.append(g["name"])
-        matrices.append(mat)
+        flat = flat.reshape(4, 2)
+        matrices.append((flat[:, 0] + 1j * flat[:, 1]).reshape(2, 2))
     try:
         return GroupPresentation(
             generators=tuple(matrices),
             names=tuple(names),
-            includes_inverses=doc["includes_inverses"],
+            includes_inverses=includes_inverses,
         )
     except InvariantViolation as exc:
         raise SchemaError(str(exc)) from exc

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CaseAError, InvariantViolation, SchemaError, UnknownSymbol
-from .spectra import json_object
+from .spectra import json_object, require
 
 __all__ = [
     "GammaRep",
@@ -46,7 +46,7 @@ DEFAULT_PLANCHEREL_NORMALIZATION = 1.0 / (4.0 * math.pi**2)
 def check_weight(k: float) -> float:
     """The weight as a float; it must be an integer or a half-integer."""
     k = float(k)
-    if abs(2.0 * k - round(2.0 * k)) > 1e-12:
+    if not math.isfinite(k) or abs(2.0 * k - round(2.0 * k)) > 1e-12:
         raise InvariantViolation(f"weight must be an integer or half-integer, got {k}")
     return k
 
@@ -152,21 +152,15 @@ def character_chi(chi: GammaRep | None, word: str | Iterable[str]) -> complex | 
 def parse_gamma_rep(document: str | dict) -> GammaRep:
     """Parse {"dimension": int, "images": {name: [[[re,im], ...], ...]}}."""
     doc = json_object(document)
-    if "dimension" not in doc or not isinstance(doc["dimension"], int):
-        raise SchemaError("missing or non-integer field 'dimension'")
-    if "images" not in doc or not isinstance(doc["images"], dict):
-        raise SchemaError("missing or non-object field 'images'")
-    dim = doc["dimension"]
+    dim = require(doc, "dimension", int, "chi")
+    raw = require(doc, "images", dict, "chi")
     images = {}
-    for name, rows in doc["images"].items():
-        try:
-            arr = np.array(
-                [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-                dtype=complex,
-            )
-        except (TypeError, IndexError) as exc:
-            raise SchemaError(f"image of {name!r}: entries must be [re, im] pairs") from exc
-        images[name] = arr
+    for name in raw:
+        pairs = require(raw, name, np.ndarray, "chi images")
+        if pairs.ndim != 3 or pairs.shape[2] != 2:
+            raise SchemaError(f"image of {name!r}: entries must be [re, im] pairs")
+        # each pair read as one complex, bit for bit as complex(re, im)
+        images[name] = pairs.view(complex)[..., 0]
     try:
         return GammaRep(dimension=dim, images=images)
     except InvariantViolation as exc:

@@ -11,7 +11,7 @@ throughout because the group representation twisting the operator need
 not be unitary.
 
 All types are immutable after construction and validated eagerly; a
-spectrum's columns are checked as arrays, and every refusal names the
+document's classes are read in one pass, and every refusal names the
 first offending class.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -362,101 +363,109 @@ def json_object(document: str | dict) -> dict:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an int literal past Python's digit limit
             raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise SchemaError("top level must be an object")
     return document
 
 
-def _require(doc: dict, key: str, types, where: str):
+_FLOAT_MAX = sys.float_info.max
+# what a field with a default, or an array, must be
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", None: "null",
+          np.ndarray: "an array of finite numbers"}
+
+
+def _is(value, kind) -> bool:
+    """Whether a document value is of kind, as require defines the kinds."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+    if kind is np.ndarray:  # a ragged nesting leaves lists among the items
+        return isinstance(value, list) and all(
+            _is(item, float) for item in np.array(value, dtype=object).flat
+        )
+    return value is None if kind is None else isinstance(value, kind)
+
+
+def require(doc: dict, key: str, kinds, where: str, *default):
+    """Field key of doc, refused with a SchemaError that names it unless it
+    is of one of kinds (a type, None for null, or a tuple of them); an
+    absent field reads as the default when one is given.
+
+    This is the one rule for what a document number is: kind float is an
+    int or a float that is not a bool and is finite, so NaN, Infinity,
+    bools and numeric strings are refused.  Kind np.ndarray is nested
+    lists of numbers of one shape, returned as a float array."""
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
     if key not in doc:
+        if default:
+            return default[0]
         raise SchemaError(f"{where}: missing field {key!r}")
-    val = doc[key]
-    if not isinstance(val, types):
-        raise SchemaError(f"{where}: field {key!r} has wrong type {type(val).__name__}")
-    # bool is an int subclass; reject it where a number is expected
-    if isinstance(val, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise SchemaError(f"{where}: field {key!r} has wrong type bool")
-    return val
+    value = doc[key]
+    if not any(_is(value, kind) for kind in kinds):
+        if float in kinds and isinstance(value, (int, float)) and not isinstance(value, bool):
+            raise SchemaError(f"{where}: field {key!r} must be a finite number")
+        if default or np.ndarray in kinds:
+            wanted = " or ".join(_KINDS[kind] for kind in kinds)
+            raise SchemaError(f"{where}: field {key!r} must be {wanted}")
+        raise SchemaError(f"{where}: field {key!r} has wrong type {type(value).__name__}")
+    return np.array(value, dtype=float) if np.ndarray in kinds else value
 
 
 _CLASS_FIELDS = {"length", "angle", "multiplicity", "primitive", "word"}
-_MISSING = object()
 
 
-def _misfits(values: list, types: tuple) -> list[bool]:
-    """Per value, whether it lies outside types, bool counting as a number
-    only where types name it.  One set of the exact types settles the
-    common case of a clean column."""
-    if set(map(type, values)) <= set(types):
-        return []
-    return [
-        not isinstance(v, types) or (isinstance(v, bool) and bool not in types)
-        for v in values
-    ]
+def _class_columns(raw: list) -> ClassColumns:
+    """Read the class objects into columns in one pass.  A class that the
+    inline test does not pass goes to _class_fields, which raises its
+    first fault."""
+    length, angle, mult, words = [], [], [], []
+    for i, rc in enumerate(raw):
+        # a shortcut past _class_fields, whose require calls and record
+        # make a class about ten times slower to read: it must pass only
+        # what _class_fields accepts, so its numbers go through _is and
+        # its last three tests are the GeodesicClass invariants
+        if not (
+            type(rc) is dict
+            and _CLASS_FIELDS.issuperset(rc)
+            and _is(l := rc.get("length"), float)
+            and _is(a := rc.get("angle"), float)
+            and _is(n := rc.get("multiplicity", 1), int)
+            and (type(w := rc.get("word")) is str or w is None)
+            and l > 0
+            and 0 < n < 2**63  # the column is int64
+            and rc.get("primitive", n == 1) is (n == 1)
+        ):
+            l, a, n, w = _class_fields(i, rc)
+        length.append(l)
+        angle.append(a)
+        mult.append(n)
+        words.append(w)
+    return ClassColumns(length, angle, mult, words)
 
 
-def _class_columns(raw: list, first: int = 0) -> ClassColumns:
-    """Read the class objects into columns, one check per field across
-    all classes, and refuse the document at the first check that fails.
-
-    The classes are numbered from first.  The checks run in the order
+def _class_fields(i: int, rc) -> tuple:
+    """Class i's length, angle, multiplicity and word, checked in the order
     object, fields, length, angle, multiplicity, primitive, word, then the
-    GeodesicClass invariants, so a single class is refused as a per-class
-    reader refuses it.
-    """
-
-    def refuse(flags, error) -> None:
-        hits = np.flatnonzero(np.asarray(flags, dtype=bool))
-        if hits.size:
-            raise error(int(hits[0]))
-
-    def schema(message):
-        return lambda i: SchemaError(f"class {first + i}: {message(i)}")
-
-    refuse([not isinstance(rc, dict) for rc in raw], schema(lambda i: "must be an object"))
-    if not set().union(*raw) <= _CLASS_FIELDS:
-        refuse(
-            [not _CLASS_FIELDS.issuperset(rc) for rc in raw],
-            schema(lambda i: f"unknown field {min(set(raw[i]) - _CLASS_FIELDS)!r}"),
-        )
-    numbers = []
-    for key in ("length", "angle"):
-        values = [rc.get(key, _MISSING) for rc in raw]
-        refuse(
-            _misfits(values, (int, float)),
-            schema(
-                lambda i: f"missing field {key!r}"
-                if values[i] is _MISSING
-                else f"field {key!r} has wrong type {type(values[i]).__name__}"
-            ),
-        )
-        numbers.append(values)
-    mult = [rc.get("multiplicity", 1) for rc in raw]
-    refuse(_misfits(mult, (int,)), schema(lambda i: "field 'multiplicity' must be an integer"))
-    if mult and not -(2**63) < min(mult) <= max(mult) < 2**63:  # the column is int64
-        refuse(
-            [not -(2**63) < n < 2**63 for n in mult],
-            schema(lambda i: "field 'multiplicity' is out of range"),
-        )
-    primitive = [rc.get("primitive", n == 1) for rc, n in zip(raw, mult)]
-    refuse(_misfits(primitive, (bool,)), schema(lambda i: "field 'primitive' must be a boolean"))
-    words = [rc.get("word") for rc in raw]
-    refuse(
-        _misfits(words, (str, type(None))),
-        schema(lambda i: "field 'word' must be a string or null"),
-    )
-
-    length, angle = numbers
-    columns = ClassColumns(length, angle, mult, words)
-    n = columns.multiplicity
-    # the faulty class's record raises the refusal in its own words
-    refuse(
-        ~(columns.length > 0) | (n < 1) | (np.array(primitive, dtype=bool) != (n == 1)),
-        lambda i: GeodesicClass(float(length[i]), float(angle[i]), mult[i], primitive[i]),
-    )
-    return columns
+    GeodesicClass invariants; the first fault is raised."""
+    where = f"class {i}"
+    if not isinstance(rc, dict):
+        raise SchemaError(f"{where}: must be an object")
+    unknown = set(rc) - _CLASS_FIELDS
+    if unknown:
+        raise SchemaError(f"{where}: unknown field {min(unknown)!r}")
+    length = require(rc, "length", float, where)
+    angle = require(rc, "angle", float, where)
+    n = require(rc, "multiplicity", int, where, 1)
+    if not -(2**63) < n < 2**63:
+        raise SchemaError(f"{where}: field 'multiplicity' is out of range")
+    primitive = require(rc, "primitive", bool, where, n == 1)
+    word = require(rc, "word", (str, None), where, None)
+    # the class's record raises an invariant's refusal in its own words
+    GeodesicClass(float(length), float(angle), n, primitive)
+    return length, angle, n, word
 
 
 def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
@@ -464,44 +473,26 @@ def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
 
     Accepts the JSON text or an already-decoded dict.  The dimension must
     be 3, and a class carrying a field outside the schema is refused.  The
-    classes are read field by field into ClassColumns; no record is built.
+    classes are read in one pass into ClassColumns; no record is built,
+    and a refusal names the first faulty class.
     """
     doc = json_object(document)
-
-    dimension = _require(doc, "dimension", int, "spectrum")
+    dimension = require(doc, "dimension", int, "spectrum")
     if dimension != 3:
         raise SchemaError(
             f"spectrum: dimension must be 3 (hyperbolic 3-manifolds), got {dimension}"
         )
-    cutoff = float(_require(doc, "cutoff", (int, float), "spectrum"))
-    tolerance = doc.get("tolerance", 1e-9)
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
-        raise SchemaError("spectrum: field 'tolerance' must be a number")
-    tolerance = float(tolerance)
-    volume = doc.get("volume")
-    if volume is not None:
-        if isinstance(volume, bool) or not isinstance(volume, (int, float)):
-            raise SchemaError("spectrum: field 'volume' must be a number or null")
-        volume = float(volume)
-    source = doc.get("source", "")
-    if not isinstance(source, str):
-        raise SchemaError("spectrum: field 'source' must be a string")
-    raw_classes = _require(doc, "classes", list, "spectrum")
-
-    try:
-        classes = _class_columns(raw_classes)
-    except (SchemaError, InvariantViolation):
-        # the first faulty class, read alone, names the fault that a
-        # class-by-class reading meets first
-        for i, rc in enumerate(raw_classes):
-            _class_columns([rc], first=i)
-        raise
+    cutoff = float(require(doc, "cutoff", float, "spectrum"))
+    tolerance = float(require(doc, "tolerance", float, "spectrum", 1e-9))
+    volume = require(doc, "volume", (float, None), "spectrum", None)
+    source = require(doc, "source", str, "spectrum", "")
+    classes = _class_columns(require(doc, "classes", list, "spectrum"))
     return LengthSpectrum(
         dimension=dimension,
         cutoff=cutoff,
         classes=classes,
         tolerance=tolerance,
-        volume=volume,
+        volume=None if volume is None else float(volume),
         source=source,
     )
 
@@ -539,15 +530,15 @@ def serialize_length_spectrum(spec: LengthSpectrum) -> str:
 def parse_eigenvalue_spectrum(document: str | dict, kind: str = "dirac") -> EigenvalueSpectrum:
     """Parse {"entries": [{"re", "im", "multiplicity"}]} into a spectrum."""
     doc = json_object(document)
-    raw = _require(doc, "entries", list, "spectrum")
+    raw = require(doc, "entries", list, "spectrum")
     entries = []
     for i, re in enumerate(raw):
         if not isinstance(re, dict):
             raise SchemaError(f"entry {i}: must be an object")
         where = f"entry {i}"
-        ev_re = float(_require(re, "re", (int, float), where))
-        ev_im = float(_require(re, "im", (int, float), where))
-        mult = _require(re, "multiplicity", int, where)
+        ev_re = float(require(re, "re", float, where))
+        ev_im = float(require(re, "im", float, where))
+        mult = require(re, "multiplicity", int, where)
         entries.append((complex(ev_re, ev_im), mult))
     cls = DiracSpectrum if kind == "dirac" else LaplaceSpectrum
     return cls(entries=tuple(entries))

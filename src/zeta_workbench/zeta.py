@@ -178,7 +178,7 @@ def convergence_abscissa(kind: str, growth: float) -> float:
 
 def _check_region(s: complex, kind: str, growth: float) -> None:
     a = convergence_abscissa(kind, growth)
-    if s.real <= a:
+    if not s.real > a:  # a NaN s is refused too
         raise ConvergenceRegionError(s, a)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -95,3 +96,15 @@ def assert_close(a, b, tol=1e-12, msg=""):
 
 
 TWO_LN_2 = 2.0 * math.log(2.0)
+
+
+# JSON literals in a number's place: no finite number (an int beyond the
+# float range too), a bool, a numeric string, a list
+NOT_NUMBERS = (
+    "NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1" + "0" * 400, "true", '"2"', "[1.0]"
+)
+
+
+def with_literal(doc, literal: str) -> str:
+    """doc's JSON text with the string "@" replaced by literal."""
+    return json.dumps(doc).replace('"@"', literal)

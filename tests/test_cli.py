@@ -213,12 +213,12 @@ def test_enumerate_unusable_cache_directory_warns_and_answers(tmp_path, capsys, 
 
 
 def test_enumerate_cache_key_is_pinned(tmp_path, capsys):
-    # the key hashes the parsed presentation, so key order and layout in
+    # the key hashes the decoded presentation, so key order and layout in
     # the file do not matter; its version field keeps caches written
     # before one class per necklace (version 2: before the one-line
-    # document, version 3: with the shared-complex-length count) from
-    # being served
-    pinned = "cache key: 4e5a28fba4c6813b0efccb8c3177002bac3acee5ebd16bbc4cd55735e67a210c"
+    # document, version 3: with the shared-complex-length count, version
+    # 4: before the finite-number rule) from being served
+    pinned = "cache key: 643ce86b579bafcb5c9ad13037c17859cad8c01a43fe1df060c8c478f591fccf"
     doc = cyclic_presentation_doc()
     compact = write_json(tmp_path, "compact.json", doc)
     reordered = tmp_path / "reordered.json"
@@ -230,6 +230,17 @@ def test_enumerate_cache_key_is_pinned(tmp_path, capsys):
                 "--cutoff", "4.0"]
         assert main(argv) == 0
         assert pinned in capsys.readouterr().out.splitlines()
+
+
+def test_enumerate_refuses_a_nan_matrix_entry_and_caches_nothing(tmp_path, capsys):
+    doc = cyclic_presentation_doc()
+    doc["generators"][0]["matrix"][1][0] = math.nan
+    pres = write_json(tmp_path, "pres.json", doc)
+    assert main(["enumerate", "--presentation", pres]) == 2
+    captured = capsys.readouterr()
+    assert "generator 0: field 'matrix' must be an array of finite numbers" in captured.err
+    assert captured.out == ""
+    assert not list((tmp_path / "cache").glob("*"))
 
 
 def test_enumerate_document_source_names_the_walk(tmp_path, capsys):
@@ -393,6 +404,24 @@ def test_zeta_requires_s_start(tmp_path, capsys):
 def test_zeta_schema_error_exit_2(tmp_path, capsys):
     spec = write_json(tmp_path, "bad.json", {"dimension": 3, "cutoff": 2.0, "classes": "nope"})
     assert main(["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "3", "0"]) == 2
+
+
+def test_zeta_refuses_a_nan_angle_exit_2(tmp_path, capsys):
+    doc = spectrum_doc(TOY_CLASSES)
+    doc["classes"][1]["angle"] = math.nan
+    spec = write_json(tmp_path, "nan.json", doc)
+    assert main(["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "3", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "class 1: field 'angle' must be a finite number" in captured.err
+    assert captured.out == ""
+
+
+def test_zeta_refuses_an_int_literal_past_the_digit_limit_exit_2(tmp_path, capsys):
+    spec = tmp_path / "long.json"
+    spec.write_text(json.dumps(spectrum_doc(TOY_CLASSES)).replace("2.0", "1" * 5000),
+                    encoding="utf-8")
+    assert main(["zeta", "--spectrum", str(spec), "--sigma", "1", "--s-start", "3", "0"]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_weight_off_the_half_integers_is_refused(tmp_path, capsys):
@@ -666,6 +695,15 @@ def test_continue_nonpositive_radius_exit_2(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [[], PORTRAIT_LINE], ids=["catalog", "grid"])
+def test_continue_refuses_a_nan_eigenvalue_exit_2(tmp_path, capsys, grid):
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc(PORTRAIT_ENTRIES + [(math.nan, 0.0, 1)]))
+    assert main(["continue", "--dirac", dirac] + grid) == 2
+    captured = capsys.readouterr()
+    assert "entry 4: field 're' must be a finite number" in captured.err
+    assert captured.out == ""
+
+
 def test_continue_inconsistent_pair_exit_6(tmp_path, capsys):
     dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1)]))
     laplace = write_json(tmp_path, "laplace.json", eigen_doc([(1.0, 0.0, 2)]))
@@ -803,6 +841,44 @@ def test_cli_t_replaces_the_config_t_list(tmp_path, capsys):
     for argv, times in runs:
         assert main(argv) == 0
         assert [row["t"] for row in json.loads(capsys.readouterr().out)["rows"]] == times
+
+
+def test_every_float_option_refuses_what_is_no_finite_number(tmp_path, capsys):
+    # found from the parser, so that a float option added later is held to
+    # the rule too: argparse refuses the value before the command runs
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    checked = []
+    for command, subparser in commands.choices.items():
+        actions = [a for a in subparser._actions if a.option_strings and a.dest != "help"]
+        required = [(a.option_strings[0], next(iter(a.choices or ["1"])))
+                    for a in actions if a.required]
+        for action in actions:
+            try:
+                reads_float = isinstance(action.type("0.5"), float)
+            except (TypeError, ValueError):
+                reads_float = False
+            if not reads_float:
+                continue
+            flag = action.option_strings[0]
+            others = [arg for pair in required if pair[0] != flag for arg in pair]
+            for bad in ("nan", "inf", "1e999"):
+                argv = [command, *others, flag, bad, *["0"] * ((action.nargs or 1) - 1)]
+                with pytest.raises(SystemExit) as refused:
+                    main(argv)
+                assert refused.value.code == 2, argv
+                assert f"argument {flag}: invalid finite float value: '{bad}'" in (
+                    capsys.readouterr().err
+                )
+            checked.append((command, flag))
+    assert len(checked) == 11, checked
+    # a config value passes the same type
+    ini = tmp_path / "wb.ini"
+    ini.write_text("[zeta]\ngrowth = nan\n", encoding="utf-8")
+    argv = ["--config", str(ini), "zeta", "--spectrum", toy_spectrum_path(tmp_path),
+            "--sigma", "1", "--s-start", "3", "0"]
+    assert main(argv) == 2
+    assert "config key 'growth': invalid finite float value: 'nan'" in capsys.readouterr().err
 
 
 def test_trace_csv_header_does_not_depend_on_the_spectral_side(tmp_path, capsys):

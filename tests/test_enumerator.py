@@ -25,7 +25,7 @@ from zeta_workbench import (
     word_matrix,
     wrap_angle,
 )
-from conftest import TWO_LN_2, schottky_pair
+from conftest import NOT_NUMBERS, TWO_LN_2, schottky_pair, with_literal
 
 
 def test_complex_length_diagonal_oracle():
@@ -126,6 +126,24 @@ def test_presentation_nested_layout_reads_as_the_flat_one():
     for layout in (lambda pairs: pairs[:3], lambda pairs: [p[0] for p in pairs]):
         with pytest.raises(SchemaError, match="four \\[re, im\\] pairs"):
             parse_group_presentation(doc(layout))
+
+
+def test_presentation_refuses_what_is_no_finite_number():
+    def doc(matrix):
+        return {"generators": [{"name": "a", "matrix": matrix}], "includes_inverses": False}
+
+    cases = [
+        with_literal(doc([[2.0, 0.0], [0.0, "@"], [0.0, 0.0], [0.5, 0.0]]), literal)
+        for literal in NOT_NUMBERS
+    ]
+    cases += [
+        json.dumps(doc([[2.0, 0.0], [0.0], [0.0, 0.0], [0.5, 0.0]])),  # ragged
+        with_literal(doc([[[2, 0], [0, 0]], [[0, 0], "@"]]), "NaN"),  # nested layout
+    ]
+    for text in cases:
+        with pytest.raises(SchemaError, match="generator 0: field 'matrix'") as refused:
+            parse_group_presentation(text)
+        assert refused.value.exit_code == 2
 
 
 def test_word_matrix_composition():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from zeta_workbench import (
     sym_power_trace,
 )
 from zeta_workbench.reps import require_case_b
+from conftest import NOT_NUMBERS, with_literal
 
 
 def test_weight_validation():
@@ -232,3 +234,27 @@ def test_batched_character_chi_names_an_unknown_letter():
         character_chi(chi, ["ab", "aBxb", "Ay"])
     with pytest.raises(UnknownSymbol, match="'x'"):
         character_chi(chi, "abx")
+
+
+def test_weight_must_be_finite():
+    for k in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvariantViolation):
+            check_weight(k)
+
+
+def test_gamma_rep_refuses_what_is_no_finite_number():
+    def doc(entry="@", rows=None, dimension=2):
+        rows = rows or [[[1, 0], entry], [[0, 0], [1, 0]]]
+        return {"dimension": dimension, "images": {"a": rows}}
+
+    cases = [(with_literal(doc(), literal), "field 'a'") for literal in NOT_NUMBERS]
+    cases += [
+        (json.dumps(doc(entry=[0, 0, 0])), "field 'a'"),  # not exactly a pair
+        (json.dumps(doc(entry=[0])), "field 'a'"),
+        (json.dumps(doc(rows=[[[1, 0], [0, 0]], [[1, 0]]])), "field 'a'"),  # ragged rows
+        (json.dumps(doc(dimension=True)), "field 'dimension'"),
+    ]
+    for text, field in cases:
+        with pytest.raises(SchemaError, match=field) as refused:
+            parse_gamma_rep(text)
+        assert refused.value.exit_code == 2

@@ -25,6 +25,7 @@ from zeta_workbench import (
     super_multiplicity,
     wrap_angle,
 )
+from conftest import NOT_NUMBERS, with_literal
 
 
 # wrap_angle ----------------------------------------------------------------
@@ -220,7 +221,7 @@ def test_super_multiplicity_is_odd_function(entries):
         assert super_multiplicity(dirac, ev) == -super_multiplicity(dirac, -ev)
 
 
-# the columnwise parser against the per-class one ---------------------------
+# the one-pass parser against the per-class one -----------------------------
 
 _ORACLE_FIELDS = {"length", "angle", "multiplicity", "primitive", "word"}
 
@@ -237,7 +238,7 @@ def _oracle_require(doc, key, types, where):
 
 
 def oracle_parse_classes(doc):
-    """The per-class parser and validator the columns replaced: one
+    """A per-class parser and validator, independent of the reader: one
     GeodesicClass per class, each check a loop over the records."""
     classes = []
     for i, rc in enumerate(doc["classes"]):
@@ -405,8 +406,8 @@ def test_columnwise_parse_reads_as_the_per_class_parser():
 
 
 def test_columnwise_parse_refuses_the_first_of_two_faulty_classes():
-    # the columns are checked field by field, yet a later class with an
-    # earlier-checked fault must not hide an earlier class
+    # a later class whose fault is in a field checked earlier must not
+    # hide an earlier faulty class: the first faulty class is refused
     rng = random.Random("columns:two faults")
     for _ in range(60):
         doc = seeded_document(rng)
@@ -426,3 +427,39 @@ def test_parse_refuses_a_multiplicity_beyond_64_bits():
     ]}
     with pytest.raises(SchemaError, match="class 1: field 'multiplicity' is out of range"):
         parse_length_spectrum(doc)
+
+
+# the one number rule -------------------------------------------------------
+
+
+def test_length_spectrum_refuses_what_is_no_finite_number():
+    def doc(**fields):
+        classes = [{"length": 1.0, "angle": 0.5}, {"length": 1.5, "angle": 0.25}]
+        classes[1].update(fields.pop("second", {}))
+        return {"dimension": 3, "cutoff": 2.0, "classes": classes, **fields}
+
+    cases = [
+        (doc(cutoff="@"), "spectrum: field 'cutoff'"),
+        (doc(tolerance="@"), "spectrum: field 'tolerance'"),
+        (doc(volume="@"), "spectrum: field 'volume'"),
+        (doc(second={"length": "@"}), "class 1: field 'length'"),
+        (doc(second={"angle": "@"}), "class 1: field 'angle'"),
+    ]
+    for template, field in cases:
+        for literal in NOT_NUMBERS:
+            with pytest.raises(SchemaError, match=field) as refused:
+                parse_length_spectrum(with_literal(template, literal))
+            assert refused.value.exit_code == 2
+    # an int literal past Python's digit limit fails in the JSON decoder
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        parse_length_spectrum(with_literal(doc(cutoff="@"), "1" * 5000))
+
+
+def test_eigenvalue_spectrum_refuses_what_is_no_finite_number():
+    for key in ("re", "im"):
+        entry = {"re": 1.0, "im": 0.5, "multiplicity": 1}
+        template = {"entries": [{"re": 2.0, "im": 0.0, "multiplicity": 1}, {**entry, key: "@"}]}
+        for literal in NOT_NUMBERS:
+            with pytest.raises(SchemaError, match=f"entry 1: field '{key}'") as refused:
+                parse_eigenvalue_spectrum(with_literal(template, literal))
+            assert refused.value.exit_code == 2

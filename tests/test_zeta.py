@@ -105,6 +105,13 @@ def test_super_ruelle_matches_ruelle_pair(toy_spectrum, sigma_k1):
     assert left == pytest.approx(plus - minus, abs=1e-14)
 
 
+def test_region_gate_refuses_a_nan_point(toy_spectrum, sigma_k1):
+    for kind in ("selberg", "ruelle"):
+        with pytest.raises(ConvergenceRegionError):
+            log_zeta(ZetaRequest(s=complex(math.nan, 0.0), k=sigma_k1, spectrum=toy_spectrum,
+                                 kind=kind))
+
+
 def test_case_a_rejected_for_graded_kinds(toy_spectrum):
     from zeta_workbench import CaseAError
 
