@@ -11,28 +11,16 @@ import math
 
 from zeta_workbench import (
     DiracSpectrum,
-    GeodesicClass,
-    LengthSpectrum,
     dirac_geometric_side,
     dirac_spectral_side,
     wrap_angle,
 )
+from zeta_workbench.verify import single_class_spectrum, toy_spectrum
 
 K = 1.0
 TS = [0.2, 0.5, 1.0, 2.0, 4.0, 8.0]
 
-spectrum = LengthSpectrum(
-    dimension=3,
-    cutoff=4.0,
-    classes=(
-        GeodesicClass(length=1.0, angle=0.7),
-        GeodesicClass(length=1.3, angle=-2.1),
-        GeodesicClass(length=1.7, angle=2.9),
-    ),
-    tolerance=1e-9,
-    volume=1.0,
-    source="toy",
-)
+spectrum = toy_spectrum()
 eigen = DiracSpectrum(((0.8, 2), (-0.8, 1), (1.9, 1)))
 
 print("cross-side diagnostic (synthetic, unmatched data)")
@@ -45,27 +33,9 @@ for t in TS:
 # identity checks on the same spectrum: these are exact properties of the
 # class sums and must hold at machine precision for any valid input
 l0, th0 = 0.9, 0.7
-family = LengthSpectrum(
-    dimension=3,
-    cutoff=2 * l0,
-    classes=(
-        GeodesicClass(length=l0, angle=th0),
-        GeodesicClass(
-            length=2 * l0, angle=wrap_angle(2 * th0), multiplicity=2, primitive=False
-        ),
-    ),
-    tolerance=1e-9,
-    source="family",
-)
-lone = LengthSpectrum(
-    dimension=3, cutoff=2.0, classes=(GeodesicClass(length=l0, angle=th0),),
-    tolerance=1e-9, source="lone",
-)
-lone_sq = LengthSpectrum(
-    dimension=3, cutoff=2.5,
-    classes=(GeodesicClass(length=2 * l0, angle=wrap_angle(2 * th0)),),
-    tolerance=1e-9, source="lone sq",
-)
+family = single_class_spectrum(l0, th0, powers=2)
+lone = single_class_spectrum(l0, th0, powers=1)
+lone_sq = single_class_spectrum(2 * l0, wrap_angle(2 * th0), powers=1)
 
 print()
 print("iterate weighting: family side vs primitive + half square")

@@ -37,10 +37,10 @@ _EXPORTS = {
         "sym_power_trace",
     ),
     "spectra": (
-        "DiracSpectrum", "EigenvalueSpectrum", "GeodesicClass", "LaplaceSpectrum",
-        "LengthSpectrum", "SingularityRecord", "TruncatedValue", "parse_eigenvalue_spectrum",
-        "parse_length_spectrum", "serialize_eigenvalue_spectrum", "serialize_length_spectrum",
-        "square_spectrum", "super_multiplicity", "wrap_angle",
+        "ClassColumns", "DiracSpectrum", "EigenvalueSpectrum", "GeodesicClass",
+        "LaplaceSpectrum", "LengthSpectrum", "SingularityRecord", "TruncatedValue",
+        "parse_eigenvalue_spectrum", "parse_length_spectrum", "serialize_eigenvalue_spectrum",
+        "serialize_length_spectrum", "square_spectrum", "super_multiplicity", "wrap_angle",
     ),
     "traces": (
         "class_term_t_integral", "dee_gamma", "dirac_geometric_side", "dirac_spectral_side",

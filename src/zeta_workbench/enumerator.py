@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,22 +195,14 @@ def word_matrix(pres: GroupPresentation, word: str) -> np.ndarray:
 # primitivity
 
 
-def primitive_decomposition(classes: Iterable[tuple[float, float, str]]) -> ClassColumns:
-    """Give each (length, angle, word) class its power multiplicity.
+def primitive_decomposition(words: Sequence[str]) -> list[int]:
+    """The power multiplicity of each word's class, in the order given.
 
     A word w with primitive period p (the first nonzero offset at which w
     occurs in w + w) is the (len(w) / p)-th power of its first p letters, so
-    in a free group its class is that power of a primitive class.  The
-    classes come back as columns, in the order given.
+    in a free group its class is that power of a primitive class.
     """
-    length, angle, words = array("d"), array("d"), []
-    for class_length, class_angle, word in classes:
-        length.append(class_length)
-        angle.append(class_angle)
-        words.append(word)
-    return ClassColumns(
-        length, angle, [len(w) // (w + w).find(w, 1) for w in words], words
-    )
+    return [len(w) // (w + w).find(w, 1) for w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +263,10 @@ def _walk(pres: GroupPresentation, cfg: EnumerationConfig) -> ClassColumns:
     # the walk meets the words in string order, so a stable sort by length,
     # then angle, orders the classes by (length, angle, word)
     order = np.lexsort((angles, lengths))
-    return primitive_decomposition(
-        zip(np.asarray(lengths)[order], np.asarray(angles)[order], (words[i] for i in order))
+    words = [words[i] for i in order]
+    return ClassColumns(
+        np.asarray(lengths)[order], np.asarray(angles)[order],
+        primitive_decomposition(words), words,
     )
 
 
@@ -300,7 +294,6 @@ def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> Lengt
         f"cutoff_incomplete={str(incomplete).lower()}",
     ]
     return LengthSpectrum(
-        dimension=3,
         cutoff=cfg.length_cutoff,
         classes=classes,
         tolerance=_TOLERANCE,

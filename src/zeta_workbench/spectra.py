@@ -1,16 +1,17 @@
 """Core domain types: geodesic length spectra and operator spectra.
 
 A length spectrum is a finite set of conjugacy classes below a stated
-cutoff, with manifold metadata.  It holds the classes as columns: read-only
+cutoff, with manifold metadata.  It is built from ClassColumns: read-only
 length, angle and multiplicity arrays and a tuple of optional words, which
-the class sums read directly.  The same classes read as GeodesicClass
-records (length, holonomy angle, multiplicity, primitivity, word) through
-LengthSpectrum.classes, built on first access.  Operator spectra are finite
-eigenvalue lists with algebraic multiplicities; eigenvalues are complex
-throughout because the group representation twisting the operator need
-not be unitary.
+the class sums read directly.  It reads back as those columns, or as
+GeodesicClass records (length, holonomy angle, multiplicity, primitivity,
+word) through LengthSpectrum.classes, built on first access.  Operator
+spectra are finite eigenvalue lists with algebraic multiplicities;
+eigenvalues are complex throughout because the group representation
+twisting the operator need not be unitary.
 
-All types are immutable after construction and validated eagerly; a
+All types are immutable after construction and validated eagerly.  The
+class rules of a length spectrum are checked once, on its columns; a
 document's classes are read in one pass, and every refusal names the
 first offending class.
 """
@@ -68,7 +69,8 @@ def angle_gap(delta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeodesicClass:
-    """One conjugacy class: hyperbolic length, holonomy angle, power data.
+    """One conjugacy class as LengthSpectrum.classes yields it: hyperbolic
+    length, holonomy angle, power data and word.
 
     multiplicity n means the class is the n-th power of a primitive class.
     """
@@ -76,60 +78,39 @@ class GeodesicClass:
     length: float
     angle: float
     multiplicity: int = 1
-    primitive: bool = True
     word: str | None = None
 
-    def __post_init__(self):
-        if not (self.length > 0):
-            raise InvariantViolation(f"class length must be positive, got {self.length}")
-        if self.multiplicity < 1:
-            raise InvariantViolation(
-                f"class multiplicity must be >= 1, got {self.multiplicity}"
-            )
-        if self.primitive != (self.multiplicity == 1):
-            raise InvariantViolation(
-                "primitive flag must hold exactly when multiplicity is 1 "
-                f"(multiplicity={self.multiplicity}, primitive={self.primitive})"
-            )
+    @property
+    def primitive(self) -> bool:
+        return self.multiplicity == 1
 
 
 class ClassColumns(Sequence):
     """A spectrum's classes as columns: read-only length and angle (float)
-    and multiplicity (int) arrays and a tuple of words (str or None).
+    and multiplicity (int, ones by default) arrays and a tuple of words
+    (str or None, all None by default).
 
     As a sequence it yields GeodesicClass records, built on first item
     access; its length reads the columns.  Equality compares the columns,
     which is equality of the records.
     """
 
-    def __init__(self, length, angle, multiplicity, words):
+    def __init__(self, length, angle, multiplicity=None, words=None):
         # arrays and buffers of the right type are taken over, not copied
         self.length = np.asarray(length, dtype=float)
         self.angle = np.asarray(angle, dtype=float)
-        self.multiplicity = np.asarray(multiplicity, dtype=int)
+        n = np.ones_like(self.length, dtype=int) if multiplicity is None else multiplicity
+        self.multiplicity = np.asarray(n, dtype=int)
         for column in (self.length, self.angle, self.multiplicity):
             column.setflags(write=False)
-        self.words = tuple(words)
+        self.words = (None,) * len(self.length) if words is None else tuple(words)
         self._records = None
-
-    @classmethod
-    def of(cls, records) -> "ClassColumns":
-        """The columns of GeodesicClass records, which are kept as they are."""
-        records = tuple(records)
-        columns = cls(
-            [c.length for c in records],
-            [c.angle for c in records],
-            [c.multiplicity for c in records],
-            [c.word for c in records],
-        )
-        columns._records = records
-        return columns
 
     def _built(self) -> tuple[GeodesicClass, ...]:
         if self._records is None:
             self._records = tuple(
-                GeodesicClass(length, angle, n, n == 1, word)
-                for length, angle, n, word in zip(
+                map(
+                    GeodesicClass,
                     self.length.tolist(),
                     self.angle.tolist(),
                     self.multiplicity.tolist(),
@@ -168,15 +149,15 @@ class ClassColumns(Sequence):
 class LengthSpectrum:
     """Finite set of geodesic classes with length <= cutoff, plus metadata.
 
-    classes takes GeodesicClass records or ClassColumns and holds
-    ClassColumns; length, angle, multiplicity and words are its columns.
+    A spectrum is built from ClassColumns, and nothing else, and reads back
+    as columns (length, angle, multiplicity and words) or as GeodesicClass
+    records (classes).  The class rules are checked once, on the columns.
     memo is where zeta.py keeps the twist traces, class weights and tail
     model constants it last computed on this spectrum.
     """
 
-    dimension: int
     cutoff: float
-    classes: Sequence[GeodesicClass]
+    classes: ClassColumns
     tolerance: float = 1e-9
     volume: float | None = None
     source: str = ""
@@ -189,8 +170,9 @@ class LengthSpectrum:
     def __post_init__(self):
         columns = self.classes
         if not isinstance(columns, ClassColumns):
-            columns = ClassColumns.of(columns)
-            object.__setattr__(self, "classes", columns)
+            raise InvariantViolation(
+                f"classes must be ClassColumns, got {type(columns).__name__}"
+            )
         for name in ("length", "angle", "multiplicity", "words"):
             object.__setattr__(self, name, getattr(columns, name))
         _validate_spectrum(self)
@@ -223,8 +205,8 @@ def _close_pairs(length: np.ndarray, angle: np.ndarray, tol: float):
 
 
 def _validate_spectrum(spec: LengthSpectrum) -> None:
-    if spec.dimension != 3:
-        raise InvariantViolation(f"dimension must be 3, got {spec.dimension}")
+    """The rules of a spectrum and of its classes, checked on the columns;
+    a refusal names the first faulty class."""
     if not (spec.cutoff > 0):
         raise InvariantViolation(f"cutoff must be positive, got {spec.cutoff}")
     if not (spec.tolerance > 0):
@@ -232,7 +214,13 @@ def _validate_spectrum(spec: LengthSpectrum) -> None:
     if spec.volume is not None and not (spec.volume > 0):
         raise InvariantViolation(f"volume must be positive, got {spec.volume}")
 
-    tol, length, angle = spec.tolerance, spec.length, spec.angle
+    tol, length, angle, n = spec.tolerance, spec.length, spec.angle, spec.multiplicity
+    bad = np.flatnonzero(~(length > 0) | (n < 1))
+    if bad.size:
+        i = int(bad[0])
+        if not length[i] > 0:
+            raise InvariantViolation(f"class {i} has length {length[i]}; it must be positive")
+        raise InvariantViolation(f"class {i} has multiplicity {n[i]}; it must be >= 1")
     # the longest class before each one (0 before the first)
     prev = np.maximum.accumulate(np.concatenate(([0.0], length)))[:-1]
     above = length > spec.cutoff + tol
@@ -262,8 +250,8 @@ def _validate_spectrum(spec: LengthSpectrum) -> None:
     # Every n-th power class must have its primitive root present.  The
     # lengths are sorted up to tol, so their running maximum bounds a window
     # of candidate roots that searchsorted finds; the exact test runs on it.
-    powers = np.flatnonzero(spec.multiplicity > 1)
-    n = spec.multiplicity[powers]
+    powers = np.flatnonzero(n > 1)
+    n = n[powers]
     root_len = length[powers] / n
     needed = root_len <= spec.cutoff + tol
     powers, n, root_len = powers[needed], n[needed], root_len[needed]
@@ -423,10 +411,10 @@ def _class_columns(raw: list) -> ClassColumns:
     first fault."""
     length, angle, mult, words = [], [], [], []
     for i, rc in enumerate(raw):
-        # a shortcut past _class_fields, whose require calls and record
-        # make a class about ten times slower to read: it must pass only
-        # what _class_fields accepts, so its numbers go through _is and
-        # its last three tests are the GeodesicClass invariants
+        # a shortcut past _class_fields, whose require calls make a class
+        # about ten times slower to read: it must pass only what
+        # _class_fields accepts, so its numbers go through _is and its last
+        # three tests are the per-class refusals of _class_fields
         if not (
             type(rc) is dict
             and _CLASS_FIELDS.issuperset(rc)
@@ -448,8 +436,9 @@ def _class_columns(raw: list) -> ClassColumns:
 
 def _class_fields(i: int, rc) -> tuple:
     """Class i's length, angle, multiplicity and word, checked in the order
-    object, fields, length, angle, multiplicity, primitive, word, then the
-    GeodesicClass invariants; the first fault is raised."""
+    object, fields, length, angle, multiplicity, primitive, word, then
+    positive length, multiplicity >= 1 and the primitive flag; the first
+    fault is raised."""
     where = f"class {i}"
     if not isinstance(rc, dict):
         raise SchemaError(f"{where}: must be an object")
@@ -463,8 +452,15 @@ def _class_fields(i: int, rc) -> tuple:
         raise SchemaError(f"{where}: field 'multiplicity' is out of range")
     primitive = require(rc, "primitive", bool, where, n == 1)
     word = require(rc, "word", (str, None), where, None)
-    # the class's record raises an invariant's refusal in its own words
-    GeodesicClass(float(length), float(angle), n, primitive)
+    if not length > 0:
+        raise InvariantViolation(f"class length must be positive, got {float(length)}")
+    if n < 1:
+        raise InvariantViolation(f"class multiplicity must be >= 1, got {n}")
+    if primitive != (n == 1):
+        raise InvariantViolation(
+            "primitive flag must hold exactly when multiplicity is 1 "
+            f"(multiplicity={n}, primitive={primitive})"
+        )
     return length, angle, n, word
 
 
@@ -472,13 +468,13 @@ def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
     """Parse and validate a length-spectrum JSON document.
 
     Accepts the JSON text or an already-decoded dict.  The dimension must
-    be 3, and a class carrying a field outside the schema is refused.  The
-    classes are read in one pass into ClassColumns; no record is built,
-    and a refusal names the first faulty class.
+    be 3, the only one the workbench models, and a class carrying a field
+    outside the schema is refused.  The classes are read in one pass into
+    ClassColumns; no record is built, and a refusal names the first faulty
+    class.
     """
     doc = json_object(document)
-    dimension = require(doc, "dimension", int, "spectrum")
-    if dimension != 3:
+    if (dimension := require(doc, "dimension", int, "spectrum")) != 3:
         raise SchemaError(
             f"spectrum: dimension must be 3 (hyperbolic 3-manifolds), got {dimension}"
         )
@@ -488,7 +484,6 @@ def parse_length_spectrum(document: str | dict) -> LengthSpectrum:
     source = require(doc, "source", str, "spectrum", "")
     classes = _class_columns(require(doc, "classes", list, "spectrum"))
     return LengthSpectrum(
-        dimension=dimension,
         cutoff=cutoff,
         classes=classes,
         tolerance=tolerance,
@@ -517,7 +512,7 @@ def serialize_length_spectrum(spec: LengthSpectrum) -> str:
     )
     rest = encode(
         {
-            "dimension": spec.dimension,
+            "dimension": 3,
             "cutoff": spec.cutoff,
             "tolerance": spec.tolerance,
             "volume": spec.volume,

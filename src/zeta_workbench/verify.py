@@ -33,8 +33,8 @@ from .errors import ParityViolation, WorkbenchError
 from .names import SUITE_NAMES
 from .reps import plancherel
 from .spectra import (
+    ClassColumns,
     DiracSpectrum,
-    GeodesicClass,
     LaplaceSpectrum,
     LengthSpectrum,
     square_spectrum,
@@ -113,41 +113,18 @@ class _Ledger:
 
 def toy_spectrum(volume: float | None = 1.0) -> LengthSpectrum:
     """Three primitive classes with incommensurate lengths and angles."""
-    classes = (
-        GeodesicClass(length=1.0, angle=0.7),
-        GeodesicClass(length=1.3, angle=-2.1),
-        GeodesicClass(length=1.7, angle=2.9),
-    )
-    return LengthSpectrum(
-        dimension=3,
-        cutoff=2.0,
-        classes=classes,
-        tolerance=1e-9,
-        volume=volume,
-        source="toy",
-    )
+    classes = ClassColumns([1.0, 1.3, 1.7], [0.7, -2.1, 2.9])
+    return LengthSpectrum(cutoff=2.0, classes=classes, volume=volume, source="toy")
 
 
 def single_class_spectrum(
     l0: float, theta0: float, powers: int, volume: float | None = None
 ) -> LengthSpectrum:
     """One primitive class and its first `powers` powers."""
-    classes = tuple(
-        GeodesicClass(
-            length=n * l0,
-            angle=wrap_angle(n * theta0),
-            multiplicity=n,
-            primitive=n == 1,
-        )
-        for n in range(1, powers + 1)
-    )
+    ns = range(1, powers + 1)
+    classes = ClassColumns([n * l0 for n in ns], [wrap_angle(n * theta0) for n in ns], ns)
     return LengthSpectrum(
-        dimension=3,
-        cutoff=powers * l0,
-        classes=classes,
-        tolerance=1e-9,
-        volume=volume,
-        source="single-class family",
+        cutoff=powers * l0, classes=classes, volume=volume, source="single-class family"
     )
 
 
@@ -506,20 +483,8 @@ def suite_trace_scaling(seed: int = 0) -> dict:
     # primitive side plus half the side of a lone class at the doubled length
     l0, th0 = 0.9, 0.7
     family = single_class_spectrum(l0, th0, powers=2)
-    lone = LengthSpectrum(
-        dimension=3,
-        cutoff=3.0,
-        classes=(GeodesicClass(length=l0, angle=th0),),
-        tolerance=1e-9,
-        source="lone",
-    )
-    lone_sq = LengthSpectrum(
-        dimension=3,
-        cutoff=3.0,
-        classes=(GeodesicClass(length=2 * l0, angle=wrap_angle(2 * th0)),),
-        tolerance=1e-9,
-        source="lone square",
-    )
+    lone = single_class_spectrum(l0, th0, powers=1)
+    lone_sq = single_class_spectrum(2 * l0, wrap_angle(2 * th0), powers=1)
     for t in (0.5, 2.0):
         whole = dirac_geometric_side(t, family, k)
         parts = dirac_geometric_side(t, lone, k) + 0.5 * dirac_geometric_side(
@@ -537,13 +502,7 @@ def suite_trace_scaling(seed: int = 0) -> dict:
     ledger.gap(gap, 1e-12, "volume linearity")
 
     # long-time decay of the first-order geodesic sum: slope -3/2
-    skew = LengthSpectrum(
-        dimension=3,
-        cutoff=2.0,
-        classes=(GeodesicClass(length=1.0, angle=0.9),),
-        tolerance=1e-9,
-        source="slope probe",
-    )
+    skew = single_class_spectrum(1.0, 0.9, powers=1)
     t1, t2 = 5.0, 50.0
     v1 = abs(dirac_geometric_side(t1, skew, k))
     v2 = abs(dirac_geometric_side(t2, skew, k))

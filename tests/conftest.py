@@ -6,54 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from zeta_workbench import (
-    DiracSpectrum,
-    GeodesicClass,
-    GroupPresentation,
-    LengthSpectrum,
-    wrap_angle,
-)
+from zeta_workbench import DiracSpectrum, GroupPresentation, verify
 
 
 @pytest.fixture
 def toy_spectrum():
     """Three primitive classes, incommensurate lengths, mixed angles."""
-    return LengthSpectrum(
-        dimension=3,
-        cutoff=2.0,
-        classes=(
-            GeodesicClass(length=1.0, angle=0.7),
-            GeodesicClass(length=1.3, angle=-2.1),
-            GeodesicClass(length=1.7, angle=2.9),
-        ),
-        tolerance=1e-9,
-        volume=1.0,
-        source="toy",
-    )
+    return verify.toy_spectrum()
 
 
 @pytest.fixture
 def sigma_k1():
     return 1.0
-
-
-def power_family(l0: float, theta0: float, powers: int, volume=None):
-    classes = tuple(
-        GeodesicClass(
-            length=n * l0,
-            angle=wrap_angle(n * theta0),
-            multiplicity=n,
-            primitive=n == 1,
-        )
-        for n in range(1, powers + 1)
-    )
-    return LengthSpectrum(
-        dimension=3,
-        cutoff=powers * l0,
-        classes=classes,
-        volume=volume,
-        source="power family",
-    )
 
 
 @pytest.fixture

@@ -401,6 +401,13 @@ def test_zeta_requires_s_start(tmp_path, capsys):
     assert "--s-start" in capsys.readouterr().err
 
 
+def test_zeta_missing_spectrum_file_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    code = main(["zeta", "--spectrum", missing, "--sigma", "1", "--s-start", "3", "0"])
+    assert code == 2
+    assert f"cannot read {missing}" in capsys.readouterr().err
+
+
 def test_zeta_schema_error_exit_2(tmp_path, capsys):
     spec = write_json(tmp_path, "bad.json", {"dimension": 3, "cutoff": 2.0, "classes": "nope"})
     assert main(["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "3", "0"]) == 2
@@ -530,6 +537,20 @@ def test_trace_volume_override_changes_heat_side(tmp_path, capsys):
     assert main(base_args + ["--volume", "2.5"]) == 0
     scaled = json.loads(capsys.readouterr().out)["rows"][0]["geometric"]
     assert plain != scaled
+
+
+def test_trace_second_order_with_laplace_adds_the_spectral_side(tmp_path, capsys):
+    spec = toy_spectrum_path(tmp_path)
+    laplace = write_json(tmp_path, "laplace.json", eigen_doc([(1.0, 0.0, 3), (4.0, 0.0, 1)]))
+    base = ["trace", "--spectrum", spec, "--sigma", "1", "--order", "second", "--t", "0.5"]
+    assert main(base) == 0
+    (plain,) = json.loads(capsys.readouterr().out)["rows"]
+    assert main(base + ["--laplace", laplace]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert "spectral" not in plain and row["geometric"] == plain["geometric"]
+    spectral = complex(*row["spectral"])
+    assert spectral == pytest.approx(3 * math.exp(-0.5) + math.exp(-2.0), rel=1e-12)
+    assert row["diagnostic_gap"] == pytest.approx(abs(complex(*row["geometric"]) - spectral))
 
 
 def test_trace_second_order_without_volume_exit_1(tmp_path, capsys):
@@ -748,6 +769,37 @@ def test_config_fills_defaults_and_flags_win(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "selberg"
     assert len(payload["rows"]) == 3
+
+
+def test_config_missing_file_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.ini")
+    code = main(["--config", missing, "zeta", "--spectrum", toy_spectrum_path(tmp_path),
+                 "--sigma", "1", "--s-start", "3", "0"])
+    assert code == 2
+    assert f"config file not found or unreadable: {missing}" in capsys.readouterr().err
+
+
+def test_config_without_the_commands_section_keeps_the_defaults(tmp_path, capsys):
+    ini = tmp_path / "wb.ini"
+    ini.write_text("[trace]\norder = second\n", encoding="utf-8")
+    argv = ["zeta", "--spectrum", toy_spectrum_path(tmp_path), "--sigma", "1",
+            "--s-start", "3", "0"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(["--config", str(ini)] + argv) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_config_switch_takes_a_boolean_word(tmp_path, capsys):
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1)]))
+    argv = ["continue", "--dirac", dirac, "--s-start", "2", "0"]
+    for word, catalog in (("yes", True), ("On", True), ("0", False), ("off", False)):
+        ini = tmp_path / "wb.ini"
+        ini.write_text(f"[continue]\ncatalog = {word}\n", encoding="utf-8")
+        assert main(["--config", str(ini)] + argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert ("catalog" in payload) is catalog, word
+        assert len(payload["rows"]) == 1
 
 
 def test_config_unknown_key_exit_2(tmp_path, capsys):

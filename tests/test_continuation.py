@@ -32,8 +32,7 @@ from zeta_workbench import (
 from zeta_workbench.continuation import _near
 from zeta_workbench.errors import InvariantViolation, NoConvergence
 from zeta_workbench.spectra import SingularityRecord
-from zeta_workbench.verify import random_dirac_spectrum
-from conftest import power_family
+from zeta_workbench.verify import random_dirac_spectrum, single_class_spectrum
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -739,7 +738,7 @@ def test_ruelle_factorization_points(toy_spectrum):
 
 
 def test_ruelle_factorization_single_class():
-    spec = power_family(1.2, 0.9, powers=3)
+    spec = single_class_spectrum(1.2, 0.9, powers=3)
     k = 1.0
     lhs, rhs, gap = ruelle_factorization_check(complex(4.0), k, None, spec)
     assert gap <= 1e-12

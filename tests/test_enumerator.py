@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeta_workbench import (
+    ClassColumns,
     EnumerationConfig,
     GroupPresentation,
     InvariantViolation,
@@ -383,12 +384,7 @@ def test_not_loxodromic_names_a_shortest_word():
 
 
 def test_primitive_decomposition_period_rule():
-    got = primitive_decomposition(
-        [(1.0, 0.5, "ab"), (2.0, 1.0, "abab"), (3.0, 0.0, "aaa"), (2.5, 0.2, "abaab")]
-    )
-    assert [(c.multiplicity, c.primitive) for c in got] == [
-        (1, True), (2, False), (3, False), (1, True)
-    ]
+    assert primitive_decomposition(["ab", "abab", "aaa", "abaab", "b"]) == [1, 2, 3, 1, 1]
 
 
 def test_caseless_names_are_never_their_own_inverse(free_two_generator):
@@ -407,8 +403,9 @@ def test_caseless_names_are_never_their_own_inverse(free_two_generator):
     rename = str.maketrans("ab", "12")
     renamed = dataclasses.replace(
         lettered,
-        classes=tuple(
-            dataclasses.replace(c, word=c.word.translate(rename)) for c in lettered.classes
+        classes=ClassColumns(
+            lettered.length, lettered.angle, lettered.multiplicity,
+            [w.translate(rename) for w in lettered.words],
         ),
     )
     assert renamed == digits

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zeta_workbench import (
+    ClassColumns,
     DiracSpectrum,
     GeodesicClass,
     InvariantViolation,
@@ -54,63 +55,62 @@ def test_wrap_angle_identity_inside(theta):
         assert wrap_angle(theta) == pytest.approx(theta, abs=1e-15)
 
 
-# GeodesicClass -------------------------------------------------------------
+# LengthSpectrum ------------------------------------------------------------
 
 
 def test_class_invariants():
-    with pytest.raises(InvariantViolation):
-        GeodesicClass(length=0.0, angle=0.0)
-    with pytest.raises(InvariantViolation):
-        GeodesicClass(length=1.0, angle=0.0, multiplicity=0)
-    with pytest.raises(InvariantViolation):
-        GeodesicClass(length=1.0, angle=0.0, multiplicity=2, primitive=True)
-    with pytest.raises(InvariantViolation):
-        GeodesicClass(length=1.0, angle=0.0, multiplicity=1, primitive=False)
+    # the class rules are checked on the columns, and the refusal names
+    # the first faulty class
+    def spectrum(length, angle, multiplicity=(1, 1)):
+        columns = ClassColumns(length, angle, multiplicity, (None,) * len(length))
+        return LengthSpectrum(cutoff=2.5, classes=columns)
+
+    cases = [
+        (([1.0, 1.5], [0.0, 0.5], [1, 0]), "class 1 has multiplicity 0"),
+        (([0.0, 1.5], [0.0, 0.5]), "class 0 has length 0.0"),
+        (([1.0, math.nan], [0.0, 0.5]), "class 1 has length nan"),
+        # a negative first length once read "classes not sorted"
+        (([-1.0, 1.5], [0.0, 0.5]), "class 0 has length -1.0"),
+    ]
+    for columns, refusal in cases:
+        with pytest.raises(InvariantViolation, match=refusal):
+            spectrum(*columns)
+    # the record that .classes yields checks nothing; it only reads
+    assert GeodesicClass(1.0, 0.0, 2).primitive is False
+    assert spectrum([1.0, 2.0], [0.3, 0.6], [1, 2]).classes[1] == GeodesicClass(2.0, 0.6, 2)
+
+
+def test_spectrum_is_built_from_class_columns_only():
+    records = (GeodesicClass(length=1.0, angle=0.0),)
+    for classes in (records, list(records), ()):
+        with pytest.raises(InvariantViolation, match="classes must be ClassColumns"):
+            LengthSpectrum(cutoff=2.0, classes=classes)
 
 
 def test_spectrum_orders_and_cutoff():
     with pytest.raises(InvariantViolation):
-        LengthSpectrum(
-            dimension=3,
-            cutoff=0.5,
-            classes=(GeodesicClass(length=1.0, angle=0.0),),
-        )
+        LengthSpectrum(cutoff=0.5, classes=ClassColumns([1.0], [0.0]))
     # the model is d = 3; another dimension is a schema violation
     with pytest.raises(SchemaError, match="dimension must be 3"):
         parse_length_spectrum({"dimension": 4, "cutoff": 2.0, "classes": []})
     # unsorted lengths are refused
     with pytest.raises(InvariantViolation):
-        LengthSpectrum(
-            dimension=3,
-            cutoff=2.0,
-            classes=(
-                GeodesicClass(length=1.5, angle=0.0),
-                GeodesicClass(length=1.0, angle=0.1),
-            ),
-        )
+        LengthSpectrum(cutoff=2.0, classes=ClassColumns([1.5, 1.0], [0.0, 0.1]))
 
 
 def test_nonprimitive_needs_root():
-    root = GeodesicClass(length=1.0, angle=0.3)
-    ok = GeodesicClass(
-        length=2.0, angle=wrap_angle(0.6), multiplicity=2, primitive=False
-    )
-    LengthSpectrum(dimension=3, cutoff=2.5, classes=(root, ok))
+    LengthSpectrum(cutoff=2.5, classes=ClassColumns([1.0, 2.0], [0.3, wrap_angle(0.6)], [1, 2]))
     with pytest.raises(InvariantViolation):
-        LengthSpectrum(dimension=3, cutoff=2.5, classes=(ok,))
+        LengthSpectrum(cutoff=2.5, classes=ClassColumns([2.0], [wrap_angle(0.6)], [2]))
     # wrong angle relation also fails
-    bad = GeodesicClass(length=2.0, angle=1.9, multiplicity=2, primitive=False)
     with pytest.raises(InvariantViolation):
-        LengthSpectrum(dimension=3, cutoff=2.5, classes=(root, bad))
+        LengthSpectrum(cutoff=2.5, classes=ClassColumns([1.0, 2.0], [0.3, 1.9], [1, 2]))
 
 
 def test_equal_length_angle_needs_distinct_words():
-    a = GeodesicClass(length=1.0, angle=0.5, word="g")
-    b = GeodesicClass(length=1.0, angle=0.5, word="G")
-    LengthSpectrum(dimension=3, cutoff=2.0, classes=(a, b))
-    anon = GeodesicClass(length=1.0, angle=0.5)
+    LengthSpectrum(cutoff=2.0, classes=ClassColumns([1.0, 1.0], [0.5, 0.5], words=("g", "G")))
     with pytest.raises(InvariantViolation):
-        LengthSpectrum(dimension=3, cutoff=2.0, classes=(anon, anon))
+        LengthSpectrum(cutoff=2.0, classes=ClassColumns([1.0, 1.0], [0.5, 0.5]))
 
 
 # parsing / serialization ---------------------------------------------------
@@ -119,7 +119,7 @@ def test_equal_length_angle_needs_distinct_words():
 def test_length_spectrum_round_trip(toy_spectrum):
     text = serialize_length_spectrum(toy_spectrum)
     back = parse_length_spectrum(text)
-    assert back.dimension == toy_spectrum.dimension
+    assert json.loads(text)["dimension"] == 3
     assert back.cutoff == toy_spectrum.cutoff
     assert back.volume == toy_spectrum.volume
     assert back.classes == toy_spectrum.classes
@@ -259,7 +259,16 @@ def oracle_parse_classes(doc):
         word = rc.get("word")
         if word is not None and not isinstance(word, str):
             raise SchemaError(f"{where}: field 'word' must be a string or null")
-        classes.append(GeodesicClass(length, angle, mult, primitive, word))
+        if not length > 0:
+            raise InvariantViolation(f"class length must be positive, got {length}")
+        if mult < 1:
+            raise InvariantViolation(f"class multiplicity must be >= 1, got {mult}")
+        if primitive != (mult == 1):
+            raise InvariantViolation(
+                "primitive flag must hold exactly when multiplicity is 1 "
+                f"(multiplicity={mult}, primitive={primitive})"
+            )
+        classes.append(GeodesicClass(length, angle, mult, word))
 
     cutoff, tol = float(doc["cutoff"]), doc.get("tolerance", 1e-9)
     prev = 0.0
@@ -402,7 +411,11 @@ def test_columnwise_parse_reads_as_the_per_class_parser():
         assert spectrum.words == tuple(c.word for c in records)
         assert len(spectrum.classes) == len(records)
         assert tuple(spectrum.classes) == records
-        assert spectrum == LengthSpectrum(3, spectrum.cutoff, records)
+        columns = ClassColumns(
+            [c.length for c in records], [c.angle for c in records],
+            [c.multiplicity for c in records], [c.word for c in records],
+        )
+        assert spectrum == LengthSpectrum(spectrum.cutoff, columns)
 
 
 def test_columnwise_parse_refuses_the_first_of_two_faulty_classes():

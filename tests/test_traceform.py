@@ -30,7 +30,7 @@ from zeta_workbench import (
     plancherel,
 )
 from zeta_workbench.quadrature import integrate
-from conftest import power_family
+from zeta_workbench.verify import single_class_spectrum
 
 
 def test_dee_gamma_is_exponential_times_det():
@@ -95,7 +95,7 @@ def test_identity_term_dirac_cancels_and_detects():
 
 
 def test_dirac_geometric_side_manual_sum(sigma_k1):
-    spec = power_family(1.1, 0.6, powers=3)
+    spec = single_class_spectrum(1.1, 0.6, powers=3)
     t = 0.8
     expected = 0.0j
     for n in range(1, 4):
@@ -116,18 +116,18 @@ def test_dirac_geometric_side_manual_sum(sigma_k1):
 
 
 def test_dirac_geometric_side_vanishes_on_real_axis(sigma_k1):
-    spec = power_family(1.0, 0.0, powers=4)
+    spec = single_class_spectrum(1.0, 0.0, powers=4)
     assert abs(dirac_geometric_side(1.0, spec, sigma_k1)) == 0.0
 
 
 def test_heat_geometric_side_needs_volume(sigma_k1):
-    spec = power_family(1.0, 0.4, powers=2)  # no volume recorded
+    spec = single_class_spectrum(1.0, 0.4, powers=2)  # no volume recorded
     with pytest.raises(MissingVolume):
         heat_geometric_side(1.0, spec, sigma_k1)
 
 
 def test_heat_geometric_side_manual_sum(sigma_k1):
-    spec = power_family(1.0, 0.4, powers=2, volume=2.0)
+    spec = single_class_spectrum(1.0, 0.4, powers=2, volume=2.0)
     t = 0.6
     identity = 2.0 * 1 * 2.0 * identity_term_heat(sigma_k1, t)
     geod = 0.0j

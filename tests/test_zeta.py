@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeta_workbench import (
+    ClassColumns,
     ConvergenceRegionError,
-    GeodesicClass,
     InvariantViolation,
     LengthSpectrum,
     SchemaError,
@@ -22,7 +22,8 @@ from zeta_workbench import (
     log_zeta,
     parse_length_spectrum,
 )
-from conftest import TWO_LN_2, power_family
+from zeta_workbench.verify import single_class_spectrum
+from conftest import TWO_LN_2
 
 
 def test_selberg_class_sum_against_product_oracle():
@@ -38,7 +39,7 @@ def test_selberg_class_sum_against_product_oracle():
                 1j * (2 * a - kk) * theta0
             ) * cmath.exp(-(s + 1.0 + kk) * l0)
             oracle += cmath.log(1.0 - w)
-    spectrum = power_family(l0, theta0, powers=40)
+    spectrum = single_class_spectrum(l0, theta0, powers=40)
     got = log_zeta(ZetaRequest(s=s, k=k, spectrum=spectrum, kind="selberg"))
     assert got.value == pytest.approx(oracle, abs=1e-10)
     # frozen value of the truncated product itself
@@ -51,7 +52,7 @@ def test_ruelle_class_sum_against_product_oracle():
     l0, theta0, k = 1.1, 0.8, 1.0
     s = complex(3.0)
     oracle = cmath.log(1.0 - cmath.exp(1j * k * theta0) * cmath.exp(-s * l0))
-    spectrum = power_family(l0, theta0, powers=40)
+    spectrum = single_class_spectrum(l0, theta0, powers=40)
     got = log_zeta(ZetaRequest(s=s, k=k, spectrum=spectrum, kind="ruelle"))
     assert got.value == pytest.approx(oracle, abs=1e-12)
     assert oracle == pytest.approx(
@@ -145,7 +146,7 @@ def test_abscissas_and_region_gate(toy_spectrum, sigma_k1):
 
 
 def test_empty_spectrum_gives_log_zero(sigma_k1):
-    empty = LengthSpectrum(dimension=3, cutoff=1.0, classes=())
+    empty = LengthSpectrum(cutoff=1.0, classes=ClassColumns([], []))
     for kind in ("selberg", "ruelle", "symmetrized"):
         out = log_zeta(ZetaRequest(s=0.2, k=sigma_k1, spectrum=empty, kind=kind))
         assert out.value == 0.0
@@ -153,11 +154,18 @@ def test_empty_spectrum_gives_log_zero(sigma_k1):
         assert out.terms_used == 0
 
 
+def test_empty_spectrum_gives_log_derivative_zero(sigma_k1):
+    empty = LengthSpectrum(cutoff=1.0, classes=ClassColumns([], []))
+    for derivative in (log_derivative_super, log_derivative_symmetrized):
+        out = derivative(complex(2.5, 0.3), sigma_k1, None, empty)
+        assert (out.value, out.tail_bound, out.terms_used) == (0.0, 0.0, 0)
+
+
 def test_tail_bound_brackets_missing_terms(sigma_k1):
     # truncating the power family early must be covered by the tail bound
     s = complex(2.2)
-    full = power_family(0.9, 0.5, powers=60)
-    short = power_family(0.9, 0.5, powers=6)
+    full = single_class_spectrum(0.9, 0.5, powers=60)
+    short = single_class_spectrum(0.9, 0.5, powers=6)
     a = log_zeta(ZetaRequest(s=s, k=sigma_k1, spectrum=full, kind="selberg"))
     b = log_zeta(ZetaRequest(s=s, k=sigma_k1, spectrum=short, kind="selberg"))
     missing = abs(a.value - b.value)
@@ -169,7 +177,7 @@ def test_tail_bound_shrinks_with_cutoff(sigma_k1):
     s = complex(2.2)
     bounds = []
     for powers in (4, 8, 16):
-        spec = power_family(0.9, 0.5, powers=powers)
+        spec = single_class_spectrum(0.9, 0.5, powers=powers)
         bounds.append(
             log_zeta(
                 ZetaRequest(s=s, k=sigma_k1, spectrum=spec, kind="selberg")
@@ -184,14 +192,8 @@ def test_chi_twist_scales_by_dimension(toy_spectrum, sigma_k1):
     from zeta_workbench import GammaRep
 
     worded = LengthSpectrum(
-        dimension=3,
         cutoff=2.0,
-        classes=tuple(
-            GeodesicClass(
-                length=c.length, angle=c.angle, word=w
-            )
-            for c, w in zip(toy_spectrum.classes, ("a", "b", "ab"))
-        ),
+        classes=ClassColumns(toy_spectrum.length, toy_spectrum.angle, words=("a", "b", "ab")),
         volume=1.0,
     )
     chi = GammaRep(dimension=3, images={"a": np.eye(3), "b": np.eye(3)})
@@ -230,7 +232,7 @@ def test_log_derivative_matches_finite_difference(toy_spectrum, sigma_k1):
 def test_log_derivative_dirichlet_form(sigma_k1):
     # single class: the sums have one visible term per power
     l0, th0 = 1.0, 0.9
-    spec = power_family(l0, th0, powers=30)
+    spec = single_class_spectrum(l0, th0, powers=30)
     s = complex(2.4)
     k = 1.0
     expect_sup = 0.0j
@@ -254,15 +256,13 @@ def test_dimension_five_selberg_unsupported():
     doc = {"dimension": 5, "cutoff": 2.0, "classes": [{"length": 1.0, "angle": 0.0}]}
     with pytest.raises(SchemaError, match="dimension must be 3"):
         parse_length_spectrum(doc)
-    with pytest.raises(InvariantViolation, match="dimension must be 3"):
-        LengthSpectrum(dimension=5, cutoff=2.0, classes=())
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(2.1, 6.0), st.floats(-2.0, 2.0))
 def test_log_values_conjugate_symmetry(re, im):
     # real spectra: log Z(conj s) = conj log Z(s)
-    spectrum = power_family(1.0, 0.6, powers=10)
+    spectrum = single_class_spectrum(1.0, 0.6, powers=10)
     k = 1.0
     s = complex(re, im)
     a = log_zeta(ZetaRequest(s=s, k=k, spectrum=spectrum, kind="selberg"))
@@ -284,11 +284,8 @@ def test_log_derivatives_refuse_nonpositive_growth(toy_spectrum, derivative, gro
 def test_twist_memo_never_serves_a_stale_twist():
     from zeta_workbench import GammaRep, serialize_length_spectrum
 
-    classes = tuple(
-        GeodesicClass(length=length, angle=angle, word=word)
-        for length, angle, word in ((1.0, 0.7, "a"), (1.3, -2.1, "b"), (1.7, 2.9, "ab"))
-    )
-    spectrum = LengthSpectrum(dimension=3, cutoff=2.0, classes=classes)
+    classes = ClassColumns([1.0, 1.3, 1.7], [0.7, -2.1, 2.9], words=("a", "b", "ab"))
+    spectrum = LengthSpectrum(cutoff=2.0, classes=classes)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     shear = np.array([[1.0, 1.0], [0.0, 1.0]])
     twist_a = GammaRep(dimension=2, images={"a": swap, "b": shear})
@@ -307,11 +304,8 @@ def test_weight_memo_serves_only_its_own_twist_weight_and_kind():
     from zeta_workbench import GammaRep, serialize_length_spectrum
     from zeta_workbench.zeta import chi_trace, class_weights
 
-    classes = tuple(
-        GeodesicClass(length=length, angle=angle, word=word)
-        for length, angle, word in ((1.0, 0.7, "a"), (1.3, -2.1, "b"), (1.7, 2.9, "ab"))
-    )
-    spectrum = LengthSpectrum(dimension=3, cutoff=2.0, classes=classes)
+    classes = ClassColumns([1.0, 1.3, 1.7], [0.7, -2.1, 2.9], words=("a", "b", "ab"))
+    spectrum = LengthSpectrum(cutoff=2.0, classes=classes)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     shear = np.array([[1.0, 1.0], [0.0, 1.0]])
     twist_a = GammaRep(dimension=2, images={"a": swap, "b": shear})
@@ -348,11 +342,8 @@ def test_weight_memo_serves_only_its_own_twist_weight_and_kind():
 def test_count_model_memo_serves_only_its_own_twist_and_growth():
     from zeta_workbench import GammaRep, serialize_length_spectrum
 
-    classes = tuple(
-        GeodesicClass(length=length, angle=angle, word=word)
-        for length, angle, word in ((1.0, 0.7, "a"), (1.3, -2.1, "b"), (1.7, 2.9, "ab"))
-    )
-    spectrum = LengthSpectrum(dimension=3, cutoff=2.0, classes=classes)
+    classes = ClassColumns([1.0, 1.3, 1.7], [0.7, -2.1, 2.9], words=("a", "b", "ab"))
+    spectrum = LengthSpectrum(cutoff=2.0, classes=classes)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     shear = np.array([[1.0, 1.0], [0.0, 1.0]])
     twist_a = GammaRep(dimension=2, images={"a": swap, "b": shear})
