@@ -15,13 +15,14 @@ an array of points, and every contour and path integrand in this module
 maps an array of points to values, the contract of quadrature.integrate,
 so a rule evaluates all its nodes in one call.  Everything else here
 is bookkeeping on top: partial-fraction resolvent weights, contour-based
-residue extraction, a catalog of singularities with integer orders, and
-log-zeta recovery along a path to the right half-plane where the
-logarithm vanishes.  The super log-derivative is exactly the partial
-fractions of its catalog, sum order/(s - pole), so the continued super
-log is written down in closed form with exact branch tracking:
-sum order * Log(s - pole) plus 2 pi i times the integer winding of the
-detoured path.  Quadrature along the path is kept only as a check, and
+residue extraction, a catalog of singularities with integer orders (its
+locations grouped by the eigenvalues' own closeness rule, so a list's own
+square is never refused), and log-zeta recovery along a path to the right
+half-plane where the logarithm vanishes.  The super log-derivative is
+exactly the partial fractions of its catalog, sum order/(s - pole), so the
+continued super log is written down in closed form with exact branch
+tracking: sum order * Log(s - pole) plus 2 pi i times the integer winding
+of the detoured path.  Quadrature along the path is kept only as a check, and
 for integrands that are not pure partial fractions.
 
 The closed form, the winding, the path plan and residue_at take a point
@@ -51,10 +52,13 @@ from .errors import (
 from .quadrature import integrate
 from .reps import plancherel
 from .spectra import (
+    _BLOCK,
+    EIGENVALUE_TOL,
     DiracSpectrum,
     LaplaceSpectrum,
     SingularityRecord,
-    square_spectrum,
+    _near,
+    merge_groups,
 )
 
 __all__ = [
@@ -68,29 +72,10 @@ __all__ = [
     "super_winding",
 ]
 
-_SINGULARITY_EPS = 1e-12
-_BLOCK = 4096  # pairs per block of the all-pairs temporaries
-
 
 def _number_or_array(s, values: np.ndarray):
     """values for the points of s: a Python number when s is one point."""
     return values.item() if np.ndim(s) == 0 else values
-
-
-def _near(queries: np.ndarray, values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (q, v) of the pairs with |queries[q] - values[v]| < tol.
-
-    Every pair is compared.  The queries go in blocks of _BLOCK pairs, as
-    in _spectral_sum, so the temporaries stay near 64 kB however many
-    queries and values there are.
-    """
-    step = max(1, _BLOCK // max(values.size, 1))
-    qs, vs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for start in range(0, queries.size, step):
-        q, v = np.nonzero(np.abs(queries[start : start + step, None] - values) < tol)
-        qs.append(q + start)
-        vs.append(v)
-    return np.concatenate(qs), np.concatenate(vs)
 
 
 def partial_fraction_weights(shifts: tuple[complex, ...]) -> list[complex]:
@@ -124,13 +109,8 @@ def partial_fraction_weights(shifts: tuple[complex, ...]) -> list[complex]:
 # continued logarithmic derivatives
 
 
-def _spectral_arrays(entries) -> tuple[np.ndarray, np.ndarray]:
-    values = np.array([v for v, _ in entries], dtype=complex)
-    return values, np.array([m for _, m in entries], dtype=float)
-
-
 def _refuse_poles(z: np.ndarray, poles: np.ndarray) -> None:
-    hit, _ = _near(z.ravel(), poles, _SINGULARITY_EPS)
+    hit, _ = _near(z.ravel(), poles, EIGENVALUE_TOL)
     if hit.size:
         at = complex(z.ravel()[hit.min()])
         raise AtSingularity(f"s = {at} sits on a pole", location=at)
@@ -156,7 +136,7 @@ def continued_super_logderiv(s, dirac: DiracSpectrum):
     over them, and any point on a pole is refused with AtSingularity.
     """
     z = np.asarray(s, dtype=complex)
-    ev, m = _spectral_arrays(dirac.entries)
+    ev, m = dirac.values, dirac.multiplicity
     _refuse_poles(z, np.concatenate([1j * ev, -1j * ev]))
     return 2j * _spectral_sum(lambda zz: m * ev / (ev * ev + zz * zz), z, len(ev))
 
@@ -177,7 +157,7 @@ def continued_sym_logderiv(
     if volume is None:
         raise MissingVolume("the density term needs a volume (0 to disable)")
     z = np.asarray(s, dtype=complex)
-    mu, m = _spectral_arrays(laplace.entries)
+    mu, m = laplace.values, laplace.multiplicity
     roots = 1j * np.sqrt(mu)
     _refuse_poles(z, np.concatenate([roots, -roots]))
     rational = 2.0 * z * _spectral_sum(lambda zz: m / (mu + zz * zz), z, len(mu))
@@ -239,62 +219,50 @@ def singularity_catalog(
     """Locations and integer orders for the super, symmetrized and plain
     Selberg-type zetas, from spectral data alone.
 
-    laplace defaults to the squared first-order spectrum.  Supplying an
-    independent second-order spectrum is allowed; the catalog then checks
-    the grading parity m_s(lam) = m(lam^2) mod 2 at every location and
-    refuses data that no graded operator pair could produce.
+    laplace defaults to the squared first-order spectrum, whose roots are
+    the first-order values themselves.  Supplying an independent
+    second-order spectrum is allowed; the catalog then checks the grading
+    parity m_s(lam) = m(lam^2) mod 2 at every location and refuses data
+    that no graded operator pair could produce.  Each of +-lam and
+    +-sqrt(mu) joins one location by spectra.merge_groups.
     """
-    lap = laplace if laplace is not None else square_spectrum(dirac)
-    ev, m_ev = _spectral_arrays(dirac.entries)
-    mu, m_mu = _spectral_arrays(lap.entries)
-    roots = np.array([cmath.sqrt(x) for x in mu.tolist()], dtype=complex)
+    lam, m_lam = dirac.values, dirac.multiplicity
+    roots, m_root = lam, m_lam  # with no laplace, no square is taken
+    if laplace is not None:
+        roots, m_root = np.sqrt(laplace.values), laplace.multiplicity
 
-    # the distinct "frequencies" nu, location i*nu, from one pass over the
-    # close pairs: +-lam, then +-sqrt(mu), each kept unless closer than
-    # the tolerance to one kept before it
-    candidates = np.stack([np.concatenate([ev, roots]), -np.concatenate([ev, roots])], 1).ravel()
-    later, first = _near(candidates, candidates, _SINGULARITY_EPS)
-    earlier = first < later
-    kept = np.ones(len(candidates), dtype=bool)
-    for j, i in sorted(zip(later[earlier].tolist(), first[earlier].tolist())):
-        kept[j] = kept[j] and not kept[i]
+    # candidates 2i and 2i + 1 are lam_i and -lam_i, then root_i and
+    # -root_i; each joins one distinct "frequency" nu, location i*nu
+    candidates = np.stack([np.concatenate([lam, roots]), -np.concatenate([lam, roots])], 1).ravel()
+    kept, column = merge_groups(candidates)
     freqs = candidates[kept]
-    # the same pairs give the signed multiplicity m(nu) - m(-nu), summed
-    # over every entry within the tolerance: candidates 2i and 2i + 1 are
-    # lam_i and -lam_i
-    entry = first < 2 * len(ev)
-    signed = m_ev[first[entry] // 2] * (1 - 2 * (first[entry] % 2))
-    m_signed = np.bincount(later[entry], weights=signed, minlength=len(candidates))[kept]
-    q, v = _near(freqs * freqs, mu, _SINGULARITY_EPS)
-    m_squared = np.bincount(q, weights=m_mu[v], minlength=len(freqs))
+    first, second = np.split(column, [2 * len(lam)])
+    # the signed multiplicity m(nu) - m(-nu), and the squared one m(nu^2),
+    # to which a root and its negative count once when they share nu, at 0
+    signed = np.stack([m_lam, -m_lam], 1).ravel()
+    m_signed = np.bincount(first, weights=signed, minlength=len(freqs))
+    per_root = np.stack([m_root, np.where(second[::2] != second[1::2], m_root, 0)], 1)
+    m_squared = np.bincount(second, weights=per_root.ravel(), minlength=len(freqs))
 
     records: list[SingularityRecord] = []
-    for nu, m_super, m_second in zip(
-        freqs.tolist(), m_signed.astype(int).tolist(), m_squared.astype(int).tolist()
-    ):
-        location = 1j * nu
-        at_zero = abs(nu) < _SINGULARITY_EPS
-        if at_zero:
+    for nu, m_super, m_second in zip(freqs.tolist(), map(int, m_signed), map(int, m_squared)):
+        if abs(nu) < EIGENVALUE_TOL:
             # the signed multiplicity vanishes identically at zero; the
             # second-order residue there is 2 m(0), giving plain order m(0)
-            order_sym = 2 * m_second
-            order_z = m_second
-        else:
-            if (m_super - m_second) % 2 != 0:
-                raise ParityViolation(
-                    f"signed multiplicity {m_super} and squared multiplicity "
-                    f"{m_second} disagree mod 2 at eigenvalue {nu}",
-                    eigenvalue=nu,
-                )
-            order_sym = m_second
-            # even: m_super - m_second is even, checked just above
-            order_z = (m_super + order_sym) // 2
-        if m_super != 0:
-            records.append(SingularityRecord(location, m_super, "super"))
-        if order_sym != 0:
-            records.append(SingularityRecord(location, order_sym, "symmetrized"))
-        if order_z != 0:
-            records.append(SingularityRecord(location, order_z, "selberg"))
+            orders = (m_super, 2 * m_second, m_second)
+        elif (m_super - m_second) % 2 != 0:
+            raise ParityViolation(
+                f"signed multiplicity {m_super} and squared multiplicity "
+                f"{m_second} disagree mod 2 at eigenvalue {nu}",
+                eigenvalue=nu,
+            )
+        else:  # the plain order is whole: the parity was checked just above
+            orders = (m_super, m_second, (m_super + m_second) // 2)
+        records += [
+            SingularityRecord(1j * nu, order, kind)
+            for kind, order in zip(("super", "symmetrized", "selberg"), orders)
+            if order != 0
+        ]
 
     records.sort(key=lambda r: (r.zeta_kind, r.location.real, r.location.imag))
     return tuple(records)
@@ -311,10 +279,8 @@ def super_tail_log(dirac: DiracSpectrum, w: complex) -> complex:
     Valid once Re(w) dominates every |lam|; each eigenvalue contributes
     m * Log((w - i lam)/(w + i lam)), which decays like 1/w.
     """
-    total = 0.0 + 0.0j
-    for ev, m in dirac.entries:
-        total += m * cmath.log((w - 1j * ev) / (w + 1j * ev))
-    return total
+    ev = dirac.values
+    return complex(np.sum(dirac.multiplicity * np.log((w - 1j * ev) / (w + 1j * ev))))
 
 
 def _path_plan(

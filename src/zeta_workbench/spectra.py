@@ -13,12 +13,13 @@ twisting the operator need not be unitary.
 All types are immutable after construction and validated eagerly.  The
 class rules of a length spectrum are checked once, on its columns; a
 document's classes are read in one pass, and every refusal names the
-first offending class.
+first offending class.  Eigenvalues have one equality rule,
+merge_groups: entries closer than 1e-12, exact repeats included, merge at
+construction, and the singularity catalog groups its locations alike.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import sys
@@ -214,13 +215,18 @@ def _validate_spectrum(spec: LengthSpectrum) -> None:
     if spec.volume is not None and not (spec.volume > 0):
         raise InvariantViolation(f"volume must be positive, got {spec.volume}")
 
+    sizes = {name: len(getattr(spec, name)) for name in ("length", "angle", "multiplicity", "words")}
+    if len(set(sizes.values())) > 1:
+        raise InvariantViolation(f"class {min(sizes.values())} is missing from a column: {sizes}")
     tol, length, angle, n = spec.tolerance, spec.length, spec.angle, spec.multiplicity
-    bad = np.flatnonzero(~(length > 0) | (n < 1))
+    bad = np.flatnonzero(~(length > 0) | (n < 1) | ~np.isfinite(angle))
     if bad.size:
         i = int(bad[0])
         if not length[i] > 0:
             raise InvariantViolation(f"class {i} has length {length[i]}; it must be positive")
-        raise InvariantViolation(f"class {i} has multiplicity {n[i]}; it must be >= 1")
+        if n[i] < 1:
+            raise InvariantViolation(f"class {i} has multiplicity {n[i]}; it must be >= 1")
+        raise InvariantViolation(f"class {i} has angle {angle[i]}; it must be finite")
     # the longest class before each one (0 before the first)
     prev = np.maximum.accumulate(np.concatenate(([0.0], length)))[:-1]
     above = length > spec.cutoff + tol
@@ -279,26 +285,65 @@ def _validate_spectrum(spec: LengthSpectrum) -> None:
 # eigenvalue spectra
 
 
-@dataclass(frozen=True)
+EIGENVALUE_TOL = 1e-12  # eigenvalues closer than this are one
+_BLOCK = 4096  # pairs per block of the all-pairs temporaries
+
+
+def _near(queries: np.ndarray, values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (q, v) of the pairs with |queries[q] - values[v]| < tol.
+    Every pair is compared, the queries in blocks of _BLOCK pairs, so the
+    temporaries stay near 64 kB however many queries and values there are."""
+    step = max(1, _BLOCK // max(values.size, 1))
+    qs, vs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for start in range(0, queries.size, step):
+        q, v = np.nonzero(np.abs(queries[start : start + step, None] - values) < tol)
+        qs.append(q + start)
+        vs.append(v)
+    return np.concatenate(qs), np.concatenate(vs)
+
+
+def merge_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one closeness rule for eigenvalues: in order, a value joins the
+    first kept value closer than EIGENVALUE_TOL, or else is kept itself.
+    Returns the kept indices and, per value, the position of its kept one."""
+    later, first = _near(values, values, EIGENVALUE_TOL)
+    group = np.arange(len(values))
+    # every i < j is settled when j is reached: kept if group[i] == i
+    for j, i in sorted(zip(later.tolist(), first.tolist())):
+        if i < j and group[j] == j and group[i] == i:
+            group[j] = i
+    return np.unique(group, return_inverse=True)
+
+
 class EigenvalueSpectrum:
-    """Finite eigenvalue list with algebraic multiplicities."""
+    """Finite eigenvalue list with algebraic multiplicities, built from
+    (value, multiplicity) pairs and held as read-only values (complex) and
+    multiplicity (int) arrays.  A non-finite value or a multiplicity below
+    1 is refused, naming the entry, and so are multiplicities adding up to
+    2**53 or more; entries merge by merge_groups, the kept entry giving the
+    location and the group's multiplicities adding up."""
 
-    entries: tuple[tuple[complex, int], ...]
+    def __init__(self, entries):
+        pairs = [(complex(ev), int(m)) for ev, m in entries]
+        if sum(abs(m) for _, m in pairs) >= 2**53:  # the catalog adds them up in float64
+            raise InvariantViolation("the multiplicities must add up to less than 2**53")
+        values = np.array([ev for ev, _ in pairs], dtype=complex)
+        mult = np.array([m for _, m in pairs], dtype=int)
+        bad = np.flatnonzero(~np.isfinite(values) | (mult < 1))
+        if bad.size:
+            i = int(bad[0])
+            if not np.isfinite(values[i]):
+                raise InvariantViolation(f"entry {i} has eigenvalue {values[i]}; it must be finite")
+            raise InvariantViolation(f"entry {i} has multiplicity {mult[i]}; it must be >= 1")
+        kept, column = merge_groups(values)
+        self.values, self.multiplicity = values[kept], np.zeros(len(kept), dtype=int)
+        np.add.at(self.multiplicity, column, mult)
+        for array in (self.values, self.multiplicity):
+            array.setflags(write=False)
 
-    def __post_init__(self):
-        entries = tuple((complex(ev), int(m)) for ev, m in self.entries)
-        object.__setattr__(self, "entries", entries)
-        seen: set[complex] = set()
-        for ev, m in entries:
-            if m < 1:
-                raise InvariantViolation(f"multiplicity must be >= 1, got {m} at {ev}")
-            if ev in seen:
-                raise InvariantViolation(f"eigenvalue {ev} listed twice")
-            seen.add(ev)
-
-    def multiplicity(self, ev: complex) -> int:
-        ev = complex(ev)
-        return next((m for e, m in self.entries if e == ev), 0)
+    @property
+    def entries(self) -> tuple[tuple[complex, int], ...]:
+        return tuple(zip(self.values.tolist(), self.multiplicity.tolist()))
 
 
 class DiracSpectrum(EigenvalueSpectrum):
@@ -540,11 +585,8 @@ def parse_eigenvalue_spectrum(document: str | dict, kind: str = "dirac") -> Eige
 
 
 def serialize_eigenvalue_spectrum(spec: EigenvalueSpectrum) -> str:
-    doc = {
-        "entries": [
-            {"re": ev.real, "im": ev.imag, "multiplicity": m} for ev, m in spec.entries
-        ]
-    }
+    entries = zip(spec.values.tolist(), spec.multiplicity.tolist())
+    doc = {"entries": [{"re": ev.real, "im": ev.imag, "multiplicity": m} for ev, m in entries]}
     return json.dumps(doc, sort_keys=True)
 
 
@@ -553,15 +595,15 @@ def serialize_eigenvalue_spectrum(spec: EigenvalueSpectrum) -> str:
 
 
 def square_spectrum(dirac: DiracSpectrum) -> LaplaceSpectrum:
-    """Square each eigenvalue, merging multiplicities of coinciding squares."""
-    squares: dict[complex, int] = {}
-    for ev, m in dirac.entries:
-        mu = ev * ev
-        squares[mu] = squares.get(mu, 0) + m
-    return LaplaceSpectrum(entries=tuple(squares.items()))
+    """Square each eigenvalue; squares closer than EIGENVALUE_TOL merge."""
+    # Python's complex product: numpy's can differ in the last bit
+    squares = [v * v for v in dirac.values.tolist()]
+    return LaplaceSpectrum(zip(squares, dirac.multiplicity.tolist()))
 
 
 def super_multiplicity(dirac: DiracSpectrum, ev: complex) -> int:
-    """Signed multiplicity m(ev) - m(-ev), absent eigenvalues counting 0."""
-    ev = complex(ev)
-    return dirac.multiplicity(ev) - dirac.multiplicity(-ev)
+    """Signed multiplicity m(ev) - m(-ev): m(x) is the multiplicity of the
+    first eigenvalue closer than EIGENVALUE_TOL to x, or 0."""
+    near = np.abs(dirac.values - np.array([[ev], [-ev]])) < EIGENVALUE_TOL
+    plus, minus = (int(dirac.multiplicity[row][:1].sum()) for row in near)
+    return plus - minus

@@ -16,7 +16,8 @@ contribution 2 dim(V_chi) Vol integral exp(-t lam^2) P(i lam) dlam plus a
 geodesic sum weighted by (l/n) (L(gamma; k) + L(gamma; -k)) exp(-l^2/4t)
 (4 pi t)^{-1/2}.  Both geodesic sums are the one class-sum kernel of
 zeta.py over the spectrum's class arrays, with the class weights of the
-zeta sums and exp(-l^2/4t) in place of exp(-s l).
+zeta sums and exp(-l^2/4t) in place of exp(-s l); both spectral sums read
+the eigenvalue and multiplicity arrays.
 
 For synthetic inputs the two sides of either formula need not agree; the
 package reports their gap as a diagnostic and never asserts equality.
@@ -118,14 +119,15 @@ def dirac_spectral_side(t: float, dirac: DiracSpectrum) -> complex:
     """sum m(lam) lam exp(-t lam^2)."""
     if not (t > 0):
         raise InvariantViolation("t must be positive")
-    return sum(m * ev * cmath.exp(-t * ev * ev) for ev, m in dirac.entries)
+    ev = dirac.values
+    return complex(np.sum(dirac.multiplicity * ev * np.exp(-t * ev * ev)))
 
 
 def heat_spectral_side(t: float, laplace: LaplaceSpectrum) -> complex:
     """sum m(mu) exp(-t mu)."""
     if not (t > 0):
         raise InvariantViolation("t must be positive")
-    return sum(m * cmath.exp(-t * mu) for mu, m in laplace.entries)
+    return complex(np.sum(laplace.multiplicity * np.exp(-t * laplace.values)))
 
 
 # ---------------------------------------------------------------------------

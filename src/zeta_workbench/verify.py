@@ -266,7 +266,7 @@ def suite_partial_fractions(seed: int = 0) -> dict:
         lhs = np.dot(weights, -0.5j * continued_super_logderiv(points, dirac))
         terms = [
             w * m * ev / (ev * ev + s * s)
-            for ev, m in dirac.entries
+            for ev, m in zip(dirac.values.tolist(), dirac.multiplicity.tolist())
             for w, s in zip(weights, shifts)
         ]
         rhs = sum(terms)
@@ -279,7 +279,7 @@ def suite_partial_fractions(seed: int = 0) -> dict:
         lhs2 = np.dot(weights, continued_sym_logderiv(points, laplace, k, 1, vol))
         terms2 = [
             w * 2.0 * s * m / (mu + s * s)
-            for mu, m in laplace.entries
+            for mu, m in zip(laplace.values.tolist(), laplace.multiplicity.tolist())
             for w, s in zip(weights, shifts)
         ] + [
             -w * 4.0 * math.pi * vol * poly.at_s(s) for w, s in zip(weights, shifts)
@@ -299,19 +299,19 @@ def suite_residues(seed: int = 0) -> dict:
 
     for trial in range(25):
         dirac = random_dirac_spectrum(rng)
-        ev = np.array([e for e, _ in dirac.entries])
+        ev = dirac.values
 
         def l_super(z):
             return continued_super_logderiv(z, dirac)
 
         got = residue_at(l_super, np.concatenate([1j * ev, -1j * ev]), 0.1)
-        want = np.array([super_multiplicity(dirac, e) for e, _ in dirac.entries])
+        want = np.array([super_multiplicity(dirac, e) for e in ev.tolist()])
         # case 2i is the residue at i ev_i, case 2i + 1 the one at -i ev_i
         gaps = np.stack(np.split(np.abs(got - np.concatenate([want, -want])), 2), 1).ravel()
 
         def label(i: int) -> str:
             at = ("", " at -i ev")[i % 2]
-            return f"first order{at}, trial {trial}, ev={dirac.entries[i // 2][0]}"
+            return f"first order{at}, trial {trial}, ev={complex(ev[i // 2])}"
 
         ledger.gaps(gaps, 1e-8, label)
 
@@ -320,11 +320,11 @@ def suite_residues(seed: int = 0) -> dict:
         def l_sym(z):
             return continued_sym_logderiv(z, laplace, k, 1, 1.0)
 
-        got = residue_at(l_sym, np.array([1j * cmath.sqrt(mu) for mu, _ in laplace.entries]), 0.05)
+        roots = [1j * cmath.sqrt(mu) for mu in laplace.values.tolist()]
         ledger.gaps(
-            np.abs(got - np.array([m for _, m in laplace.entries])),
+            np.abs(residue_at(l_sym, np.array(roots), 0.05) - laplace.multiplicity),
             1e-8,
-            lambda i: f"second order, trial {trial}, mu={laplace.entries[i][0]}",
+            lambda i: f"second order, trial {trial}, mu={complex(laplace.values[i])}",
         )
 
     # zero eigenvalue: second-order residue doubles
@@ -416,7 +416,7 @@ def suite_parity(seed: int = 0, inject_violation: bool = False) -> dict:
 
     for trial in range(10):
         dirac = random_dirac_spectrum(rng, max_entries=8)
-        for ev, _ in dirac.entries:
+        for ev in dirac.values.tolist():
             ledger.require(
                 super_multiplicity(dirac, ev) == -super_multiplicity(dirac, -ev),
                 f"antisymmetry broken at {ev}",

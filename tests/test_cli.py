@@ -725,6 +725,32 @@ def test_continue_refuses_a_nan_eigenvalue_exit_2(tmp_path, capsys, grid):
     assert captured.out == ""
 
 
+def test_continue_merges_eigenvalues_closer_than_1e_12(tmp_path, capsys):
+    # the list's own square was refused with exit 6: the catalog compared
+    # nu^2 with mu, where the eigenvalues were compared with each other
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1), (1.0 + 6e-13, 0.0, 1)]))
+    assert main(["continue", "--dirac", dirac]) == 0
+    catalog = json.loads(capsys.readouterr().out)["catalog"]
+    table = {(rec["zeta_kind"], tuple(rec["location"])): rec["order"] for rec in catalog}
+    assert table == {
+        ("super", (0.0, 1.0)): 2,
+        ("super", (0.0, -1.0)): -2,
+        ("symmetrized", (0.0, 1.0)): 2,
+        ("symmetrized", (0.0, -1.0)): 2,
+        ("selberg", (0.0, 1.0)): 2,
+    }
+
+
+@pytest.mark.parametrize("m", [2**53 - 1, 2**63, 2**70])
+def test_continue_refuses_multiplicities_past_float64_exit_1(tmp_path, capsys, m):
+    # the catalog adds multiplicities up in float64, exact below 2**53
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1), (2.0, 0.0, m)]))
+    assert main(["continue", "--dirac", dirac]) == 1
+    captured = capsys.readouterr()
+    assert "the multiplicities must add up to less than 2**53" in captured.err
+    assert captured.out == ""
+
+
 def test_continue_inconsistent_pair_exit_6(tmp_path, capsys):
     dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1)]))
     laplace = write_json(tmp_path, "laplace.json", eigen_doc([(1.0, 0.0, 2)]))

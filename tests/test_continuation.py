@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zeta_workbench import (
@@ -289,24 +289,34 @@ def test_catalog_sums_the_multiplicities_of_entries_within_the_tolerance(laplace
     assert abs(turns - round(turns.real)) < 1e-9
 
 
-def brute_force_catalog(dirac, laplace):
-    """The catalog by pairwise scans: the first of every run of entries
-    closer than 1e-12 gives the location, and all of them the order."""
+def brute_force_catalog(dirac, laplace=None):
+    """The catalog by a pairwise scan: each of +-lam, then +-sqrt(mu), joins
+    the first kept frequency closer than 1e-12, or is kept itself; the kept
+    one gives the location, and its group the orders.  With no second-order
+    list the roots are the first-order values."""
     near = 1e-12
-    roots = [cmath.sqrt(mu) for mu, _ in laplace.entries]
-    freqs = []
-    candidates = [c for ev, _ in dirac.entries for c in (ev, -ev)]
-    for nu in candidates + [c for r in roots for c in (r, -r)]:
-        if all(abs(known - nu) >= near for known in freqs):
-            freqs.append(nu)
+    roots = dirac.entries if laplace is None else [(cmath.sqrt(mu), m) for mu, m in laplace.entries]
+    freqs, signed, squared = [], [], []
 
-    def m(entries, x):
-        return sum(mult for value, mult in entries if abs(value - x) < near)
+    def join(nu):
+        for g, known in enumerate(freqs):
+            if abs(known - nu) < near:
+                return g
+        freqs.append(nu)
+        signed.append(0)
+        squared.append(0)
+        return len(freqs) - 1
+
+    for ev, mult in dirac.entries:
+        plus, minus = join(ev), join(-ev)
+        signed[plus] += mult
+        signed[minus] -= mult
+    for root, mult in roots:
+        for g in {join(root), join(-root)}:  # a root and its negative in one group count once
+            squared[g] += mult
 
     table = {}
-    for nu in freqs:
-        m_super = m(dirac.entries, nu) - m(dirac.entries, -nu)
-        m_second = m(laplace.entries, nu * nu)
+    for nu, m_super, m_second in zip(freqs, signed, squared):
         if abs(nu) < near:
             orders = {"super": m_super, "symmetrized": 2 * m_second, "selberg": m_second}
         elif (m_super - m_second) % 2:
@@ -333,13 +343,19 @@ def brute_force_catalog(dirac, laplace):
     ),
     st.booleans(),
 )
+# a list's own square, refused when the catalog compared nu^2 with mu
+@example([(1.0, 0.0, 1, 1), (1.0, 6e-13, 1, 1)], False)
+@example([(complex(1.5, 0.2), 0.0, 1, 1), (complex(1.5, 0.2), -4e-13, -1, 1)], False)
 def test_catalog_matches_the_pairwise_scan(entries, own_laplace):
     dirac = DiracSpectrum(entries=tuple((sign * (base + d), m) for base, d, sign, m in entries))
-    laplace = square_spectrum(dirac)
+    laplace = None
     if own_laplace:  # a second-order list whose squares sit off those of the first
-        laplace = LaplaceSpectrum(entries=tuple((mu * (1 + 1e-13), m) for mu, m in laplace.entries))
+        squares = square_spectrum(dirac).entries
+        laplace = LaplaceSpectrum(entries=tuple((mu * (1 + 1e-13), m) for mu, m in squares))
     want = brute_force_catalog(dirac, laplace)
     if want is ParityViolation:
+        # no graded pair violates parity with its own square
+        assert own_laplace, f"the catalog of {dirac.entries} refuses the list's own square"
         with pytest.raises(ParityViolation):
             singularity_catalog(dirac, laplace)
         return
@@ -407,6 +423,16 @@ def test_super_tail_log_closed_form(dirac_pm):
     w = complex(5.0, 0.3)
     expected = 1.0 * cmath.log((w - 1j) / (w + 1j))
     assert super_tail_log(dirac_pm, w) == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.mark.parametrize("w", [complex(8.0, 0.3), complex(30.0, -2.0)])
+def test_super_tail_log_is_the_per_entry_sum(w):
+    rng = np.random.default_rng(11)
+    values = rng.uniform(-5.0, 5.0, 40) + 1j * rng.uniform(-0.5, 0.5, 40)
+    dirac = DiracSpectrum(zip(values.tolist(), rng.integers(1, 5, 40).tolist()))
+    terms = [m * cmath.log((w - 1j * ev) / (w + 1j * ev)) for ev, m in dirac.entries]
+    want = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+    assert abs(super_tail_log(dirac, w) - want) <= 1e-14 * math.fsum(abs(z) for z in terms)
 
 
 def test_path_value_matches_closed_form(dirac_pm):

@@ -87,6 +87,24 @@ def test_spectrum_is_built_from_class_columns_only():
             LengthSpectrum(cutoff=2.0, classes=classes)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_class_angle_must_be_finite(angle):
+    # a NaN angle gave log_zeta nan+nanj with a finite tail bound
+    columns = ClassColumns([1.0, 1.3], [0.2, angle])
+    with pytest.raises(InvariantViolation, match="class 1 has angle .*; it must be finite"):
+        LengthSpectrum(cutoff=2.0, classes=columns)
+
+
+def test_class_columns_must_have_equal_lengths():
+    # these were accepted, and log_zeta failed later on a numpy broadcast
+    columns = ClassColumns([1.0, 1.3], [0.2, 0.5, 0.9], [1, 1], ["a", "b"])
+    with pytest.raises(InvariantViolation, match="class 2 is missing from a column: .*'angle': 3"):
+        LengthSpectrum(cutoff=2.0, classes=columns)
+    columns = ClassColumns([1.0, 1.3], [0.2, 0.5], [1, 1], ["a"])
+    with pytest.raises(InvariantViolation, match="class 1 is missing from a column: .*'words': 1"):
+        LengthSpectrum(cutoff=2.0, classes=columns)
+
+
 def test_spectrum_orders_and_cutoff():
     with pytest.raises(InvariantViolation):
         LengthSpectrum(cutoff=0.5, classes=ClassColumns([1.0], [0.0]))
@@ -182,10 +200,16 @@ def test_eigenvalue_round_trip():
 
 
 def test_eigenvalue_validation():
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="entry 0 has multiplicity 0"):
         DiracSpectrum(entries=((1.0, 0),))
-    with pytest.raises(InvariantViolation):
-        DiracSpectrum(entries=((1.0, 1), (1.0, 2)))
+    with pytest.raises(InvariantViolation, match="entry 1 has multiplicity 0"):
+        DiracSpectrum(entries=((2.0, 1), (1.0, 0)))
+    # a NaN entry built in code was accepted, and the catalog dropped it
+    for bad in (math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(0.0, -math.inf)):
+        with pytest.raises(InvariantViolation, match="entry 0 has eigenvalue .*; it must be finite"):
+            DiracSpectrum(((bad, 1), (1.0, 2)))
+    # an exact repeat is one eigenvalue, as any two entries closer than 1e-12
+    assert DiracSpectrum(entries=((1.0, 1), (1.0, 2))).entries == ((1.0, 3),)
 
 
 def test_square_spectrum_merges():

@@ -154,6 +154,30 @@ def test_spectral_sides_are_weighted_sums():
     assert heat_spectral_side(t, lap) == pytest.approx(expected2, rel=1e-14)
 
 
+def fsum_complex(terms) -> complex:
+    terms = list(terms)
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+@pytest.mark.parametrize("t", [0.05, 0.7, 4.0])
+def test_spectral_sides_are_the_per_entry_sums(t):
+    # complex eigenvalues, some of them paired with their negatives; the
+    # oracle sums each entry's term exactly
+    rng = np.random.default_rng(7)
+    values = rng.uniform(-2.5, 2.5, 40) + 1j * rng.uniform(-0.4, 0.4, 40)
+    values[::5] = -values[1::5]
+    mult = rng.integers(1, 5, 40).tolist()
+    dirac = DiracSpectrum(zip(values.tolist(), mult))
+    laplace = LaplaceSpectrum(zip((values * values).tolist(), mult))
+    for side, spectrum, term in (
+        (dirac_spectral_side, dirac, lambda ev, m: m * ev * cmath.exp(-t * ev * ev)),
+        (heat_spectral_side, laplace, lambda mu, m: m * cmath.exp(-t * mu)),
+    ):
+        terms = [term(ev, m) for ev, m in spectrum.entries]
+        scale = math.fsum(abs(z) for z in terms)
+        assert abs(side(t, spectrum) - fsum_complex(terms)) <= 1e-14 * scale, side.__name__
+
+
 def test_class_term_t_integral_consistency():
     for l, th, n, s in (
         (1.0, 0.7, 1, complex(2.0)),
