@@ -11,7 +11,6 @@ Usage: python3 scripts/two_generator_survey.py [max_depth]
 
 import cmath
 import sys
-import time
 
 import numpy as np
 
@@ -42,17 +41,15 @@ def schottky_pair():
 pres = schottky_pair()
 
 print(f"depth sweep up to {MAX_DEPTH}, cutoff {CUTOFF}")
-print(f"{'depth':>5} {'classes':>8} {'shortest':>10} {'longest':>10} {'secs':>7}")
+print(f"{'depth':>5} {'classes':>8} {'shortest':>10} {'longest':>10}")
 spectrum = None
 for depth in range(2, MAX_DEPTH + 1):
-    t0 = time.monotonic()
     spectrum = enumerate_spectrum(
         pres, EnumerationConfig(max_word_length=depth, length_cutoff=CUTOFF)
     )
-    dt = time.monotonic() - t0
     print(
         f"{depth:>5} {len(spectrum.classes):>8} {spectrum.length.min():>10.6f} "
-        f"{spectrum.length.max():>10.6f} {dt:>7.2f}"
+        f"{spectrum.length.max():>10.6f}"
     )
 
 print()

@@ -305,14 +305,27 @@ def _near(queries: np.ndarray, values: np.ndarray, tol: float) -> tuple[np.ndarr
 def merge_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one closeness rule for eigenvalues: in order, a value joins the
     first kept value closer than EIGENVALUE_TOL, or else is kept itself.
-    Returns the kept indices and, per value, the position of its kept one."""
-    later, first = _near(values, values, EIGENVALUE_TOL)
-    group = np.arange(len(values))
+    Returns the kept indices and, per value, the position of its kept one.
+
+    An exact repeat joins the group of its first occurrence, so only the
+    distinct values, in first-occurrence order, are compared: all pairs of
+    them, which stays quadratic in the number of near-equal distinct values."""
+    # each value's first index, equal values (0.0 and -0.0 too) sharing one;
+    # a dict, not np.unique, whose complex sort pages in 0.5 MB of numpy
+    listed = values.tolist()
+    firsts = {}
+    for i, v in enumerate(listed):
+        firsts.setdefault(v, i)
+    distinct = np.array(list(firsts.values()), dtype=int)  # in order
+    later, first = _near(values[distinct], values[distinct], EIGENVALUE_TOL)
+    group = np.arange(len(distinct))
     # every i < j is settled when j is reached: kept if group[i] == i
     for j, i in sorted(zip(later.tolist(), first.tolist())):
         if i < j and group[j] == j and group[i] == i:
             group[j] = i
-    return np.unique(group, return_inverse=True)
+    kept = np.arange(len(values))
+    kept[distinct] = distinct[group]  # each first occurrence's kept index
+    return np.unique(kept[[firsts[v] for v in listed]], return_inverse=True)
 
 
 class EigenvalueSpectrum:

@@ -7,6 +7,8 @@ code contract: 0 success, 2 schema, 3 non-loxodromic, 4 convergence,
 """
 
 import cmath
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -1073,7 +1075,8 @@ print(json.dumps(sorted(m for m in ("hashlib", "configparser") if m in sys.modul
 
 
 def test_zeta_and_trace_never_load_hashlib_or_configparser(tmp_path):
-    # only a cache key needs hashlib and only --config needs configparser
+    # hashlib is at most the cache's fallback for sha256, and only --config
+    # needs configparser
     spec = worded_spectrum_path(tmp_path)
     chi = write_json(
         tmp_path,
@@ -1088,6 +1091,38 @@ def test_zeta_and_trace_never_load_hashlib_or_configparser(tmp_path):
         env=env, capture_output=True, text=True, check=True,
     )
     assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+ENUMERATE_PROBE = """
+import json, sys
+import zeta_workbench.cli as cli
+assert cli.main(["enumerate", "--presentation", sys.argv[1], "--max-word-length", "3"]) == 0
+print(json.dumps(sorted(m for m in ("_hashlib", "hashlib") if m in sys.modules)))
+"""
+
+
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no built-in sha256 module; the cache falls back to hashlib",
+)
+def test_enumerate_miss_and_hit_never_load_openssl(tmp_path):
+    # the cache takes sha256 from CPython's built-in module: hashlib would
+    # map OpenSSL's libcrypto through _hashlib for two digests
+    pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
+    cache_dir = tmp_path / "cache"
+    env = dict(os.environ, ZETA_CACHE_DIR=str(cache_dir))
+    env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])
+    for label in ("miss", "hit"):
+        result = subprocess.run(
+            [sys.executable, "-c", ENUMERATE_PROBE, pres],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(result.stdout.splitlines()[-1]) == [], label
+        # the miss wrote the one entry the hit reads, its digest line the
+        # one hashlib gives, so entries written through hashlib stay hits
+        (entry,) = cache_dir.iterdir()
+        digest, body = entry.read_bytes().split(b"\n", 1)
+        assert digest == hashlib.sha256(body).hexdigest().encode("ascii"), label
 
 
 MODULES_PROBE = """

@@ -1,4 +1,5 @@
-"""The example scripts run to completion against the package in src."""
+"""The example scripts run to completion against the package in src, and
+print the same output on every run."""
 
 from __future__ import annotations
 
@@ -23,12 +24,16 @@ ROOT = Path(__file__).resolve().parent.parent
 )
 def test_script_exits_0(argv, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    outputs = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -26,6 +26,8 @@ from zeta_workbench import (
     super_multiplicity,
     wrap_angle,
 )
+from zeta_workbench import spectra
+from zeta_workbench.spectra import EIGENVALUE_TOL, merge_groups
 from conftest import NOT_NUMBERS, with_literal
 
 
@@ -210,6 +212,49 @@ def test_eigenvalue_validation():
             DiracSpectrum(((bad, 1), (1.0, 2)))
     # an exact repeat is one eigenvalue, as any two entries closer than 1e-12
     assert DiracSpectrum(entries=((1.0, 1), (1.0, 2))).entries == ((1.0, 3),)
+
+
+def test_merge_groups_compares_only_the_distinct_values(monkeypatch):
+    # only the distinct values reach the all-pairs scan and the greedy loop,
+    # so n repeats of one value cost no n**2 comparisons
+    near, seen = spectra._near, []
+
+    def spy(queries, values, tol):
+        seen.append((queries.size, values.size))
+        return near(queries, values, tol)
+
+    monkeypatch.setattr(spectra, "_near", spy)
+    spec = DiracSpectrum([(1.0, 1)] * 5 + [(2.0, 2)] + [(1.0, 1)] * 3 + [(2.0, 1)])
+    assert spec.entries == ((1.0, 8), (2.0, 3))
+    assert seen == [(2, 2)]
+
+
+def greedy_groups(values):
+    """merge_groups by its rule, in plain Python: in order, a value joins
+    the first kept value closer than EIGENVALUE_TOL, or else is kept."""
+    kept, column = [], []
+    for j, v in enumerate(values):
+        for pos, i in enumerate(kept):
+            if abs(values[i] - v) < EIGENVALUE_TOL:
+                column.append(pos)
+                break
+        else:
+            column.append(len(kept))
+            kept.append(j)
+    return kept, column
+
+
+_CENTRES = (0.0, -0.0, complex(0.0, -0.0), 1.0, -1.0, 1.5 + 0.2j, -1.5 - 0.2j)
+_OFFSETS = (0.0, -0.0, 3e-13, -3e-13, 6e-13, 9e-13, 1e-12, 2e-12, 3e-13j, -7e-13j, 1.1e-12j)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_CENTRES), st.sampled_from(_OFFSETS)), max_size=40))
+def test_merge_groups_is_the_greedy_rule(draws):
+    # repeats, signed zeros and clusters a few 1e-13 apart, where the
+    # greedy order decides which values join which
+    values = [complex(c) + o for c, o in draws]
+    kept, column = merge_groups(np.array(values, dtype=complex))
+    assert (kept.tolist(), column.tolist()) == greedy_groups(values)
 
 
 def test_square_spectrum_merges():
