@@ -245,6 +245,20 @@ def _config_value(action: argparse.Action, key: str, raw: str, booleans: dict):
 _NO_GENERATORS = "warning: presentation has no generators; spectrum is empty\n"
 
 
+def _as_read(value):
+    """A decoded document with each int the number reader takes replaced by
+    the float it makes of it, so 2 and 2.0 give one cache key, as do -0 and
+    0.0.  Bools and ints past the float range stay as written: the reader
+    refuses them, and a hit would skip that refusal."""
+    if isinstance(value, dict):
+        return {key: _as_read(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_as_read(item) for item in value]
+    if type(value) is int and -sys.float_info.max <= value <= sys.float_info.max:
+        return float(value)
+    return value
+
+
 def cmd_enumerate(args) -> int:
     from . import cache  # a module, not a layer name: its load and store are replaced on it
 
@@ -255,11 +269,12 @@ def cmd_enumerate(args) -> int:
             # keys without a version name spectra that merged classes
             # sharing a complex length, version 2 an indented document,
             # version 3 a source with the shared-complex-length count,
-            # version 4 a reader that took NaN for a number; bump it when
-            # the document changes, or when the checks on a presentation
-            # or config change: a hit skips them
-            "version": 5,
-            "presentation": raw,
+            # version 4 a reader that took NaN for a number, version 5 a
+            # presentation hashed as written; bump it when the document
+            # changes, or when the checks on a presentation or config
+            # change: a hit skips them
+            "version": 6,
+            "presentation": _as_read(raw),
             "max_word_length": args.max_word_length,
             "cutoff": args.cutoff,
         }

@@ -219,8 +219,9 @@ def test_enumerate_cache_key_is_pinned(tmp_path, capsys):
     # the file do not matter; its version field keeps caches written
     # before one class per necklace (version 2: before the one-line
     # document, version 3: with the shared-complex-length count, version
-    # 4: before the finite-number rule) from being served
-    pinned = "cache key: 643ce86b579bafcb5c9ad13037c17859cad8c01a43fe1df060c8c478f591fccf"
+    # 4: before the finite-number rule, version 5: with ints hashed as
+    # written) from being served
+    pinned = "cache key: c981e342140985a6a15b0bb553c3fca020697d9dbfdfdaf135f3ef7867c7ccd7"
     doc = cyclic_presentation_doc()
     compact = write_json(tmp_path, "compact.json", doc)
     reordered = tmp_path / "reordered.json"
@@ -232,6 +233,47 @@ def test_enumerate_cache_key_is_pinned(tmp_path, capsys):
                 "--cutoff", "4.0"]
         assert main(argv) == 0
         assert pinned in capsys.readouterr().out.splitlines()
+
+
+# the matrix of cyclic_presentation_doc with its numbers written as ints
+INT_WRITTEN = (
+    '{"generators": [{"name": "a", "matrix": [[2, 0], [-0, 0], [0, 0], [0.5, 0]]}], '
+    '"includes_inverses": true}'
+)
+
+
+def test_enumerate_int_and_float_written_numbers_share_one_entry(tmp_path, capsys, monkeypatch):
+    ints = tmp_path / "ints.json"
+    ints.write_text(INT_WRITTEN, encoding="utf-8")
+    floats = write_json(tmp_path, "floats.json", cyclic_presentation_doc())
+    argv = ["--max-word-length", "3", "--cutoff", "5.0"]
+    assert main(["enumerate", "--presentation", str(ints)] + argv) == 0
+    miss = capsys.readouterr().out
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a float-written copy must hit the int-written entry")
+
+    monkeypatch.setattr(cli, "enumerate_spectrum", no_walk)
+    assert main(["enumerate", "--presentation", floats] + argv) == 0
+    assert capsys.readouterr().out == miss
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+
+
+def test_enumerate_bool_written_number_never_hits(tmp_path, capsys):
+    # false is not 0 to the reader, so it must not share the entry of 0:
+    # a hit would serve the spectrum without the refusal
+    ints = tmp_path / "ints.json"
+    ints.write_text(INT_WRITTEN, encoding="utf-8")
+    bools = tmp_path / "bools.json"
+    bools.write_text(INT_WRITTEN.replace("[-0, 0]", "[-0, false]"), encoding="utf-8")
+    argv = ["--max-word-length", "3", "--cutoff", "5.0"]
+    assert main(["enumerate", "--presentation", str(ints)] + argv) == 0
+    capsys.readouterr()
+    assert main(["enumerate", "--presentation", str(bools)] + argv) == 2
+    captured = capsys.readouterr()
+    assert "generator 0: field 'matrix' must be an array of finite numbers" in captured.err
+    assert captured.out == ""
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
 
 
 def test_enumerate_refuses_a_nan_matrix_entry_and_caches_nothing(tmp_path, capsys):
@@ -1088,6 +1130,32 @@ def test_zeta_and_trace_never_load_hashlib_or_configparser(tmp_path):
     env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])
     result = subprocess.run(
         [sys.executable, "-c", STDLIB_PROBE, spec, chi, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+NO_OPENSSL_PROBE = """
+import json, sys
+import zeta_workbench.cli as cli
+dirac, out = sys.argv[1:3]
+assert cli.main(["continue", "--dirac", dirac, "--catalog", "--s-start", "-0.5", "3",
+                 "--s-stop", "-0.5", "-3", "--s-count", "5", "--output", out + ".continued"]) == 0
+assert cli.main(["verify", "--suite", "residues", "--output", out + ".residues"]) == 0
+assert cli.main(["report", "--output", out + ".report"]) == 0
+print(json.dumps(sorted(m for m in ("numpy.random", "secrets", "hashlib", "_hashlib")
+                        if m in sys.modules)))
+"""
+
+
+def test_continue_verify_and_report_never_load_numpy_random_or_openssl(tmp_path):
+    # the suites draw from random.Random: numpy.random imports secrets and
+    # hashlib, which map OpenSSL's libcrypto
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc(PORTRAIT_ENTRIES))
+    env = dict(os.environ, ZETA_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", NO_OPENSSL_PROBE, dirac, str(tmp_path / "out")],
         env=env, capture_output=True, text=True, check=True,
     )
     assert json.loads(result.stdout.splitlines()[-1]) == []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from pathlib import Path
 
 import mpmath
@@ -84,10 +85,11 @@ def test_continued_super_logderiv_refuses_poles(dirac_pm):
 
 
 def test_continued_logderivs_take_arrays():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     dirac = random_dirac_spectrum(rng)
     laplace = square_spectrum(dirac)
-    points = rng.uniform(-3.0, 3.0, 50) + 1j * rng.uniform(-3.0, 3.0, 50)
+    points = np.array([complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+                       for _ in range(50)])
     for f in (
         lambda z: continued_super_logderiv(z, dirac),
         lambda z: continued_sym_logderiv(z, laplace, 1.0, 1, volume=1.0),
@@ -543,6 +545,26 @@ def test_closed_form_equals_principal_logs_plus_winding(side):
         assert cmath.exp(got) == pytest.approx(mp_product(dirac, s), rel=1e-12)
 
 
+# the spectrum random_dirac_spectrum drew from numpy's default_rng(2), before
+# it took a random.Random: the first of the former misses is on these entries
+SEED_2_ENTRIES = (
+    (0.639547343024237 + 0.016076979000551612j, 2),
+    (-0.639547343024237 - 0.016076979000551612j, 2),
+    (1.4685681580435384 - 0.03666708366506981j, 3),
+    (-1.4685681580435384 + 0.03666708366506981j, 3),
+    (2.1472299044626775 + 0.010695895451465896j, 2),
+    (-2.1472299044626775 - 0.010695895451465896j, 3),
+    (2.850789189572356 - 0.015443065345974435j, 2),
+    (3.640230785748103 + 0.03661296446192505j, 2),
+    (-3.640230785748103 - 0.03661296446192505j, 2),
+    (4.153788199671519 + 0.0022131947139154146j, 3),
+    (4.845443980184612 + 0.08484337930136485j, 4),
+    (5.658127652660669 - 0.07855853830928239j, 2),
+    (-5.658127652660669 + 0.07855853830928239j, 1),
+    (6.415334902106488 + 0.03596229229691672j, 2),
+)
+
+
 @pytest.mark.parametrize("side", ["above", "below"])
 def test_quadrature_check_catches_former_misses(side, monkeypatch):
     # at the default tolerances and without breakpoints at the poles' real
@@ -553,7 +575,7 @@ def test_quadrature_check_catches_former_misses(side, monkeypatch):
     import continue_verify
 
     cases = [
-        (random_dirac_spectrum(np.random.default_rng(2)), complex(-0.5, 7.9)),
+        (DiracSpectrum(SEED_2_ENTRIES), complex(-0.5, 7.9)),
         (DiracSpectrum(tuple(continue_verify.eigenvalues(6))), complex(-0.5, 0.75)),
         (DiracSpectrum(tuple(continue_verify.eigenvalues(2))), complex(-0.5, 10.0)),
     ]
@@ -732,7 +754,7 @@ def test_array_path_keeps_a_negative_zero_imaginary_part_on_the_cut():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([0.05, 0.1]))
 def test_array_residues_are_the_centres_one_by_one(seed, radius):
-    dirac = random_dirac_spectrum(np.random.default_rng(seed))
+    dirac = random_dirac_spectrum(random.Random(seed))
     laplace = square_spectrum(dirac)
     ev = np.array([e for e, _ in dirac.entries])
     centres = np.concatenate([1j * ev, -1j * ev, [0.35 + 0.2j]])

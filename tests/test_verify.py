@@ -31,10 +31,10 @@ def test_run_all_covers_every_suite():
 
 
 CASES = {
-    0: {"kernels": 200, "partial-fractions": 2040, "residues": 477, "logderiv": 28,
-        "factorization": 30, "parity": 93, "trace-scaling": 13},
+    0: {"kernels": 200, "partial-fractions": 2040, "residues": 497, "logderiv": 28,
+        "factorization": 30, "parity": 71, "trace-scaling": 13},
 }
-CASES[104] = dict(CASES[0], residues=415, parity=57)
+CASES[104] = dict(CASES[0], residues=579, parity=67)
 
 
 @pytest.mark.parametrize("seed", sorted(CASES))
