@@ -48,8 +48,8 @@ for depth in range(2, MAX_DEPTH + 1):
         pres, EnumerationConfig(max_word_length=depth, length_cutoff=CUTOFF)
     )
     print(
-        f"{depth:>5} {len(spectrum.classes):>8} {spectrum.length.min():>10.6f} "
-        f"{spectrum.length.max():>10.6f}"
+        f"{depth:>5} {len(spectrum.classes):>8} {min(spectrum.length):>10.6f} "
+        f"{max(spectrum.length):>10.6f}"
     )
 
 print()

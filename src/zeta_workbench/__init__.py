@@ -20,10 +20,13 @@ _EXPORTS = {
         "partial_fraction_weights", "residue_at", "singularity_catalog", "super_tail_log",
         "super_winding",
     ),
+    "eigenvalues": (
+        "DiracSpectrum", "EigenvalueSpectrum", "LaplaceSpectrum", "parse_eigenvalue_spectrum",
+        "serialize_eigenvalue_spectrum", "square_spectrum", "super_multiplicity",
+    ),
     "enumerator": (
         "EnumerationConfig", "GroupPresentation", "complex_length", "enumerate_spectrum",
-        "parse_group_presentation", "primitive_decomposition", "spectrum_is_incomplete",
-        "validate_words", "word_matrix",
+        "parse_group_presentation", "primitive_decomposition",
     ),
     "errors": (
         "AtSingularity", "CaseAError", "ConvergenceRegionError", "DegenerateShifts",
@@ -37,10 +40,8 @@ _EXPORTS = {
         "sym_power_trace",
     ),
     "spectra": (
-        "ClassColumns", "DiracSpectrum", "EigenvalueSpectrum", "GeodesicClass",
-        "LaplaceSpectrum", "LengthSpectrum", "SingularityRecord", "TruncatedValue",
-        "parse_eigenvalue_spectrum", "parse_length_spectrum", "serialize_eigenvalue_spectrum",
-        "serialize_length_spectrum", "square_spectrum", "super_multiplicity", "wrap_angle",
+        "ClassColumns", "GeodesicClass", "LengthSpectrum", "SingularityRecord", "TruncatedValue",
+        "parse_length_spectrum", "serialize_length_spectrum", "wrap_angle",
     ),
     "traces": (
         "class_term_t_integral", "dee_gamma", "dirac_geometric_side", "dirac_spectral_side",

@@ -262,6 +262,10 @@ def _as_read(value):
 def cmd_enumerate(args) -> int:
     from . import cache  # a module, not a layer name: its load and store are replaced on it
 
+    if args.max_word_length < 1:
+        raise SchemaError(f"--max-word-length must be at least 1, got {args.max_word_length}")
+    if not args.cutoff > 0:
+        raise SchemaError(f"--cutoff must be positive, got {args.cutoff!r}")
     raw = _read_json(args.presentation)
     key = cache.cache_key(
         {
@@ -270,25 +274,26 @@ def cmd_enumerate(args) -> int:
             # sharing a complex length, version 2 an indented document,
             # version 3 a source with the shared-complex-length count,
             # version 4 a reader that took NaN for a number, version 5 a
-            # presentation hashed as written; bump it when the document
-            # changes, or when the checks on a presentation or config
-            # change: a hit skips them
-            "version": 6,
+            # presentation hashed as written, version 6 an entry without
+            # its summary line and a walk on numpy matrices; bump it when
+            # the entry or the document changes, or when the checks on a
+            # presentation or config change: a hit skips them
+            "version": 7,
             "presentation": _as_read(raw),
             "max_word_length": args.max_word_length,
             "cutoff": args.cutoff,
         }
     )
-    # only a walk that passed every check stores its document, and the key
-    # holds all of the walk's input, so a hit may skip parsing and walking
-    text = cache.load(key)
-    if text is not None:
+    # only a walk that passed every check stores its entry, and the key
+    # holds all of the walk's input, so a hit may skip parsing and walking.
+    # An entry is the summary as one line of JSON, then the document, which
+    # a hit copies without decoding it
+    entry = cache.load(key)
+    if entry is not None:
         if not raw["generators"]:
             sys.stderr.write(_NO_GENERATORS)
-        doc = json.loads(text)
-        lengths = [c["length"] for c in doc["classes"]]
-        count, source = len(lengths), doc["source"]
-        shortest, longest = min(lengths, default=None), max(lengths, default=None)
+        line, _, text = entry.partition("\n")
+        summary = json.loads(line)
     else:
         _bind(_WALK)
         presentation = parse_group_presentation(raw)
@@ -299,24 +304,28 @@ def cmd_enumerate(args) -> int:
         )
         spectrum = enumerate_spectrum(presentation, config)
         text = serialize_length_spectrum(spectrum)
+        summary = {
+            "classes": len(spectrum.length),
+            "min_length": min(spectrum.length, default=None),
+            "max_length": max(spectrum.length, default=None),
+            "source": spectrum.source,
+        }
         try:
-            cache.store(key, text)
+            cache.store(key, json.dumps(summary, sort_keys=True) + "\n" + text)
         except OSError as exc:
             sys.stderr.write(f"warning: cannot write the cache entry: {exc}\n")
-        lengths = spectrum.length
-        count, source = lengths.size, spectrum.source
-        shortest, longest = (lengths.min(), lengths.max()) if lengths.size else (None, None)
 
     if args.output:
         _emit(text, args.output)
-    summary = [
-        f"classes: {count}",
+    shortest, longest = summary["min_length"], summary["max_length"]
+    lines = [
+        f"classes: {summary['classes']}",
         f"min length: {'n/a' if shortest is None else format(shortest, '.12g')}",
         f"max length: {'n/a' if longest is None else format(longest, '.12g')}",
-        f"complete up to cutoff: {'no' if source_is_incomplete(source) else 'yes'}",
+        f"complete up to cutoff: {'no' if source_is_incomplete(summary['source']) else 'yes'}",
         f"cache key: {key}",
     ]
-    sys.stdout.write("\n".join(summary) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

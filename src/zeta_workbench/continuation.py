@@ -40,6 +40,14 @@ import math
 
 import numpy as np
 
+from .eigenvalues import (
+    _BLOCK,
+    EIGENVALUE_TOL,
+    DiracSpectrum,
+    LaplaceSpectrum,
+    _near,
+    merge_groups,
+)
 from .errors import (
     AtSingularity,
     DegenerateShifts,
@@ -51,15 +59,7 @@ from .errors import (
 )
 from .quadrature import integrate
 from .reps import plancherel
-from .spectra import (
-    _BLOCK,
-    EIGENVALUE_TOL,
-    DiracSpectrum,
-    LaplaceSpectrum,
-    SingularityRecord,
-    _near,
-    merge_groups,
-)
+from .spectra import SingularityRecord
 
 __all__ = [
     "partial_fraction_weights",
@@ -224,7 +224,7 @@ def singularity_catalog(
     second-order spectrum is allowed; the catalog then checks the grading
     parity m_s(lam) = m(lam^2) mod 2 at every location and refuses data
     that no graded operator pair could produce.  Each of +-lam and
-    +-sqrt(mu) joins one location by spectra.merge_groups.
+    +-sqrt(mu) joins one location by eigenvalues.merge_groups.
     """
     lam, m_lam = dirac.values, dirac.multiplicity
     roots, m_root = lam, m_lam  # with no laplace, no square is taken

@@ -17,20 +17,31 @@ Savage and Wang, J. Algorithms 1992), depth-first over reduced
 prenecklaces, the prefixes of least rotations.  The length p of a
 prenecklace's longest Lyndon prefix says both which letters may follow it
 and whether it is a necklace, so no other word is ever built.
+
+Everything here runs on Python numbers, and the module loads no numpy: a
+generator is a 2x2 of Python complex numbers, and for products of 2x2
+matrices one at a time numpy's overhead makes it slower than plain complex
+arithmetic at every word length.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import InvariantViolation, NotLoxodromic, SchemaError, UnknownSymbol
-from .names import source_is_incomplete
-from .spectra import ClassColumns, LengthSpectrum, json_object, require, wrap_angle
+from .errors import InvariantViolation, NotLoxodromic, SchemaError
+from .spectra import (
+    ARRAY,
+    ClassColumns,
+    LengthSpectrum,
+    array_shape,
+    json_object,
+    require,
+    wrap_angle,
+)
 
 __all__ = [
     "GroupPresentation",
@@ -39,8 +50,6 @@ __all__ = [
     "complex_length",
     "primitive_decomposition",
     "enumerate_spectrum",
-    "validate_words",
-    "word_matrix",
 ]
 
 _DET_TOL = 1e-12
@@ -48,33 +57,48 @@ _UNIT_CIRCLE_TOL = 1e-9
 # the spectrum's matching tolerance
 _TOLERANCE = 1e-9
 
+Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
+def _as_matrix(m) -> Matrix | None:
+    """m[i][j] as a 2x2 of Python complex numbers, or None unless m is a
+    2x2 of numbers."""
+    try:
+        if len(m) == 2 and len(m[0]) == 2 and len(m[1]) == 2:
+            return ((complex(m[0][0]), complex(m[0][1])), (complex(m[1][0]), complex(m[1][1])))
+    except (TypeError, ValueError):
+        pass
+    return None
+
 
 @dataclass(frozen=True)
 class GroupPresentation:
     """Generator matrices with single-character names.
 
+    A generator is any 2x2 that m[i][j] indexes, such as nested lists or a
+    numpy array, and is kept as a tuple of rows of Python complex numbers.
     includes_inverses=True means the alphabet is exactly the supplied list
     (the caller either included inverses explicitly or wants a monoid walk);
     otherwise inverses are adjoined automatically under swapped-case names.
     """
 
-    generators: tuple[np.ndarray, ...]
+    generators: tuple[Matrix, ...]
     names: tuple[str, ...]
     includes_inverses: bool = False
 
     def __post_init__(self):
         gens = []
         for i, g in enumerate(self.generators):
-            arr = np.asarray(g, dtype=complex)
-            if arr.shape != (2, 2):
+            mat = _as_matrix(g)
+            if mat is None:
                 raise InvariantViolation(f"generator {i} is not a 2x2 matrix")
-            det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
+            (a, b), (c, d) = mat
+            det = a * d - b * c
             if abs(det - 1.0) > _DET_TOL:
                 raise InvariantViolation(
                     f"generator {i} has determinant {det}, expected 1"
                 )
-            arr.setflags(write=False)
-            gens.append(arr)
+            gens.append(mat)
         object.__setattr__(self, "generators", tuple(gens))
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
@@ -129,13 +153,16 @@ def parse_group_presentation(document: str | dict) -> GroupPresentation:
         if not isinstance(g, dict):
             raise SchemaError(f"{where}: must be an object")
         names.append(require(g, "name", str, where))
-        flat = require(g, "matrix", np.ndarray, where)
-        if flat.shape not in ((4, 2), (2, 2, 2)):
+        matrix = require(g, "matrix", ARRAY, where)
+        shape = array_shape(matrix)
+        if shape not in ((4, 2), (2, 2, 2)):
             raise SchemaError(
-                f"{where}: matrix must be four [re, im] pairs, got shape {flat.shape}"
+                f"{where}: matrix must be four [re, im] pairs, got shape {shape}"
             )
-        flat = flat.reshape(4, 2)
-        matrices.append((flat[:, 0] + 1j * flat[:, 1]).reshape(2, 2))
+        entries = [
+            complex(re, im) for re, im in (matrix if len(shape) == 2 else matrix[0] + matrix[1])
+        ]
+        matrices.append((tuple(entries[:2]), tuple(entries[2:])))
     try:
         return GroupPresentation(
             generators=tuple(matrices),
@@ -150,22 +177,18 @@ def parse_group_presentation(document: str | dict) -> GroupPresentation:
 # complex length
 
 
-def _eigvals_2x2(mat: np.ndarray) -> tuple[complex, complex]:
-    # for det 1: lam = tr/2 +- sqrt(tr^2/4 - 1)
-    tr = complex(mat[0, 0] + mat[1, 1])
-    disc = np.sqrt(complex(tr * tr / 4.0 - 1.0))
-    return tr / 2.0 + disc, tr / 2.0 - disc
-
-
-def complex_length(mat: np.ndarray, word: str | None = None) -> tuple[float, float]:
-    """Geodesic length and holonomy angle of a loxodromic matrix.
+def complex_length(mat, word: str | None = None) -> tuple[float, float]:
+    """Geodesic length and holonomy angle of a loxodromic 2x2 of
+    determinant 1, indexed mat[i][j].
 
     Returns (2*ln|lam|, 2*arg(lam) wrapped to (-pi, pi]) where lam is the
     eigenvalue of larger modulus.  Raises NotLoxodromic when both
     eigenvalues sit on the unit circle (elliptic, parabolic or trivial).
     """
-    mat = np.asarray(mat, dtype=complex)
-    a, b = _eigvals_2x2(mat)
+    # for det 1: lam = tr/2 +- sqrt(tr^2/4 - 1)
+    tr = complex(mat[0][0] + mat[1][1])
+    disc = cmath.sqrt(tr * tr / 4.0 - 1.0)
+    a, b = tr / 2.0 + disc, tr / 2.0 - disc
     lam = a if abs(a) >= abs(b) else b
     if abs(lam) <= 1.0 + _UNIT_CIRCLE_TOL:
         named = f" (word {word!r})" if word else ""
@@ -174,21 +197,7 @@ def complex_length(mat: np.ndarray, word: str | None = None) -> tuple[float, flo
             f" (|lam| = {abs(lam):.12g}){named}",
             word=word,
         )
-    return 2.0 * math.log(abs(lam)), wrap_angle(2.0 * np.angle(lam))
-
-
-def word_matrix(pres: GroupPresentation, word: str) -> np.ndarray:
-    """Ordered product of generator matrices over the word's symbols."""
-    by_name = dict(zip(pres.names, pres.generators))
-    acc = np.eye(2, dtype=complex)
-    for sym in word:
-        if sym in by_name:
-            acc = acc @ by_name[sym]
-        elif sym.swapcase() in by_name:
-            acc = acc @ np.linalg.inv(by_name[sym.swapcase()])
-        else:
-            raise UnknownSymbol(f"symbol {sym!r} names no generator or inverse")
-    return acc
+    return 2.0 * math.log(abs(lam)), wrap_angle(2.0 * cmath.phase(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +218,25 @@ def primitive_decomposition(words: Sequence[str]) -> list[int]:
 # enumeration
 
 
+def _product(x: Matrix, y: Matrix) -> Matrix:
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _inverse(m: Matrix) -> Matrix:
+    """The adjugate over the determinant."""
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    return ((d / det, -b / det), (-c / det, a / det))
+
+
 def _walk(pres: GroupPresentation, cfg: EnumerationConfig) -> ClassColumns:
     """The necklace walk: every class below the cutoff, sorted by (length,
     angle, word), with its multiplicity."""
     mats = dict(zip(pres.names, pres.generators))
     if not pres.includes_inverses:
-        mats |= {name.swapcase(): np.linalg.inv(mat) for name, mat in mats.items()}
+        mats |= {name.swapcase(): _inverse(mat) for name, mat in mats.items()}
     letters = sorted(mats)
     # cancellation applies whenever a symbol's formal inverse is in the
     # alphabet; a caseless name such as '1' is never its own inverse
@@ -256,16 +278,17 @@ def _walk(pres: GroupPresentation, cfg: EnumerationConfig) -> ClassColumns:
             if x < least:
                 break
             if x != last:
-                stack.append((word + x, mat @ mats[x], p if x == least else t + 1))
+                stack.append((word + x, _product(mat, mats[x]), p if x == least else t + 1))
     if failed is not None:
         raise failed
 
-    # the walk meets the words in string order, so a stable sort by length,
-    # then angle, orders the classes by (length, angle, word)
-    order = np.lexsort((angles, lengths))
+    # the walk meets the words in string order, so stable sorts by angle,
+    # then by length, order the classes by (length, angle, word)
+    order = sorted(range(len(words)), key=angles.__getitem__)
+    order.sort(key=lengths.__getitem__)
     words = [words[i] for i in order]
     return ClassColumns(
-        np.asarray(lengths)[order], np.asarray(angles)[order],
+        map(lengths.__getitem__, order), map(angles.__getitem__, order),
         primitive_decomposition(words), words,
     )
 
@@ -299,23 +322,3 @@ def enumerate_spectrum(pres: GroupPresentation, cfg: EnumerationConfig) -> Lengt
         tolerance=_TOLERANCE,
         source="; ".join(parts),
     )
-
-
-def spectrum_is_incomplete(spectrum: LengthSpectrum) -> bool:
-    return source_is_incomplete(spectrum.source)
-
-
-def validate_words(spectrum: LengthSpectrum, pres: GroupPresentation) -> None:
-    """Check each class word reproduces its stored (length, angle)."""
-    for i, c in enumerate(spectrum.classes):
-        if c.word is None:
-            continue
-        length, angle = complex_length(word_matrix(pres, c.word), word=c.word)
-        if (
-            abs(length - c.length) > spectrum.tolerance
-            or abs(wrap_angle(angle - c.angle)) > spectrum.tolerance
-        ):
-            raise InvariantViolation(
-                f"class {i}: word {c.word!r} gives ({length:.12g}, {angle:.12g}), "
-                f"stored ({c.length:.12g}, {c.angle:.12g})"
-            )

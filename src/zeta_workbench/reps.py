@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CaseAError, InvariantViolation, SchemaError, UnknownSymbol
-from .spectra import json_object, require
+from .spectra import ARRAY, array_shape, json_object, require
 
 __all__ = [
     "GammaRep",
@@ -156,11 +156,13 @@ def parse_gamma_rep(document: str | dict) -> GammaRep:
     raw = require(doc, "images", dict, "chi")
     images = {}
     for name in raw:
-        pairs = require(raw, name, np.ndarray, "chi images")
-        if pairs.ndim != 3 or pairs.shape[2] != 2:
+        pairs = require(raw, name, ARRAY, "chi images")
+        shape = array_shape(pairs)
+        if len(shape) != 3 or shape[2] != 2:
             raise SchemaError(f"image of {name!r}: entries must be [re, im] pairs")
-        # each pair read as one complex, bit for bit as complex(re, im)
-        images[name] = pairs.view(complex)[..., 0]
+        images[name] = np.array(
+            [[complex(re, im) for re, im in row] for row in pairs], dtype=complex
+        )
     try:
         return GammaRep(dimension=dim, images=images)
     except InvariantViolation as exc:

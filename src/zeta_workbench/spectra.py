@@ -1,32 +1,31 @@
-"""Core domain types: geodesic length spectra and operator spectra.
+"""Core domain types: geodesic length spectra and the document readers.
 
 A length spectrum is a finite set of conjugacy classes below a stated
 cutoff, with manifold metadata.  It is built from ClassColumns: read-only
-length, angle and multiplicity arrays and a tuple of optional words, which
-the class sums read directly.  It reads back as those columns, or as
-GeodesicClass records (length, holonomy angle, multiplicity, primitivity,
-word) through LengthSpectrum.classes, built on first access.  Operator
-spectra are finite eigenvalue lists with algebraic multiplicities;
-eigenvalues are complex throughout because the group representation
-twisting the operator need not be unitary.
+length, angle and multiplicity buffers and a tuple of optional words,
+which the class sums wrap as numpy arrays without copying.  It reads back
+as those columns, or as GeodesicClass records (length, holonomy angle,
+multiplicity, primitivity, word) through LengthSpectrum.classes, built on
+first access.
 
 All types are immutable after construction and validated eagerly.  The
-class rules of a length spectrum are checked once, on its columns; a
-document's classes are read in one pass, and every refusal names the
-first offending class.  Eigenvalues have one equality rule,
-merge_groups: entries closer than 1e-12, exact repeats included, merge at
-construction, and the singularity catalog groups its locations alike.
+class rules of a length spectrum are checked once, on its columns, with
+Python numbers; a document's classes are read in one pass, and every
+refusal names the first offending class.  This module loads no
+numpy, so neither does reading, walking or writing a length spectrum.
+Operator spectra, which do, are in eigenvalues.py.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
+from array import array
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from .errors import InvariantViolation, SchemaError
 from .names import ZETA_KINDS
@@ -35,21 +34,30 @@ __all__ = [
     "ClassColumns",
     "GeodesicClass",
     "LengthSpectrum",
-    "EigenvalueSpectrum",
-    "DiracSpectrum",
-    "LaplaceSpectrum",
     "SingularityRecord",
     "TruncatedValue",
     "wrap_angle",
     "parse_length_spectrum",
     "serialize_length_spectrum",
-    "parse_eigenvalue_spectrum",
-    "serialize_eigenvalue_spectrum",
-    "square_spectrum",
-    "super_multiplicity",
 ]
 
 TAU = 2.0 * math.pi
+
+# the public names that moved to eigenvalues.py, still found here for
+# code that reads them from spectra (perfbench/gridcheck.py does)
+_EIGENVALUE_NAMES = (
+    "DiracSpectrum", "EigenvalueSpectrum", "LaplaceSpectrum", "parse_eigenvalue_spectrum",
+    "serialize_eigenvalue_spectrum", "square_spectrum", "super_multiplicity",
+)
+
+
+def __getattr__(name: str):
+    """A name of eigenvalues.py, which it loads, numpy with it, on first use."""
+    if name not in _EIGENVALUE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import eigenvalues
+
+    return getattr(eigenvalues, name)
 
 
 def wrap_angle(theta: float) -> float:
@@ -58,14 +66,6 @@ def wrap_angle(theta: float) -> float:
     if y <= -math.pi:
         y += TAU
     return y
-
-
-def angle_gap(delta: np.ndarray) -> np.ndarray:
-    """|wrap_angle(delta)| for an array: the distance to the nearest multiple
-    of 2 pi.  fmod is exact, and so is TAU - r for r >= pi, so this equals
-    abs(math.remainder(delta, TAU)) bit for bit."""
-    r = np.fmod(np.abs(delta), TAU)
-    return np.minimum(r, TAU - r)
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,15 @@ class GeodesicClass:
         return self.multiplicity == 1
 
 
+def _column(values, typecode: str) -> memoryview:
+    """values copied into an array(typecode), behind a read-only view."""
+    return memoryview(array(typecode, values)).toreadonly()
+
+
 class ClassColumns(Sequence):
-    """A spectrum's classes as columns: read-only length and angle (float)
-    and multiplicity (int, ones by default) arrays and a tuple of words
+    """A spectrum's classes as columns: length and angle (float64) and
+    multiplicity (int64, ones by default) as read-only memoryviews over
+    arrays, which np.asarray wraps without copying, and a tuple of words
     (str or None, all None by default).
 
     As a sequence it yields GeodesicClass records, built on first item
@@ -97,13 +103,10 @@ class ClassColumns(Sequence):
     """
 
     def __init__(self, length, angle, multiplicity=None, words=None):
-        # arrays and buffers of the right type are taken over, not copied
-        self.length = np.asarray(length, dtype=float)
-        self.angle = np.asarray(angle, dtype=float)
-        n = np.ones_like(self.length, dtype=int) if multiplicity is None else multiplicity
-        self.multiplicity = np.asarray(n, dtype=int)
-        for column in (self.length, self.angle, self.multiplicity):
-            column.setflags(write=False)
+        self.length = _column(length, "d")
+        self.angle = _column(angle, "d")
+        n = array("q", [1]) * len(self.length) if multiplicity is None else multiplicity
+        self.multiplicity = _column(n, "q")
         self.words = (None,) * len(self.length) if words is None else tuple(words)
         self._records = None
 
@@ -134,9 +137,9 @@ class ClassColumns(Sequence):
             return NotImplemented
         return (
             self.words == other.words
-            and np.array_equal(self.length, other.length)
-            and np.array_equal(self.angle, other.angle)
-            and np.array_equal(self.multiplicity, other.multiplicity)
+            and self.length == other.length
+            and self.angle == other.angle
+            and self.multiplicity == other.multiplicity
         )
 
     def __hash__(self) -> int:
@@ -162,9 +165,9 @@ class LengthSpectrum:
     tolerance: float = 1e-9
     volume: float | None = None
     source: str = ""
-    length: np.ndarray = field(init=False, repr=False, compare=False)
-    angle: np.ndarray = field(init=False, repr=False, compare=False)
-    multiplicity: np.ndarray = field(init=False, repr=False, compare=False)
+    length: memoryview = field(init=False, repr=False, compare=False)
+    angle: memoryview = field(init=False, repr=False, compare=False)
+    multiplicity: memoryview = field(init=False, repr=False, compare=False)
     words: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -182,32 +185,11 @@ class LengthSpectrum:
         return replace(self, volume=volume)
 
 
-def _close_pairs(length: np.ndarray, angle: np.ndarray, tol: float):
-    """Index arrays (i, j), i < j, of the length-sorted classes whose lengths
-    and angles agree within tol, in no particular order.
-
-    Class i is paired with the classes after it up to the first one more
-    than tol longer; offset d = j - i is one vectorised pass, and the sweep
-    stops at the first offset where no class has a close enough partner.
-    """
-    firsts, seconds = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    reach = np.arange(len(length))  # classes whose run of close lengths goes on
-    d = 1
-    while True:
-        reach = reach[reach + d < len(length)]
-        reach = reach[length[reach + d] - length[reach] <= tol]
-        if not reach.size:
-            break
-        i = reach[angle_gap(angle[reach + d] - angle[reach]) <= tol]
-        firsts.append(i)
-        seconds.append(i + d)
-        d += 1
-    return np.concatenate(firsts), np.concatenate(seconds)
-
-
 def _validate_spectrum(spec: LengthSpectrum) -> None:
     """The rules of a spectrum and of its classes, checked on the columns;
-    a refusal names the first faulty class."""
+    a refusal names the first faulty class.  The rules are checked in turn,
+    each over every class: a class that breaks the first of them is named
+    before an earlier class that breaks a later one."""
     if not (spec.cutoff > 0):
         raise InvariantViolation(f"cutoff must be positive, got {spec.cutoff}")
     if not (spec.tolerance > 0):
@@ -218,153 +200,68 @@ def _validate_spectrum(spec: LengthSpectrum) -> None:
     sizes = {name: len(getattr(spec, name)) for name in ("length", "angle", "multiplicity", "words")}
     if len(set(sizes.values())) > 1:
         raise InvariantViolation(f"class {min(sizes.values())} is missing from a column: {sizes}")
-    tol, length, angle, n = spec.tolerance, spec.length, spec.angle, spec.multiplicity
-    bad = np.flatnonzero(~(length > 0) | (n < 1) | ~np.isfinite(angle))
-    if bad.size:
-        i = int(bad[0])
-        if not length[i] > 0:
-            raise InvariantViolation(f"class {i} has length {length[i]}; it must be positive")
-        if n[i] < 1:
-            raise InvariantViolation(f"class {i} has multiplicity {n[i]}; it must be >= 1")
-        raise InvariantViolation(f"class {i} has angle {angle[i]}; it must be finite")
-    # the longest class before each one (0 before the first)
-    prev = np.maximum.accumulate(np.concatenate(([0.0], length)))[:-1]
-    above = length > spec.cutoff + tol
-    bad = np.flatnonzero(above | (length < prev - tol))
-    if bad.size:
-        i = int(bad[0])
-        if above[i]:
+    tol, top_length = spec.tolerance, spec.cutoff + spec.tolerance
+    length, angle, n, words = spec.length.tolist(), spec.angle, spec.multiplicity, spec.words
+    # each class's own rules; the first class above the cutoff, or below
+    # the longest before it (0 before the first) by more than tol, is kept
+    # for after them.  A class above the cutoff that is not the longest so
+    # far comes after one that was above it already
+    isfinite, longest, late = math.isfinite, 0.0, None
+    for i, (l, a, m) in enumerate(zip(length, angle, n)):
+        if not (l > 0 and m >= 1 and isfinite(a)):
+            if not l > 0:
+                raise InvariantViolation(f"class {i} has length {l}; it must be positive")
+            if m < 1:
+                raise InvariantViolation(f"class {i} has multiplicity {m}; it must be >= 1")
+            raise InvariantViolation(f"class {i} has angle {a}; it must be finite")
+        if l > longest:
+            longest = l
+            if l > top_length and late is None:
+                late = i
+        elif l < longest - tol and late is None:
+            late = i
+    if late is not None:
+        if length[late] > top_length:
             raise InvariantViolation(
-                f"class {i} has length {float(length[i])} above cutoff {spec.cutoff}"
+                f"class {late} has length {length[late]} above cutoff {spec.cutoff}"
             )
-        raise InvariantViolation(f"classes not sorted by length (index {i})")
+        raise InvariantViolation(f"classes not sorted by length (index {late})")
 
     # Duplicate (length, angle) pairs are allowed only when the classes carry
     # distinct words: a class and its inverse share both invariants yet are
-    # distinct conjugacy classes.
-    i, j = _close_pairs(length, angle, tol)
-    words = np.array(spec.words, dtype=object)
-    first, second = words[i], words[j]
-    bad = np.equal(first, None) | np.equal(second, None) | (first == second)
-    if bad.any():
-        i, j = min(zip(i[bad].tolist(), j[bad].tolist()))
-        raise InvariantViolation(
-            f"classes {i} and {j} duplicate (length, angle) "
-            f"({float(length[i])}, {float(angle[i])}) without distinguishing words"
-        )
+    # distinct conjugacy classes.  Class i meets the classes after it up to
+    # the first one more than tol longer.
+    size = len(length)
+    for i, (l, a, w) in enumerate(zip(length, angle, words)):
+        j = i + 1
+        while j < size and length[j] - l <= tol:
+            u = words[j]
+            if (w is None or u is None or w == u) and abs(wrap_angle(angle[j] - a)) <= tol:
+                raise InvariantViolation(
+                    f"classes {i} and {j} duplicate (length, angle) "
+                    f"({l}, {a}) without distinguishing words"
+                )
+            j += 1
 
     # Every n-th power class must have its primitive root present.  The
     # lengths are sorted up to tol, so their running maximum bounds a window
-    # of candidate roots that searchsorted finds; the exact test runs on it.
-    powers = np.flatnonzero(n > 1)
-    n = n[powers]
-    root_len = length[powers] / n
-    needed = root_len <= spec.cutoff + tol
-    powers, n, root_len = powers[needed], n[needed], root_len[needed]
-    top = np.maximum.accumulate(length)
-    pad = 2.0 * tol + 1e-12 * root_len  # rounding room; the window only widens
-    lo = np.searchsorted(top, root_len - pad, "left")
-    hi = np.searchsorted(top, root_len + tol + pad, "right")
-    found = np.zeros(len(powers), dtype=bool)
-    for d in range(int(np.max(hi - lo, initial=0))):
-        r = np.minimum(lo + d, len(length) - 1)
-        found |= (
-            (lo + d < hi)
-            & (np.abs(length[r] - root_len) <= tol)
-            & (angle_gap(n * angle[r] - angle[powers]) <= tol * n + 1e-12)
-        )
-    if not found.all():
-        k = int(np.argmin(found))
-        raise InvariantViolation(
-            f"class {int(powers[k])} has multiplicity {int(n[k])} but no root class of length "
-            f"{float(root_len[k]):.12g} with compatible angle is present"
-        )
-
-
-# ---------------------------------------------------------------------------
-# eigenvalue spectra
-
-
-EIGENVALUE_TOL = 1e-12  # eigenvalues closer than this are one
-_BLOCK = 4096  # pairs per block of the all-pairs temporaries
-
-
-def _near(queries: np.ndarray, values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (q, v) of the pairs with |queries[q] - values[v]| < tol.
-    Every pair is compared, the queries in blocks of _BLOCK pairs, so the
-    temporaries stay near 64 kB however many queries and values there are."""
-    step = max(1, _BLOCK // max(values.size, 1))
-    qs, vs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for start in range(0, queries.size, step):
-        q, v = np.nonzero(np.abs(queries[start : start + step, None] - values) < tol)
-        qs.append(q + start)
-        vs.append(v)
-    return np.concatenate(qs), np.concatenate(vs)
-
-
-def merge_groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The one closeness rule for eigenvalues: in order, a value joins the
-    first kept value closer than EIGENVALUE_TOL, or else is kept itself.
-    Returns the kept indices and, per value, the position of its kept one.
-
-    An exact repeat joins the group of its first occurrence, so only the
-    distinct values, in first-occurrence order, are compared: all pairs of
-    them, which stays quadratic in the number of near-equal distinct values."""
-    # each value's first index, equal values (0.0 and -0.0 too) sharing one;
-    # a dict, not np.unique, whose complex sort pages in 0.5 MB of numpy
-    listed = values.tolist()
-    firsts = {}
-    for i, v in enumerate(listed):
-        firsts.setdefault(v, i)
-    distinct = np.array(list(firsts.values()), dtype=int)  # in order
-    later, first = _near(values[distinct], values[distinct], EIGENVALUE_TOL)
-    group = np.arange(len(distinct))
-    # every i < j is settled when j is reached: kept if group[i] == i
-    for j, i in sorted(zip(later.tolist(), first.tolist())):
-        if i < j and group[j] == j and group[i] == i:
-            group[j] = i
-    kept = np.arange(len(values))
-    kept[distinct] = distinct[group]  # each first occurrence's kept index
-    return np.unique(kept[[firsts[v] for v in listed]], return_inverse=True)
-
-
-class EigenvalueSpectrum:
-    """Finite eigenvalue list with algebraic multiplicities, built from
-    (value, multiplicity) pairs and held as read-only values (complex) and
-    multiplicity (int) arrays.  A non-finite value or a multiplicity below
-    1 is refused, naming the entry, and so are multiplicities adding up to
-    2**53 or more; entries merge by merge_groups, the kept entry giving the
-    location and the group's multiplicities adding up."""
-
-    def __init__(self, entries):
-        pairs = [(complex(ev), int(m)) for ev, m in entries]
-        if sum(abs(m) for _, m in pairs) >= 2**53:  # the catalog adds them up in float64
-            raise InvariantViolation("the multiplicities must add up to less than 2**53")
-        values = np.array([ev for ev, _ in pairs], dtype=complex)
-        mult = np.array([m for _, m in pairs], dtype=int)
-        bad = np.flatnonzero(~np.isfinite(values) | (mult < 1))
-        if bad.size:
-            i = int(bad[0])
-            if not np.isfinite(values[i]):
-                raise InvariantViolation(f"entry {i} has eigenvalue {values[i]}; it must be finite")
-            raise InvariantViolation(f"entry {i} has multiplicity {mult[i]}; it must be >= 1")
-        kept, column = merge_groups(values)
-        self.values, self.multiplicity = values[kept], np.zeros(len(kept), dtype=int)
-        np.add.at(self.multiplicity, column, mult)
-        for array in (self.values, self.multiplicity):
-            array.setflags(write=False)
-
-    @property
-    def entries(self) -> tuple[tuple[complex, int], ...]:
-        return tuple(zip(self.values.tolist(), self.multiplicity.tolist()))
-
-
-class DiracSpectrum(EigenvalueSpectrum):
-    """Eigenvalues of a first-order twisted operator; signed spectrum."""
-
-
-class LaplaceSpectrum(EigenvalueSpectrum):
-    """Eigenvalues of the squared operator."""
+    # of candidate roots that bisection finds; the exact test runs on it.
+    powers = [i for i, m in enumerate(n) if m > 1]
+    top = list(itertools.accumulate(length, max)) if powers else []
+    for i in powers:
+        l, a, m = length[i], angle[i], n[i]
+        root_len = l / m
+        pad = 2.0 * tol + 1e-12 * root_len  # rounding room; the window only widens
+        window = range(bisect_left(top, root_len - pad), bisect_right(top, root_len + tol + pad))
+        if not any(
+            abs(length[r] - root_len) <= tol
+            and abs(wrap_angle(m * angle[r] - a)) <= tol * m + 1e-12
+            for r in window
+        ):
+            raise InvariantViolation(
+                f"class {i} has multiplicity {m} but no root class of length "
+                f"{root_len:.12g} with compatible angle is present"
+            )
 
 
 @dataclass(frozen=True)
@@ -417,9 +314,10 @@ def json_object(document: str | dict) -> dict:
 
 
 _FLOAT_MAX = sys.float_info.max
+ARRAY = "array"  # require's kind for nested lists of finite numbers of one shape
 # what a field with a default, or an array, must be
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", None: "null",
-          np.ndarray: "an array of finite numbers"}
+          ARRAY: "an array of finite numbers"}
 
 
 def _is(value, kind) -> bool:
@@ -428,22 +326,32 @@ def _is(value, kind) -> bool:
         return kind is bool
     if kind is float:
         return isinstance(value, (int, float)) and -_FLOAT_MAX <= value <= _FLOAT_MAX
-    if kind is np.ndarray:  # a ragged nesting leaves lists among the items
-        return isinstance(value, list) and all(
-            _is(item, float) for item in np.array(value, dtype=object).flat
-        )
+    if kind is ARRAY:
+        return isinstance(value, list) and array_shape(value) is not None
     return value is None if kind is None else isinstance(value, kind)
+
+
+def array_shape(value) -> tuple[int, ...] | None:
+    """The shape of nested lists of finite numbers, () for a number, or
+    None unless the lists at each depth share one shape."""
+    if not isinstance(value, list):
+        return () if _is(value, float) else None
+    shapes = {array_shape(item) for item in value}
+    if len(shapes) > 1 or None in shapes:
+        return None
+    return (len(value), *next(iter(shapes), ()))
 
 
 def require(doc: dict, key: str, kinds, where: str, *default):
     """Field key of doc, refused with a SchemaError that names it unless it
-    is of one of kinds (a type, None for null, or a tuple of them); an
-    absent field reads as the default when one is given.
+    is of one of kinds (a type, None for null, ARRAY, or a tuple of them);
+    an absent field reads as the default when one is given.
 
     This is the one rule for what a document number is: kind float is an
     int or a float that is not a bool and is finite, so NaN, Infinity,
-    bools and numeric strings are refused.  Kind np.ndarray is nested
-    lists of numbers of one shape, returned as a float array."""
+    bools and numeric strings are refused.  Kind ARRAY is nested lists of
+    such numbers of one shape, which array_shape reads; the lists are
+    returned as they are."""
     kinds = kinds if isinstance(kinds, tuple) else (kinds,)
     if key not in doc:
         if default:
@@ -453,11 +361,11 @@ def require(doc: dict, key: str, kinds, where: str, *default):
     if not any(_is(value, kind) for kind in kinds):
         if float in kinds and isinstance(value, (int, float)) and not isinstance(value, bool):
             raise SchemaError(f"{where}: field {key!r} must be a finite number")
-        if default or np.ndarray in kinds:
+        if default or ARRAY in kinds:
             wanted = " or ".join(_KINDS[kind] for kind in kinds)
             raise SchemaError(f"{where}: field {key!r} must be {wanted}")
         raise SchemaError(f"{where}: field {key!r} has wrong type {type(value).__name__}")
-    return np.array(value, dtype=float) if np.ndarray in kinds else value
+    return value
 
 
 _CLASS_FIELDS = {"length", "angle", "multiplicity", "primitive", "word"}
@@ -578,45 +486,3 @@ def serialize_length_spectrum(spec: LengthSpectrum) -> str:
         }
     )
     return '{"classes": [' + classes + "], " + rest[1:] + "\n"
-
-
-def parse_eigenvalue_spectrum(document: str | dict, kind: str = "dirac") -> EigenvalueSpectrum:
-    """Parse {"entries": [{"re", "im", "multiplicity"}]} into a spectrum."""
-    doc = json_object(document)
-    raw = require(doc, "entries", list, "spectrum")
-    entries = []
-    for i, re in enumerate(raw):
-        if not isinstance(re, dict):
-            raise SchemaError(f"entry {i}: must be an object")
-        where = f"entry {i}"
-        ev_re = float(require(re, "re", float, where))
-        ev_im = float(require(re, "im", float, where))
-        mult = require(re, "multiplicity", int, where)
-        entries.append((complex(ev_re, ev_im), mult))
-    cls = DiracSpectrum if kind == "dirac" else LaplaceSpectrum
-    return cls(entries=tuple(entries))
-
-
-def serialize_eigenvalue_spectrum(spec: EigenvalueSpectrum) -> str:
-    entries = zip(spec.values.tolist(), spec.multiplicity.tolist())
-    doc = {"entries": [{"re": ev.real, "im": ev.imag, "multiplicity": m} for ev, m in entries]}
-    return json.dumps(doc, sort_keys=True)
-
-
-# ---------------------------------------------------------------------------
-# spectral arithmetic
-
-
-def square_spectrum(dirac: DiracSpectrum) -> LaplaceSpectrum:
-    """Square each eigenvalue; squares closer than EIGENVALUE_TOL merge."""
-    # Python's complex product: numpy's can differ in the last bit
-    squares = [v * v for v in dirac.values.tolist()]
-    return LaplaceSpectrum(zip(squares, dirac.multiplicity.tolist()))
-
-
-def super_multiplicity(dirac: DiracSpectrum, ev: complex) -> int:
-    """Signed multiplicity m(ev) - m(-ev): m(x) is the multiplicity of the
-    first eigenvalue closer than EIGENVALUE_TOL to x, or 0."""
-    near = np.abs(dirac.values - np.array([[ev], [-ev]])) < EIGENVALUE_TOL
-    plus, minus = (int(dirac.multiplicity[row][:1].sum()) for row in near)
-    return plus - minus

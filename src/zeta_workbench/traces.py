@@ -15,9 +15,9 @@ and the second-order one pairs sum_k m(mu_k) exp(-t mu_k) with an identity
 contribution 2 dim(V_chi) Vol integral exp(-t lam^2) P(i lam) dlam plus a
 geodesic sum weighted by (l/n) (L(gamma; k) + L(gamma; -k)) exp(-l^2/4t)
 (4 pi t)^{-1/2}.  Both geodesic sums are the one class-sum kernel of
-zeta.py over the spectrum's class arrays, with the class weights of the
-zeta sums and exp(-l^2/4t) in place of exp(-s l); both spectral sums read
-the eigenvalue and multiplicity arrays.
+zeta.py over the spectrum's class columns, wrapped as numpy arrays, with
+the class weights of the zeta sums and exp(-l^2/4t) in place of
+exp(-s l); both spectral sums read the eigenvalue and multiplicity arrays.
 
 For synthetic inputs the two sides of either formula need not agree; the
 package reports their gap as a diagnostic and never asserts equality.
@@ -35,6 +35,7 @@ import math
 
 import numpy as np
 
+from .eigenvalues import DiracSpectrum, LaplaceSpectrum
 from .errors import InvariantViolation, MissingVolume, QuadratureFailure
 from .quadrature import integrate
 from .reps import (
@@ -48,7 +49,7 @@ from .reps import (  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     character_chi,
     character_sigma,
 )
-from .spectra import DiracSpectrum, LaplaceSpectrum, LengthSpectrum
+from .spectra import LengthSpectrum
 from .zeta import RHO, class_sum, class_weights
 
 __all__ = [
@@ -85,7 +86,7 @@ def dirac_geometric_side(
     require_case_b(k)
     if not (t > 0):
         raise InvariantViolation("t must be positive")
-    l = spectrum.length
+    l = np.asarray(spectrum.length)
     prefactor = -2j * math.pi / (4.0 * math.pi * t) ** 1.5
     weights = prefactor * l**2 * class_weights(spectrum, chi, k, -1, True)
     return class_sum(weights, -(l**2) / (4.0 * t))
@@ -106,7 +107,7 @@ def heat_geometric_side(
     dim_chi = 1 if chi is None else chi.dimension
     identity = 2.0 * dim_chi * spectrum.volume * identity_term_heat(k, t)
 
-    l = spectrum.length
+    l = np.asarray(spectrum.length)
     weights = l * class_weights(spectrum, chi, k, +1, True) / math.sqrt(4.0 * math.pi * t)
     return identity + class_sum(weights, -(l**2) / (4.0 * t))
 

@@ -35,18 +35,11 @@ from .continuation import (
     residue_at,
     singularity_catalog,
 )
+from .eigenvalues import DiracSpectrum, LaplaceSpectrum, square_spectrum, super_multiplicity
 from .errors import ParityViolation, WorkbenchError
 from .names import SUITE_NAMES
 from .reps import plancherel
-from .spectra import (
-    ClassColumns,
-    DiracSpectrum,
-    LaplaceSpectrum,
-    LengthSpectrum,
-    square_spectrum,
-    super_multiplicity,
-    wrap_angle,
-)
+from .spectra import ClassColumns, LengthSpectrum, wrap_angle
 from .traces import (
     class_term_t_integral,
     dirac_geometric_side,

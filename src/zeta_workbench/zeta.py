@@ -20,11 +20,13 @@ and both vanish as Re(s) grows, which pins the integration constant.
 The symmetrized, super and super-Ruelle variants are the sums and
 differences of the base sums at k and at its sign flip -k.
 
-A spectrum carries its classes as columns.  chi_trace reads a twist over
-all the class words in one batched character_chi call, once per
-(spectrum, twist), and class_weights computes the per-class weights once
-per (spectrum, twist, k, kind shape); the spectrum keeps the last of
-each, and the tail model's constants for its last (twist, growth).
+A spectrum carries its classes as columns, read-only buffers that
+np.asarray wraps as float64 and int64 arrays without copying.  chi_trace
+reads a twist over all the class words in one batched character_chi
+call, once per (spectrum, twist), and class_weights computes the
+per-class weights once per (spectrum, twist, k, kind shape); the
+spectrum keeps the last of each, and the tail model's constants for its
+last (twist, growth).
 Every geodesic sum, here and in traces.py, is then one kernel,
 class_sum: those weights dotted with exp(-s l) or exp(-l^2/4t), one grid
 point at a time.
@@ -122,12 +124,13 @@ def class_weights(
     memo = spectrum.memo.get("weights")
     if memo is not None and memo[0] is chi and memo[1] == key:
         return memo[2]
-    trsigma = character_sigma(k, spectrum.angle)
+    length, angle = np.asarray(spectrum.length), np.asarray(spectrum.angle)
+    trsigma = character_sigma(k, angle)
     if sign:
-        trsigma = trsigma + sign * character_sigma(-k, spectrum.angle)
-    w = chi_trace(spectrum, chi) * trsigma / spectrum.multiplicity
+        trsigma = trsigma + sign * character_sigma(-k, angle)
+    w = chi_trace(spectrum, chi) * trsigma / np.asarray(spectrum.multiplicity)
     if selberg_type:
-        w *= np.exp(-RHO * spectrum.length) / ad_nbar_det(spectrum.length, spectrum.angle)
+        w *= np.exp(-RHO * length) / ad_nbar_det(length, angle)
     w.setflags(write=False)
     spectrum.memo["weights"] = (chi, key, w)
     return w
@@ -209,7 +212,7 @@ def _count_model(
         observed = float(np.max(np.abs(chi_trace(spectrum, chi))))
         chi_bound = max(float(chi.dimension), observed)
     ranks = np.arange(1, len(spectrum.classes) + 1)
-    C = math.exp(float(np.mean(np.log(ranks) - growth * spectrum.length)))
+    C = math.exp(float(np.mean(np.log(ranks) - growth * np.asarray(spectrum.length))))
     model = (chi_bound, C)
     spectrum.memo["count_model"] = (chi, growth, model)
     return model
@@ -255,7 +258,7 @@ def log_zeta(req: ZetaRequest) -> TruncatedValue:
         return TruncatedValue(0.0, 0.0, 0)
     _check_region(req.s, req.kind, growth)
     weights = class_weights(spectrum, chi, req.k, sign, selberg_type)
-    value = -class_sum(weights, -req.s * spectrum.length)
+    value = -class_sum(weights, -req.s * np.asarray(spectrum.length))
     tail = _tail_bound(
         spectrum,
         chi,
@@ -286,7 +289,7 @@ def _log_derivative(
     if not spectrum.classes:
         return TruncatedValue(0.0, 0.0, 0)
     _check_region(s, "selberg", growth)
-    l = spectrum.length
+    l = np.asarray(spectrum.length)
     weights = l * class_weights(spectrum, chi, k, sign, True)
     tail = _tail_bound(
         spectrum, chi, growth, s.real + RHO, 2.0, with_det=True, with_length_factor=True

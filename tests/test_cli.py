@@ -60,6 +60,16 @@ def cyclic_presentation_doc():
     }
 
 
+def cache_entry(document: str) -> str:
+    """What an enumerate cache entry holds: the summary of the document as
+    one line of JSON, then the document."""
+    doc = json.loads(document)
+    lengths = [c["length"] for c in doc["classes"]]
+    summary = {"classes": len(lengths), "min_length": min(lengths, default=None),
+               "max_length": max(lengths, default=None), "source": doc["source"]}
+    return json.dumps(summary, sort_keys=True) + "\n" + document
+
+
 def eigen_doc(entries):
     return {"entries": [{"re": re, "im": im, "multiplicity": m} for (re, im, m) in entries]}
 
@@ -139,7 +149,7 @@ def test_enumerate_unreadable_cache_entry_is_a_miss(tmp_path, capsys):
     assert main(argv + ["--output", str(second)]) == 0
     assert capsys.readouterr().out == summary
     assert second.read_bytes() == first.read_bytes()
-    assert cache.load(entry.stem) == first.read_text(encoding="utf-8")
+    assert cache.load(entry.stem) == cache_entry(first.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("fault", ["empty object", "wrong dimension"])
@@ -156,7 +166,7 @@ def test_enumerate_cache_entry_that_is_no_spectrum_is_a_miss(tmp_path, capsys, f
     entry.write_text(json.dumps(foreign), encoding="utf-8")
     assert main(argv) == 0
     assert capsys.readouterr().out == summary
-    assert cache.load(entry.stem) == cold.read_text(encoding="utf-8")
+    assert cache.load(entry.stem) == cache_entry(cold.read_text(encoding="utf-8"))
 
 
 def test_enumerate_old_layout_entry_is_rewritten_once(tmp_path, capsys, monkeypatch):
@@ -176,7 +186,7 @@ def test_enumerate_old_layout_entry_is_rewritten_once(tmp_path, capsys, monkeypa
         assert main(argv) == 0
         assert capsys.readouterr().out == summary
     assert len(walks) == 1
-    assert cache.load(entry.stem) == cold.read_text(encoding="utf-8")
+    assert cache.load(entry.stem) == cache_entry(cold.read_text(encoding="utf-8"))
 
 
 def test_enumerate_cache_hit_parses_nothing(tmp_path, capsys, monkeypatch):
@@ -220,8 +230,9 @@ def test_enumerate_cache_key_is_pinned(tmp_path, capsys):
     # before one class per necklace (version 2: before the one-line
     # document, version 3: with the shared-complex-length count, version
     # 4: before the finite-number rule, version 5: with ints hashed as
-    # written) from being served
-    pinned = "cache key: c981e342140985a6a15b0bb553c3fca020697d9dbfdfdaf135f3ef7867c7ccd7"
+    # written, version 6: an entry without its summary line) from being
+    # served
+    pinned = "cache key: a0312a6f6126a3603e74c643a02549376594e8a51bf4c086e43e90eb97701f7e"
     doc = cyclic_presentation_doc()
     compact = write_json(tmp_path, "compact.json", doc)
     reordered = tmp_path / "reordered.json"
@@ -274,6 +285,21 @@ def test_enumerate_bool_written_number_never_hits(tmp_path, capsys):
     assert "generator 0: field 'matrix' must be an array of finite numbers" in captured.err
     assert captured.out == ""
     assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-word-length", "0"), ("--max-word-length", "-2"), ("--cutoff", "0"),
+    ("--cutoff", "-1.5"),
+])
+def test_enumerate_refuses_a_flag_out_of_range_exit_2(tmp_path, capsys, flag, value):
+    # these exited 1, as any other workbench error, while --cutoff nan and
+    # zeta --s-count 0 exit 2; the refusal comes before the cache is read
+    pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
+    assert main(["enumerate", "--presentation", pres, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} must be ")
+    assert captured.out == ""
+    assert not (tmp_path / "cache").exists()
 
 
 def test_enumerate_refuses_a_nan_matrix_entry_and_caches_nothing(tmp_path, capsys):
@@ -1193,6 +1219,41 @@ def test_enumerate_miss_and_hit_never_load_openssl(tmp_path):
         assert digest == hashlib.sha256(body).hexdigest().encode("ascii"), label
 
 
+COLD_PROBE = """
+import json, sys
+import zeta_workbench.cli as cli
+runs = []
+for path in sys.argv[1:]:
+    code = cli.main(["enumerate", "--presentation", path, "--max-word-length", "3"])
+    runs.append([code, "numpy" in sys.modules])
+print(json.dumps(runs))
+"""
+
+
+def test_enumerate_cold_calls_never_load_numpy(tmp_path):
+    # the walk, its checks and the writer run on Python numbers, whether the
+    # call answers, refuses its input or meets a word that is not loxodromic
+    c = math.cos(math.pi / 4)
+    docs = {
+        "answered": cyclic_presentation_doc(),
+        "determinant 4": {"generators": [{"name": "a", "matrix": [[2, 0], [0, 0], [0, 0], [2, 0]]}],
+                          "includes_inverses": True},
+        "elliptic": {"generators": [{"name": "a", "matrix": [[c, c], [0, 0], [0, 0], [c, -c]]}],
+                     "includes_inverses": True},
+    }
+    paths = [write_json(tmp_path, f"{i}.json", doc) for i, doc in enumerate(docs.values())]
+    env = dict(os.environ, ZETA_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_PROBE, *paths],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    runs = json.loads(result.stdout.splitlines()[-1])
+    assert dict(zip(docs, runs)) == {
+        "answered": [0, False], "determinant 4": [2, False], "elliptic": [3, False]
+    }
+
+
 MODULES_PROBE = """
 import json, sys
 import zeta_workbench.cli as cli
@@ -1228,14 +1289,14 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         ("zeta", zeta_argv, CLASS_SUMS),
         ("zeta --chi", zeta_argv + ["--chi", chi], CLASS_SUMS),
         ("trace", ["trace", "--spectrum", spec, "--sigma", "1", "--order", "second"],
-         CLASS_SUMS | {"quadrature", "traces"}),
+         CLASS_SUMS | {"quadrature", "traces", "eigenvalues"}),
         ("enumerate cold", enumerate_argv, ENUMERATE),
         ("enumerate cached", enumerate_argv, PARSER | {"cache"}),
         ("continue", ["continue", "--dirac", dirac, "--s-start", "-0.5", "3", "--s-stop",
                       "-0.5", "-3", "--s-count", "4"],
-         PARSER | {"spectra", "reps", "quadrature", "continuation"}),
+         PARSER | {"spectra", "eigenvalues", "reps", "quadrature", "continuation"}),
         ("verify", ["verify", "--suite", "kernels"],
-         CLASS_SUMS | {"quadrature", "traces", "continuation", "verify"}),
+         CLASS_SUMS | {"quadrature", "traces", "eigenvalues", "continuation", "verify"}),
     ]
     env = dict(os.environ, ZETA_CACHE_DIR=str(tmp_path / "cache"))
     env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])
@@ -1247,5 +1308,6 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         code, modules, numpy_loaded = json.loads(result.stdout.splitlines()[-1])
         assert code == 0, (label, result.stderr)
         assert {m.removeprefix("zeta_workbench.") for m in modules} == expected, label
-        # the parser and the cache need no numpy; every layer does
-        assert numpy_loaded == bool(expected - PARSER - {"cache"}), label
+        # the modules of a cold enumerate call need no numpy; every other
+        # layer does
+        assert numpy_loaded == bool(expected - ENUMERATE), label

@@ -21,12 +21,35 @@ from zeta_workbench import (
     enumerate_spectrum,
     parse_group_presentation,
     primitive_decomposition,
-    spectrum_is_incomplete,
-    validate_words,
-    word_matrix,
     wrap_angle,
 )
+from zeta_workbench.names import source_is_incomplete
 from conftest import NOT_NUMBERS, TWO_LN_2, schottky_pair, with_literal
+
+
+# helpers on numpy matrices, independent of the walk's own arithmetic
+
+
+def word_matrix(pres, word):
+    """Ordered product of generator matrices over the word's symbols, an
+    inverse from np.linalg.inv."""
+    by_name = {name: np.array(g, dtype=complex) for name, g in zip(pres.names, pres.generators)}
+    acc = np.eye(2, dtype=complex)
+    for sym in word:
+        acc = acc @ (by_name[sym] if sym in by_name else np.linalg.inv(by_name[sym.swapcase()]))
+    return acc
+
+
+def validate_words(spectrum, pres):
+    """Each class word's matrix reproduces its stored (length, angle)."""
+    for i, c in enumerate(spectrum.classes):
+        length, angle = complex_length(word_matrix(pres, c.word), word=c.word)
+        assert abs(length - c.length) <= spectrum.tolerance, (i, c, length)
+        assert abs(wrap_angle(angle - c.angle)) <= spectrum.tolerance, (i, c, angle)
+
+
+def spectrum_is_incomplete(spectrum):
+    return source_is_incomplete(spectrum.source)
 
 
 def test_complex_length_diagonal_oracle():
@@ -94,7 +117,7 @@ def test_presentation_round_trip():
     pres = schottky_pair(3.0)
     doc = {
         "generators": [
-            {"name": name, "matrix": [[z.real, z.imag] for z in mat.reshape(-1)]}
+            {"name": name, "matrix": [[z.real, z.imag] for row in mat for z in row]}
             for name, mat in zip(pres.names, pres.generators)
         ],
         "includes_inverses": pres.includes_inverses,
@@ -113,7 +136,7 @@ def test_presentation_nested_layout_reads_as_the_flat_one():
     def doc(layout):
         return {
             "generators": [
-                {"name": name, "matrix": layout([[z.real, z.imag] for z in mat.reshape(-1)])}
+                {"name": name, "matrix": layout([[z.real, z.imag] for row in mat for z in row])}
                 for name, mat in zip(pres.names, pres.generators)
             ],
             "includes_inverses": False,
@@ -149,7 +172,7 @@ def test_presentation_refuses_what_is_no_finite_number():
 
 def test_word_matrix_composition():
     pres = schottky_pair(3.0)
-    a, b = pres.generators
+    a, b = np.array(pres.generators)
     np.testing.assert_allclose(word_matrix(pres, "ab"), a @ b)
     np.testing.assert_allclose(
         word_matrix(pres, "aB"), a @ np.linalg.inv(b), atol=1e-12
@@ -298,7 +321,7 @@ def over_alphabet(pair, alphabet):
         m = np.array([[-1.0, 1.0], [1.0, -2.0]], dtype=complex)
         lam = 4.0 * np.exp(0.9j)
         c = m @ np.diag([lam, 1.0 / lam]) @ np.linalg.inv(m)
-        return GroupPresentation(generators=pair.generators + (c,), names=("a", "b", "c"))
+        return GroupPresentation(generators=(*pair.generators, c), names=("a", "b", "c"))
     if alphabet == "ab":
         return GroupPresentation(
             generators=pair.generators, names=("a", "b"), includes_inverses=True
@@ -331,9 +354,14 @@ def test_one_class_per_necklace(free_two_generator, alphabet, depth, count):
 
 
 def test_explicit_inverse_names_match_implicit(free_two_generator):
+    def inverse(m):  # the adjugate over the determinant, as the walk inverts
+        (a, b), (c, d) = m
+        det = a * d - b * c
+        return ((d / det, -b / det), (-c / det, a / det))
+
     a, b = free_two_generator.generators
     explicit = GroupPresentation(
-        generators=(a, np.linalg.inv(a), b, np.linalg.inv(b)),
+        generators=(a, inverse(a), b, inverse(b)),
         names=("a", "A", "b", "B"),
         includes_inverses=True,
     )
@@ -413,3 +441,65 @@ def test_caseless_names_are_never_their_own_inverse(free_two_generator):
     # the free pair with implicit inverses is unchanged
     free = enumerate_spectrum(free_two_generator, config)
     assert len(free.classes) == 3582
+
+
+# ---------------------------------------------------------------------------
+# independent oracles: products and eigenvalues in mpmath at 30 digits, and
+# the least rotations by brute force
+
+
+def mp_complex_length(pres, word):
+    """(2 ln|lam|, 2 arg lam) of the word's product, lam the eigenvalue of
+    larger modulus, in mpmath at 30 digits from the exact generator entries."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        mats = {name: mpmath.matrix([[mpmath.mpc(z) for z in row] for row in g])
+                for name, g in zip(pres.names, pres.generators)}
+        acc = mpmath.eye(2)
+        for sym in word:
+            acc = acc * (mats[sym] if sym in mats else mats[sym.swapcase()] ** -1)
+        tr = acc[0, 0] + acc[1, 1]
+        disc = mpmath.sqrt(tr * tr / 4 - 1)
+        lam = max(tr / 2 + disc, tr / 2 - disc, key=abs)
+        return float(2 * mpmath.log(abs(lam))), float(2 * mpmath.arg(lam))
+
+
+@pytest.mark.parametrize("seed", [11, 29])
+def test_seeded_schottky_classes_match_mpmath_and_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    pres = schottky_pair(
+        3.0 * np.exp(1j * rng.uniform(0.2, 0.6)), 2.5 * np.exp(-1j * rng.uniform(0.5, 0.9))
+    )
+    for depth in (4, 6):
+        # a cutoff past every word of the depth keeps every necklace
+        spectrum = enumerate_spectrum(pres, EnumerationConfig(depth, length_cutoff=100.0))
+        necklaces = brute_force_necklaces(depth)
+        assert len(spectrum.words) == len(necklaces)
+        assert set(spectrum.words) == necklaces
+        for c in spectrum.classes:
+            length, angle = mp_complex_length(pres, c.word)
+            assert abs(c.length - length) <= 1e-12, c
+            assert abs(wrap_angle(c.angle - angle)) <= 1e-12, c
+            n = len(c.word) // smallest_period(c.word)
+            assert c.multiplicity == n, c
+
+
+def test_generators_take_any_indexable_2x2():
+    # nested lists, tuples and numpy arrays give one presentation; any other
+    # shape is no 2x2 matrix, and the determinant must be 1
+    lam = 2.0 + 0.5j
+    rows = [[lam, 0.0], [0.0, 1.0 / lam]]
+    forms = (rows, tuple(map(tuple, rows)), np.array(rows))
+    spectra = {
+        enumerate_spectrum(
+            GroupPresentation(generators=(g,), names=("g",)), EnumerationConfig(3, 30.0)
+        ).classes
+        for g in forms
+    }
+    assert len(spectra) == 1
+    for bad in (np.eye(3), [lam, 0.0, 0.0, 1.0 / lam], [[lam, 0.0]], np.ones((2, 2, 2)), "ab"):
+        with pytest.raises(InvariantViolation, match="generator 0 is not a 2x2 matrix"):
+            GroupPresentation(generators=(bad,), names=("g",))
+    with pytest.raises(InvariantViolation, match=r"determinant \(4\+0j\), expected 1"):
+        GroupPresentation(generators=([[2.0, 0.0], [0.0, 2.0]],), names=("g",))

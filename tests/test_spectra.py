@@ -26,8 +26,8 @@ from zeta_workbench import (
     super_multiplicity,
     wrap_angle,
 )
-from zeta_workbench import spectra
-from zeta_workbench.spectra import EIGENVALUE_TOL, merge_groups
+from zeta_workbench import eigenvalues
+from zeta_workbench.eigenvalues import EIGENVALUE_TOL, merge_groups
 from conftest import NOT_NUMBERS, with_literal
 
 
@@ -131,6 +131,11 @@ def test_equal_length_angle_needs_distinct_words():
     LengthSpectrum(cutoff=2.0, classes=ClassColumns([1.0, 1.0], [0.5, 0.5], words=("g", "G")))
     with pytest.raises(InvariantViolation):
         LengthSpectrum(cutoff=2.0, classes=ClassColumns([1.0, 1.0], [0.5, 0.5]))
+    # equal within the tolerance, inclusive: exactly tol apart is equal too
+    tol = 2.0**-30
+    columns = ClassColumns([1.0, 1.0 + tol], [0.5, 0.5 + tol])
+    with pytest.raises(InvariantViolation, match="classes 0 and 1 duplicate"):
+        LengthSpectrum(cutoff=2.0, classes=columns, tolerance=tol)
 
 
 # parsing / serialization ---------------------------------------------------
@@ -217,13 +222,13 @@ def test_eigenvalue_validation():
 def test_merge_groups_compares_only_the_distinct_values(monkeypatch):
     # only the distinct values reach the all-pairs scan and the greedy loop,
     # so n repeats of one value cost no n**2 comparisons
-    near, seen = spectra._near, []
+    near, seen = eigenvalues._near, []
 
     def spy(queries, values, tol):
         seen.append((queries.size, values.size))
         return near(queries, values, tol)
 
-    monkeypatch.setattr(spectra, "_near", spy)
+    monkeypatch.setattr(eigenvalues, "_near", spy)
     spec = DiracSpectrum([(1.0, 1)] * 5 + [(2.0, 2)] + [(1.0, 1)] * 3 + [(2.0, 1)])
     assert spec.entries == ((1.0, 8), (2.0, 3))
     assert seen == [(2, 2)]
@@ -500,6 +505,80 @@ def test_columnwise_parse_refuses_the_first_of_two_faulty_classes():
         with pytest.raises(type(expected.value)) as got:
             parse_length_spectrum(doc)
         assert str(got.value) == str(expected.value)
+
+
+def _validated(doc) -> str:
+    """Build the spectrum of doc's classes from columns, so that only the
+    validator checks them, and require the per-class oracle's verdict:
+    "accepted", or the same refusal."""
+    classes = doc["classes"]
+    columns = ClassColumns(
+        [c["length"] for c in classes], [c["angle"] for c in classes],
+        [c.get("multiplicity", 1) for c in classes], [c.get("word") for c in classes],
+    )
+    try:
+        oracle_parse_classes(doc)
+    except WorkbenchError as expected:
+        with pytest.raises(type(expected)) as got:
+            LengthSpectrum(doc["cutoff"], columns)
+        assert str(got.value) == str(expected)
+        (rule,) = [rule for rule in _RULES if rule in str(expected)]
+        return rule
+    LengthSpectrum(doc["cutoff"], columns)
+    return "accepted"
+
+
+_RULES = ("above cutoff", "not sorted", "duplicate", "no root")
+
+
+def test_validator_agrees_with_the_per_class_oracle():
+    rng = random.Random("columns:validator")
+    verdicts = []
+    for fault in (None, "above cutoff", "unsorted", "duplicate without words", "missing root"):
+        for _ in range(25):
+            doc = seeded_document(rng)
+            doc = doc if fault is None else _corrupt(rng, doc, fault)
+            if doc is not None:
+                verdicts.append(_validated(doc))
+    assert set(verdicts) == {"accepted", *_RULES}
+
+
+def near_document(rng):
+    """Classes in clusters whose lengths lie 1e-10 apart, over up to 15
+    steps, so that the close pairs of a class end inside its cluster at
+    tol = 1e-9; angles equal, within tol (across the seam at pi too) or
+    not; words shared, absent or distinct; powers whose roots lie within
+    tol or just past it, and adjacent classes swapped now and then."""
+    classes, shared = [], [None, "u"] if rng.random() < 0.4 else []
+    for cluster in range(rng.randint(3, 8)):
+        base, centre = rng.uniform(0.5, 3.0), rng.choice([rng.uniform(-3.0, 3.0), math.pi - 2e-10])
+        members = []
+        for k in rng.sample(range(16), rng.randint(2, 6)):
+            offset = rng.choice([0.0, 4e-10, 5e-10, -8e-10, 2e-9])
+            word = rng.choice(shared + [f"w{cluster}.{k}"] * 4)
+            members.append({"length": base + k * 1e-10, "angle": wrap_angle(centre + offset),
+                            "word": word})
+        classes += members
+        if rng.random() < 0.6:
+            n, root = rng.randint(2, 3), rng.choice(members)
+            classes.append({
+                "length": n * root["length"] + rng.choice([0.0, 3e-10, 1.5e-9 * n]),
+                "angle": wrap_angle(n * root["angle"] + rng.choice([0.0, 1e-9, 5e-9])),
+                "multiplicity": n, "primitive": False,
+            })
+    classes.sort(key=lambda c: c["length"])
+    if rng.random() < 0.3:
+        i = rng.randrange(len(classes) - 1)
+        classes[i], classes[i + 1] = classes[i + 1], classes[i]
+    return {"dimension": 3, "cutoff": classes[-1]["length"] + 0.5, "classes": classes}
+
+
+def test_validator_agrees_with_the_oracle_on_lengths_1e_10_apart():
+    rng = random.Random("columns:near")
+    verdicts = [_validated(near_document(rng)) for _ in range(300)]
+    # each rule refuses some documents, and some pass every rule
+    for verdict in ("accepted", "not sorted", "duplicate", "no root"):
+        assert verdicts.count(verdict) >= 10, (verdict, verdicts.count(verdict))
 
 
 def test_parse_refuses_a_multiplicity_beyond_64_bits():
