@@ -36,18 +36,16 @@ _EXPORTS = {
     ),
     "reps": (
         "GammaRep", "PlancherelPoly", "ad_nbar_det", "character_chi", "character_sigma",
-        "check_weight", "parse_gamma_rep", "plancherel", "serialize_gamma_rep",
-        "sym_power_trace",
+        "check_weight", "parse_gamma_rep", "plancherel",
     ),
     "spectra": (
-        "ClassColumns", "GeodesicClass", "LengthSpectrum", "SingularityRecord", "TruncatedValue",
+        "ClassColumns", "LengthSpectrum", "SingularityRecord", "TruncatedValue",
         "parse_length_spectrum", "serialize_length_spectrum", "wrap_angle",
     ),
     "traces": (
-        "class_term_t_integral", "dee_gamma", "dirac_geometric_side", "dirac_spectral_side",
-        "fourier_gaussian_check", "gaussian_moment", "heat_geometric_side",
-        "heat_spectral_side", "identity_term_dirac", "identity_term_heat",
-        "laplace_kernel_check",
+        "class_term_t_integral", "dirac_geometric_side", "dirac_spectral_side",
+        "fourier_gaussian_check", "heat_geometric_side", "heat_spectral_side",
+        "identity_term_dirac", "identity_term_heat", "laplace_kernel_check",
     ),
     "verify": ("ruelle_factorization_check", "run_all", "run_suite"),
     "zeta": (

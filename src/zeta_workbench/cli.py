@@ -270,14 +270,8 @@ def cmd_enumerate(args) -> int:
     key = cache.cache_key(
         {
             "op": "enumerate",
-            # keys without a version name spectra that merged classes
-            # sharing a complex length, version 2 an indented document,
-            # version 3 a source with the shared-complex-length count,
-            # version 4 a reader that took NaN for a number, version 5 a
-            # presentation hashed as written, version 6 an entry without
-            # its summary line and a walk on numpy matrices; bump it when
-            # the entry or the document changes, or when the checks on a
-            # presentation or config change: a hit skips them
+            # bump it when the entry or the document changes, or when the
+            # checks on a presentation or config change: a hit skips them
             "version": 7,
             "presentation": _as_read(raw),
             "max_word_length": args.max_word_length,

@@ -2,8 +2,8 @@
 
 Covers the finite-dimensional inputs the geodesic sums need: the weight k
 of the isotropy representation, the group twist chi given by generator
-matrices, the determinant factor det(Id - Ad|nbar), symmetric-power traces,
-and the even Plancherel polynomial weighting the identity contribution.
+matrices, the determinant factor det(Id - Ad|nbar), and the even Plancherel
+polynomial weighting the identity contribution.
 
 The isotropy torus is one-dimensional: a weight is a single number k
 (integer or half-integer), the character at rotation angle theta is
@@ -13,9 +13,7 @@ k != 0 move under it ("case b"); the graded zeta kinds need one.
 
 from __future__ import annotations
 
-import cmath
 import itertools
-import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -33,9 +31,7 @@ __all__ = [
     "character_sigma",
     "character_chi",
     "parse_gamma_rep",
-    "serialize_gamma_rep",
     "ad_nbar_det",
-    "sym_power_trace",
     "plancherel",
     "DEFAULT_PLANCHEREL_NORMALIZATION",
 ]
@@ -169,17 +165,6 @@ def parse_gamma_rep(document: str | dict) -> GammaRep:
         raise SchemaError(str(exc)) from exc
 
 
-def serialize_gamma_rep(chi: GammaRep) -> str:
-    doc = {
-        "dimension": chi.dimension,
-        "images": {
-            name: [[[z.real, z.imag] for z in row] for row in mat]
-            for name, mat in sorted(chi.images.items())
-        },
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # adjoint factors on the negative root space
 
@@ -194,18 +179,6 @@ def ad_nbar_det(length, angle):
     """
     e = np.exp(-length)
     return 1.0 - 2.0 * e * np.cos(angle) + e * e
-
-
-def sym_power_trace(k: int, length: float, angle: float) -> complex:
-    """Trace of the k-th symmetric power of the adjoint action on nbar:
-    exp(-k*l) * sum_{a+b=k} exp(i*(a-b)*theta).
-    """
-    if k < 0:
-        raise InvariantViolation("symmetric power index must be nonnegative")
-    total = 0.0 + 0.0j
-    for a in range(k + 1):
-        total += cmath.exp(1j * (2 * a - k) * angle)
-    return math.exp(-k * length) * total
 
 
 # ---------------------------------------------------------------------------

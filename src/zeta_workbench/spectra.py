@@ -1,19 +1,19 @@
 """Core domain types: geodesic length spectra and the document readers.
 
 A length spectrum is a finite set of conjugacy classes below a stated
-cutoff, with manifold metadata.  It is built from ClassColumns: read-only
-length, angle and multiplicity buffers and a tuple of optional words,
-which the class sums wrap as numpy arrays without copying.  It reads back
-as those columns, or as GeodesicClass records (length, holonomy angle,
-multiplicity, primitivity, word) through LengthSpectrum.classes, built on
-first access.
+cutoff, with manifold metadata.  It is built from ClassColumns and reads
+back as those columns only: read-only length, angle and multiplicity
+buffers and a tuple of optional words, which the class sums wrap as numpy
+arrays without copying.  A class is primitive exactly when its
+multiplicity is 1.
 
 All types are immutable after construction and validated eagerly.  The
 class rules of a length spectrum are checked once, on its columns, with
 Python numbers; a document's classes are read in one pass, and every
-refusal names the first offending class.  This module loads no
-numpy, so neither does reading, walking or writing a length spectrum.
-Operator spectra, which do, are in eigenvalues.py.
+refusal names the first offending class.  A document is written from the
+columns, one fixed template per class.  This module loads no numpy, so
+neither does reading, walking or writing a length spectrum.  Operator
+spectra, which do, are in eigenvalues.py.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from .errors import InvariantViolation, SchemaError
@@ -32,7 +31,6 @@ from .names import ZETA_KINDS
 
 __all__ = [
     "ClassColumns",
-    "GeodesicClass",
     "LengthSpectrum",
     "SingularityRecord",
     "TruncatedValue",
@@ -43,12 +41,9 @@ __all__ = [
 
 TAU = 2.0 * math.pi
 
-# the public names that moved to eigenvalues.py, still found here for
-# code that reads them from spectra (perfbench/gridcheck.py does)
-_EIGENVALUE_NAMES = (
-    "DiracSpectrum", "EigenvalueSpectrum", "LaplaceSpectrum", "parse_eigenvalue_spectrum",
-    "serialize_eigenvalue_spectrum", "square_spectrum", "super_multiplicity",
-)
+# the one name of eigenvalues.py still found here, for code that reads it
+# from spectra (perfbench/gridcheck.py does)
+_EIGENVALUE_NAMES = ("DiracSpectrum",)
 
 
 def __getattr__(name: str):
@@ -68,38 +63,18 @@ def wrap_angle(theta: float) -> float:
     return y
 
 
-@dataclass(frozen=True)
-class GeodesicClass:
-    """One conjugacy class as LengthSpectrum.classes yields it: hyperbolic
-    length, holonomy angle, power data and word.
-
-    multiplicity n means the class is the n-th power of a primitive class.
-    """
-
-    length: float
-    angle: float
-    multiplicity: int = 1
-    word: str | None = None
-
-    @property
-    def primitive(self) -> bool:
-        return self.multiplicity == 1
-
-
 def _column(values, typecode: str) -> memoryview:
     """values copied into an array(typecode), behind a read-only view."""
     return memoryview(array(typecode, values)).toreadonly()
 
 
-class ClassColumns(Sequence):
+class ClassColumns:
     """A spectrum's classes as columns: length and angle (float64) and
     multiplicity (int64, ones by default) as read-only memoryviews over
     arrays, which np.asarray wraps without copying, and a tuple of words
     (str or None, all None by default).
 
-    As a sequence it yields GeodesicClass records, built on first item
-    access; its length reads the columns.  Equality compares the columns,
-    which is equality of the records.
+    Its length is the number of classes; equality compares the columns.
     """
 
     def __init__(self, length, angle, multiplicity=None, words=None):
@@ -108,29 +83,9 @@ class ClassColumns(Sequence):
         n = array("q", [1]) * len(self.length) if multiplicity is None else multiplicity
         self.multiplicity = _column(n, "q")
         self.words = (None,) * len(self.length) if words is None else tuple(words)
-        self._records = None
-
-    def _built(self) -> tuple[GeodesicClass, ...]:
-        if self._records is None:
-            self._records = tuple(
-                map(
-                    GeodesicClass,
-                    self.length.tolist(),
-                    self.angle.tolist(),
-                    self.multiplicity.tolist(),
-                    self.words,
-                )
-            )
-        return self._records
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __getitem__(self, index):
-        return self._built()[index]
-
-    def __iter__(self):
-        return iter(self._built())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassColumns):
@@ -145,17 +100,14 @@ class ClassColumns(Sequence):
     def __hash__(self) -> int:
         return hash(self.words)
 
-    def __repr__(self) -> str:
-        return repr(self._built())
-
 
 @dataclass(frozen=True)
 class LengthSpectrum:
     """Finite set of geodesic classes with length <= cutoff, plus metadata.
 
     A spectrum is built from ClassColumns, and nothing else, and reads back
-    as columns (length, angle, multiplicity and words) or as GeodesicClass
-    records (classes).  The class rules are checked once, on the columns.
+    as its columns: length, angle, multiplicity and words.  The class rules
+    are checked once, on the columns.
     memo is where zeta.py keeps the twist traces, class weights and tail
     model constants it last computed on this spectrum.
     """
@@ -419,12 +371,12 @@ def _class_fields(i: int, rc) -> tuple:
     primitive = require(rc, "primitive", bool, where, n == 1)
     word = require(rc, "word", (str, None), where, None)
     if not length > 0:
-        raise InvariantViolation(f"class length must be positive, got {float(length)}")
+        raise InvariantViolation(f"{where} has length {float(length)}; it must be positive")
     if n < 1:
-        raise InvariantViolation(f"class multiplicity must be >= 1, got {n}")
+        raise InvariantViolation(f"{where} has multiplicity {n}; it must be >= 1")
     if primitive != (n == 1):
         raise InvariantViolation(
-            "primitive flag must hold exactly when multiplicity is 1 "
+            f"{where}: primitive flag must hold exactly when multiplicity is 1 "
             f"(multiplicity={n}, primitive={primitive})"
         )
     return length, angle, n, word
@@ -463,26 +415,29 @@ def serialize_length_spectrum(spec: LengthSpectrum) -> str:
     line (an indent would force json onto its pure-Python encoder) and a
     final newline; parse(serialize(x)) == x field for field.
 
-    Each class is encoded on its own, so no object per class outlives its
-    text; "classes" is the first key in sorted order, so the joined text
-    is that of one dump of the whole document.
+    The classes are written from the columns, one fixed template per class,
+    in the bytes of json.dumps(document, sort_keys=True): a float is its
+    repr, as json writes a finite one.  The validator keeps every angle
+    finite and every length at most cutoff + tolerance, so only an infinite
+    bound lets a length be one json spells its own way.  "classes" is the
+    first key in sorted order.
     """
-    encode = json.JSONEncoder(sort_keys=True).encode
+    number = repr if math.isfinite(spec.cutoff + spec.tolerance) else json.dumps
+    template = '{"angle": %r, "length": %s, "multiplicity": %d, "primitive": %s, "word": %s}'
     classes = ", ".join(
-        encode(
-            {"length": length, "angle": angle, "multiplicity": n, "primitive": n == 1, "word": word}
-        )
-        for length, angle, n, word in zip(
+        template % (a, number(l), n, "true" if n == 1 else "false", json.dumps(w))
+        for l, a, n, w in zip(
             spec.length.tolist(), spec.angle.tolist(), spec.multiplicity.tolist(), spec.words
         )
     )
-    rest = encode(
+    rest = json.dumps(
         {
             "dimension": 3,
             "cutoff": spec.cutoff,
             "tolerance": spec.tolerance,
             "volume": spec.volume,
             "source": spec.source,
-        }
+        },
+        sort_keys=True,
     )
     return '{"classes": [' + classes + "], " + rest[1:] + "\n"

@@ -53,7 +53,6 @@ from .spectra import LengthSpectrum
 from .zeta import RHO, class_sum, class_weights
 
 __all__ = [
-    "dee_gamma",
     "dirac_geometric_side",
     "heat_geometric_side",
     "dirac_spectral_side",
@@ -62,7 +61,6 @@ __all__ = [
     "fourier_gaussian_check",
     "identity_term_dirac",
     "identity_term_heat",
-    "gaussian_moment",
     "class_term_t_integral",
 ]
 

@@ -493,6 +493,26 @@ def test_zeta_refuses_a_nan_angle_exit_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("length", -1, "class 2 has length -1.0; it must be positive"),
+        ("multiplicity", 0, "class 2 has multiplicity 0; it must be >= 1"),
+        ("primitive", False, "class 2: primitive flag must hold exactly when multiplicity is 1"),
+    ],
+)
+def test_zeta_refusal_of_a_class_names_it_exit_1(tmp_path, capsys, field, value, message):
+    # these refusals once read "class length must be positive, got -1.0",
+    # naming no class
+    doc = spectrum_doc(TOY_CLASSES)
+    doc["classes"][2][field] = value
+    spec = write_json(tmp_path, "bad_class.json", doc)
+    assert main(["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "3", "0"]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_zeta_refuses_an_int_literal_past_the_digit_limit_exit_2(tmp_path, capsys):
     spec = tmp_path / "long.json"
     spec.write_text(json.dumps(spectrum_doc(TOY_CLASSES)).replace("2.0", "1" * 5000),

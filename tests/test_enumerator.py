@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -40,9 +41,18 @@ def word_matrix(pres, word):
     return acc
 
 
+Class = namedtuple("Class", "length angle multiplicity word")
+
+
+def classes(spectrum):
+    """The spectrum's classes as records read off its columns."""
+    columns = spectrum.length.tolist(), spectrum.angle.tolist(), spectrum.multiplicity.tolist()
+    return [Class(*row) for row in zip(*columns, spectrum.words)]
+
+
 def validate_words(spectrum, pres):
     """Each class word's matrix reproduces its stored (length, angle)."""
-    for i, c in enumerate(spectrum.classes):
+    for i, c in enumerate(classes(spectrum)):
         length, angle = complex_length(word_matrix(pres, c.word), word=c.word)
         assert abs(length - c.length) <= spectrum.tolerance, (i, c, length)
         assert abs(wrap_angle(angle - c.angle)) <= spectrum.tolerance, (i, c, angle)
@@ -186,13 +196,12 @@ def test_cyclic_enumeration_exact(cyclic_presentation):
     # depth 6 words reach 6 * 2 ln 2 > 7, certifying the cutoff-7 listing
     config = EnumerationConfig(max_word_length=6, length_cutoff=7.0)
     spectrum = enumerate_spectrum(cyclic_presentation, config)
-    lengths = [c.length for c in spectrum.classes]
-    mults = [c.multiplicity for c in spectrum.classes]
+    lengths = spectrum.length.tolist()
+    mults = spectrum.multiplicity.tolist()
     assert lengths == pytest.approx(
         [n * TWO_LN_2 for n in range(1, 6)], abs=1e-12
     )
     assert mults == [1, 2, 3, 4, 5]
-    assert [c.primitive for c in spectrum.classes] == [True] + [False] * 4
     assert not spectrum_is_incomplete(spectrum)
     validate_words(spectrum, cyclic_presentation)
 
@@ -200,7 +209,7 @@ def test_cyclic_enumeration_exact(cyclic_presentation):
 def test_cyclic_cutoff_truncates(cyclic_presentation):
     config = EnumerationConfig(max_word_length=5, length_cutoff=3.0)
     spectrum = enumerate_spectrum(cyclic_presentation, config)
-    assert [c.multiplicity for c in spectrum.classes] == [1, 2]
+    assert spectrum.multiplicity.tolist() == [1, 2]
 
 
 def test_generator_and_inverse_are_two_classes():
@@ -209,9 +218,9 @@ def test_generator_and_inverse_are_two_classes():
     config = EnumerationConfig(max_word_length=1, length_cutoff=3.0)
     spectrum = enumerate_spectrum(pres, config)
     assert len(spectrum.classes) == 2
-    words = sorted(c.word for c in spectrum.classes)
+    words = sorted(spectrum.words)
     assert words == ["G", "g"]
-    assert spectrum.classes[0].length == pytest.approx(spectrum.classes[1].length)
+    assert spectrum.length[0] == pytest.approx(spectrum.length[1])
 
 
 def test_incomplete_flag_when_depth_truncates():
@@ -231,7 +240,7 @@ def test_free_group_enumeration(free_two_generator):
     assert len(spectrum.classes) > 0
     validate_words(spectrum, free_two_generator)
     # every stored length/angle matches its word's matrix
-    for cls in spectrum.classes:
+    for cls in classes(spectrum):
         mat = word_matrix(free_two_generator, cls.word)
         length, angle = complex_length(mat)
         assert length == pytest.approx(cls.length, abs=1e-9)
@@ -252,7 +261,7 @@ def test_classes_come_sorted_by_length_angle_word(free_two_generator):
 def test_free_group_counts_conjugates_once(free_two_generator):
     config = EnumerationConfig(max_word_length=3, length_cutoff=20.0)
     spectrum = enumerate_spectrum(free_two_generator, config)
-    words = [c.word for c in spectrum.classes]
+    words = spectrum.words
     # ab and ba are conjugate: only one may appear
     assert not ("ab" in words and "ba" in words)
     # a word and its inverse are distinct classes in a free group
@@ -345,12 +354,12 @@ def test_one_class_per_necklace(free_two_generator, alphabet, depth, count):
         over_alphabet(free_two_generator, alphabet),
         EnumerationConfig(max_word_length=depth, length_cutoff=30.0),
     )
-    words = [c.word for c in spectrum.classes]
+    words = spectrum.words
     assert len(words) == count
     assert set(words) == brute_force_necklaces(depth, alphabet)
-    for c in spectrum.classes:
+    for c in classes(spectrum):
         n = len(c.word) // smallest_period(c.word)
-        assert (c.multiplicity, c.primitive) == (n, n == 1), c.word
+        assert c.multiplicity == n, c.word
 
 
 def test_explicit_inverse_names_match_implicit(free_two_generator):
@@ -390,10 +399,10 @@ def test_planted_powers_and_reversal_pair(free_two_generator):
     spectrum = enumerate_spectrum(
         free_two_generator, EnumerationConfig(max_word_length=6, length_cutoff=30.0)
     )
-    by_word = {c.word: c for c in spectrum.classes}
+    by_word = {c.word: c for c in classes(spectrum)}
     for word, power, root in (("abab", 2, "ab"), ("aBaBaB", 3, "aB"), ("bbb", 3, "b")):
         cls, root_cls = by_word[least_rotation(word)], by_word[least_rotation(root)]
-        assert (cls.multiplicity, cls.primitive) == (power, False)
+        assert cls.multiplicity == power
         assert cls.length == pytest.approx(power * root_cls.length, abs=1e-9)
     # a word and its reversal share the trace, yet are two classes
     reversal = by_word["Baaba"], by_word["Babaa"]
@@ -477,7 +486,7 @@ def test_seeded_schottky_classes_match_mpmath_and_brute_force(seed):
         necklaces = brute_force_necklaces(depth)
         assert len(spectrum.words) == len(necklaces)
         assert set(spectrum.words) == necklaces
-        for c in spectrum.classes:
+        for c in classes(spectrum):
             length, angle = mp_complex_length(pres, c.word)
             assert abs(c.length - length) <= 1e-12, c
             assert abs(wrap_angle(c.angle - angle)) <= 1e-12, c

