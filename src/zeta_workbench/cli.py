@@ -8,13 +8,10 @@ region, 5 verification failure, 6 graded-parity violation, 7 grid point
 at or too close to a catalogued singularity, 1 any other workbench error.
 A failing check raises a WorkbenchError, whose class carries its code as
 exit_code; a suite that fails returns 5. Commands are deterministic
-given (inputs, config, seed); repeated runs emit byte-identical output.
+given (inputs, flags, seed); repeated runs emit byte-identical output.
 
 The parser is the one schema of the options: each flag declares its
-type, count, choices and default. A --config INI file has one section
-per subcommand, whose values pass their flags' own checks and then
-become that subcommand's defaults, so flags given on the command line
-win.
+type, count, choices and default, and argv is parsed once.
 """
 
 from __future__ import annotations
@@ -157,85 +154,16 @@ def _finite(text: str) -> float:
     return value
 
 
-_finite.__name__ = "finite float"  # argparse and config errors: "invalid finite float value"
+_finite.__name__ = "finite float"  # argparse's error: "invalid finite float value"
 
 
 class _Repeat(argparse.Action):
-    """append, except that the first flag replaces the default list (the
-    flag's own or the config file's) instead of adding to it."""
+    """append, except that the first flag replaces the default list instead
+    of adding to it."""
 
     def __call__(self, parser, namespace, value, option_string=None):
         items = getattr(namespace, self.dest)
         setattr(namespace, self.dest, ([] if items is self.default else items) + [value])
-
-
-def _config_defaults(parser: argparse.ArgumentParser, args) -> None:
-    """Make the values of the config file's section for args.command that
-    command's defaults, so that flags given on the command line win.
-
-    Each value passes its flag's own checks: type, count (nargs, or one or
-    more for a repeatable flag; several values are split at commas and
-    spaces) and choices; a switch takes configparser's boolean words.  A
-    value that fails, or a key that names no option, is a SchemaError.
-    """
-    import configparser  # here, not at module level: only --config reads a file
-
-    ini = configparser.ConfigParser()
-    if not ini.read(args.config):
-        raise SchemaError(f"config file not found or unreadable: {args.config}")
-    if not ini.has_section(args.command):
-        return
-    # argparse has no public accessor for a parser's actions
-    (commands,) = [a for a in parser._actions if a.dest == "command"]
-    command = commands.choices[args.command]
-    options = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
-    defaults = {}
-    for key, raw in ini.items(args.command):
-        action = options.get(key.replace("-", "_"))
-        if action is None:
-            raise SchemaError(
-                f"config key {key!r} is not an option of command {args.command!r}"
-            )
-        if action.required:  # argparse would still demand the flag
-            raise SchemaError(
-                f"config key {key!r}: {action.option_strings[0]} is required "
-                "on the command line"
-            )
-        defaults[action.dest] = _config_value(action, key, raw, ini.BOOLEAN_STATES)
-    command.set_defaults(**defaults)
-
-
-def _config_value(action: argparse.Action, key: str, raw: str, booleans: dict):
-    if action.nargs == 0:  # a switch
-        if raw.lower() not in booleans:
-            raise SchemaError(
-                f"config key {key!r}: {raw!r} is not a boolean "
-                "(1/yes/true/on or 0/no/false/off)"
-            )
-        return booleans[raw.lower()]
-    many = action.nargs is not None or isinstance(action, _Repeat)
-    parts = raw.replace(",", " ").split() if many else [raw]
-    if not parts or (action.nargs and len(parts) != action.nargs):
-        raise SchemaError(
-            f"config key {key!r} takes {action.nargs or 'one or more'} values, "
-            f"got {len(parts)}"
-        )
-    values = []
-    for part in parts:
-        if action.type is not None:
-            try:
-                part = action.type(part)
-            except ValueError:
-                raise SchemaError(
-                    f"config key {key!r}: invalid {action.type.__name__} value: {part!r}"
-                ) from None
-        if action.choices is not None and part not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise SchemaError(
-                f"config key {key!r}: invalid choice: {part!r} (choose from {choices})"
-            )
-        values.append(part)
-    return values if many else values[0]
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
             "self-verification suites."
         ),
     )
-    parser.add_argument(
-        "--config",
-        default=None,
-        help="INI file with one section per subcommand; flags win over file values",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="walk a matrix group and emit its length spectrum")
@@ -569,12 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            _config_defaults(parser, args)
-            args = parser.parse_args(argv)
         _bind(_LAYERS[args.command])
         return args.func(args)
     except WorkbenchError as exc:

@@ -133,8 +133,10 @@ class EnumerationConfig:
     def __post_init__(self):
         if self.max_word_length < 1:
             raise InvariantViolation("max_word_length must be positive")
-        if not (self.length_cutoff > 0):
-            raise InvariantViolation("length_cutoff must be positive")
+        if not (0 < self.length_cutoff < math.inf):
+            raise InvariantViolation(
+                f"length_cutoff must be positive and finite, got {self.length_cutoff}"
+            )
 
 
 def parse_group_presentation(document: str | dict) -> GroupPresentation:

@@ -142,17 +142,17 @@ def _validate_spectrum(spec: LengthSpectrum) -> None:
     a refusal names the first faulty class.  The rules are checked in turn,
     each over every class: a class that breaks the first of them is named
     before an earlier class that breaks a later one."""
-    if not (spec.cutoff > 0):
-        raise InvariantViolation(f"cutoff must be positive, got {spec.cutoff}")
-    if not (spec.tolerance > 0):
-        raise InvariantViolation(f"tolerance must be positive, got {spec.tolerance}")
-    if spec.volume is not None and not (spec.volume > 0):
-        raise InvariantViolation(f"volume must be positive, got {spec.volume}")
+    for name in ("cutoff", "tolerance", "volume"):
+        value = getattr(spec, name)
+        if not (value is None and name == "volume" or 0 < value < math.inf):
+            raise InvariantViolation(f"{name} must be positive and finite, got {value}")
 
     sizes = {name: len(getattr(spec, name)) for name in ("length", "angle", "multiplicity", "words")}
     if len(set(sizes.values())) > 1:
         raise InvariantViolation(f"class {min(sizes.values())} is missing from a column: {sizes}")
     tol, top_length = spec.tolerance, spec.cutoff + spec.tolerance
+    if top_length == math.inf:  # a length up to it could be inf
+        raise InvariantViolation(f"cutoff + tolerance must be finite, got {spec.cutoff} + {tol}")
     length, angle, n, words = spec.length.tolist(), spec.angle, spec.multiplicity, spec.words
     # each class's own rules; the first class above the cutoff, or below
     # the longest before it (0 before the first) by more than tol, is kept
@@ -417,15 +417,13 @@ def serialize_length_spectrum(spec: LengthSpectrum) -> str:
 
     The classes are written from the columns, one fixed template per class,
     in the bytes of json.dumps(document, sort_keys=True): a float is its
-    repr, as json writes a finite one.  The validator keeps every angle
-    finite and every length at most cutoff + tolerance, so only an infinite
-    bound lets a length be one json spells its own way.  "classes" is the
-    first key in sorted order.
+    repr, as json writes a finite one, and the validator keeps every angle,
+    every length and each of cutoff, tolerance and volume finite.
+    "classes" is the first key in sorted order.
     """
-    number = repr if math.isfinite(spec.cutoff + spec.tolerance) else json.dumps
-    template = '{"angle": %r, "length": %s, "multiplicity": %d, "primitive": %s, "word": %s}'
+    template = '{"angle": %r, "length": %r, "multiplicity": %d, "primitive": %s, "word": %s}'
     classes = ", ".join(
-        template % (a, number(l), n, "true" if n == 1 else "false", json.dumps(w))
+        template % (a, l, n, "true" if n == 1 else "false", json.dumps(w))
         for l, a, n, w in zip(
             spec.length.tolist(), spec.angle.tolist(), spec.multiplicity.tolist(), spec.words
         )

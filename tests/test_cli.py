@@ -866,95 +866,7 @@ def test_continue_catalog_csv(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# config file
-
-
-def test_config_fills_defaults_and_flags_win(tmp_path, capsys):
-    spec = toy_spectrum_path(tmp_path)
-    ini = tmp_path / "wb.ini"
-    ini.write_text("[zeta]\nkind = ruelle\ns-count = 3\ns-stop = 5 0\n", encoding="utf-8")
-    base = ["--config", str(ini), "zeta", "--spectrum", spec, "--sigma", "1",
-            "--s-start", "3", "0"]
-
-    assert main(base) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["kind"] == "ruelle"
-    assert len(payload["rows"]) == 3
-
-    assert main(base + ["--kind", "selberg"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["kind"] == "selberg"
-    assert len(payload["rows"]) == 3
-
-
-def test_config_missing_file_exit_2(tmp_path, capsys):
-    missing = str(tmp_path / "missing.ini")
-    code = main(["--config", missing, "zeta", "--spectrum", toy_spectrum_path(tmp_path),
-                 "--sigma", "1", "--s-start", "3", "0"])
-    assert code == 2
-    assert f"config file not found or unreadable: {missing}" in capsys.readouterr().err
-
-
-def test_config_without_the_commands_section_keeps_the_defaults(tmp_path, capsys):
-    ini = tmp_path / "wb.ini"
-    ini.write_text("[trace]\norder = second\n", encoding="utf-8")
-    argv = ["zeta", "--spectrum", toy_spectrum_path(tmp_path), "--sigma", "1",
-            "--s-start", "3", "0"]
-    assert main(argv) == 0
-    plain = capsys.readouterr().out
-    assert main(["--config", str(ini)] + argv) == 0
-    assert capsys.readouterr().out == plain
-
-
-def test_config_switch_takes_a_boolean_word(tmp_path, capsys):
-    dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1)]))
-    argv = ["continue", "--dirac", dirac, "--s-start", "2", "0"]
-    for word, catalog in (("yes", True), ("On", True), ("0", False), ("off", False)):
-        ini = tmp_path / "wb.ini"
-        ini.write_text(f"[continue]\ncatalog = {word}\n", encoding="utf-8")
-        assert main(["--config", str(ini)] + argv) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert ("catalog" in payload) is catalog, word
-        assert len(payload["rows"]) == 1
-
-
-def test_config_unknown_key_exit_2(tmp_path, capsys):
-    spec = toy_spectrum_path(tmp_path)
-    ini = tmp_path / "wb.ini"
-    ini.write_text("[zeta]\nbogus = 1\n", encoding="utf-8")
-    code = main(["--config", str(ini), "zeta", "--spectrum", spec, "--sigma", "1",
-                 "--s-start", "3", "0"])
-    assert code == 2
-    assert "bogus" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "section, line",
-    [
-        ("zeta", "spectrum = other.json"),
-        ("zeta", "sigma = 2"),
-        ("enumerate", "presentation = other.json"),
-        ("verify", "suite = parity"),
-    ],
-)
-def test_config_key_for_a_required_flag_exit_2(tmp_path, capsys, section, line):
-    # argparse demands a required flag on the command line, so a config
-    # value for it could never apply; it is refused, not ignored
-    commands = {
-        "zeta": ["zeta", "--spectrum", toy_spectrum_path(tmp_path), "--sigma", "1",
-                 "--s-start", "3", "0"],
-        "enumerate": ["enumerate", "--presentation",
-                      write_json(tmp_path, "pres.json", cyclic_presentation_doc())],
-        "verify": ["verify", "--suite", "kernels"],
-    }
-    ini = tmp_path / "wb.ini"
-    ini.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
-    assert main(["--config", str(ini)] + commands[section]) == 2
-    captured = capsys.readouterr()
-    key = line.split(" = ")[0]
-    assert f"config key {key!r}" in captured.err
-    assert "required" in captured.err
-    assert captured.out == ""
+# options
 
 
 def test_suite_choices_are_the_verify_suites_in_order():
@@ -965,50 +877,31 @@ def test_suite_choices_are_the_verify_suites_in_order():
     assert tuple(suite.choices) == tuple(verify.SUITES)
 
 
-@pytest.mark.parametrize(
-    "section, line",
-    [
-        ("zeta", "format = xml"),
-        ("zeta", "kind = bogus"),
-        ("continue", "detour = sideways"),
-        ("zeta", "s-count = abc"),
-        ("zeta", "s-start = 3"),
-        ("continue", "catalog = flase"),
-    ],
-)
-def test_config_value_failing_its_flags_checks_exit_2(tmp_path, capsys, section, line):
-    # each value is refused as its flag would be, even where a flag given
-    # on the command line overrides it
-    commands = {
-        "zeta": ["zeta", "--spectrum", toy_spectrum_path(tmp_path), "--sigma", "1",
-                 "--s-start", "3", "0"],
-        "continue": ["continue", "--dirac",
-                     write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1)]))],
-    }
-    ini = tmp_path / "wb.ini"
-    ini.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
-    assert main(["--config", str(ini)] + commands[section]) == 2
-    captured = capsys.readouterr()
-    key = line.split(" = ")[0]
-    assert f"config key {key!r}" in captured.err
-    assert captured.out == ""
-
-
-def test_cli_t_replaces_the_config_t_list(tmp_path, capsys):
-    spec = toy_spectrum_path(tmp_path)
-    ini = tmp_path / "wb.ini"
-    ini.write_text("[trace]\nt = 0.5, 2.0\n", encoding="utf-8")
-    trace = ["trace", "--spectrum", spec, "--sigma", "1"]
+def test_t_flags_replace_the_default_list(tmp_path, capsys):
+    trace = ["trace", "--spectrum", toy_spectrum_path(tmp_path), "--sigma", "1"]
     runs = [
         (trace, [1.0]),
         (trace + ["--t", "3"], [3.0]),
-        (["--config", str(ini)] + trace, [0.5, 2.0]),
-        (["--config", str(ini)] + trace + ["--t", "3"], [3.0]),
-        (["--config", str(ini)] + trace + ["--t", "3", "--t", "4"], [3.0, 4.0]),
+        (trace + ["--t", "3", "--t", "4"], [3.0, 4.0]),
     ]
     for argv, times in runs:
         assert main(argv) == 0
         assert [row["t"] for row in json.loads(capsys.readouterr().out)["rows"]] == times
+
+
+def test_config_is_no_option(tmp_path, capsys):
+    # the INI layer is gone, so --config is refused as argparse refuses any
+    # unknown flag; spaced, its file name is read as the command
+    rest = ["zeta", "--spectrum", toy_spectrum_path(tmp_path), "--sigma", "1",
+            "--s-start", "3", "0"]
+    for head, message in (
+        (["--config", "x.ini"], "argument command: invalid choice: 'x.ini'"),
+        (["--config=x.ini"], "unrecognized arguments: --config=x.ini"),
+    ):
+        with pytest.raises(SystemExit) as refused:
+            main(head + rest)
+        assert refused.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_every_float_option_refuses_what_is_no_finite_number(tmp_path, capsys):
@@ -1040,13 +933,6 @@ def test_every_float_option_refuses_what_is_no_finite_number(tmp_path, capsys):
                 )
             checked.append((command, flag))
     assert len(checked) == 11, checked
-    # a config value passes the same type
-    ini = tmp_path / "wb.ini"
-    ini.write_text("[zeta]\ngrowth = nan\n", encoding="utf-8")
-    argv = ["--config", str(ini), "zeta", "--spectrum", toy_spectrum_path(tmp_path),
-            "--sigma", "1", "--s-start", "3", "0"]
-    assert main(argv) == 2
-    assert "config key 'growth': invalid finite float value: 'nan'" in capsys.readouterr().err
 
 
 def test_trace_csv_header_does_not_depend_on_the_spectral_side(tmp_path, capsys):
@@ -1163,8 +1049,8 @@ print(json.dumps(sorted(m for m in ("hashlib", "configparser") if m in sys.modul
 
 
 def test_zeta_and_trace_never_load_hashlib_or_configparser(tmp_path):
-    # hashlib is at most the cache's fallback for sha256, and only --config
-    # needs configparser
+    # hashlib is at most the cache's fallback for sha256, and no command
+    # reads an INI file
     spec = worded_spectrum_path(tmp_path)
     chi = write_json(
         tmp_path,

@@ -123,6 +123,12 @@ def test_presentation_validation():
         GroupPresentation(generators=(good, good @ good), names=("g", "G"))
 
 
+def test_enumeration_config_refuses_a_cutoff_that_is_no_finite_number():
+    for bad in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(InvariantViolation, match="length_cutoff must be positive and finite"):
+            EnumerationConfig(3, bad)
+
+
 def test_presentation_round_trip():
     pres = schottky_pair(3.0)
     doc = {

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -581,11 +582,34 @@ def test_serialized_bytes_are_those_of_json_dumps(volume):
         assert written in text
 
 
-def test_serialized_bytes_with_an_infinite_length():
-    # a cutoff of inf admits a class of length inf, which json spells Infinity
-    spec = LengthSpectrum(cutoff=math.inf, classes=ClassColumns([1.0, math.inf], [0.5, -0.0]))
-    assert serialize_length_spectrum(spec) == dumped(spec)
-    assert '"length": Infinity' in dumped(spec)
+def test_spectrum_refuses_a_bound_that_is_no_finite_number():
+    # a cutoff of inf admitted a class of length inf, which the document
+    # spelled Infinity; that document, like one with volume inf, the reader
+    # then refused
+    columns = ClassColumns([1.0], [0.5])
+    for name in ("cutoff", "tolerance", "volume"):
+        for bad in (math.inf, math.nan, -math.inf):
+            fields = {"cutoff": 2.0, name: bad}
+            with pytest.raises(InvariantViolation, match=f"{name} must be positive and finite"):
+                LengthSpectrum(classes=columns, **fields)
+    # each bound finite, but a length up to their sum could be inf
+    big = sys.float_info.max
+    with pytest.raises(InvariantViolation, match=r"cutoff \+ tolerance must be finite"):
+        LengthSpectrum(cutoff=big, classes=columns, tolerance=big)
+    spec = LengthSpectrum(cutoff=big, classes=ClassColumns([1.0, big], [0.5, -0.0]), volume=big)
+    assert parse_length_spectrum(serialize_length_spectrum(spec)) == spec
+
+
+@given(st.floats(), st.floats(), st.none() | st.floats())
+def test_a_spectrum_the_constructor_accepts_reads_back_as_written(cutoff, tolerance, volume):
+    columns = ClassColumns([cutoff + tolerance], [-0.0], words=["w"])
+    try:
+        spec = LengthSpectrum(cutoff=cutoff, classes=columns, tolerance=tolerance, volume=volume)
+    except InvariantViolation:
+        bounds = (cutoff, tolerance, cutoff + tolerance, 1.0 if volume is None else volume)
+        assert not all(0 < bound < math.inf for bound in bounds)
+        return
+    assert parse_length_spectrum(serialize_length_spectrum(spec)) == spec
 
 
 def near_document(rng):

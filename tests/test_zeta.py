@@ -143,6 +143,13 @@ def test_abscissas_and_region_gate(toy_spectrum, sigma_k1):
             growth_constant=1.0,
         )
     )
+    # the region is open: s exactly at the abscissa is refused
+    for kind, s, growth in (("selberg", 1.0, None), ("ruelle", 2.0, None), ("ruelle", 1.0, 1.0)):
+        request = ZetaRequest(
+            s=s, k=sigma_k1, spectrum=toy_spectrum, kind=kind, growth_constant=growth
+        )
+        with pytest.raises(ConvergenceRegionError):
+            log_zeta(request)
 
 
 def test_empty_spectrum_gives_log_zero(sigma_k1):
