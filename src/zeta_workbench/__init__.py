@@ -43,11 +43,13 @@ _EXPORTS = {
         "parse_length_spectrum", "serialize_length_spectrum", "wrap_angle",
     ),
     "traces": (
-        "class_term_t_integral", "dirac_geometric_side", "dirac_spectral_side",
-        "fourier_gaussian_check", "heat_geometric_side", "heat_spectral_side",
-        "identity_term_dirac", "identity_term_heat", "laplace_kernel_check",
+        "dirac_geometric_side", "dirac_spectral_side", "heat_geometric_side",
+        "heat_spectral_side", "identity_term_dirac", "identity_term_heat",
     ),
-    "verify": ("ruelle_factorization_check", "run_all", "run_suite"),
+    "verify": (
+        "class_term_t_integral", "fourier_gaussian_check", "laplace_kernel_check",
+        "ruelle_factorization_check", "run_all", "run_suite",
+    ),
     "zeta": (
         "ZetaRequest", "convergence_abscissa", "log_derivative_super",
         "log_derivative_symmetrized", "log_zeta",

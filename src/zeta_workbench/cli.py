@@ -40,10 +40,9 @@ __all__ = ["main", "build_parser"]
 _LAYERS = {
     "enumerate": (),  # a cache hit runs no layer; a miss binds _WALK itself
     "zeta": ("parse_length_spectrum", "parse_gamma_rep", "ZetaRequest", "log_zeta"),
-    "trace": (
-        "parse_length_spectrum", "parse_gamma_rep", "parse_eigenvalue_spectrum",
-        "dirac_geometric_side", "dirac_spectral_side", "heat_geometric_side",
-        "heat_spectral_side",
+    "trace": (  # cmd_trace binds parse_eigenvalue_spectrum for an eigenvalue list
+        "parse_length_spectrum", "parse_gamma_rep", "dirac_geometric_side",
+        "dirac_spectral_side", "heat_geometric_side", "heat_spectral_side",
     ),
     "verify": ("run_suite",),
     "continue": (
@@ -291,10 +290,10 @@ def cmd_trace(args) -> int:
     spectrum = parse_length_spectrum(_read_json(args.spectrum))
     chi = _chi(args)
     eigen = None
-    if args.order == "first" and args.dirac:
-        eigen = parse_eigenvalue_spectrum(_read_json(args.dirac), kind="dirac")
-    if args.order == "second" and args.laplace:
-        eigen = parse_eigenvalue_spectrum(_read_json(args.laplace), kind="laplace")
+    kind, path = ("dirac", args.dirac) if args.order == "first" else ("laplace", args.laplace)
+    if path:  # the eigenvalue reader loads numpy, so only a spectral side binds it
+        _bind(("parse_eigenvalue_spectrum",))
+        eigen = parse_eigenvalue_spectrum(_read_json(path), kind=kind)
     if args.order == "second" and args.volume is not None:
         spectrum = spectrum.with_volume(args.volume)
     rows = []

@@ -9,19 +9,26 @@ The isotropy torus is one-dimensional: a weight is a single number k
 (integer or half-integer), the character at rotation angle theta is
 exp(i*k*theta), and the order-two symmetry sends k to -k.  Weights with
 k != 0 move under it ("case b"); the graded zeta kinds need one.
+
+The characters and the determinant factor take a number, or a column of
+them, and give a Python number, or a list; numpy is loaded only for a
+twist's matrices, by GammaRep, character_chi and parse_gamma_rep.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CaseAError, InvariantViolation, SchemaError, UnknownSymbol
 from .spectra import ARRAY, array_shape, json_object, require
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GammaRep",
@@ -57,9 +64,12 @@ def require_case_b(k: float) -> None:
 
 
 def character_sigma(k: float, angle):
-    """Character value exp(i*k*theta) at rotation angle theta (or an array
-    of angles)."""
-    return np.exp(1j * k * angle)
+    """Character value exp(i*k*theta) at rotation angle theta, or the list
+    of them over a column of angles."""
+    ik = 1j * k
+    if isinstance(angle, (int, float)):
+        return cmath.exp(ik * angle)
+    return [cmath.exp(ik * a) for a in angle]
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +90,8 @@ class GammaRep:
     _by_symbol: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        import numpy as np
+
         imgs = {}
         for name, mat in self.images.items():
             arr = np.asarray(mat, dtype=complex)
@@ -118,6 +130,8 @@ def character_chi(chi: GammaRep | None, word: str | Iterable[str]) -> complex | 
     length: from the identity, one stacked product per letter position,
     left to right, which is the one-word product bit for bit.
     """
+    import numpy as np
+
     if isinstance(word, str):
         return complex(character_chi(chi, [word])[0])
     words = list(word)
@@ -147,6 +161,8 @@ def character_chi(chi: GammaRep | None, word: str | Iterable[str]) -> complex | 
 
 def parse_gamma_rep(document: str | dict) -> GammaRep:
     """Parse {"dimension": int, "images": {name: [[[re,im], ...], ...]}}."""
+    import numpy as np
+
     doc = json_object(document)
     dim = require(doc, "dimension", int, "chi")
     raw = require(doc, "images", dict, "chi")
@@ -170,15 +186,17 @@ def parse_gamma_rep(document: str | dict) -> GammaRep:
 
 
 def ad_nbar_det(length, angle):
-    """det(Id - Ad|nbar) for a loxodromic with given length and angle (or
-    arrays of them).
+    """det(Id - Ad|nbar) for a loxodromic with given length and angle, or
+    the list of them over columns of lengths and angles.
 
     The adjoint action on the two-dimensional negative root space has
     eigenvalues exp(-l + i*theta) and exp(-l - i*theta), so the determinant
     is real: 1 - 2*exp(-l)*cos(theta) + exp(-2l).
     """
-    e = np.exp(-length)
-    return 1.0 - 2.0 * e * np.cos(angle) + e * e
+    if not isinstance(length, (int, float)):
+        return list(map(ad_nbar_det, length, angle))
+    e = math.exp(-length)
+    return 1.0 - 2.0 * e * math.cos(angle) + e * e
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A length spectrum is a finite set of conjugacy classes below a stated
 cutoff, with manifold metadata.  It is built from ClassColumns and reads
 back as those columns only: read-only length, angle and multiplicity
-buffers and a tuple of optional words, which the class sums wrap as numpy
-arrays without copying.  A class is primitive exactly when its
+buffers and a tuple of optional words.  The class sums read the buffers
+once, as lists of Python numbers.  A class is primitive exactly when its
 multiplicity is 1.
 
 All types are immutable after construction and validated eagerly.  The
@@ -71,8 +71,8 @@ def _column(values, typecode: str) -> memoryview:
 class ClassColumns:
     """A spectrum's classes as columns: length and angle (float64) and
     multiplicity (int64, ones by default) as read-only memoryviews over
-    arrays, which np.asarray wraps without copying, and a tuple of words
-    (str or None, all None by default).
+    arrays, whose tolist() gives Python numbers, and a tuple of words (str
+    or None, all None by default).
 
     Its length is the number of classes; equality compares the columns.
     """
@@ -108,8 +108,9 @@ class LengthSpectrum:
     A spectrum is built from ClassColumns, and nothing else, and reads back
     as its columns: length, angle, multiplicity and words.  The class rules
     are checked once, on the columns.
-    memo is where zeta.py keeps the twist traces, class weights and tail
-    model constants it last computed on this spectrum.
+    memo is where zeta.py keeps the length and angle columns as lists, and
+    the twist traces, class weights and tail model constants it last
+    computed on this spectrum.
     """
 
     cutoff: float

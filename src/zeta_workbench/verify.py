@@ -36,20 +36,20 @@ from .continuation import (
     singularity_catalog,
 )
 from .eigenvalues import DiracSpectrum, LaplaceSpectrum, square_spectrum, super_multiplicity
-from .errors import ParityViolation, WorkbenchError
+from .errors import InvariantViolation, ParityViolation, QuadratureFailure, WorkbenchError
 from .names import SUITE_NAMES
-from .reps import plancherel
+from .quadrature import integrate
+from .reps import ad_nbar_det, plancherel
 from .spectra import ClassColumns, LengthSpectrum, wrap_angle
 from .traces import (
-    class_term_t_integral,
+    dee_gamma,
     dirac_geometric_side,
-    fourier_gaussian_check,
     heat_geometric_side,
     identity_term_dirac,
     identity_term_heat,
-    laplace_kernel_check,
 )
 from .zeta import (
+    RHO,
     ZetaRequest,
     log_derivative_super,
     log_derivative_symmetrized,
@@ -63,6 +63,9 @@ __all__ = [
     "ruelle_factorization_check",
     "toy_spectrum",
     "single_class_spectrum",
+    "laplace_kernel_check",
+    "fourier_gaussian_check",
+    "class_term_t_integral",
 ]
 
 
@@ -182,6 +185,132 @@ def ruelle_factorization_check(
     )
     gap = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return lhs, rhs, gap
+
+
+# kernel identities ---------------------------------------------------------
+#
+# The two analytic identities that tie the Gaussian-in-t weights of the
+# trace sides to the exponential-in-s weights of the zeta logs, and the
+# per-class time integral; each is checked against its closed form by the
+# adaptive Gauss-Legendre rule of quadrature.py.
+
+
+def _heat_time_integral(c0, length, s2):
+    """integral_0^inf c0 t^{-3/2} exp(-l^2/4t) exp(-t s^2) dt, Re(s^2) > 0,
+    for each element of c0, length and s2 (broadcast together), all in one
+    batched integrate call per leg.
+
+    Runs along the real axis to the saddle t* = l/(2|s|), then turns onto
+    the ray where t s^2 advances through real values, so the integrand
+    decays like exp(-tau |s|^2) without oscillation even when s^2 hugs
+    the imaginary axis.  Both legs stay in the right half plane, where
+    the principal branch of t^{-3/2} is smooth and exp(-l^2/4t) is
+    bounded by one, so the rotation is legitimate.
+    """
+    shape = np.broadcast(c0, length, s2).shape
+    c0, length, s2 = (np.ravel(v) for v in np.broadcast_arrays(c0, length, s2))
+    budget = 120.0
+    t_star = length / (2.0 * np.sqrt(np.abs(s2)))
+    u0 = np.log(t_star)
+    u_lo = np.log(length * length / (4.0 * budget))
+    u_lo = np.where(u_lo >= u0, u0 - 1.0, u_lo)
+    tau_hi = budget / np.abs(s2)
+    ray = np.exp(-1j * np.angle(s2))
+    # from here on columns: row i of a block of panel nodes takes integral i's constants
+    c0, l2, s2, t_star, ray = (v[:, None] for v in (c0, length**2, s2, t_star, ray))
+
+    def leg_small_t(u, i):
+        t = np.exp(u)
+        return c0[i] * np.exp(-l2[i] / (4.0 * t) - t * s2[i] - 0.5 * u)
+
+    def leg_ray(tau, i):
+        t = t_star[i] + ray[i] * tau
+        return c0[i] * t**-1.5 * np.exp(-l2[i] / (4.0 * t) - t * s2[i]) * ray[i]
+
+    total = integrate(leg_small_t, u_lo, u0) + integrate(leg_ray, 0.0, tau_hi)
+    return total.reshape(shape)[()]
+
+
+def laplace_kernel_check(length, s):
+    """Check integral_0^inf exp(-t s^2) (4 pi t)^{-3/2} exp(-l^2/4t) dt
+    against the closed form exp(-l s) / (4 pi l).
+
+    length and s are numbers or arrays, broadcast together; returns (lhs,
+    rhs, gap) of their shape.  The substitution t = exp(u) turns the
+    integrand into a doubly exponentially decaying bump, which adaptive
+    quadrature resolves cheaply.
+    """
+    length, s = np.broadcast_arrays(np.asarray(length, dtype=float), np.asarray(s, dtype=complex))
+    if not np.all(length > 0):
+        raise InvariantViolation("length must be positive")
+    if np.any(s.real <= 0):
+        raise InvariantViolation("need Re(s) > 0")
+    s2 = s * s
+    if np.any(s2.real <= 0):
+        raise QuadratureFailure("integral is not absolutely convergent for Re(s^2) <= 0")
+
+    lhs = _heat_time_integral((4.0 * math.pi) ** -1.5, length, s2)
+    rhs = np.exp(-length * s) / (4.0 * math.pi * length)
+    return lhs, rhs, np.abs(lhs - rhs)
+
+
+def fourier_gaussian_check(length, t):
+    """Check (1/2pi) integral lam exp(-t lam^2) exp(-i l lam) dlam against
+    -i l sqrt(pi) exp(-l^2/4t) / (4 pi t^{3/2}).
+
+    length and t are numbers or arrays, as for laplace_kernel_check.
+    Multiplying the closed form by l reproduces the per-class weight of the
+    first-order geodesic side, which is how the two printed forms of that
+    formula pass into one another.
+    """
+    length, t = np.broadcast_arrays(np.asarray(length, dtype=float), np.asarray(t, dtype=float))
+    if not (np.all(length > 0) and np.all(t > 0)):
+        raise InvariantViolation("length and t must be positive")
+    l_flat, t_flat = length.ravel(), t.ravel()
+
+    # lam cos(l lam) exp(-t lam^2) is odd, so only the sine part survives;
+    # folding the domain keeps the cancellation out of the error estimate
+    def integrand(lam, i):
+        return lam * np.exp(-t_flat[i, None] * lam * lam) * np.sin(l_flat[i, None] * lam)
+
+    half = integrate(integrand, 0.0, np.sqrt(200.0 / t_flat)).reshape(length.shape)
+    lhs = (-2j * half / (2.0 * math.pi))[()]
+    rhs = -1j * length * math.sqrt(math.pi) * np.exp(-(length**2) / (4.0 * t))
+    rhs = rhs / (4.0 * math.pi * t**1.5)
+    return lhs, rhs, np.abs(lhs - rhs)
+
+
+def class_term_t_integral(
+    length: float,
+    angle: float,
+    multiplicity: int,
+    s: complex,
+) -> tuple[complex, complex, float]:
+    """Integrate the first-order per-class weight against exp(-t s^2) in t.
+
+    The closed-form target is (-i/2) (l/n) exp(-rho l) exp(-l s) / det,
+    which is exactly the per-class contribution to the super logarithmic
+    derivative times (-i/2).  Agreement validates the adopted per-class
+    normalization D.
+    """
+    s = complex(s)
+    dee = dee_gamma(length, angle)
+    c0 = (
+        -2j
+        * math.pi
+        * (4.0 * math.pi) ** -1.5
+        * length**2
+        / (multiplicity * dee)
+    )
+    lhs = _heat_time_integral(c0, length, s * s)
+    rhs = (
+        (-0.5j)
+        * (length / multiplicity)
+        * math.exp(-RHO * length)
+        * cmath.exp(-length * s)
+        / ad_nbar_det(length, angle)
+    )
+    return lhs, rhs, abs(lhs - rhs)
 
 
 # suites --------------------------------------------------------------------

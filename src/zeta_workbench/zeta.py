@@ -20,16 +20,20 @@ and both vanish as Re(s) grows, which pins the integration constant.
 The symmetrized, super and super-Ruelle variants are the sums and
 differences of the base sums at k and at its sign flip -k.
 
-A spectrum carries its classes as columns, read-only buffers that
-np.asarray wraps as float64 and int64 arrays without copying.  chi_trace
-reads a twist over all the class words in one batched character_chi
-call, once per (spectrum, twist), and class_weights computes the
-per-class weights once per (spectrum, twist, k, kind shape); the
-spectrum keeps the last of each, and the tail model's constants for its
-last (twist, growth).
+A spectrum carries its classes as columns; the length and angle columns
+are read once as lists of Python floats and kept on the spectrum.
+chi_trace reads a twist over all the class words in one batched
+character_chi call, once per (spectrum, twist), and class_weights
+computes the per-class weights once per (spectrum, twist, k, kind
+shape); the spectrum keeps the last of each, as tuples of Python complex
+numbers, and the tail model's constants for its last (twist, growth).
 Every geodesic sum, here and in traces.py, is then one kernel,
-class_sum: those weights dotted with exp(-s l) or exp(-l^2/4t), one grid
-point at a time.
+class_sum: the weights times exp of one exponent per class, -(s+1) l or
+-s l here and -(l^2/4t + l) for the trace sides, one grid point at a
+time.  The Selberg-type factor exp(-rho l) is folded into the exponent,
+never into the weights, so a long class meets exp(-(s+rho) l), which
+underflows to zero, rather than exp(-rho l) * exp(-s l) = 0 * inf.
+Without a twist, nothing here loads numpy.
 
 Sums are only evaluated above a model-based convergence abscissa derived
 from an exponential geodesic-count model N(L) <= C exp(g L); requests
@@ -39,10 +43,11 @@ not certificates.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import repeat
+from operator import mul, truediv
 
 from .errors import ConvergenceRegionError, InvariantViolation
 from .reps import (
@@ -59,6 +64,7 @@ from .spectra import LengthSpectrum, TruncatedValue
 __all__ = [
     "ZetaRequest",
     "chi_trace",
+    "class_columns",
     "class_sum",
     "class_weights",
     "convergence_abscissa",
@@ -85,16 +91,23 @@ _SHAPES = dict(
 # class weights and the kernel ---------------------------------------------
 
 
-def chi_trace(spectrum: LengthSpectrum, chi: GammaRep | None) -> np.ndarray:
-    """Trace of chi over each class word; ones without a twist.
+def class_columns(spectrum: LengthSpectrum) -> tuple[list[float], list[float]]:
+    """The length and angle columns as lists of Python floats, read once
+    per spectrum and kept on it."""
+    columns = spectrum.memo.get("columns")
+    if columns is None:
+        columns = spectrum.memo["columns"] = (spectrum.length.tolist(), spectrum.angle.tolist())
+    return columns
+
+
+def chi_trace(spectrum: LengthSpectrum, chi: GammaRep) -> tuple[complex, ...]:
+    """Trace of the twist chi over each class word.
 
     One batched character_chi call reads every class word.  The spectrum
     keeps the traces of the last twist it was read under, keyed by the
     twist's identity: both are immutable, so a grid of sums under one
     twist reads the words once.
     """
-    if chi is None:
-        return np.ones(len(spectrum.words), dtype=complex)
     memo = spectrum.memo.get("chi")
     if memo is not None and memo[0] is chi:
         return memo[1]
@@ -103,19 +116,19 @@ def chi_trace(spectrum: LengthSpectrum, chi: GammaRep | None) -> np.ndarray:
             f"class {spectrum.words.index(None)} carries no word; "
             "a nontrivial twist needs words"
         )
-    trace = character_chi(chi, spectrum.words)
-    trace.setflags(write=False)
+    trace = tuple(character_chi(chi, spectrum.words).tolist())
     spectrum.memo["chi"] = (chi, trace)
     return trace
 
 
 def class_weights(
     spectrum: LengthSpectrum, chi: GammaRep | None, k: float, sign: int, selberg_type: bool
-) -> np.ndarray:
+) -> tuple[complex, ...]:
     """trchi * (exp(i k theta) + sign * exp(-i k theta)) / n per class,
-    times exp(-rho l) / det(Id - Ad|nbar) for the Selberg-type sums.
+    divided by det(Id - Ad|nbar) for the Selberg-type sums, whose
+    exp(-rho l) enters through the exponent instead.
 
-    The spectrum keeps the last weights it gave, read-only, keyed by the
+    The spectrum keeps the last weights it gave, a tuple, keyed by the
     twist's identity, k and the kind's shape, so a grid of sums computes
     them once.  The key spells k in hex, which tells -0.0 from 0.0: their
     characters differ in the sign of a zero.
@@ -124,22 +137,37 @@ def class_weights(
     memo = spectrum.memo.get("weights")
     if memo is not None and memo[0] is chi and memo[1] == key:
         return memo[2]
-    length, angle = np.asarray(spectrum.length), np.asarray(spectrum.angle)
+    length, angle = class_columns(spectrum)
     trsigma = character_sigma(k, angle)
     if sign:
-        trsigma = trsigma + sign * character_sigma(-k, angle)
-    w = chi_trace(spectrum, chi) * trsigma / np.asarray(spectrum.multiplicity)
+        trsigma = [a + sign * b for a, b in zip(trsigma, character_sigma(-k, angle))]
+    divisors = spectrum.multiplicity.tolist()
     if selberg_type:
-        w *= np.exp(-RHO * length) / ad_nbar_det(length, angle)
-    w.setflags(write=False)
+        dets = ad_nbar_det(length, angle)
+        if 0.0 in dets:  # a class too short for float64 to tell from parabolic
+            i = dets.index(0.0)
+            raise InvariantViolation(
+                f"class {i} (length {length[i]}, angle {angle[i]}) has "
+                "det(Id - Ad|nbar) = 0 in floating point"
+            )
+        divisors = list(map(mul, divisors, dets))
+    w = map(truediv, trsigma, divisors)
+    if chi is not None:
+        w = map(mul, chi_trace(spectrum, chi), w)
+    w = tuple(w)
     spectrum.memo["weights"] = (chi, key, w)
     return w
 
 
-def class_sum(weights: np.ndarray, exponent: np.ndarray) -> complex:
+def class_sum(weights, exponents) -> complex:
     """The kernel of every geodesic sum: sum over the classes of
-    weights * exp(exponent), with exponent -s*l or -l^2/4t at one point."""
-    return complex(np.dot(weights, np.exp(exponent)))
+    weights * exp(exponents), with one exponent per class at one point."""
+    return sum(map(mul, weights, map(cmath.exp, exponents)), 0j)
+
+
+def _exponents(s: complex, length: list[float], selberg_type: bool):
+    """-(s + rho) l per class for the Selberg-type sums, -s l otherwise."""
+    return map(mul, repeat(-(s + RHO) if selberg_type else -s), length)
 
 
 # requests -----------------------------------------------------------------
@@ -209,10 +237,11 @@ def _count_model(
     if chi is not None:
         # the twist's dimension, or a larger trace that a non-unitary twist
         # shows on the spectrum
-        observed = float(np.max(np.abs(chi_trace(spectrum, chi))))
+        observed = max(map(abs, chi_trace(spectrum, chi)))
         chi_bound = max(float(chi.dimension), observed)
-    ranks = np.arange(1, len(spectrum.classes) + 1)
-    C = math.exp(float(np.mean(np.log(ranks) - growth * np.asarray(spectrum.length))))
+    length = class_columns(spectrum)[0]
+    logs = (math.log(rank) - growth * l for rank, l in enumerate(length, 1))
+    C = math.exp(math.fsum(logs) / len(length))
     model = (chi_bound, C)
     spectrum.memo["count_model"] = (chi, growth, model)
     return model
@@ -258,7 +287,7 @@ def log_zeta(req: ZetaRequest) -> TruncatedValue:
         return TruncatedValue(0.0, 0.0, 0)
     _check_region(req.s, req.kind, growth)
     weights = class_weights(spectrum, chi, req.k, sign, selberg_type)
-    value = -class_sum(weights, -req.s * np.asarray(spectrum.length))
+    value = -class_sum(weights, _exponents(req.s, class_columns(spectrum)[0], selberg_type))
     tail = _tail_bound(
         spectrum,
         chi,
@@ -289,12 +318,13 @@ def _log_derivative(
     if not spectrum.classes:
         return TruncatedValue(0.0, 0.0, 0)
     _check_region(s, "selberg", growth)
-    l = np.asarray(spectrum.length)
-    weights = l * class_weights(spectrum, chi, k, sign, True)
+    length = class_columns(spectrum)[0]
+    weights = map(mul, length, class_weights(spectrum, chi, k, sign, True))
     tail = _tail_bound(
         spectrum, chi, growth, s.real + RHO, 2.0, with_det=True, with_length_factor=True
     )
-    return TruncatedValue(class_sum(weights, -s * l), tail, len(spectrum.classes))
+    value = class_sum(weights, _exponents(s, length, True))
+    return TruncatedValue(value, tail, len(spectrum.classes))
 
 
 def log_derivative_super(

@@ -39,16 +39,16 @@ MUTANTS = (
            "prefactor = -2j * math.pi / (4.0 * math.pi * t) ** 0.5",
            "tests/test_traceform.py", "the Dirac side's t^1.5"),
     Mutant("M4", "src/zeta_workbench/traces.py",
-           "class_weights(spectrum, chi, k, +1, True) / math.sqrt(4.0 * math.pi * t)",
-           "class_weights(spectrum, chi, k, +1, True) / math.sqrt(2.0 * math.pi * t)",
+           "geodesic / math.sqrt(4.0 * math.pi * t)",
+           "geodesic / math.sqrt(2.0 * math.pi * t)",
            "tests/test_traceform.py", "the heat side's 4 pi t"),
     Mutant("M5", "src/zeta_workbench/continuation.py",
            "below_height = z.reshape(-1, 1).imag < distinct.imag[columns]",
            "below_height = z.reshape(-1, 1).imag <= distinct.imag[columns]",
            "tests/test_continuation.py", "the winding's strict <"),
     Mutant("M6", "src/zeta_workbench/reps.py",
-           "return 1.0 - 2.0 * e * np.cos(angle) + e * e",
-           "return 1.0 - 2.0 * e * np.cos(angle) + e",
+           "return 1.0 - 2.0 * e * math.cos(angle) + e * e",
+           "return 1.0 - 2.0 * e * math.cos(angle) + e",
            "tests/test_reps.py", "ad_nbar_det's e^2"),
     Mutant("M7", "src/zeta_workbench/zeta.py",
            "chi_bound = max(float(chi.dimension), observed)",
@@ -64,6 +64,9 @@ MUTANTS = (
     Mutant("M11", "src/zeta_workbench/spectra.py",
            "or 0 < value < math.inf):", "or 0 < value):",
            "tests/test_spectra.py", "a spectrum bound of inf is accepted"),
+    Mutant("M12", "src/zeta_workbench/zeta.py",
+           "-(s + RHO)", "-s",
+           "tests/test_zeta.py", "the Selberg-type exponent carries exp(-rho l)"),
 )
 
 # Mutants that the suite does not kill yet: no test holds tail_bound

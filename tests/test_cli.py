@@ -600,6 +600,26 @@ def test_zeta_output_file_keeps_stdout_quiet(tmp_path, capsys):
     assert json.loads(out.read_text())["rows"]
 
 
+def test_zeta_with_a_long_class_writes_finite_json(tmp_path, capsys):
+    # exp(-rho l) underflows to 0 at l = 1500 and exp(-s l) overflows at
+    # Re s = -0.5; the folded exponent -(s + rho) l leaves the long class a
+    # term of 0 and the row the short class's closed form
+    spec = write_json(tmp_path, "long.json",
+                      spectrum_doc([(1.0, 0.3, 1), (1500.0, 0.3, 1)], cutoff=1500.0))
+    code = main(["zeta", "--spectrum", spec, "--kind", "selberg", "--sigma", "1",
+                 "--growth", "0.1", "--s-start", "-0.5", "0"])
+    assert code == 0
+
+    def refuse(literal):
+        raise AssertionError(f"{literal} is no JSON number")
+
+    (row,) = json.loads(capsys.readouterr().out, parse_constant=refuse)["rows"]
+    det = 1.0 - 2.0 * math.exp(-1.0) * math.cos(0.3) + math.exp(-2.0)
+    want = -cmath.exp(0.3j) * math.exp(-0.5) / det
+    assert abs(complex(*row["log"]) - want) <= 1e-15 * abs(want)
+    assert math.isfinite(row["tail_bound"])
+
+
 # ---------------------------------------------------------------------------
 # trace
 
@@ -1174,6 +1194,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "zet
 # every call loads the package, the parser's module and what it imports
 PARSER = {"zeta_workbench", "cli", "errors", "names"}
 CLASS_SUMS = PARSER | {"spectra", "reps", "zeta"}
+TRACE = CLASS_SUMS | {"traces"}
 ENUMERATE = PARSER | {"spectra", "enumerator", "cache"}
 
 
@@ -1187,26 +1208,35 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     )
     pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
     dirac = write_json(tmp_path, "dirac.json", eigen_doc(PORTRAIT_ENTRIES))
+    laplace = write_json(tmp_path, "laplace.json", eigen_doc([(1.0, 0.0, 3), (4.0, 0.0, 1)]))
     zeta_argv = ["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "3", "0"]
+    trace_argv = ["trace", "--spectrum", spec, "--sigma", "1", "--volume", "1"]
     enumerate_argv = ["enumerate", "--presentation", pres, "--max-word-length", "3"]
-    # in order: the second enumerate reads the entry the first one wrote
+    # (label, argv, modules, numpy loaded), in order: the second enumerate
+    # reads the entry the first one wrote.  The class sums and the geodesic
+    # sides run on Python numbers; a twist's matrices and an eigenvalue list
+    # load numpy
     table = [
-        ("help", ["--help"], PARSER),
-        ("zeta", zeta_argv, CLASS_SUMS),
-        ("zeta --chi", zeta_argv + ["--chi", chi], CLASS_SUMS),
-        ("trace", ["trace", "--spectrum", spec, "--sigma", "1", "--order", "second"],
-         CLASS_SUMS | {"quadrature", "traces", "eigenvalues"}),
-        ("enumerate cold", enumerate_argv, ENUMERATE),
-        ("enumerate cached", enumerate_argv, PARSER | {"cache"}),
+        ("help", ["--help"], PARSER, False),
+        ("zeta", zeta_argv, CLASS_SUMS, False),
+        ("zeta --chi", zeta_argv + ["--chi", chi], CLASS_SUMS, True),
+        ("trace first", trace_argv, TRACE, False),
+        ("trace second", trace_argv + ["--order", "second"], TRACE, False),
+        ("trace --chi", trace_argv + ["--chi", chi], TRACE, True),
+        ("trace --dirac", trace_argv + ["--dirac", dirac], TRACE | {"eigenvalues"}, True),
+        ("trace --laplace", trace_argv + ["--order", "second", "--laplace", laplace],
+         TRACE | {"eigenvalues"}, True),
+        ("enumerate cold", enumerate_argv, ENUMERATE, False),
+        ("enumerate cached", enumerate_argv, PARSER | {"cache"}, False),
         ("continue", ["continue", "--dirac", dirac, "--s-start", "-0.5", "3", "--s-stop",
                       "-0.5", "-3", "--s-count", "4"],
-         PARSER | {"spectra", "eigenvalues", "reps", "quadrature", "continuation"}),
+         PARSER | {"spectra", "eigenvalues", "reps", "quadrature", "continuation"}, True),
         ("verify", ["verify", "--suite", "kernels"],
-         CLASS_SUMS | {"quadrature", "traces", "eigenvalues", "continuation", "verify"}),
+         TRACE | {"quadrature", "eigenvalues", "continuation", "verify"}, True),
     ]
     env = dict(os.environ, ZETA_CACHE_DIR=str(tmp_path / "cache"))
     env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])
-    for label, argv, expected in table:
+    for label, argv, expected, numpy_expected in table:
         result = subprocess.run(
             [sys.executable, "-c", MODULES_PROBE, *argv],
             env=env, capture_output=True, text=True, check=True,
@@ -1214,6 +1244,4 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         code, modules, numpy_loaded = json.loads(result.stdout.splitlines()[-1])
         assert code == 0, (label, result.stderr)
         assert {m.removeprefix("zeta_workbench.") for m in modules} == expected, label
-        # the modules of a cold enumerate call need no numpy; every other
-        # layer does
-        assert numpy_loaded == bool(expected - ENUMERATE), label
+        assert numpy_loaded == numpy_expected, label
