@@ -20,10 +20,6 @@ _EXPORTS = {
         "partial_fraction_weights", "residue_at", "singularity_catalog", "super_tail_log",
         "super_winding",
     ),
-    "eigenvalues": (
-        "DiracSpectrum", "EigenvalueSpectrum", "LaplaceSpectrum", "parse_eigenvalue_spectrum",
-        "serialize_eigenvalue_spectrum", "square_spectrum", "super_multiplicity",
-    ),
     "enumerator": (
         "EnumerationConfig", "GroupPresentation", "complex_length", "enumerate_spectrum",
         "parse_group_presentation", "primitive_decomposition",
@@ -39,8 +35,10 @@ _EXPORTS = {
         "check_weight", "parse_gamma_rep", "plancherel",
     ),
     "spectra": (
-        "ClassColumns", "LengthSpectrum", "SingularityRecord", "TruncatedValue",
-        "parse_length_spectrum", "serialize_length_spectrum", "wrap_angle",
+        "ClassColumns", "DiracSpectrum", "EigenvalueSpectrum", "LaplaceSpectrum", "LengthSpectrum",
+        "SingularityRecord", "TruncatedValue", "parse_eigenvalue_spectrum",
+        "parse_length_spectrum", "serialize_eigenvalue_spectrum", "serialize_length_spectrum",
+        "square_spectrum", "super_multiplicity", "wrap_angle",
     ),
     "traces": (
         "dirac_geometric_side", "dirac_spectral_side", "heat_geometric_side",

@@ -40,9 +40,10 @@ __all__ = ["main", "build_parser"]
 _LAYERS = {
     "enumerate": (),  # a cache hit runs no layer; a miss binds _WALK itself
     "zeta": ("parse_length_spectrum", "parse_gamma_rep", "ZetaRequest", "log_zeta"),
-    "trace": (  # cmd_trace binds parse_eigenvalue_spectrum for an eigenvalue list
-        "parse_length_spectrum", "parse_gamma_rep", "dirac_geometric_side",
-        "dirac_spectral_side", "heat_geometric_side", "heat_spectral_side",
+    "trace": (
+        "parse_length_spectrum", "parse_eigenvalue_spectrum", "parse_gamma_rep",
+        "dirac_geometric_side", "dirac_spectral_side", "heat_geometric_side",
+        "heat_spectral_side",
     ),
     "verify": ("run_suite",),
     "continue": (
@@ -128,6 +129,19 @@ def _chi(args):
     if getattr(args, "chi", None):
         return parse_gamma_rep(_read_json(args.chi))
     return None
+
+
+def _exp(s: complex, log: complex) -> complex:
+    """exp(log), refused unless log and its exp are finite."""
+    try:
+        value = cmath.exp(log)
+    except (OverflowError, ValueError):  # ValueError: a log of inf + inf i
+        value = complex(math.inf)
+    if not (cmath.isfinite(log) and cmath.isfinite(value)):
+        raise WorkbenchError(
+            f"the zeta value at s = {s} is not a finite number (Re log Z = {log.real})"
+        )
+    return value
 
 
 def _s_grid(args) -> list[complex]:
@@ -267,7 +281,7 @@ def cmd_zeta(args) -> int:
             growth_constant=args.growth,
         )
         result = log_zeta(request)
-        value = cmath.exp(result.value)
+        value = _exp(s, result.value)
         rows.append(
             {
                 "s": _pair(s),
@@ -289,11 +303,8 @@ def cmd_zeta(args) -> int:
 def cmd_trace(args) -> int:
     spectrum = parse_length_spectrum(_read_json(args.spectrum))
     chi = _chi(args)
-    eigen = None
     kind, path = ("dirac", args.dirac) if args.order == "first" else ("laplace", args.laplace)
-    if path:  # the eigenvalue reader loads numpy, so only a spectral side binds it
-        _bind(("parse_eigenvalue_spectrum",))
-        eigen = parse_eigenvalue_spectrum(_read_json(path), kind=kind)
+    eigen = parse_eigenvalue_spectrum(_read_json(path), kind=kind) if path else None
     if args.order == "second" and args.volume is not None:
         spectrum = spectrum.with_volume(args.volume)
     rows = []
@@ -368,7 +379,7 @@ def cmd_continue(args) -> int:
                 location=super_records[int(np.argmax(on_pole[stop]))].location,
             )
         for s, log_value, winding in zip(grid.tolist(), logs.tolist(), windings.tolist()):
-            value = cmath.exp(log_value)
+            value = _exp(s, log_value)
             rows.append(
                 {
                     "s": _pair(s),

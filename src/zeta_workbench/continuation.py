@@ -31,6 +31,8 @@ array at once: the logs and the winding rule are arrays over (points x
 catalog records), and a grid's refusals are masks over the same, so an
 array gives what the points give one by one and the first point refused
 raises the error that point would raise alone.  A point gives a number.
+The spectra and the catalog are Python numbers; numpy enters only for
+these arrays of nodes.
 """
 
 from __future__ import annotations
@@ -40,14 +42,6 @@ import math
 
 import numpy as np
 
-from .eigenvalues import (
-    _BLOCK,
-    EIGENVALUE_TOL,
-    DiracSpectrum,
-    LaplaceSpectrum,
-    _near,
-    merge_groups,
-)
 from .errors import (
     AtSingularity,
     DegenerateShifts,
@@ -59,7 +53,14 @@ from .errors import (
 )
 from .quadrature import integrate
 from .reps import plancherel
-from .spectra import SingularityRecord
+from .spectra import (
+    EIGENVALUE_TOL,
+    DiracSpectrum,
+    EigenvalueSpectrum,
+    LaplaceSpectrum,
+    SingularityRecord,
+    merge_groups,
+)
 
 __all__ = [
     "partial_fraction_weights",
@@ -71,6 +72,27 @@ __all__ = [
     "super_tail_log",
     "super_winding",
 ]
+
+
+_BLOCK = 4096  # pairs per block of the all-pairs temporaries
+
+
+def _near(queries: np.ndarray, values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (q, v) of the pairs with |queries[q] - values[v]| < tol.
+    Every pair is compared, the queries in blocks of _BLOCK pairs, so the
+    temporaries stay near 64 kB however many queries and values there are."""
+    step = max(1, _BLOCK // max(values.size, 1))
+    qs, vs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for start in range(0, queries.size, step):
+        q, v = np.nonzero(np.abs(queries[start : start + step, None] - values) < tol)
+        qs.append(q + start)
+        vs.append(v)
+    return np.concatenate(qs), np.concatenate(vs)
+
+
+def _arrays(spectrum: EigenvalueSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum's values and multiplicities as arrays."""
+    return np.array(spectrum.values, dtype=complex), np.array(spectrum.multiplicity, dtype=int)
 
 
 def _number_or_array(s, values: np.ndarray):
@@ -136,7 +158,7 @@ def continued_super_logderiv(s, dirac: DiracSpectrum):
     over them, and any point on a pole is refused with AtSingularity.
     """
     z = np.asarray(s, dtype=complex)
-    ev, m = dirac.values, dirac.multiplicity
+    ev, m = _arrays(dirac)
     _refuse_poles(z, np.concatenate([1j * ev, -1j * ev]))
     return 2j * _spectral_sum(lambda zz: m * ev / (ev * ev + zz * zz), z, len(ev))
 
@@ -157,7 +179,7 @@ def continued_sym_logderiv(
     if volume is None:
         raise MissingVolume("the density term needs a volume (0 to disable)")
     z = np.asarray(s, dtype=complex)
-    mu, m = laplace.values, laplace.multiplicity
+    mu, m = _arrays(laplace)
     roots = 1j * np.sqrt(mu)
     _refuse_poles(z, np.concatenate([roots, -roots]))
     rational = 2.0 * z * _spectral_sum(lambda zz: m / (mu + zz * zz), z, len(mu))
@@ -224,28 +246,31 @@ def singularity_catalog(
     second-order spectrum is allowed; the catalog then checks the grading
     parity m_s(lam) = m(lam^2) mod 2 at every location and refuses data
     that no graded operator pair could produce.  Each of +-lam and
-    +-sqrt(mu) joins one location by eigenvalues.merge_groups.
+    +-sqrt(mu) joins one location by spectra.merge_groups.
     """
     lam, m_lam = dirac.values, dirac.multiplicity
     roots, m_root = lam, m_lam  # with no laplace, no square is taken
     if laplace is not None:
-        roots, m_root = np.sqrt(laplace.values), laplace.multiplicity
+        roots, m_root = [cmath.sqrt(mu) for mu in laplace.values], laplace.multiplicity
 
     # candidates 2i and 2i + 1 are lam_i and -lam_i, then root_i and
     # -root_i; each joins one distinct "frequency" nu, location i*nu
-    candidates = np.stack([np.concatenate([lam, roots]), -np.concatenate([lam, roots])], 1).ravel()
+    candidates = [x for v in (*lam, *roots) for x in (v, -v)]
     kept, column = merge_groups(candidates)
-    freqs = candidates[kept]
-    first, second = np.split(column, [2 * len(lam)])
     # the signed multiplicity m(nu) - m(-nu), and the squared one m(nu^2),
     # to which a root and its negative count once when they share nu, at 0
-    signed = np.stack([m_lam, -m_lam], 1).ravel()
-    m_signed = np.bincount(first, weights=signed, minlength=len(freqs))
-    per_root = np.stack([m_root, np.where(second[::2] != second[1::2], m_root, 0)], 1)
-    m_squared = np.bincount(second, weights=per_root.ravel(), minlength=len(freqs))
+    m_signed, m_squared = [0] * len(kept), [0] * len(kept)
+    for m, plus, minus in zip(m_lam, column[0::2], column[1::2]):
+        m_signed[plus] += m
+        m_signed[minus] -= m
+    second = column[2 * len(lam) :]
+    for m, plus, minus in zip(m_root, second[0::2], second[1::2]):
+        m_squared[plus] += m
+        if minus != plus:
+            m_squared[minus] += m
 
     records: list[SingularityRecord] = []
-    for nu, m_super, m_second in zip(freqs.tolist(), map(int, m_signed), map(int, m_squared)):
+    for nu, m_super, m_second in zip([candidates[i] for i in kept], m_signed, m_squared):
         if abs(nu) < EIGENVALUE_TOL:
             # the signed multiplicity vanishes identically at zero; the
             # second-order residue there is 2 m(0), giving plain order m(0)
@@ -279,8 +304,8 @@ def super_tail_log(dirac: DiracSpectrum, w: complex) -> complex:
     Valid once Re(w) dominates every |lam|; each eigenvalue contributes
     m * Log((w - i lam)/(w + i lam)), which decays like 1/w.
     """
-    ev = dirac.values
-    return complex(np.sum(dirac.multiplicity * np.log((w - 1j * ev) / (w + 1j * ev))))
+    ev, m = _arrays(dirac)
+    return complex(np.sum(m * np.log((w - 1j * ev) / (w + 1j * ev))))
 
 
 def _path_plan(

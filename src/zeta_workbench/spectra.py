@@ -1,23 +1,29 @@
-"""Core domain types: geodesic length spectra and the document readers.
+"""Core domain types: length and eigenvalue spectra, and the document readers.
 
 A length spectrum is a finite set of conjugacy classes below a stated
 cutoff, with manifold metadata.  It is built from ClassColumns and reads
-back as those columns only: read-only length, angle and multiplicity
-buffers and a tuple of optional words.  The class sums read the buffers
-once, as lists of Python numbers.  A class is primitive exactly when its
-multiplicity is 1.
+back as those columns only: tuples of lengths, angles, multiplicities and
+optional words, all Python numbers or strings.  A class is primitive
+exactly when its multiplicity is 1.
+
+An operator spectrum is a finite eigenvalue list with algebraic
+multiplicities, held as a tuple of complex values and a tuple of ints.
+Eigenvalues are complex throughout because the group representation
+twisting the operator need not be unitary.  They have one equality rule,
+merge_groups: entries closer than 1e-12, exact repeats included, merge at
+construction, and the singularity catalog groups its locations alike.
 
 All types are immutable after construction and validated eagerly.  The
-class rules of a length spectrum are checked once, on its columns, with
-Python numbers; a document's classes are read in one pass, and every
-refusal names the first offending class.  A document is written from the
-columns, one fixed template per class.  This module loads no numpy, so
-neither does reading, walking or writing a length spectrum.  Operator
-spectra, which do, are in eigenvalues.py.
+class rules of a length spectrum are checked once, on its columns; a
+document's classes are read in one pass, and every refusal names the first
+offending class.  A document is written from the columns, one fixed
+template per class.  This module loads no numpy, so neither does reading,
+walking or writing a spectrum of either kind.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -32,27 +38,21 @@ from .names import ZETA_KINDS
 __all__ = [
     "ClassColumns",
     "LengthSpectrum",
+    "EigenvalueSpectrum",
+    "DiracSpectrum",
+    "LaplaceSpectrum",
     "SingularityRecord",
     "TruncatedValue",
     "wrap_angle",
     "parse_length_spectrum",
     "serialize_length_spectrum",
+    "parse_eigenvalue_spectrum",
+    "serialize_eigenvalue_spectrum",
+    "square_spectrum",
+    "super_multiplicity",
 ]
 
 TAU = 2.0 * math.pi
-
-# the one name of eigenvalues.py still found here, for code that reads it
-# from spectra (perfbench/gridcheck.py does)
-_EIGENVALUE_NAMES = ("DiracSpectrum",)
-
-
-def __getattr__(name: str):
-    """A name of eigenvalues.py, which it loads, numpy with it, on first use."""
-    if name not in _EIGENVALUE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import eigenvalues
-
-    return getattr(eigenvalues, name)
 
 
 def wrap_angle(theta: float) -> float:
@@ -63,25 +63,20 @@ def wrap_angle(theta: float) -> float:
     return y
 
 
-def _column(values, typecode: str) -> memoryview:
-    """values copied into an array(typecode), behind a read-only view."""
-    return memoryview(array(typecode, values)).toreadonly()
-
-
 class ClassColumns:
-    """A spectrum's classes as columns: length and angle (float64) and
-    multiplicity (int64, ones by default) as read-only memoryviews over
-    arrays, whose tolist() gives Python numbers, and a tuple of words (str
-    or None, all None by default).
+    """A spectrum's classes as columns: tuples of lengths and angles
+    (floats), of multiplicities (ints, ones by default) and of words (str
+    or None, all None by default).  The numbers pass through array("d")
+    and array("q"), which refuse a non-number and an int outside int64.
 
     Its length is the number of classes; equality compares the columns.
     """
 
     def __init__(self, length, angle, multiplicity=None, words=None):
-        self.length = _column(length, "d")
-        self.angle = _column(angle, "d")
-        n = array("q", [1]) * len(self.length) if multiplicity is None else multiplicity
-        self.multiplicity = _column(n, "q")
+        self.length = tuple(array("d", length))
+        self.angle = tuple(array("d", angle))
+        n = (1,) * len(self.length) if multiplicity is None else array("q", multiplicity)
+        self.multiplicity = tuple(n)
         self.words = (None,) * len(self.length) if words is None else tuple(words)
 
     def __len__(self) -> int:
@@ -108,9 +103,8 @@ class LengthSpectrum:
     A spectrum is built from ClassColumns, and nothing else, and reads back
     as its columns: length, angle, multiplicity and words.  The class rules
     are checked once, on the columns.
-    memo is where zeta.py keeps the length and angle columns as lists, and
-    the twist traces, class weights and tail model constants it last
-    computed on this spectrum.
+    memo is where zeta.py keeps the twist traces, class weights and tail
+    model constants it last computed on this spectrum.
     """
 
     cutoff: float
@@ -118,9 +112,9 @@ class LengthSpectrum:
     tolerance: float = 1e-9
     volume: float | None = None
     source: str = ""
-    length: memoryview = field(init=False, repr=False, compare=False)
-    angle: memoryview = field(init=False, repr=False, compare=False)
-    multiplicity: memoryview = field(init=False, repr=False, compare=False)
+    length: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    angle: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    multiplicity: tuple[int, ...] = field(init=False, repr=False, compare=False)
     words: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -154,7 +148,7 @@ def _validate_spectrum(spec: LengthSpectrum) -> None:
     tol, top_length = spec.tolerance, spec.cutoff + spec.tolerance
     if top_length == math.inf:  # a length up to it could be inf
         raise InvariantViolation(f"cutoff + tolerance must be finite, got {spec.cutoff} + {tol}")
-    length, angle, n, words = spec.length.tolist(), spec.angle, spec.multiplicity, spec.words
+    length, angle, n, words = spec.length, spec.angle, spec.multiplicity, spec.words
     # each class's own rules; the first class above the cutoff, or below
     # the longest before it (0 before the first) by more than tol, is kept
     # for after them.  A class above the cutoff that is not the longest so
@@ -215,6 +209,93 @@ def _validate_spectrum(spec: LengthSpectrum) -> None:
                 f"class {i} has multiplicity {m} but no root class of length "
                 f"{root_len:.12g} with compatible angle is present"
             )
+
+
+EIGENVALUE_TOL = 1e-12  # eigenvalues closer than this are one
+
+
+def merge_groups(values) -> tuple[list[int], list[int]]:
+    """The one closeness rule for eigenvalues: in order, a value joins the
+    first kept value closer than EIGENVALUE_TOL, or else is kept itself.
+    Returns the kept indices and, per value, the position of its kept one.
+
+    An exact repeat joins its group through a dict, with no comparison.  A
+    new value is compared only with the kept values whose real parts lie
+    within twice EIGENVALUE_TOL of its own (room for rounding), found by
+    bisection in the kept real parts, sorted; so well-separated values
+    cost no comparison at all."""
+    kept, column, group = [], [], {}  # group: each value seen, to its position
+    reals, positions = [], []  # the kept values' real parts, sorted, and positions
+    window = 2 * EIGENVALUE_TOL
+    for j, v in enumerate(values):
+        pos = group.get(v)  # 0.0 and -0.0 are one key, as they are one value
+        if pos is None:
+            lo = bisect_left(reals, v.real - window)
+            hi = bisect_right(reals, v.real + window)
+            near = [p for p in positions[lo:hi] if abs(values[kept[p]] - v) < EIGENVALUE_TOL]
+            if near:
+                pos = min(near)
+            else:
+                pos = len(kept)
+                kept.append(j)
+                at = bisect_right(reals, v.real)
+                reals.insert(at, v.real)
+                positions.insert(at, pos)
+            group[v] = pos
+        column.append(pos)
+    return kept, column
+
+
+class EigenvalueSpectrum:
+    """Finite eigenvalue list with algebraic multiplicities, built from
+    (value, multiplicity) pairs and held as tuples: values (complex) and
+    multiplicity (int).  A non-finite value or a multiplicity below 1 is
+    refused, naming the entry, and so are multiplicities adding up to
+    2**53 or more; entries merge by merge_groups, the kept entry giving the
+    location and the group's multiplicities adding up."""
+
+    def __init__(self, entries):
+        pairs = [(complex(ev), int(m)) for ev, m in entries]
+        if sum(abs(m) for _, m in pairs) >= 2**53:  # so float64 sums of them stay exact
+            raise InvariantViolation("the multiplicities must add up to less than 2**53")
+        for i, (ev, m) in enumerate(pairs):
+            if not cmath.isfinite(ev):
+                raise InvariantViolation(f"entry {i} has eigenvalue {ev}; it must be finite")
+            if m < 1:
+                raise InvariantViolation(f"entry {i} has multiplicity {m}; it must be >= 1")
+        kept, column = merge_groups([ev for ev, _ in pairs])
+        mult = [0] * len(kept)
+        for (_, m), pos in zip(pairs, column):
+            mult[pos] += m
+        self.values = tuple(pairs[i][0] for i in kept)
+        self.multiplicity = tuple(mult)
+
+    @property
+    def entries(self) -> tuple[tuple[complex, int], ...]:
+        return tuple(zip(self.values, self.multiplicity))
+
+
+class DiracSpectrum(EigenvalueSpectrum):
+    """Eigenvalues of a first-order twisted operator; signed spectrum."""
+
+
+class LaplaceSpectrum(EigenvalueSpectrum):
+    """Eigenvalues of the squared operator."""
+
+
+def square_spectrum(dirac: DiracSpectrum) -> LaplaceSpectrum:
+    """Square each eigenvalue; squares closer than EIGENVALUE_TOL merge."""
+    return LaplaceSpectrum(zip([v * v for v in dirac.values], dirac.multiplicity))
+
+
+def super_multiplicity(dirac: DiracSpectrum, ev: complex) -> int:
+    """Signed multiplicity m(ev) - m(-ev): m(x) is the multiplicity of the
+    first eigenvalue closer than EIGENVALUE_TOL to x, or 0."""
+
+    def m(x):
+        return next((n for v, n in dirac.entries if abs(v - x) < EIGENVALUE_TOL), 0)
+
+    return m(ev) - m(-ev)
 
 
 @dataclass(frozen=True)
@@ -425,9 +506,7 @@ def serialize_length_spectrum(spec: LengthSpectrum) -> str:
     template = '{"angle": %r, "length": %r, "multiplicity": %d, "primitive": %s, "word": %s}'
     classes = ", ".join(
         template % (a, l, n, "true" if n == 1 else "false", json.dumps(w))
-        for l, a, n, w in zip(
-            spec.length.tolist(), spec.angle.tolist(), spec.multiplicity.tolist(), spec.words
-        )
+        for l, a, n, w in zip(spec.length, spec.angle, spec.multiplicity, spec.words)
     )
     rest = json.dumps(
         {
@@ -440,3 +519,26 @@ def serialize_length_spectrum(spec: LengthSpectrum) -> str:
         sort_keys=True,
     )
     return '{"classes": [' + classes + "], " + rest[1:] + "\n"
+
+
+def parse_eigenvalue_spectrum(document: str | dict, kind: str = "dirac") -> EigenvalueSpectrum:
+    """Parse {"entries": [{"re", "im", "multiplicity"}]} into a spectrum."""
+    doc = json_object(document)
+    raw = require(doc, "entries", list, "spectrum")
+    entries = []
+    for i, re in enumerate(raw):
+        if not isinstance(re, dict):
+            raise SchemaError(f"entry {i}: must be an object")
+        where = f"entry {i}"
+        ev_re = float(require(re, "re", float, where))
+        ev_im = float(require(re, "im", float, where))
+        mult = require(re, "multiplicity", int, where)
+        entries.append((complex(ev_re, ev_im), mult))
+    cls = DiracSpectrum if kind == "dirac" else LaplaceSpectrum
+    return cls(entries=tuple(entries))
+
+
+def serialize_eigenvalue_spectrum(spec: EigenvalueSpectrum) -> str:
+    entries = zip(spec.values, spec.multiplicity)
+    doc = {"entries": [{"re": ev.real, "im": ev.imag, "multiplicity": m} for ev, m in entries]}
+    return json.dumps(doc, sort_keys=True)

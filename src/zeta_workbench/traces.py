@@ -18,7 +18,8 @@ geodesic sum weighted by (l/n) (L(gamma; k) + L(gamma; -k)) exp(-l^2/4t)
 zeta.py over the spectrum's length column, with the class weights of the
 zeta sums and the exponent -(l^2/4t + rho l), which carries the exp(-l)
 of D; both spectral sums add up an eigenvalue spectrum's entries with
-cmath.  Without a twist, nothing here loads numpy.
+cmath, and a spectral sum that is not a finite number is refused.
+Without a twist, nothing here loads numpy.
 
 For synthetic inputs the two sides of either formula need not agree; the
 package reports their gap as a diagnostic and never asserts equality.
@@ -32,9 +33,8 @@ from __future__ import annotations
 import cmath
 import math
 from operator import mul
-from typing import TYPE_CHECKING
 
-from .errors import InvariantViolation, MissingVolume
+from .errors import InvariantViolation, MissingVolume, WorkbenchError
 from .reps import (
     DEFAULT_PLANCHEREL_NORMALIZATION,
     GammaRep,
@@ -46,11 +46,8 @@ from .reps import (  # noqa: F401  (wrapped by name in perfbench/tracing.py)
     character_chi,
     character_sigma,
 )
-from .spectra import LengthSpectrum
-from .zeta import RHO, class_columns, class_sum, class_weights
-
-if TYPE_CHECKING:
-    from .eigenvalues import DiracSpectrum, LaplaceSpectrum
+from .spectra import DiracSpectrum, LaplaceSpectrum, LengthSpectrum
+from .zeta import RHO, class_sum, class_weights
 
 __all__ = [
     "dirac_geometric_side",
@@ -71,7 +68,7 @@ def dee_gamma(length: float, angle: float) -> float:
 # geodesic sides
 
 
-def _heat_exponents(length: list[float], t: float) -> list[float]:
+def _heat_exponents(length: tuple[float, ...], t: float) -> list[float]:
     """-(l^2/4t + rho l) per class: the Gaussian in l times the exp(-rho l)
     of the Selberg-type weights, as one exponent."""
     return [-(l * l / (4.0 * t) + RHO * l) for l in length]
@@ -87,7 +84,7 @@ def dirac_geometric_side(
     require_case_b(k)
     if not (t > 0):
         raise InvariantViolation("t must be positive")
-    length = class_columns(spectrum)[0]
+    length = spectrum.length
     prefactor = -2j * math.pi / (4.0 * math.pi * t) ** 1.5
     weights = map(mul, (l * l for l in length), class_weights(spectrum, chi, k, -1, True))
     return prefactor * class_sum(weights, _heat_exponents(length, t))
@@ -108,7 +105,7 @@ def heat_geometric_side(
     dim_chi = 1 if chi is None else chi.dimension
     identity = 2.0 * dim_chi * spectrum.volume * identity_term_heat(k, t)
 
-    length = class_columns(spectrum)[0]
+    length = spectrum.length
     weights = map(mul, length, class_weights(spectrum, chi, k, +1, True))
     geodesic = class_sum(weights, _heat_exponents(length, t))
     return identity + geodesic / math.sqrt(4.0 * math.pi * t)
@@ -118,18 +115,30 @@ def heat_geometric_side(
 # spectral sides
 
 
+def _finite_sum(terms, t: float) -> complex:
+    """The sum of a spectral side's terms, refused unless it is finite: an
+    eigenvalue far enough from the real axis makes exp overflow."""
+    try:
+        total = sum(terms, 0j)
+    except (OverflowError, ValueError):  # ValueError: exp of inf + inf i
+        total = complex(math.inf)
+    if not cmath.isfinite(total):
+        raise WorkbenchError(f"the spectral side at t = {t} is not a finite number")
+    return total
+
+
 def dirac_spectral_side(t: float, dirac: DiracSpectrum) -> complex:
     """sum m(lam) lam exp(-t lam^2)."""
     if not (t > 0):
         raise InvariantViolation("t must be positive")
-    return sum((m * ev * cmath.exp(-t * ev * ev) for ev, m in dirac.entries), 0j)
+    return _finite_sum((m * ev * cmath.exp(-t * ev * ev) for ev, m in dirac.entries), t)
 
 
 def heat_spectral_side(t: float, laplace: LaplaceSpectrum) -> complex:
     """sum m(mu) exp(-t mu)."""
     if not (t > 0):
         raise InvariantViolation("t must be positive")
-    return sum((m * cmath.exp(-t * mu) for mu, m in laplace.entries), 0j)
+    return _finite_sum((m * cmath.exp(-t * mu) for mu, m in laplace.entries), t)
 
 
 # ---------------------------------------------------------------------------

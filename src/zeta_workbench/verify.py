@@ -35,12 +35,19 @@ from .continuation import (
     residue_at,
     singularity_catalog,
 )
-from .eigenvalues import DiracSpectrum, LaplaceSpectrum, square_spectrum, super_multiplicity
 from .errors import InvariantViolation, ParityViolation, QuadratureFailure, WorkbenchError
 from .names import SUITE_NAMES
 from .quadrature import integrate
 from .reps import ad_nbar_det, plancherel
-from .spectra import ClassColumns, LengthSpectrum, wrap_angle
+from .spectra import (
+    ClassColumns,
+    DiracSpectrum,
+    LaplaceSpectrum,
+    LengthSpectrum,
+    square_spectrum,
+    super_multiplicity,
+    wrap_angle,
+)
 from .traces import (
     dee_gamma,
     dirac_geometric_side,
@@ -394,7 +401,7 @@ def suite_partial_fractions(seed: int = 0) -> dict:
         lhs = np.dot(weights, -0.5j * continued_super_logderiv(points, dirac))
         terms = [
             w * m * ev / (ev * ev + s * s)
-            for ev, m in zip(dirac.values.tolist(), dirac.multiplicity.tolist())
+            for ev, m in dirac.entries
             for w, s in zip(weights, shifts)
         ]
         rhs = sum(terms)
@@ -407,7 +414,7 @@ def suite_partial_fractions(seed: int = 0) -> dict:
         lhs2 = np.dot(weights, continued_sym_logderiv(points, laplace, k, 1, vol))
         terms2 = [
             w * 2.0 * s * m / (mu + s * s)
-            for mu, m in zip(laplace.values.tolist(), laplace.multiplicity.tolist())
+            for mu, m in laplace.entries
             for w, s in zip(weights, shifts)
         ] + [
             -w * 4.0 * math.pi * vol * poly.at_s(s) for w, s in zip(weights, shifts)
@@ -427,13 +434,13 @@ def suite_residues(seed: int = 0) -> dict:
 
     for trial in range(25):
         dirac = random_dirac_spectrum(rng)
-        ev = dirac.values
+        ev = np.array(dirac.values)
 
         def l_super(z):
             return continued_super_logderiv(z, dirac)
 
         got = residue_at(l_super, np.concatenate([1j * ev, -1j * ev]), 0.1)
-        want = np.array([super_multiplicity(dirac, e) for e in ev.tolist()])
+        want = np.array([super_multiplicity(dirac, e) for e in dirac.values])
         # case 2i is the residue at i ev_i, case 2i + 1 the one at -i ev_i
         gaps = np.stack(np.split(np.abs(got - np.concatenate([want, -want])), 2), 1).ravel()
 
@@ -448,11 +455,11 @@ def suite_residues(seed: int = 0) -> dict:
         def l_sym(z):
             return continued_sym_logderiv(z, laplace, k, 1, 1.0)
 
-        roots = [1j * cmath.sqrt(mu) for mu in laplace.values.tolist()]
+        roots = [1j * cmath.sqrt(mu) for mu in laplace.values]
         ledger.gaps(
             np.abs(residue_at(l_sym, np.array(roots), 0.05) - laplace.multiplicity),
             1e-8,
-            lambda i: f"second order, trial {trial}, mu={complex(laplace.values[i])}",
+            lambda i: f"second order, trial {trial}, mu={laplace.values[i]}",
         )
 
     # zero eigenvalue: second-order residue doubles
@@ -544,7 +551,7 @@ def suite_parity(seed: int = 0, inject_violation: bool = False) -> dict:
 
     for trial in range(10):
         dirac = random_dirac_spectrum(rng, max_entries=8)
-        for ev in dirac.values.tolist():
+        for ev in dirac.values:
             ledger.require(
                 super_multiplicity(dirac, ev) == -super_multiplicity(dirac, -ev),
                 f"antisymmetry broken at {ev}",

@@ -20,13 +20,13 @@ and both vanish as Re(s) grows, which pins the integration constant.
 The symmetrized, super and super-Ruelle variants are the sums and
 differences of the base sums at k and at its sign flip -k.
 
-A spectrum carries its classes as columns; the length and angle columns
-are read once as lists of Python floats and kept on the spectrum.
-chi_trace reads a twist over all the class words in one batched
-character_chi call, once per (spectrum, twist), and class_weights
-computes the per-class weights once per (spectrum, twist, k, kind
-shape); the spectrum keeps the last of each, as tuples of Python complex
-numbers, and the tail model's constants for its last (twist, growth).
+A spectrum carries its classes as columns, tuples of Python numbers that
+the sums read as they are.  chi_trace reads a twist over all the class
+words in one batched character_chi call, once per (spectrum, twist), and
+class_weights computes the per-class weights once per (spectrum, twist,
+k, kind shape); the spectrum keeps the last of each, as tuples of Python
+complex numbers, and the tail model's constants for its last (twist,
+growth).
 Every geodesic sum, here and in traces.py, is then one kernel,
 class_sum: the weights times exp of one exponent per class, -(s+1) l or
 -s l here and -(l^2/4t + l) for the trace sides, one grid point at a
@@ -64,7 +64,6 @@ from .spectra import LengthSpectrum, TruncatedValue
 __all__ = [
     "ZetaRequest",
     "chi_trace",
-    "class_columns",
     "class_sum",
     "class_weights",
     "convergence_abscissa",
@@ -89,15 +88,6 @@ _SHAPES = dict(
 
 
 # class weights and the kernel ---------------------------------------------
-
-
-def class_columns(spectrum: LengthSpectrum) -> tuple[list[float], list[float]]:
-    """The length and angle columns as lists of Python floats, read once
-    per spectrum and kept on it."""
-    columns = spectrum.memo.get("columns")
-    if columns is None:
-        columns = spectrum.memo["columns"] = (spectrum.length.tolist(), spectrum.angle.tolist())
-    return columns
 
 
 def chi_trace(spectrum: LengthSpectrum, chi: GammaRep) -> tuple[complex, ...]:
@@ -137,11 +127,11 @@ def class_weights(
     memo = spectrum.memo.get("weights")
     if memo is not None and memo[0] is chi and memo[1] == key:
         return memo[2]
-    length, angle = class_columns(spectrum)
+    length, angle = spectrum.length, spectrum.angle
     trsigma = character_sigma(k, angle)
     if sign:
         trsigma = [a + sign * b for a, b in zip(trsigma, character_sigma(-k, angle))]
-    divisors = spectrum.multiplicity.tolist()
+    divisors = spectrum.multiplicity
     if selberg_type:
         dets = ad_nbar_det(length, angle)
         if 0.0 in dets:  # a class too short for float64 to tell from parabolic
@@ -165,7 +155,7 @@ def class_sum(weights, exponents) -> complex:
     return sum(map(mul, weights, map(cmath.exp, exponents)), 0j)
 
 
-def _exponents(s: complex, length: list[float], selberg_type: bool):
+def _exponents(s: complex, length: tuple[float, ...], selberg_type: bool):
     """-(s + rho) l per class for the Selberg-type sums, -s l otherwise."""
     return map(mul, repeat(-(s + RHO) if selberg_type else -s), length)
 
@@ -239,9 +229,8 @@ def _count_model(
         # shows on the spectrum
         observed = max(map(abs, chi_trace(spectrum, chi)))
         chi_bound = max(float(chi.dimension), observed)
-    length = class_columns(spectrum)[0]
-    logs = (math.log(rank) - growth * l for rank, l in enumerate(length, 1))
-    C = math.exp(math.fsum(logs) / len(length))
+    logs = (math.log(rank) - growth * l for rank, l in enumerate(spectrum.length, 1))
+    C = math.exp(math.fsum(logs) / len(spectrum.length))
     model = (chi_bound, C)
     spectrum.memo["count_model"] = (chi, growth, model)
     return model
@@ -287,7 +276,7 @@ def log_zeta(req: ZetaRequest) -> TruncatedValue:
         return TruncatedValue(0.0, 0.0, 0)
     _check_region(req.s, req.kind, growth)
     weights = class_weights(spectrum, chi, req.k, sign, selberg_type)
-    value = -class_sum(weights, _exponents(req.s, class_columns(spectrum)[0], selberg_type))
+    value = -class_sum(weights, _exponents(req.s, spectrum.length, selberg_type))
     tail = _tail_bound(
         spectrum,
         chi,
@@ -318,7 +307,7 @@ def _log_derivative(
     if not spectrum.classes:
         return TruncatedValue(0.0, 0.0, 0)
     _check_region(s, "selberg", growth)
-    length = class_columns(spectrum)[0]
+    length = spectrum.length
     weights = map(mul, length, class_weights(spectrum, chi, k, sign, True))
     tail = _tail_bound(
         spectrum, chi, growth, s.real + RHO, 2.0, with_det=True, with_length_factor=True

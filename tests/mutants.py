@@ -67,6 +67,12 @@ MUTANTS = (
     Mutant("M12", "src/zeta_workbench/zeta.py",
            "-(s + RHO)", "-s",
            "tests/test_zeta.py", "the Selberg-type exponent carries exp(-rho l)"),
+    Mutant("M13", "src/zeta_workbench/spectra.py",
+           "window = 2 * EIGENVALUE_TOL", "window = 0.5 * EIGENVALUE_TOL",
+           "tests/test_spectra.py", "the merge window covers the whole tolerance"),
+    Mutant("M14", "src/zeta_workbench/continuation.py",
+           "if minus != plus:", "if True:",
+           "tests/test_continuation.py", "a root at 0 counts once in m(nu^2)"),
 )
 
 # Mutants that the suite does not kill yet: no test holds tail_bound

@@ -199,7 +199,7 @@ def test_criterion_10_enumerator_sanity():
     spec = enumerate_spectrum(
         pres, EnumerationConfig(max_word_length=6, length_cutoff=7.0)
     )
-    got = sorted(zip(spec.length.tolist(), spec.multiplicity.tolist()))
+    got = sorted(zip(list(spec.length), list(spec.multiplicity)))
     assert len(got) == 5
     for n, (length, mult) in enumerate(got, start=1):
         assert mult == n

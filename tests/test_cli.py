@@ -620,6 +620,19 @@ def test_zeta_with_a_long_class_writes_finite_json(tmp_path, capsys):
     assert math.isfinite(row["tail_bound"])
 
 
+def test_zeta_value_past_the_float_range_exit_1(tmp_path, capsys):
+    # 1000 short classes put Re log R near 906 at s = 0.02, whose exp
+    # overflowed with a traceback; the row is refused, naming s and Re log
+    classes = [(0.01 * (i + 1), 3.14159, 1) for i in range(1000)]
+    spec = write_json(tmp_path, "short.json", spectrum_doc(classes, cutoff=10.0))
+    code = main(["zeta", "--spectrum", spec, "--kind", "ruelle", "--sigma", "1",
+                 "--growth", "0.01", "--s-start", "0.02", "0"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert "s = (0.02+0j)" in err and "Re log Z = 906." in err
+
+
 # ---------------------------------------------------------------------------
 # trace
 
@@ -637,6 +650,24 @@ def test_trace_first_order_with_spectral_diagnostic(tmp_path, capsys):
     for row in rows:
         assert "spectral" in row
         assert row["diagnostic_gap"] >= 0.0
+
+
+@pytest.mark.parametrize(
+    "order, flag, entry",
+    [
+        ("first", "--dirac", (0.0, 30.0, 1)),  # exp(900) overflowed with a traceback
+        ("first", "--dirac", (0.0, 26.62, 3)),  # a finite exp, an infinite sum: Infinity
+        ("second", "--laplace", (-900.0, 0.0, 1)),
+    ],
+)
+def test_trace_spectral_side_past_the_float_range_exit_1(tmp_path, capsys, order, flag, entry):
+    spec = write_json(tmp_path, "one.json", spectrum_doc([(1.0, 0.7, 1)]))
+    eigen = write_json(tmp_path, "eigen.json", eigen_doc([entry]))
+    code = main(["trace", "--spectrum", spec, "--sigma", "1", "--order", order,
+                 flag, eigen, "--t", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: the spectral side at t = 1.0 is not a finite number\n"
 
 
 def test_trace_volume_override_changes_heat_side(tmp_path, capsys):
@@ -853,12 +884,24 @@ def test_continue_merges_eigenvalues_closer_than_1e_12(tmp_path, capsys):
 
 @pytest.mark.parametrize("m", [2**53 - 1, 2**63, 2**70])
 def test_continue_refuses_multiplicities_past_float64_exit_1(tmp_path, capsys, m):
-    # the catalog adds multiplicities up in float64, exact below 2**53
+    # the continued sums weigh the poles by multiplicities in float64,
+    # exact below 2**53
     dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1), (2.0, 0.0, m)]))
     assert main(["continue", "--dirac", dirac]) == 1
     captured = capsys.readouterr()
     assert "the multiplicities must add up to less than 2**53" in captured.err
     assert captured.out == ""
+
+
+def test_continue_value_past_the_float_range_exit_1(tmp_path, capsys):
+    # order -1000 at -i, 0.2 away: Re log = 1000 ln 11 is past exp's range,
+    # which overflowed with a traceback
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1000)]))
+    code = main(["continue", "--dirac", dirac, "--s-start", "0", "-1.2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert "s = -1.2j" in err and "Re log Z = 2397." in err
 
 
 def test_continue_inconsistent_pair_exit_6(tmp_path, capsys):
@@ -1213,9 +1256,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     trace_argv = ["trace", "--spectrum", spec, "--sigma", "1", "--volume", "1"]
     enumerate_argv = ["enumerate", "--presentation", pres, "--max-word-length", "3"]
     # (label, argv, modules, numpy loaded), in order: the second enumerate
-    # reads the entry the first one wrote.  The class sums and the geodesic
-    # sides run on Python numbers; a twist's matrices and an eigenvalue list
-    # load numpy
+    # reads the entry the first one wrote.  The class sums, the geodesic
+    # sides and the spectral sides run on Python numbers; a twist's matrices
+    # and the continuation's arrays of nodes load numpy
     table = [
         ("help", ["--help"], PARSER, False),
         ("zeta", zeta_argv, CLASS_SUMS, False),
@@ -1223,16 +1266,16 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         ("trace first", trace_argv, TRACE, False),
         ("trace second", trace_argv + ["--order", "second"], TRACE, False),
         ("trace --chi", trace_argv + ["--chi", chi], TRACE, True),
-        ("trace --dirac", trace_argv + ["--dirac", dirac], TRACE | {"eigenvalues"}, True),
+        ("trace --dirac", trace_argv + ["--dirac", dirac], TRACE, False),
         ("trace --laplace", trace_argv + ["--order", "second", "--laplace", laplace],
-         TRACE | {"eigenvalues"}, True),
+         TRACE, False),
         ("enumerate cold", enumerate_argv, ENUMERATE, False),
         ("enumerate cached", enumerate_argv, PARSER | {"cache"}, False),
         ("continue", ["continue", "--dirac", dirac, "--s-start", "-0.5", "3", "--s-stop",
                       "-0.5", "-3", "--s-count", "4"],
-         PARSER | {"spectra", "eigenvalues", "reps", "quadrature", "continuation"}, True),
+         PARSER | {"spectra", "reps", "quadrature", "continuation"}, True),
         ("verify", ["verify", "--suite", "kernels"],
-         TRACE | {"quadrature", "eigenvalues", "continuation", "verify"}, True),
+         TRACE | {"quadrature", "continuation", "verify"}, True),
     ]
     env = dict(os.environ, ZETA_CACHE_DIR=str(tmp_path / "cache"))
     env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])

@@ -46,7 +46,7 @@ Class = namedtuple("Class", "length angle multiplicity word")
 
 def classes(spectrum):
     """The spectrum's classes as records read off its columns."""
-    columns = spectrum.length.tolist(), spectrum.angle.tolist(), spectrum.multiplicity.tolist()
+    columns = list(spectrum.length), list(spectrum.angle), list(spectrum.multiplicity)
     return [Class(*row) for row in zip(*columns, spectrum.words)]
 
 
@@ -202,8 +202,8 @@ def test_cyclic_enumeration_exact(cyclic_presentation):
     # depth 6 words reach 6 * 2 ln 2 > 7, certifying the cutoff-7 listing
     config = EnumerationConfig(max_word_length=6, length_cutoff=7.0)
     spectrum = enumerate_spectrum(cyclic_presentation, config)
-    lengths = spectrum.length.tolist()
-    mults = spectrum.multiplicity.tolist()
+    lengths = list(spectrum.length)
+    mults = list(spectrum.multiplicity)
     assert lengths == pytest.approx(
         [n * TWO_LN_2 for n in range(1, 6)], abs=1e-12
     )
@@ -215,7 +215,7 @@ def test_cyclic_enumeration_exact(cyclic_presentation):
 def test_cyclic_cutoff_truncates(cyclic_presentation):
     config = EnumerationConfig(max_word_length=5, length_cutoff=3.0)
     spectrum = enumerate_spectrum(cyclic_presentation, config)
-    assert spectrum.multiplicity.tolist() == [1, 2]
+    assert list(spectrum.multiplicity) == [1, 2]
 
 
 def test_generator_and_inverse_are_two_classes():
@@ -258,7 +258,7 @@ def test_classes_come_sorted_by_length_angle_word(free_two_generator):
     spectrum = enumerate_spectrum(
         free_two_generator, EnumerationConfig(max_word_length=7, length_cutoff=30.0)
     )
-    keys = list(zip(spectrum.length.tolist(), spectrum.angle.tolist(), spectrum.words))
+    keys = list(zip(list(spectrum.length), list(spectrum.angle), spectrum.words))
     ties = sum(a[:2] == b[:2] for a, b in zip(keys, keys[1:]))
     assert ties > 10
     assert keys == sorted(keys)

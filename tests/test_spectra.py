@@ -27,8 +27,8 @@ from zeta_workbench import (
     super_multiplicity,
     wrap_angle,
 )
-from zeta_workbench import eigenvalues
-from zeta_workbench.eigenvalues import EIGENVALUE_TOL, merge_groups
+from zeta_workbench import spectra
+from zeta_workbench.spectra import EIGENVALUE_TOL, merge_groups
 from conftest import NOT_NUMBERS, with_literal
 
 
@@ -80,7 +80,7 @@ def test_class_invariants():
             spectrum(*columns)
     # the columns read back as they were given
     spec = spectrum([1.0, 2.0], [0.3, 0.6], [1, 2])
-    assert (spec.length.tolist(), spec.angle.tolist(), spec.multiplicity.tolist()) == (
+    assert (list(spec.length), list(spec.angle), list(spec.multiplicity)) == (
         [1.0, 2.0], [0.3, 0.6], [1, 2]
     )
 
@@ -222,19 +222,25 @@ def test_eigenvalue_validation():
     assert DiracSpectrum(entries=((1.0, 1), (1.0, 2))).entries == ((1.0, 3),)
 
 
-def test_merge_groups_compares_only_the_distinct_values(monkeypatch):
-    # only the distinct values reach the all-pairs scan and the greedy loop,
-    # so n repeats of one value cost no n**2 comparisons
-    near, seen = eigenvalues._near, []
+def test_merge_groups_compares_only_values_within_the_window(monkeypatch):
+    # each closeness test is one abs call: an exact repeat makes none, nor
+    # does a value with no kept value near its real part, so well-separated
+    # values cost no n**2 comparisons
+    calls = []
 
-    def spy(queries, values, tol):
-        seen.append((queries.size, values.size))
-        return near(queries, values, tol)
+    def counting_abs(x):
+        calls.append(x)
+        return abs(x)
 
-    monkeypatch.setattr(eigenvalues, "_near", spy)
-    spec = DiracSpectrum([(1.0, 1)] * 5 + [(2.0, 2)] + [(1.0, 1)] * 3 + [(2.0, 1)])
-    assert spec.entries == ((1.0, 8), (2.0, 3))
-    assert seen == [(2, 2)]
+    monkeypatch.setattr(spectra, "abs", counting_abs, raising=False)
+    assert merge_groups([1.0] * 5 + [2.0] + [1.0] * 3 + [2.0]) == ([0, 5], [0] * 5 + [1] + [0] * 3 + [1])
+    assert calls == []
+    assert merge_groups([float(i) for i in range(5000)]) == (list(range(5000)), list(range(5000)))
+    assert calls == []
+    assert merge_groups([1.0, 1.0 + 5e-13, 1.0 + 5e-13j]) == ([0], [0, 0, 0])
+    assert len(calls) == 2
+    # a value as near as 9e-13 in its real part still meets the kept one
+    assert merge_groups([1.0, 1.0 + 9e-13, 1.0 - 9e-13]) == ([0], [0, 0, 0])
 
 
 def greedy_groups(values):
@@ -261,8 +267,7 @@ def test_merge_groups_is_the_greedy_rule(draws):
     # repeats, signed zeros and clusters a few 1e-13 apart, where the
     # greedy order decides which values join which
     values = [complex(c) + o for c, o in draws]
-    kept, column = merge_groups(np.array(values, dtype=complex))
-    assert (kept.tolist(), column.tolist()) == greedy_groups(values)
+    assert merge_groups(values) == greedy_groups(values)
 
 
 def test_square_spectrum_merges():
@@ -548,7 +553,7 @@ def test_validator_agrees_with_the_per_class_oracle():
 
 def dumped(spec) -> str:
     """The document of spec as one json.dumps with sorted keys writes it."""
-    columns = spec.length.tolist(), spec.angle.tolist(), spec.multiplicity.tolist(), spec.words
+    columns = list(spec.length), list(spec.angle), list(spec.multiplicity), spec.words
     document = {
         "dimension": 3, "cutoff": spec.cutoff, "tolerance": spec.tolerance,
         "volume": spec.volume, "source": spec.source,
