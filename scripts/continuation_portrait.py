@@ -11,8 +11,6 @@ branch the detoured path to the right half-plane picks up.
 
 import cmath
 
-import numpy as np
-
 from zeta_workbench import (
     DiracSpectrum,
     log_zeta_by_path,
@@ -40,18 +38,18 @@ for rec in catalog:
     print(f"  {rec.zeta_kind:>11}  {rec.location!s:>12}  {rec.order:+d}")
 
 super_records = [r for r in catalog if r.zeta_kind == "super"]
-points = np.array([complex(LINE_RE, im) for im in IMS])
-# the whole line at once: the log and its winding above, then the winding below
-logs, above = log_zeta_by_path(
-    points, catalog=super_records, detour_radius=RADIUS, detour_side="above", return_winding=True
-)
-below = super_winding(points, super_records, RADIUS, "below")
 print()
 print(f"continued values on Re(s) = {LINE_RE}")
 print("(log Z^s and its winding for detours above the poles; the winding")
 print(" for detours below is printed alongside)")
 print(f"{'Im(s)':>6} {'log Z^s':>28} {'|Z^s|':>12} {'arg':>8} {'above':>6} {'below':>6}")
-for im, log_value, up, down in zip(IMS, logs.tolist(), above.tolist(), below.tolist()):
+for im in IMS:
+    # the log and its winding above, then the winding below
+    s = complex(LINE_RE, im)
+    log_value, up = log_zeta_by_path(
+        s, catalog=super_records, detour_radius=RADIUS, detour_side="above", return_winding=True
+    )
+    down = super_winding(s, super_records, RADIUS, "below")
     value = cmath.exp(log_value)
     print(
         f"{im:>6.2f} {log_value:>28.12f} {abs(value):>12.6g} "

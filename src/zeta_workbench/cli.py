@@ -361,24 +361,17 @@ def cmd_continue(args) -> int:
     if want_grid:
         if not args.radius > 0:
             raise SchemaError("radius must be positive")
-        import numpy as np  # loaded with the continuation layer
-
         super_records = [r for r in catalog if r.zeta_kind == "super"]
-        grid = np.array(_s_grid(args))
-        on_pole = np.abs(grid[:, None] - np.array([r.location for r in super_records])) < 1e-9
-        # the points before the first one on a pole go first, so the first
-        # point that fails names the refusal, as one point at a time would
-        stop = int(np.argmax(on_pole.any(axis=1))) if on_pole.any() else len(grid)
-        logs, windings = log_zeta_by_path(
-            grid[:stop], catalog=super_records, detour_radius=args.radius,
-            detour_side=args.detour, return_winding=True,
-        )
-        if stop < len(grid):
-            raise AtSingularity(
-                f"grid point {complex(grid[stop])} lies on a catalogued singularity",
-                location=super_records[int(np.argmax(on_pole[stop]))].location,
+        for s in _s_grid(args):
+            for rec in super_records:
+                if abs(s - rec.location) < 1e-9:
+                    raise AtSingularity(
+                        f"grid point {s} lies on a catalogued singularity", location=rec.location
+                    )
+            log_value, winding = log_zeta_by_path(
+                s, catalog=super_records, detour_radius=args.radius,
+                detour_side=args.detour, return_winding=True,
             )
-        for s, log_value, winding in zip(grid.tolist(), logs.tolist(), windings.tolist()):
             value = _exp(s, log_value)
             rows.append(
                 {

@@ -25,22 +25,22 @@ tracking: sum order * Log(s - pole) plus 2 pi i times the integer winding
 of the detoured path.  Quadrature along the path is kept only as a check, and
 for integrands that are not pure partial fractions.
 
-The closed form, the winding, the path plan and residue_at take a point
-or an array of points (of centres, for residue_at) and work on the whole
-array at once: the logs and the winding rule are arrays over (points x
-catalog records), and a grid's refusals are masks over the same, so an
-array gives what the points give one by one and the first point refused
-raises the error that point would raise alone.  A point gives a number.
-The spectra and the catalog are Python numbers; numpy enters only for
-these arrays of nodes.
+The closed form, the winding and the path plan take one point and work
+on Python numbers: the path from s is planned against each catalogued
+location in catalog order, and the log is the sum of order * Log(s -
+location) over the super records in record order.  The spectra and the
+catalog are Python numbers too.  numpy and quadrature enter only where
+arrays of nodes are evaluated, in the continued log-derivatives,
+residue_at and the path quadrature, and are imported there, so the
+catalog and the closed form load neither.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     AtSingularity,
@@ -51,7 +51,6 @@ from .errors import (
     ParityViolation,
     PathThroughSingularity,
 )
-from .quadrature import integrate
 from .reps import plancherel
 from .spectra import (
     EIGENVALUE_TOL,
@@ -61,6 +60,9 @@ from .spectra import (
     SingularityRecord,
     merge_groups,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "partial_fraction_weights",
@@ -81,6 +83,8 @@ def _near(queries: np.ndarray, values: np.ndarray, tol: float) -> tuple[np.ndarr
     """Index arrays (q, v) of the pairs with |queries[q] - values[v]| < tol.
     Every pair is compared, the queries in blocks of _BLOCK pairs, so the
     temporaries stay near 64 kB however many queries and values there are."""
+    import numpy as np
+
     step = max(1, _BLOCK // max(values.size, 1))
     qs, vs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     for start in range(0, queries.size, step):
@@ -88,16 +92,6 @@ def _near(queries: np.ndarray, values: np.ndarray, tol: float) -> tuple[np.ndarr
         qs.append(q + start)
         vs.append(v)
     return np.concatenate(qs), np.concatenate(vs)
-
-
-def _arrays(spectrum: EigenvalueSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum's values and multiplicities as arrays."""
-    return np.array(spectrum.values, dtype=complex), np.array(spectrum.multiplicity, dtype=int)
-
-
-def _number_or_array(s, values: np.ndarray):
-    """values for the points of s: a Python number when s is one point."""
-    return values.item() if np.ndim(s) == 0 else values
 
 
 def partial_fraction_weights(shifts: tuple[complex, ...]) -> list[complex]:
@@ -143,6 +137,8 @@ def _spectral_sum(term, z: np.ndarray, size: int) -> np.ndarray:
     points to a (points x size) array.  The points go in blocks, so that
     the temporaries stay near 64 kB however many points and eigenvalues
     there are; each point's sum is the same in any block."""
+    import numpy as np
+
     flat = z.reshape(-1, 1)
     step = max(1, _BLOCK // max(size, 1))
     out = np.empty(len(flat), dtype=complex)
@@ -157,8 +153,10 @@ def continued_super_logderiv(s, dirac: DiracSpectrum):
     s is a point or an array of points; the eigenvalue sum is broadcast
     over them, and any point on a pole is refused with AtSingularity.
     """
+    import numpy as np
+
     z = np.asarray(s, dtype=complex)
-    ev, m = _arrays(dirac)
+    ev, m = np.array(dirac.values, dtype=complex), np.array(dirac.multiplicity, dtype=int)
     _refuse_poles(z, np.concatenate([1j * ev, -1j * ev]))
     return 2j * _spectral_sum(lambda zz: m * ev / (ev * ev + zz * zz), z, len(ev))
 
@@ -178,8 +176,10 @@ def continued_sym_logderiv(
     """
     if volume is None:
         raise MissingVolume("the density term needs a volume (0 to disable)")
+    import numpy as np
+
     z = np.asarray(s, dtype=complex)
-    mu, m = _arrays(laplace)
+    mu, m = np.array(laplace.values, dtype=complex), np.array(laplace.multiplicity, dtype=int)
     roots = 1j * np.sqrt(mu)
     _refuse_poles(z, np.concatenate([roots, -roots]))
     rational = 2.0 * z * _spectral_sum(lambda zz: m / (mu + zz * zz), z, len(mu))
@@ -204,6 +204,8 @@ def residue_at(f, s0, radius: float):
     """
     if not (radius > 0):
         raise InvariantViolation("radius must be positive")
+    import numpy as np
+
     centres = np.asarray(s0, dtype=complex)
     rows = centres.reshape(-1, 1)
     result = np.empty(len(rows), dtype=complex)
@@ -221,7 +223,7 @@ def residue_at(f, s0, radius: float):
             result[open_[settled]] = total[settled]
             open_, total, delta = open_[~settled], total[~settled], delta[~settled]
             if not open_.size:
-                return _number_or_array(s0, result.reshape(centres.shape))
+                return result.reshape(centres.shape) if centres.ndim else result.item()
         previous = total
         n *= 2
     raise NoConvergence(
@@ -304,57 +306,49 @@ def super_tail_log(dirac: DiracSpectrum, w: complex) -> complex:
     Valid once Re(w) dominates every |lam|; each eigenvalue contributes
     m * Log((w - i lam)/(w + i lam)), which decays like 1/w.
     """
-    ev, m = _arrays(dirac)
-    return complex(np.sum(m * np.log((w - 1j * ev) / (w + 1j * ev))))
+    return sum((m * cmath.log((w - 1j * ev) / (w + 1j * ev)) for ev, m in dirac.entries), 0j)
 
 
 def _path_plan(
-    z: np.ndarray, locations, detour_radius: float, detour_side: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decide on which side the path from each start point in the 1-d
-    array z passes each catalogued pole.
+    s: complex, locations, detour_radius: float, detour_side: str
+) -> tuple[list[complex], set[complex], list[complex]]:
+    """Decide on which side the path from the start point s passes each
+    catalogued pole.
 
     The path runs right from s along the horizontal ray.  A pole ahead of
     s and closer than detour_radius to the ray is passed on detour_side,
     along the circle of detour_radius centred on it; every other pole is
     passed on its natural side, above it when it lies on or below the ray.
     The path therefore keeps at least detour_radius from every pole.  A
-    start point closer than that to a pole, and a detour circle that
-    overlaps the circle around another pole, are refused: the first point
-    refused raises, naming the first pole within reach of it or else its
-    first detoured pole whose circle meets another's.
+    start point closer than that to a pole is refused, naming the first
+    such pole, and so is a detour circle that overlaps the circle around
+    another pole, naming the first detoured pole whose circle meets
+    another's and the first pole it meets.
 
-    Returns the distinct locations, in catalog order, and two masks over
-    (points x locations): the locations passed above and those detoured.
+    Returns the distinct locations, in catalog order, the set of those
+    passed above and the list of those detoured, in catalog order.
     """
     if not detour_radius > 0:
         raise InvariantViolation("detour_radius must be positive")
     if detour_side not in ("above", "below"):
         raise InvariantViolation(f"detour_side must be 'above' or 'below', not {detour_side!r}")
-    # records of several zeta kinds share locations; plan each point once
-    distinct = np.array(list(dict.fromkeys(locations)), dtype=complex)
-    s = z[:, None]
-    too_close = np.abs(s - distinct) < detour_radius
-    detoured = (distinct.real > s.real) & (np.abs(distinct.imag - s.imag) < detour_radius)
-    above = np.where(detoured, detour_side == "above", distinct.imag <= s.imag)
-    # the closeness of the distinct locations does not depend on the point
-    loc, other = _near(distinct, distinct, 2.0 * detour_radius)
-    loc, other = loc[loc != other], other[loc != other]
-    crowded = np.bincount(loc, minlength=len(distinct)) > 0
-    refused = np.flatnonzero(too_close.any(axis=1) | (detoured & crowded).any(axis=1))
-    if refused.size:
-        p = refused[0]
-        start = complex(z[p])
-        if too_close[p].any():
+    # records of several zeta kinds share locations; plan each once
+    distinct = list(dict.fromkeys(locations))
+    for loc in distinct:
+        if abs(s - loc) < detour_radius:
             raise PathThroughSingularity(
-                f"start point {start} is within {detour_radius} of singularity "
-                f"{complex(distinct[np.argmax(too_close[p])])}"
+                f"start point {s} is within {detour_radius} of singularity {loc}"
             )
-        j = np.argmax(detoured[p] & crowded)
-        raise PathThroughSingularity(
-            f"detour circles around {complex(distinct[j])} and "
-            f"{complex(distinct[other[loc == j].min()])} overlap; reduce detour_radius"
-        )
+    detoured = [
+        loc for loc in distinct if loc.real > s.real and abs(loc.imag - s.imag) < detour_radius
+    ]
+    for loc, other in itertools.product(detoured, distinct):
+        if other != loc and abs(loc - other) < 2.0 * detour_radius:
+            raise PathThroughSingularity(
+                f"detour circles around {loc} and {other} overlap; reduce detour_radius"
+            )
+    natural = {loc for loc in distinct if loc.imag <= s.imag}
+    above = natural | set(detoured) if detour_side == "above" else natural - set(detoured)
     return distinct, above, detoured
 
 
@@ -369,12 +363,12 @@ def _super_records(catalog) -> list[SingularityRecord]:
 
 
 def super_winding(
-    s,
+    s: complex,
     catalog,
     detour_radius: float = 0.1,
     detour_side: str = "above",
-):
-    """Branch offset of the continued super log at s, a point or an array.
+) -> int:
+    """Branch offset of the continued super log at the point s.
 
     Sum of order * w over the catalog's super records, where w in
     {-1, 0, +1} counts the crossings of the path with the cut of
@@ -382,28 +376,30 @@ def super_winding(
     -1 for a pole passed below from its height or above, else 0.  The
     continued log is sum order * Log(s - location) + 2 pi i * winding.
     """
-    z = np.asarray(s, dtype=complex)
-    locations = [r.location for r in catalog]
-    distinct, above, _ = _path_plan(z.ravel(), locations, detour_radius, detour_side)
-    records = _super_records(catalog)
-    column = {loc: j for j, loc in enumerate(distinct.tolist())}
-    columns = [column[r.location] for r in records]
-    passed_above = above[:, columns]
-    below_height = z.reshape(-1, 1).imag < distinct.imag[columns]
-    crossings = (passed_above & below_height).astype(int) - (~passed_above & ~below_height)
-    winding = crossings @ np.array([r.order for r in records], dtype=int)
-    return _number_or_array(s, winding.reshape(z.shape))
+    s = complex(s)
+    _, above, _ = _path_plan(s, [r.location for r in catalog], detour_radius, detour_side)
+    # w = (s below the pole's height) + (pole passed above) - 1
+    return sum(
+        r.order * ((s.imag < r.location.imag) + (r.location in above) - 1)
+        for r in _super_records(catalog)
+    )
 
 
 def _segment_integral(f, a: complex, b: complex, breaks=()) -> complex:
     """Integral of f along the horizontal segment from a right to b; the
     real parts in breaks become panel edges."""
+    from .quadrature import integrate
+
     return integrate(lambda x: f(x + 1j * a.imag), a.real, b.real, breaks)
 
 
 def _arc_integral(
     f, center: complex, radius: float, phi_from: float, phi_to: float
 ) -> complex:
+    import numpy as np
+
+    from .quadrature import integrate
+
     def integrand(phi):
         offset = radius * np.exp(1j * phi)
         return f(center + offset) * 1j * offset
@@ -412,7 +408,7 @@ def _arc_integral(
 
 
 def log_zeta_by_path(
-    s,
+    s: complex,
     logderiv=None,
     catalog: list[SingularityRecord] | None = None,
     detour_radius: float = 0.1,
@@ -433,53 +429,46 @@ def log_zeta_by_path(
     With logderiv omitted the integrand is the partial-fraction sum of the
     catalog's super records, sum order/(z - location), and the value is
     the closed form sum order * Log(s - location) + 2 pi i * super_winding
-    (no quadrature; tail is not used), for a point or for an array of
-    points at once; with return_winding it returns (log, winding) from
-    its one path plan.  A given logderiv maps an array of points to values,
-    the contract of quadrature.integrate, and the path from the one point
-    s is integrated by that adaptive Gauss-Legendre rule, with the poles'
+    at the point s (no quadrature; tail is not used); with return_winding
+    it returns (log, winding).  A given logderiv maps an array of points
+    to values, the contract of quadrature.integrate, and the path from s
+    is integrated by that adaptive Gauss-Legendre rule, with the poles'
     real parts as panel edges; this serves as a check of the closed form
     and for integrands that are not pure partial fractions, and a segment
     or arc that misses the rule's tolerance raises QuadratureFailure.
     tail(w) must then return the remaining -integral_w^inf; a logderiv
     without tail is refused with InvariantViolation.
     """
+    s = complex(s)
     catalog = list(catalog or ())
     if return_winding and logderiv is not None:
         raise InvariantViolation("return_winding needs the closed form: omit logderiv")
     if logderiv is not None and tail is None:
         raise InvariantViolation("a given logderiv needs tail, the remaining integral")
     if logderiv is None:
-        z = np.asarray(s, dtype=complex)
         records = _super_records(catalog)
         # the plan refuses a point on a pole before its log is taken
-        winding = super_winding(z, catalog, detour_radius, detour_side)
-        # + 0.0 makes a zero imaginary part positive: the winding rule
-        # counts the cut as +pi.  cmath.log, not np.log, whose log|z| can
-        # differ in the last bit: each point's log is its scalar formula's
-        offsets = z.reshape(-1, 1) - np.array([r.location for r in records], dtype=complex) + 0.0
-        logs = np.fromiter(map(cmath.log, offsets.ravel().tolist()), complex, offsets.size)
-        principal = np.zeros(z.size, dtype=complex)
-        for rec, column in zip(records, logs.reshape(offsets.shape).T):
-            principal = principal + rec.order * column
-        log = _number_or_array(s, principal.reshape(z.shape) + 2j * math.pi * winding)
+        winding = super_winding(s, catalog, detour_radius, detour_side)
+        # + 0j makes a zero imaginary part positive: the winding rule
+        # counts the cut as +pi
+        principal = 0j
+        for r in records:
+            principal += r.order * cmath.log(s - r.location + 0j)
+        log = principal + 2j * math.pi * winding
         return (log, winding) if return_winding else log
 
-    s = complex(s)
     locations = [r.location for r in catalog]
-    distinct, above, detoured = _path_plan(np.array([s]), locations, detour_radius, detour_side)
+    distinct, _, detoured = _path_plan(s, locations, detour_radius, detour_side)
 
     reach = max([abs(loc) for loc in locations] + [abs(s), 1.0])
     s_max = complex(max(20.0, 5.0 * reach), s.imag)
     tail_value = tail(s_max)
 
-    breaks = distinct.real.tolist()
+    breaks = [loc.real for loc in distinct]
     total = 0.0 + 0.0j
     cursor = s
-    ahead = np.flatnonzero(detoured[0])
-    for j in ahead[np.argsort(distinct.real[ahead], kind="stable")].tolist():
+    for loc in sorted(detoured, key=lambda loc: loc.real):
         # straight run up to the pole's circle, then round it on its side
-        loc = complex(distinct[j])
         depth = loc.imag - s.imag
         half_chord = math.sqrt(detour_radius * detour_radius - depth * depth)
         exit_angle = math.atan2(-depth, half_chord)
@@ -489,7 +478,7 @@ def log_zeta_by_path(
             loc,
             detour_radius,
             math.pi - exit_angle,
-            exit_angle if above[0, j] else 2.0 * math.pi + exit_angle,
+            exit_angle if detour_side == "above" else 2.0 * math.pi + exit_angle,
         )
         cursor = complex(loc.real + half_chord, s.imag)
     total += _segment_integral(logderiv, cursor, s_max, breaks)

@@ -18,8 +18,9 @@ geodesic sum weighted by (l/n) (L(gamma; k) + L(gamma; -k)) exp(-l^2/4t)
 zeta.py over the spectrum's length column, with the class weights of the
 zeta sums and the exponent -(l^2/4t + rho l), which carries the exp(-l)
 of D; both spectral sums add up an eigenvalue spectrum's entries with
-cmath, and a spectral sum that is not a finite number is refused.
-Without a twist, nothing here loads numpy.
+cmath.  A side that is not a finite number is refused: a t far from 1
+takes a power of t out of the float range, and an eigenvalue far from the
+real axis makes exp overflow.  Without a twist, nothing here loads numpy.
 
 For synthetic inputs the two sides of either formula need not agree; the
 package reports their gap as a diagnostic and never asserts equality.
@@ -31,6 +32,7 @@ exponential-in-s weights of the zeta logs are checked in verify.py.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from operator import mul
 
@@ -59,6 +61,27 @@ __all__ = [
 ]
 
 
+def _finite(side: str):
+    """Decorate a trace side of (t, ...) so that a value that is not a
+    finite number, or an overflow or a division by zero on the way, is
+    refused with a WorkbenchError naming t."""
+
+    def decorate(evaluate):
+        @functools.wraps(evaluate)
+        def checked(t, *args, **kwargs):
+            try:
+                value = evaluate(t, *args, **kwargs)
+            except (OverflowError, ValueError, ZeroDivisionError):  # ValueError: exp of inf + inf i
+                value = complex(math.inf)
+            if not cmath.isfinite(value):
+                raise WorkbenchError(f"the {side} side at t = {t} is not a finite number")
+            return value
+
+        return checked
+
+    return decorate
+
+
 def dee_gamma(length: float, angle: float) -> float:
     """Normalization D = exp(rho l) det(Id - Ad|nbar) used per class."""
     return math.exp(RHO * length) * ad_nbar_det(length, angle)
@@ -74,6 +97,7 @@ def _heat_exponents(length: tuple[float, ...], t: float) -> list[float]:
     return [-(l * l / (4.0 * t) + RHO * l) for l in length]
 
 
+@_finite("geometric")
 def dirac_geometric_side(
     t: float,
     spectrum: LengthSpectrum,
@@ -90,6 +114,7 @@ def dirac_geometric_side(
     return prefactor * class_sum(weights, _heat_exponents(length, t))
 
 
+@_finite("geometric")
 def heat_geometric_side(
     t: float,
     spectrum: LengthSpectrum,
@@ -115,30 +140,20 @@ def heat_geometric_side(
 # spectral sides
 
 
-def _finite_sum(terms, t: float) -> complex:
-    """The sum of a spectral side's terms, refused unless it is finite: an
-    eigenvalue far enough from the real axis makes exp overflow."""
-    try:
-        total = sum(terms, 0j)
-    except (OverflowError, ValueError):  # ValueError: exp of inf + inf i
-        total = complex(math.inf)
-    if not cmath.isfinite(total):
-        raise WorkbenchError(f"the spectral side at t = {t} is not a finite number")
-    return total
-
-
+@_finite("spectral")
 def dirac_spectral_side(t: float, dirac: DiracSpectrum) -> complex:
     """sum m(lam) lam exp(-t lam^2)."""
     if not (t > 0):
         raise InvariantViolation("t must be positive")
-    return _finite_sum((m * ev * cmath.exp(-t * ev * ev) for ev, m in dirac.entries), t)
+    return sum((m * ev * cmath.exp(-t * ev * ev) for ev, m in dirac.entries), 0j)
 
 
+@_finite("spectral")
 def heat_spectral_side(t: float, laplace: LaplaceSpectrum) -> complex:
     """sum m(mu) exp(-t mu)."""
     if not (t > 0):
         raise InvariantViolation("t must be positive")
-    return _finite_sum((m * cmath.exp(-t * mu) for mu, m in laplace.entries), t)
+    return sum((m * cmath.exp(-t * mu) for mu, m in laplace.entries), 0j)
 
 
 # ---------------------------------------------------------------------------

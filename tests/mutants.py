@@ -43,8 +43,7 @@ MUTANTS = (
            "geodesic / math.sqrt(2.0 * math.pi * t)",
            "tests/test_traceform.py", "the heat side's 4 pi t"),
     Mutant("M5", "src/zeta_workbench/continuation.py",
-           "below_height = z.reshape(-1, 1).imag < distinct.imag[columns]",
-           "below_height = z.reshape(-1, 1).imag <= distinct.imag[columns]",
+           "(s.imag < r.location.imag)", "(s.imag <= r.location.imag)",
            "tests/test_continuation.py", "the winding's strict <"),
     Mutant("M6", "src/zeta_workbench/reps.py",
            "return 1.0 - 2.0 * e * math.cos(angle) + e * e",
@@ -73,6 +72,13 @@ MUTANTS = (
     Mutant("M14", "src/zeta_workbench/continuation.py",
            "if minus != plus:", "if True:",
            "tests/test_continuation.py", "a root at 0 counts once in m(nu^2)"),
+    Mutant("M15", "src/zeta_workbench/continuation.py",
+           "abs(loc - other) < 2.0 * detour_radius", "abs(loc - other) < detour_radius",
+           "tests/test_continuation.py", "detour circles overlap within twice the radius"),
+    Mutant("M16", "src/zeta_workbench/continuation.py",
+           "natural = {loc for loc in distinct if loc.imag <= s.imag}",
+           "natural = {loc for loc in distinct if loc.imag < s.imag}",
+           "tests/test_continuation.py", "a pole on the ray is passed above on its natural side"),
 )
 
 # Mutants that the suite does not kill yet: no test holds tail_bound

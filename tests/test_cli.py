@@ -670,6 +670,18 @@ def test_trace_spectral_side_past_the_float_range_exit_1(tmp_path, capsys, order
     assert err == "error: the spectral side at t = 1.0 is not a finite number\n"
 
 
+@pytest.mark.parametrize("order", ["first", "second"])
+@pytest.mark.parametrize("t", ["1e-300", "1e300"])
+def test_trace_t_past_the_float_range_exit_1(tmp_path, capsys, order, t):
+    # a power of t underflowed to 0 (ZeroDivisionError) or overflowed
+    # (OverflowError), each with a traceback
+    spec = write_json(tmp_path, "one.json", spectrum_doc([(1.0, 0.7, 1)]))
+    code = main(["trace", "--spectrum", spec, "--sigma", "1", "--order", order, "--t", t])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: the geometric side at t = {float(t)} is not a finite number\n"
+
+
 def test_trace_volume_override_changes_heat_side(tmp_path, capsys):
     spec = toy_spectrum_path(tmp_path)
     base_args = ["trace", "--spectrum", spec, "--sigma", "1", "--order", "second", "--t", "1.0"]
@@ -1239,6 +1251,7 @@ PARSER = {"zeta_workbench", "cli", "errors", "names"}
 CLASS_SUMS = PARSER | {"spectra", "reps", "zeta"}
 TRACE = CLASS_SUMS | {"traces"}
 ENUMERATE = PARSER | {"spectra", "enumerator", "cache"}
+CONTINUE = PARSER | {"spectra", "reps", "continuation"}
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
@@ -1252,13 +1265,16 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
     dirac = write_json(tmp_path, "dirac.json", eigen_doc(PORTRAIT_ENTRIES))
     laplace = write_json(tmp_path, "laplace.json", eigen_doc([(1.0, 0.0, 3), (4.0, 0.0, 1)]))
+    # a first-order list whose parities agree with laplace's
+    roots = write_json(tmp_path, "roots.json", eigen_doc([(1.0, 0.0, 1), (2.0, 0.0, 1)]))
     zeta_argv = ["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "3", "0"]
     trace_argv = ["trace", "--spectrum", spec, "--sigma", "1", "--volume", "1"]
     enumerate_argv = ["enumerate", "--presentation", pres, "--max-word-length", "3"]
     # (label, argv, modules, numpy loaded), in order: the second enumerate
     # reads the entry the first one wrote.  The class sums, the geodesic
-    # sides and the spectral sides run on Python numbers; a twist's matrices
-    # and the continuation's arrays of nodes load numpy
+    # sides, the spectral sides, the catalog and the closed-form continued
+    # values run on Python numbers; a twist's matrices and the verify
+    # suites' arrays of nodes load numpy
     table = [
         ("help", ["--help"], PARSER, False),
         ("zeta", zeta_argv, CLASS_SUMS, False),
@@ -1273,7 +1289,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         ("enumerate cached", enumerate_argv, PARSER | {"cache"}, False),
         ("continue", ["continue", "--dirac", dirac, "--s-start", "-0.5", "3", "--s-stop",
                       "-0.5", "-3", "--s-count", "4"],
-         PARSER | {"spectra", "reps", "quadrature", "continuation"}, True),
+         CONTINUE, False),
+        ("continue --laplace", ["continue", "--dirac", roots, "--laplace", laplace],
+         CONTINUE, False),
         ("verify", ["verify", "--suite", "kernels"],
          TRACE | {"quadrature", "continuation", "verify"}, True),
     ]

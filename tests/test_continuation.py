@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import cmath
+import contextlib
+import io
+import json
 import math
 import random
 from pathlib import Path
@@ -25,11 +28,13 @@ from zeta_workbench import (
     partial_fraction_weights,
     residue_at,
     ruelle_factorization_check,
+    serialize_eigenvalue_spectrum,
     singularity_catalog,
     square_spectrum,
     super_tail_log,
     super_winding,
 )
+from zeta_workbench.cli import main
 from zeta_workbench.continuation import _near
 from zeta_workbench.errors import InvariantViolation, NoConvergence
 from zeta_workbench.spectra import SingularityRecord
@@ -682,7 +687,7 @@ def test_closed_form_reads_only_super_records(dirac_pm):
     assert log_zeta_by_path(s, catalog=mixed) == log_zeta_by_path(s, catalog=super_catalog(dirac_pm))
 
 
-# array forms -----------------------------------------------------------------
+# grids and arrays ------------------------------------------------------------
 
 
 def bits(values) -> np.ndarray:
@@ -715,40 +720,54 @@ def grids(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(grids(), st.sampled_from(["above", "below"]), st.sampled_from([0.05, 0.1, 0.25]))
-def test_array_path_is_the_points_one_by_one(case, side, radius):
+def test_continue_rows_are_the_points_one_by_one(tmp_path_factory, case, side, radius):
+    # the grid runs from the first drawn point to the last, with as many points
     dirac, points = case
     catalog = super_catalog(dirac)
-    options = dict(detour_radius=radius, detour_side=side)
-    try:
-        logs = [log_zeta_by_path(s, catalog=catalog, **options) for s in points]
-        windings = [super_winding(s, catalog, radius, side) for s in points]
-    except PathThroughSingularity as refusal:
-        # the array refuses with the first refused point's own message
-        for f in (lambda z: log_zeta_by_path(z, catalog=catalog, **options),
-                  lambda z: super_winding(z, catalog, radius, side)):
-            with pytest.raises(PathThroughSingularity) as caught:
-                f(np.array(points))
-            assert str(caught.value) == str(refusal)
+    folder = tmp_path_factory.mktemp("grid")
+    (folder / "dirac.json").write_text(serialize_eigenvalue_spectrum(dirac), encoding="utf-8")
+    start, stop, count = points[0], points[-1], len(points)
+    # positional digits: argparse takes -1e-05 for an option, not a number
+    parts = [np.format_float_positional(x, trim="0") for z in (start, stop) for x in (z.real, z.imag)]
+    argv = ["continue", "--dirac", str(folder / "dirac.json"), "--s-start", *parts[:2],
+            "--s-stop", *parts[2:], "--s-count", str(count), "--radius", repr(radius),
+            "--detour", side, "--output", str(folder / "rows.json")]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    grid = [start]
+    if count > 1:
+        step = (stop - start) / (count - 1)
+        grid = [start + i * step for i in range(count)]
+    want, refusal = [], None
+    for s in grid:
+        if any(abs(s - r.location) < 1e-9 for r in catalog):
+            refusal = f"grid point {s} lies on a catalogued singularity"
+            break
+        try:
+            want.append((s, *log_zeta_by_path(s, catalog=catalog, detour_radius=radius,
+                                              detour_side=side, return_winding=True)))
+        except PathThroughSingularity as exc:
+            refusal = str(exc)
+            break
+    if refusal is not None:
+        # the first refused point raises its own error
+        assert (code, stderr.getvalue()) == (7, f"error: {refusal}\n")
         return
-    assert all(type(w) is int for w in windings) and all(type(v) is complex for v in logs)
-    got = log_zeta_by_path(np.array(points), catalog=catalog, **options)
-    assert np.array_equal(bits(got), bits(logs))
-    assert super_winding(np.array(points), catalog, radius, side).tolist() == windings
-    both = log_zeta_by_path(np.array(points), catalog=catalog, return_winding=True, **options)
-    assert np.array_equal(bits(both[0]), bits(logs)) and both[1].tolist() == windings
-    assert log_zeta_by_path(points[0], catalog=catalog, return_winding=True, **options) == (
-        logs[0], windings[0])
-    grid = np.array(points[:1] * 6).reshape(2, 3)
-    assert log_zeta_by_path(grid, catalog=catalog, **options).shape == (2, 3)
+    assert code == 0, stderr.getvalue()
+    rows = json.loads((folder / "rows.json").read_text(encoding="utf-8"))["rows"]
+    assert len(rows) == len(want)
+    for row, (s, log, winding) in zip(rows, want):
+        assert np.array_equal(bits([complex(*row["s"]), complex(*row["log"])]), bits([s, log]))
+        assert type(log) is complex and type(winding) is int and row["winding"] == winding
 
 
-def test_array_path_keeps_a_negative_zero_imaginary_part_on_the_cut():
+def test_closed_form_keeps_a_negative_zero_imaginary_part_on_the_cut():
     dirac = DiracSpectrum(entries=((2j, 1),))  # poles on the real axis
-    points = np.array([complex(-3.0, 0.0), complex(-3.0, -0.0)])
     for side in ("above", "below"):
-        got = log_zeta_by_path(points, catalog=super_catalog(dirac), detour_side=side)
-        assert np.array_equal(bits(got[1:]), bits(got[:1]))
-        assert got[0] == by_closed_form(dirac, points[1], side)
+        plus = by_closed_form(dirac, complex(-3.0, 0.0), side)
+        minus = by_closed_form(dirac, complex(-3.0, -0.0), side)
+        assert np.array_equal(bits([minus]), bits([plus]))
 
 
 @settings(max_examples=40, deadline=None)
