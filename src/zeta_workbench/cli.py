@@ -20,6 +20,7 @@ import argparse
 import cmath
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -168,6 +169,16 @@ def _finite(text: str) -> float:
 
 
 _finite.__name__ = "finite float"  # argparse's error: "invalid finite float value"
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse reads an argument that starts with '-' as a flag unless it
+    looks like a negative number, and its own pattern has no exponent;
+    this one reads -1e-05 and -2.5E+3 as numbers too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 class _Repeat(argparse.Action):
@@ -419,7 +430,7 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zeta-workbench",
         description=(
             "Geodesic zeta functions of hyperbolic 3-manifold data: class-sum "

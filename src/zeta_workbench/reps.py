@@ -11,24 +11,22 @@ exp(i*k*theta), and the order-two symmetry sends k to -k.  Weights with
 k != 0 move under it ("case b"); the graded zeta kinds need one.
 
 The characters and the determinant factor take a number, or a column of
-them, and give a Python number, or a list; numpy is loaded only for a
-twist's matrices, by GammaRep, character_chi and parse_gamma_rep.
+them, and give a Python number, or a list.  A twist's images are tuples of
+row tuples of complex numbers, inverted by Gauss-Jordan elimination, and
+its traces over a list of words come from products of half words kept
+for the call; nothing here loads numpy.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from operator import mul
 
 from .errors import CaseAError, InvariantViolation, SchemaError, UnknownSymbol
 from .spectra import ARRAY, array_shape, json_object, require
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "GammaRep",
@@ -76,93 +74,109 @@ def character_sigma(k: float, angle):
 # group twist
 
 
+def _inverse(name: str, image: tuple) -> tuple:
+    """The inverse by Gauss-Jordan elimination with partial pivoting; an
+    exactly singular image, one that meets a zero pivot, is refused."""
+    n = len(image)
+    rows = [[*row, *(complex(i == j) for j in range(n))] for i, row in enumerate(image)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        if rows[pivot][col] == 0:
+            raise InvariantViolation(f"image of {name!r} is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        top[:] = [x / top[col] for x in top]
+        for row in rows:
+            factor = row[col]
+            if row is not top and factor:
+                row[:] = [x - factor * y for x, y in zip(row, top)]
+    return tuple(tuple(row[n:]) for row in rows)
+
+
 @dataclass(frozen=True)
 class GammaRep:
     """Finite-dimensional, possibly non-unitary, representation of the group.
 
-    images maps generator names to invertible dimension x dimension matrices.
-    A symbol's inverse is named by swapping its case; its image, the matrix
-    inverse, is computed once at construction rather than per word.
+    images maps generator names to invertible dimension x dimension
+    matrices, numpy arrays or nested lists, held as tuples of row tuples.
+    A symbol's inverse is named by swapping its case; its image, the
+    matrix inverse, is computed once at construction rather than per word.
     """
 
     dimension: int
-    images: dict[str, np.ndarray]
-    _by_symbol: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    images: dict[str, tuple]
+    _by_symbol: dict[str, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        import numpy as np
-
+        d = self.dimension
         imgs = {}
-        for name, mat in self.images.items():
-            arr = np.asarray(mat, dtype=complex)
-            if arr.shape != (self.dimension, self.dimension):
-                raise InvariantViolation(
-                    f"image of {name!r} has shape {arr.shape}, expected "
-                    f"({self.dimension}, {self.dimension})"
-                )
-            if abs(np.linalg.det(arr)) == 0.0:
-                raise InvariantViolation(f"image of {name!r} is singular")
-            arr.setflags(write=False)
-            imgs[name] = arr
+        for name, image in self.images.items():
+            try:
+                rows = tuple(tuple(map(complex, row)) for row in image)
+            except TypeError:
+                raise InvariantViolation(f"image of {name!r} is not a matrix of numbers") from None
+            shape = (len(rows), *{len(row) for row in rows})  # ragged rows give more widths
+            if shape != (d, d):
+                raise InvariantViolation(f"image of {name!r} has shape {shape}, expected ({d}, {d})")
+            imgs[name] = rows
         object.__setattr__(self, "images", imgs)
         by_symbol = dict(imgs)
-        for name, arr in imgs.items():
-            if name.swapcase() not in by_symbol:
-                inverse = np.linalg.inv(arr)
-                inverse.setflags(write=False)
-                by_symbol[name.swapcase()] = inverse
+        for name, image in imgs.items():
+            inverse = _inverse(name, image)  # refuses a singular image
+            by_symbol.setdefault(name.swapcase(), inverse)
         object.__setattr__(self, "_by_symbol", by_symbol)
 
-    def image_of_symbol(self, symbol: str) -> np.ndarray:
+    def image_of_symbol(self, symbol: str) -> tuple:
         image = self._by_symbol.get(symbol)
         if image is None:
             raise UnknownSymbol(f"symbol {symbol!r} names no generator or inverse")
         return image
 
 
-def character_chi(chi: GammaRep | None, word: str | Iterable[str]) -> complex | np.ndarray:
+def character_chi(chi: GammaRep | None, word: str | Iterable[str]) -> complex | list[complex]:
     """Trace of the ordered product of generator images over a word, or
-    an array of them over a sequence of words.
+    the list of them over a sequence of words.
 
     chi=None means the trivial one-dimensional twist.  The empty word maps
     to the identity, so its character is the representation dimension.
-    The words of a sequence are multiplied out together, grouped by
-    length: from the identity, one stacked product per letter position,
-    left to right, which is the one-word product bit for bit.
+    A word of n letters is split after its first ceil(n/2); the products H
+    of the head and T of the tail are each multiplied out left to right,
+    every prefix's product kept for the rest of the call, and the trace is
+    tr(H T) = sum_ij H_ij T_ji.  A word alone follows the same rule, so it
+    gives the same bits as it does in a sequence.
     """
-    import numpy as np
-
     if isinstance(word, str):
-        return complex(character_chi(chi, [word])[0])
-    words = list(word)
+        return character_chi(chi, [word])[0]
     if chi is None:
-        return np.ones(len(words), dtype=complex)
-    symbols = sorted(chi._by_symbol)
-    code = {symbol: i for i, symbol in enumerate(symbols)}
-    try:
-        coded = [[code[x] for x in w] for w in words]
-    except KeyError:
-        for symbol in itertools.chain.from_iterable(words):
-            chi.image_of_symbol(symbol)  # the first unknown symbol raises
-    images = np.stack([chi._by_symbol[symbol] for symbol in symbols])
-    by_length: dict[int, list[int]] = {}
-    for i, codes in enumerate(coded):
-        by_length.setdefault(len(codes), []).append(i)
-    traces = np.empty(len(words), dtype=complex)
-    identity = np.eye(chi.dimension, dtype=complex)
-    for n, group in by_length.items():
-        letters = np.array([coded[i] for i in group], dtype=int).reshape(len(group), n)
-        acc = np.broadcast_to(identity, (len(group),) + identity.shape)
-        for position in range(n):
-            acc = acc @ images[letters[:, position]]
-        traces[group] = np.trace(acc, axis1=1, axis2=2)
+        return [1 + 0j for _ in word]
+    d = chi.dimension
+    cut = range(0, d * d, d)
+    identity = tuple(complex(i % (d + 1) == 0) for i in range(d * d))
+    products = {"": (identity, identity)}  # prefix: its product, row- and column-major
+
+    def product(p: str):
+        """The product over p, extended from its longest kept prefix."""
+        n = len(p)
+        while p[:n] not in products:
+            n -= 1
+        rows = products[p[:n]][0]
+        for n in range(n, len(p)):
+            image = chi.image_of_symbol(p[n])
+            rows = tuple(sum(map(mul, rows[i : i + d], col)) for i in cut for col in zip(*image))
+            products[p[: n + 1]] = rows, tuple(rows[i + j] for j in range(d) for i in cut)
+        return products[p]
+
+    traces = []
+    for w in word:
+        h = (len(w) + 1) // 2
+        head = products.get(w[:h]) or product(w[:h])
+        tail = products.get(w[h:]) or product(w[h:])
+        traces.append(sum(map(mul, head[0], tail[1])))
     return traces
 
 
 def parse_gamma_rep(document: str | dict) -> GammaRep:
     """Parse {"dimension": int, "images": {name: [[[re,im], ...], ...]}}."""
-    import numpy as np
-
     doc = json_object(document)
     dim = require(doc, "dimension", int, "chi")
     raw = require(doc, "images", dict, "chi")
@@ -172,9 +186,7 @@ def parse_gamma_rep(document: str | dict) -> GammaRep:
         shape = array_shape(pairs)
         if len(shape) != 3 or shape[2] != 2:
             raise SchemaError(f"image of {name!r}: entries must be [re, im] pairs")
-        images[name] = np.array(
-            [[complex(re, im) for re, im in row] for row in pairs], dtype=complex
-        )
+        images[name] = [[complex(re, im) for re, im in row] for row in pairs]
     try:
         return GammaRep(dimension=dim, images=images)
     except InvariantViolation as exc:

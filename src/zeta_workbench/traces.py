@@ -20,7 +20,8 @@ zeta sums and the exponent -(l^2/4t + rho l), which carries the exp(-l)
 of D; both spectral sums add up an eigenvalue spectrum's entries with
 cmath.  A side that is not a finite number is refused: a t far from 1
 takes a power of t out of the float range, and an eigenvalue far from the
-real axis makes exp overflow.  Without a twist, nothing here loads numpy.
+real axis makes exp overflow.  Nothing here loads numpy, with a twist or
+without.
 
 For synthetic inputs the two sides of either formula need not agree; the
 package reports their gap as a diagnostic and never asserts equality.

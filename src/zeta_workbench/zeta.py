@@ -33,12 +33,14 @@ class_sum: the weights times exp of one exponent per class, -(s+1) l or
 time.  The Selberg-type factor exp(-rho l) is folded into the exponent,
 never into the weights, so a long class meets exp(-(s+rho) l), which
 underflows to zero, rather than exp(-rho l) * exp(-s l) = 0 * inf.
-Without a twist, nothing here loads numpy.
+Nothing here loads numpy, with a twist or without: a twist's traces are
+Python complex numbers from reps.character_chi.
 
 Sums are only evaluated above a model-based convergence abscissa derived
-from an exponential geodesic-count model N(L) <= C exp(g L); requests
-below it are refused.  Tail bounds use the same model and are estimates,
-not certificates.
+from an exponential geodesic-count model N(L) <= C exp(g L), moved right
+by the growth rate b of a non-unitary twist's traces, |trchi| <= dim
+exp(b l) on the spectrum's classes; requests below it are refused.  Tail
+bounds use the same model and are estimates, not certificates.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def chi_trace(spectrum: LengthSpectrum, chi: GammaRep) -> tuple[complex, ...]:
             f"class {spectrum.words.index(None)} carries no word; "
             "a nontrivial twist needs words"
         )
-    trace = tuple(character_chi(chi, spectrum.words).tolist())
+    trace = tuple(character_chi(chi, spectrum.words))
     spectrum.memo["chi"] = (chi, trace)
     return trace
 
@@ -197,8 +199,10 @@ def convergence_abscissa(kind: str, growth: float) -> float:
     return growth - RHO if _SHAPES[kind][1] else growth
 
 
-def _check_region(s: complex, kind: str, growth: float) -> None:
-    a = convergence_abscissa(kind, growth)
+def _check_region(s: complex, kind: str, growth: float, b: float) -> None:
+    """Refuse s unless Re s lies above the model abscissa moved right by
+    the twist's growth rate b."""
+    a = convergence_abscissa(kind, growth) + b
     if not s.real > a:  # a NaN s is refused too
         raise ConvergenceRegionError(s, a)
 
@@ -215,23 +219,29 @@ def _tail_integral(p: int, alpha: float, L: float) -> float:
 
 def _count_model(
     spectrum: LengthSpectrum, chi: GammaRep | None, growth: float
-) -> tuple[float, float]:
-    """A bound on |trchi| over the nonempty spectrum's classes, and the
-    count constant C of N(L) = C exp(g L), fitted by least squares to the
-    class ranks.  Like the weights, the spectrum keeps the pair for its
-    last twist (by identity) and growth."""
+) -> tuple[float, float, float]:
+    """The twist's dimension, its growth rate b and the count constant C
+    of N(L) = C exp(g L), fitted by least squares to the class ranks of
+    the nonempty spectrum.
+
+    The model bounds |trchi| by dim exp(b l): b is the largest
+    ln(|trchi| / dim) / l over the classes, floored at 0, so a unitary
+    twist gives 0.  The classes give only a lower estimate of the rate a
+    non-unitary twist reaches on longer words.  Like the weights, the
+    spectrum keeps the triple for its last twist (by identity) and
+    growth."""
     memo = spectrum.memo.get("count_model")
     if memo is not None and memo[0] is chi and memo[1] == growth:
         return memo[2]
-    chi_bound = 1.0
+    dim, b = 1.0, 0.0
     if chi is not None:
-        # the twist's dimension, or a larger trace that a non-unitary twist
-        # shows on the spectrum
-        observed = max(map(abs, chi_trace(spectrum, chi)))
-        chi_bound = max(float(chi.dimension), observed)
+        dim = float(chi.dimension)
+        for trace, l in zip(chi_trace(spectrum, chi), spectrum.length):
+            if abs(trace) > dim:
+                b = max(b, math.log(abs(trace) / dim) / l)
     logs = (math.log(rank) - growth * l for rank, l in enumerate(spectrum.length, 1))
     C = math.exp(math.fsum(logs) / len(spectrum.length))
-    model = (chi_bound, C)
+    model = (dim, b, C)
     spectrum.memo["count_model"] = (chi, growth, model)
     return model
 
@@ -248,15 +258,15 @@ def _tail_bound(
     """Model bound on the classes beyond the cutoff.
 
     beta is the exponential decay rate of one term; the count model
-    N(L) = C exp(g L) contributes C g exp(g u) du, so the tail decays
-    like exp(-(beta-g) L).
+    N(L) = C exp(g L) contributes C g exp(g u) du, and |trchi| is at most
+    dim exp(b u), so the tail decays like exp(-(beta-g-b) L).
     sigma_bound bounds |trsigma|: 1 for one character, 2 for a pair.
     """
-    alpha = beta - growth
+    chi_bound, b, C = _count_model(spectrum, chi, growth)
+    alpha = beta - growth - b
     if alpha <= 0:  # guarded by the abscissa check; belt and braces
         return math.inf
     L = spectrum.cutoff
-    chi_bound, C = _count_model(spectrum, chi, growth)
     # det(l, theta) >= (1 - exp(-l))^2, decreasing in -l, so the cutoff
     # value floors every omitted term
     det_floor = (1.0 - math.exp(-L)) ** 2 if with_det else 1.0
@@ -274,7 +284,7 @@ def log_zeta(req: ZetaRequest) -> TruncatedValue:
     if not spectrum.classes:
         # empty sum: nothing to converge, nothing omitted
         return TruncatedValue(0.0, 0.0, 0)
-    _check_region(req.s, req.kind, growth)
+    _check_region(req.s, req.kind, growth, _count_model(spectrum, chi, growth)[1])
     weights = class_weights(spectrum, chi, req.k, sign, selberg_type)
     value = -class_sum(weights, _exponents(req.s, spectrum.length, selberg_type))
     tail = _tail_bound(
@@ -306,7 +316,7 @@ def _log_derivative(
     growth = _growth(growth_constant)
     if not spectrum.classes:
         return TruncatedValue(0.0, 0.0, 0)
-    _check_region(s, "selberg", growth)
+    _check_region(s, "selberg", growth, _count_model(spectrum, chi, growth)[1])
     length = spectrum.length
     weights = map(mul, length, class_weights(spectrum, chi, k, sign, True))
     tail = _tail_bound(

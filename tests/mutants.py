@@ -50,9 +50,8 @@ MUTANTS = (
            "return 1.0 - 2.0 * e * math.cos(angle) + e",
            "tests/test_reps.py", "ad_nbar_det's e^2"),
     Mutant("M7", "src/zeta_workbench/zeta.py",
-           "chi_bound = max(float(chi.dimension), observed)",
-           "chi_bound = float(chi.dimension)",
-           "tests/test_zeta.py", "the observed chi trace bound"),
+           "alpha = beta - growth - b", "alpha = beta - growth",
+           "tests/test_zeta.py", "the tail counts the twist's observed growth b"),
     Mutant("M8", "src/zeta_workbench/traces.py",
            "identity = 2.0 * dim_chi * spectrum.volume * identity_term_heat(k, t)",
            "identity = dim_chi * spectrum.volume * identity_term_heat(k, t)",
@@ -79,6 +78,16 @@ MUTANTS = (
            "natural = {loc for loc in distinct if loc.imag <= s.imag}",
            "natural = {loc for loc in distinct if loc.imag < s.imag}",
            "tests/test_continuation.py", "a pole on the ray is passed above on its natural side"),
+    Mutant("M17", "src/zeta_workbench/reps.py",
+           "sum(map(mul, head[0], tail[1]))", "sum(map(mul, head[0], tail[0]))",
+           "tests/test_reps.py", "tr(H T) pairs H_ij with T_ji"),
+    Mutant("M18", "src/zeta_workbench/reps.py",
+           "rows[col], rows[pivot] = rows[pivot], rows[col]",
+           "rows[col], rows[pivot] = rows[col], rows[pivot]",
+           "tests/test_reps.py", "the inverse swaps the pivot row up"),
+    Mutant("M19", "src/zeta_workbench/zeta.py",
+           "a = convergence_abscissa(kind, growth) + b", "a = convergence_abscissa(kind, growth)",
+           "tests/test_zeta.py", "the gate moves right by the twist's growth b"),
 )
 
 # Mutants that the suite does not kill yet: no test holds tail_bound

@@ -588,6 +588,46 @@ def test_twisted_commands_compute_each_chi_trace_once(tmp_path, capsys, monkeypa
     assert calls == [["a", "ab", "b"]]
 
 
+def test_zeta_refuses_points_below_a_non_unitary_twists_gate_exit_4(tmp_path, capsys):
+    # chi(a) = e^3 on a^j, l = 1.3 j: the traces grow like exp(l 3/1.3),
+    # so the Selberg gate is 1 + 3/1.3, not 1
+    doc = spectrum_doc([(1.3 * j, math.remainder(0.7 * j, 2 * math.pi), j) for j in range(1, 9)],
+                       cutoff=10.4)
+    for j, record in enumerate(doc["classes"], 1):
+        record["word"] = "a" * j
+    spec = write_json(tmp_path, "powers.json", doc)
+    chi = write_json(tmp_path, "chi.json", {"dimension": 1, "images": {"a": [[[math.exp(3), 0]]]}})
+    for s in ("1.1", "1.25"):
+        assert main(["zeta", "--spectrum", spec, "--chi", chi, "--sigma", "1",
+                     "--s-start", s, "0"]) == 4
+        assert "convergence abscissa 3.30769" in capsys.readouterr().err
+    assert main(["zeta", "--spectrum", spec, "--chi", chi, "--sigma", "1",
+                 "--s-start", "3.4", "0"]) == 0
+
+
+def test_zeta_refuses_a_stretching_twist_on_a_schottky_walk_exit_4(tmp_path, capsys):
+    # a -> diag(e^5, e^-5), b -> 1 over the pair's walk to depth 4 and cutoff
+    # 1e9: the traces of the powers of a grow like exp(l 5/(2 ln 3)), and
+    # s = 1.1 lies below the moved gate
+    a = [[3, 0], [0, 0], [0, 0], [1 / 3, 0]]
+    b = [[4.6, 0], [-2.1, 0], [4.2, 0], [-1.7, 0]]  # M diag(2.5, 0.4) M^-1, M = [[1,1],[1,2]]
+    pres = write_json(tmp_path, "pair.json", {
+        "generators": [{"name": "a", "matrix": a}, {"name": "b", "matrix": b}],
+        "includes_inverses": False,
+    })
+    spec = str(tmp_path / "walk.json")
+    assert main(["enumerate", "--presentation", pres, "--max-word-length", "4",
+                 "--cutoff", "1e9", "--output", spec]) == 0
+    chi = write_json(tmp_path, "chi.json", {"dimension": 2, "images": {
+        "a": [[[math.exp(5), 0], [0, 0]], [[0, 0], [math.exp(-5), 0]]],
+        "b": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+    }})
+    capsys.readouterr()
+    assert main(["zeta", "--spectrum", spec, "--chi", chi, "--sigma", "1",
+                 "--s-start", "1.1", "0"]) == 4
+    assert "convergence abscissa 3.19" in capsys.readouterr().err
+
+
 def test_zeta_output_file_keeps_stdout_quiet(tmp_path, capsys):
     spec = toy_spectrum_path(tmp_path)
     out = tmp_path / "rows.json"
@@ -1010,6 +1050,41 @@ def test_every_float_option_refuses_what_is_no_finite_number(tmp_path, capsys):
     assert len(checked) == 11, checked
 
 
+def test_every_float_option_reads_a_negative_number_in_exponent_notation():
+    # argparse's own negative-number pattern has no exponent, so -1e-05
+    # read as a flag: "expected 2 arguments"
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    checked = []
+    for command, subparser in commands.choices.items():
+        actions = [a for a in subparser._actions if a.option_strings and a.dest != "help"]
+        required = [(a.option_strings[0], next(iter(a.choices or ["1"])))
+                    for a in actions if a.required]
+        for action in actions:
+            if action.type is not cli._finite:
+                continue
+            flag = action.option_strings[0]
+            others = [arg for pair in required if pair[0] != flag for arg in pair]
+            for text, value in (("-1e-05", -1e-05), ("-2.5E+3", -2500.0), ("-.5e1", -5.0)):
+                args = parser.parse_args([command, *others, flag, *[text] * (action.nargs or 1)])
+                got = getattr(args, action.dest)
+                assert got == ([value] * action.nargs if action.nargs else
+                               [value] if action.dest == "t" else value), (command, flag)
+            checked.append((command, flag))
+    assert len(checked) == 11, checked
+
+
+def test_zeta_s_start_in_exponent_notation_writes_the_positional_row(tmp_path, capsys):
+    spec = toy_spectrum_path(tmp_path)
+    outputs = []
+    for start in ("-1e-05", "-0.00001"):
+        assert main(["zeta", "--spectrum", spec, "--sigma", "1", "--growth", "0.5",
+                     "--s-start", start, "0"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["rows"][0]["s"] == [-1e-05, 0.0]
+
+
 def test_trace_csv_header_does_not_depend_on_the_spectral_side(tmp_path, capsys):
     spec = toy_spectrum_path(tmp_path)
     dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 2), (-1.0, 0.0, 1)]))
@@ -1273,15 +1348,15 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # (label, argv, modules, numpy loaded), in order: the second enumerate
     # reads the entry the first one wrote.  The class sums, the geodesic
     # sides, the spectral sides, the catalog and the closed-form continued
-    # values run on Python numbers; a twist's matrices and the verify
-    # suites' arrays of nodes load numpy
+    # values run on Python numbers, and so do a twist's matrices; the
+    # verify suites' arrays of nodes load numpy
     table = [
         ("help", ["--help"], PARSER, False),
         ("zeta", zeta_argv, CLASS_SUMS, False),
-        ("zeta --chi", zeta_argv + ["--chi", chi], CLASS_SUMS, True),
+        ("zeta --chi", zeta_argv + ["--chi", chi], CLASS_SUMS, False),
         ("trace first", trace_argv, TRACE, False),
         ("trace second", trace_argv + ["--order", "second"], TRACE, False),
-        ("trace --chi", trace_argv + ["--chi", chi], TRACE, True),
+        ("trace --chi", trace_argv + ["--chi", chi], TRACE, False),
         ("trace --dirac", trace_argv + ["--dirac", dirac], TRACE, False),
         ("trace --laplace", trace_argv + ["--order", "second", "--laplace", laplace],
          TRACE, False),

@@ -727,8 +727,7 @@ def test_continue_rows_are_the_points_one_by_one(tmp_path_factory, case, side, r
     folder = tmp_path_factory.mktemp("grid")
     (folder / "dirac.json").write_text(serialize_eigenvalue_spectrum(dirac), encoding="utf-8")
     start, stop, count = points[0], points[-1], len(points)
-    # positional digits: argparse takes -1e-05 for an option, not a number
-    parts = [np.format_float_positional(x, trim="0") for z in (start, stop) for x in (z.real, z.imag)]
+    parts = [repr(x) for z in (start, stop) for x in (z.real, z.imag)]
     argv = ["continue", "--dirac", str(folder / "dirac.json"), "--s-start", *parts[:2],
             "--s-stop", *parts[2:], "--s-count", str(count), "--radius", repr(radius),
             "--detour", side, "--output", str(folder / "rows.json")]

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeta_workbench import (
@@ -22,6 +22,7 @@ from zeta_workbench import (
     parse_gamma_rep,
     plancherel,
 )
+from zeta_workbench import reps
 from zeta_workbench.reps import require_case_b
 from conftest import NOT_NUMBERS, with_literal
 
@@ -149,11 +150,41 @@ def test_plancherel_for_weight_k():
 
 def test_gamma_rep_validation():
     good = np.array([[0.0, 1.0], [1.0, 0.0]])
-    GammaRep(dimension=2, images={"a": good})
-    with pytest.raises(InvariantViolation):
-        GammaRep(dimension=2, images={"a": np.zeros((2, 2))})
-    with pytest.raises(InvariantViolation):
+    chi = GammaRep(dimension=2, images={"a": good})
+    # numpy arrays and nested lists are held alike, as tuples of row tuples
+    assert chi.images == GammaRep(dimension=2, images={"a": [[0, 1], [1, 0]]}).images
+    assert chi.images["a"] == ((0j, 1 + 0j), (1 + 0j, 0j))
+    for singular in (np.zeros((2, 2)), [[1, 2], [2, 4]], [[1, 2, 3], [2, 4, 6], [0, 1, 1]]):
+        with pytest.raises(InvariantViolation, match="image of 'a' is singular"):
+            GammaRep(dimension=len(singular), images={"a": singular})
+    with pytest.raises(InvariantViolation, match=r"has shape \(3, 3\), expected \(2, 2\)"):
         GammaRep(dimension=2, images={"a": np.eye(3)})
+    for not_square in ([[1, 0], [0]], [1, 0], np.ones((2, 2, 2))):
+        with pytest.raises(InvariantViolation, match="image of 'a' (has shape|is not a matrix)"):
+            GammaRep(dimension=2, images={"a": not_square})
+    # a singular image is refused even when its inverse is given as well
+    with pytest.raises(InvariantViolation, match="image of 'a' is singular"):
+        GammaRep(dimension=2, images={"a": [[1, 2], [2, 4]], "A": np.eye(2)})
+
+
+def test_parse_gamma_rep_refuses_a_singular_image_exit_2():
+    doc = {"dimension": 2, "images": {"a": [[[1, 0], [2, 0]], [[2, 0], [4, 0]]]}}
+    with pytest.raises(SchemaError, match="image of 'a' is singular") as refused:
+        parse_gamma_rep(doc)
+    assert refused.value.exit_code == 2
+    doc["images"]["a"] = [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+    with pytest.raises(SchemaError, match=r"has shape \(3, 2\)"):
+        parse_gamma_rep(doc)
+
+
+def test_inverse_pivots_on_the_largest_entry():
+    # the leading entry is zero or tiny: elimination without a row swap
+    # divides by zero or loses every digit of the inverse
+    for image in ([[0, 1], [1, 0]], [[1e-20, 1], [1, 1]], [[0, 2, 1], [1, 1e-18, 0], [3, 0, 1j]]):
+        chi = GammaRep(dimension=len(image), images={"a": image})
+        inverse = np.array(chi.image_of_symbol("A"))
+        np.testing.assert_allclose(inverse, np.linalg.inv(np.array(image)), rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(inverse @ np.array(image), np.eye(len(image)), atol=1e-15)
 
 
 def test_character_chi_trivial_and_products():
@@ -183,7 +214,7 @@ def test_inverse_images_inverted_once(monkeypatch):
     def no_inverse(*args, **kwargs):
         raise AssertionError("a word must not invert a generator image")
 
-    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    monkeypatch.setattr(reps, "_inverse", no_inverse)
     assert character_chi(chi, "aBAb" * 5) == expected
 
 
@@ -229,24 +260,78 @@ def _random_twist(rng, unitary: bool) -> GammaRep:
     return GammaRep(dimension=3, images=images)
 
 
+def _bits(traces) -> list[tuple[str, str]]:
+    """The traces' bits, which tell -0.0 from 0.0."""
+    return [(z.real.hex(), z.imag.hex()) for z in traces]
+
+
+def _product_trace(images: dict[str, np.ndarray], word: str) -> tuple[complex, float]:
+    """numpy's left-to-right product over the word, an inverse letter by
+    np.linalg.inv; its trace, and the product of the letters' norms."""
+    dim = len(next(iter(images.values())))
+    acc, scale = np.eye(dim, dtype=complex), 1.0
+    for symbol in word:
+        image = images.get(symbol)
+        if image is None:
+            image = np.linalg.inv(images[symbol.swapcase()])
+        acc = acc @ image
+        scale *= np.linalg.norm(image, 2)
+    return complex(np.trace(acc)), scale
+
+
 @pytest.mark.parametrize("unitary", [True, False])
 def test_batched_character_chi_is_the_per_word_product(unitary):
     rng = np.random.default_rng(12 if unitary else 13)
     chi = _random_twist(rng, unitary)
+    images = {name: np.array(image) for name, image in chi.images.items()}
     words = [""] + [
         "".join(rng.choice(list("aAbB"), size=rng.integers(1, 11))) for _ in range(400)
     ]
-    expected = []
-    for word in words:
-        acc = np.eye(3, dtype=complex)
-        for symbol in word:
-            acc = acc @ chi.image_of_symbol(symbol)
-        expected.append(np.trace(acc))
     batched = character_chi(chi, words)
-    assert batched.shape == (len(words),)
-    assert np.array_equal(batched, np.array(expected))
-    assert [character_chi(chi, w) for w in words[:20]] == expected[:20]
-    assert np.array_equal(character_chi(None, words), np.ones(len(words)))
+    assert type(batched) is list and len(batched) == len(words)
+    assert all(type(z) is complex for z in batched)
+    assert batched[0] == 3.0
+    for word, got in zip(words, batched):
+        want, scale = _product_trace(images, word)
+        assert abs(got - want) <= 1e-12 * scale, word
+    assert _bits(character_chi(chi, w) for w in words) == _bits(batched)
+    assert character_chi(None, words) == [1.0] * len(words)
+
+
+@st.composite
+def twists(draw):
+    """A representation of dimension 1-4 on generators a and b: each image
+    a random unitary, or one with singular values in [1/4, 4] between two
+    unitaries, so the inverses stay well conditioned."""
+    dim = draw(st.integers(1, 4))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+    def unitary():
+        z = np.array(draw(st.lists(entries, min_size=2 * dim * dim, max_size=2 * dim * dim)))
+        z = z[: dim * dim].reshape(dim, dim) + 1j * z[dim * dim :].reshape(dim, dim)
+        q, r = np.linalg.qr(z + 3.0 * np.eye(dim))  # far from singular
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    images = {}
+    for name in "ab":
+        image = unitary()
+        if not draw(st.booleans()):
+            scales = draw(st.lists(st.floats(0.25, 4.0), min_size=dim, max_size=dim))
+            image = image @ np.diag(scales) @ unitary()
+        images[name] = image
+    return images
+
+
+@settings(max_examples=150, deadline=None)
+@given(twists(), st.lists(st.text(alphabet="aAbB", max_size=12), min_size=1, max_size=25))
+def test_character_chi_matches_a_numpy_product(images, words):
+    chi = GammaRep(dimension=len(images["a"]), images=images)
+    batched = character_chi(chi, words)
+    for word, got in zip(words, batched, strict=True):
+        want, scale = _product_trace(images, word)
+        assert abs(got - want) <= 1e-12 * scale, word
+    # a word alone gives the bits it gives in the batch
+    assert _bits(character_chi(chi, w) for w in words) == _bits(batched)
 
 
 def test_batched_character_chi_names_an_unknown_letter():

@@ -27,7 +27,7 @@ from zeta_workbench import dirac_geometric_side, heat_geometric_side
 from zeta_workbench.names import ZETA_KINDS
 from zeta_workbench.spectra import wrap_angle
 from zeta_workbench.verify import single_class_spectrum
-from conftest import TWO_LN_2
+from conftest import TWO_LN_2, schottky_pair
 
 
 def test_selberg_class_sum_against_product_oracle():
@@ -500,3 +500,84 @@ def test_a_class_whose_determinant_rounds_to_zero_is_refused(sigma_k1):
         dirac_geometric_side(1.0, spectrum, sigma_k1)
     # the plain geodesic sums have no determinant
     assert math.isfinite(abs(log_zeta(ZetaRequest(s=3.0, k=1.0, spectrum=spectrum, kind="ruelle")).value))
+
+
+# a non-unitary twist gates on its own growth ---------------------------------
+
+
+def worded_family(l0: float, theta0: float, powers: int) -> LengthSpectrum:
+    """single_class_spectrum's classes a^n, each with its word."""
+    family = single_class_spectrum(l0, theta0, powers)
+    words = tuple("a" * n for n in family.multiplicity)
+    columns = ClassColumns(family.length, family.angle, family.multiplicity, words)
+    return LengthSpectrum(cutoff=family.cutoff, classes=columns)
+
+
+def elementary_log_selberg(l0, theta0, c, s, k, terms=60):
+    """log Z(s; k) of the group generated by one class (l0, theta0), with a
+    one-dimensional twist c: the product over the symmetric powers,
+    sum_{a,b} log(1 - c exp(i(k+a-b) theta0) exp(-(s+1+a+b) l0))."""
+    return sum(
+        cmath.log(1.0 - c * cmath.exp(1j * (k + a - b) * theta0 - (s + 1.0 + a + b) * l0))
+        for a in range(terms)
+        for b in range(terms)
+    )
+
+
+def test_a_non_unitary_twist_moves_the_gate_by_its_growth():
+    # chi(a) = e^3 on the classes a^j, l = 1.3 j: |tr chi| = exp(b l) with
+    # b = 3/1.3, so the Selberg gate moves from 1 to 1 + 3/1.3.  Without b
+    # the gate accepted s = 1.1 and 1.25, with tail bounds 5.8e6 and 4.8e5
+    from zeta_workbench import GammaRep
+
+    spectrum = worded_family(1.3, 0.7, 8)
+    chi = GammaRep(dimension=1, images={"a": [[math.exp(3.0)]]})
+    refusals = [
+        lambda s: log_zeta(ZetaRequest(s=s, k=1.0, spectrum=spectrum, kind="selberg", chi=chi)),
+        lambda s: log_derivative_super(s, 1.0, chi, spectrum),
+        lambda s: log_derivative_symmetrized(s, 1.0, chi, spectrum),
+    ]
+    for evaluate in refusals:
+        for s in (1.1, 1.25, 3.3):
+            with pytest.raises(ConvergenceRegionError) as refused:
+                evaluate(s)
+            assert refused.value.abscissa == pytest.approx(1.0 + 3.0 / 1.3, rel=1e-14)
+    # above the gate, the class sum meets the group's product within its tail
+    for s in (3.35, 4.0, complex(3.4, 2.0)):
+        got = log_zeta(ZetaRequest(s=s, k=1.0, spectrum=spectrum, kind="selberg", chi=chi))
+        exact = elementary_log_selberg(1.3, 0.7, math.exp(3.0), s, 1.0)
+        assert abs(got.value - exact) <= got.tail_bound
+
+
+def test_a_twisted_tail_bound_covers_the_missing_powers():
+    # chi(a) = e^3 on a^j, l = 0.9 j: the traces grow like exp(3 l / 0.9),
+    # which the tail must count beyond the cutoff
+    from zeta_workbench import GammaRep
+
+    chi = GammaRep(dimension=1, images={"a": [[math.exp(3.0)]]})
+    s = 1.0 + 3.0 / 0.9 + 0.3
+    full, short = (
+        log_zeta(ZetaRequest(s=s, k=1.0, spectrum=worded_family(0.9, 0.7, powers), chi=chi))
+        for powers in (80, 6)
+    )
+    missing = abs(full.value - short.value)
+    assert 1e-8 < missing <= short.tail_bound
+
+
+def test_a_unitary_twist_leaves_the_gate_at_the_model_abscissa():
+    from zeta_workbench import EnumerationConfig, GammaRep, enumerate_spectrum
+
+    spectrum = enumerate_spectrum(
+        schottky_pair(), EnumerationConfig(max_word_length=6, length_cutoff=30.0)
+    )
+    rng = np.random.default_rng(5)
+    images = {}
+    for name in "ab":
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        images[name] = q * (np.diag(r) / np.abs(np.diag(r)))
+    chi = GammaRep(dimension=3, images=images)
+    for kind in ("selberg", "ruelle"):
+        with pytest.raises(ConvergenceRegionError) as refused:
+            log_zeta(ZetaRequest(s=0.5, k=1.0, spectrum=spectrum, kind=kind, chi=chi))
+        b = refused.value.abscissa - convergence_abscissa(kind, 2.0)
+        assert 0.0 <= b <= 1e-12
