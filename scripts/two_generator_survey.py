@@ -12,8 +12,6 @@ Usage: python3 scripts/two_generator_survey.py [max_depth]
 import cmath
 import sys
 
-import numpy as np
-
 from zeta_workbench import (
     EnumerationConfig,
     GroupPresentation,
@@ -28,13 +26,18 @@ K = 1.0
 S_GRID = [2.5, 3.0, 3.5, 4.0]
 
 
+def matmul(x, y):
+    """The product of two 2x2 matrices given as nested lists."""
+    return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+
 def schottky_pair():
     lam = 3.0 * cmath.exp(0.4j)
     mu = 2.5 * cmath.exp(-0.7j)
-    a = np.array([[lam, 0.0], [0.0, 1.0 / lam]], dtype=complex)
-    m = np.array([[1.0, 1.0], [1.0, 2.0]], dtype=complex)
-    m_inv = np.array([[2.0, -1.0], [-1.0, 1.0]], dtype=complex)
-    b = m @ np.array([[mu, 0.0], [0.0, 1.0 / mu]], dtype=complex) @ m_inv
+    a = [[lam, 0.0], [0.0, 1.0 / lam]]
+    m = [[1.0, 1.0], [1.0, 2.0]]
+    m_inv = [[2.0, -1.0], [-1.0, 1.0]]
+    b = matmul(matmul(m, [[mu, 0.0], [0.0, 1.0 / mu]]), m_inv)
     return GroupPresentation(generators=(a, b), names=("a", "b"))
 
 

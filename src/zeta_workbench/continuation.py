@@ -10,10 +10,9 @@ of operator spectra:
 
 These are rational (plus an entire polynomial) and defined on all of C,
 with simple poles at s = +-i lam_k and s = +-i sqrt(mu_k) whose residues
-are the signed and plain algebraic multiplicities.  Both take a point or
-an array of points, and every contour and path integrand in this module
-maps an array of points to values, the contract of quadrature.integrate,
-so a rule evaluates all its nodes in one call.  Everything else here
+are the signed and plain algebraic multiplicities.  Both take one point,
+and every contour and path integrand in this module maps one point to its
+value, the contract of quadrature.integrate.  Everything else here
 is bookkeeping on top: partial-fraction resolvent weights, contour-based
 residue extraction, a catalog of singularities with integer orders (its
 locations grouped by the eigenvalues' own closeness rule, so a list's own
@@ -25,22 +24,21 @@ tracking: sum order * Log(s - pole) plus 2 pi i times the integer winding
 of the detoured path.  Quadrature along the path is kept only as a check, and
 for integrands that are not pure partial fractions.
 
-The closed form, the winding and the path plan take one point and work
-on Python numbers: the path from s is planned against each catalogued
-location in catalog order, and the log is the sum of order * Log(s -
-location) over the super records in record order.  The spectra and the
-catalog are Python numbers too.  numpy and quadrature enter only where
-arrays of nodes are evaluated, in the continued log-derivatives,
-residue_at and the path quadrature, and are imported there, so the
-catalog and the closed form load neither.
+Everything here works on Python numbers.  The path from s is planned
+against each catalogued location in catalog order, and the closed-form
+log is the sum of order * Log(s - location) over the super records in
+record order.  quadrature is imported only by the path quadrature, so the
+catalog and the closed form do not load it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
-from typing import TYPE_CHECKING
+from bisect import bisect_left, bisect_right
+from operator import mul
 
 from .errors import (
     AtSingularity,
@@ -61,9 +59,6 @@ from .spectra import (
     merge_groups,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "partial_fraction_weights",
     "continued_super_logderiv",
@@ -74,24 +69,6 @@ __all__ = [
     "super_tail_log",
     "super_winding",
 ]
-
-
-_BLOCK = 4096  # pairs per block of the all-pairs temporaries
-
-
-def _near(queries: np.ndarray, values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (q, v) of the pairs with |queries[q] - values[v]| < tol.
-    Every pair is compared, the queries in blocks of _BLOCK pairs, so the
-    temporaries stay near 64 kB however many queries and values there are."""
-    import numpy as np
-
-    step = max(1, _BLOCK // max(values.size, 1))
-    qs, vs = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for start in range(0, queries.size, step):
-        q, v = np.nonzero(np.abs(queries[start : start + step, None] - values) < tol)
-        qs.append(q + start)
-        vs.append(v)
-    return np.concatenate(qs), np.concatenate(vs)
 
 
 def partial_fraction_weights(shifts: tuple[complex, ...]) -> list[complex]:
@@ -125,110 +102,108 @@ def partial_fraction_weights(shifts: tuple[complex, ...]) -> list[complex]:
 # continued logarithmic derivatives
 
 
-def _refuse_poles(z: np.ndarray, poles: np.ndarray) -> None:
-    hit, _ = _near(z.ravel(), poles, EIGENVALUE_TOL)
-    if hit.size:
-        at = complex(z.ravel()[hit.min()])
-        raise AtSingularity(f"s = {at} sits on a pole", location=at)
+@functools.lru_cache(maxsize=8)
+def _columns(spectrum: EigenvalueSpectrum, second_order: bool):
+    """A spectrum's resolvent sum and its poles, laid out for evaluation
+    point by point: the numerators num, the roots, and the poles s = +-i
+    root held as w = -i s = +-root, sorted by real part, with those real
+    parts.  (num, root) is (m lam, lam) for a first-order spectrum and
+    (m, sqrt(mu)) for a second-order one.  Spectra are immutable, so the
+    last few are kept."""
+    values, mult = spectrum.values, spectrum.multiplicity
+    if second_order:
+        num, roots = mult, [cmath.sqrt(mu) for mu in values]
+    else:
+        num, roots = tuple(map(mul, mult, values)), values
+    poles = sorted([*roots, *(-r for r in roots)], key=lambda p: p.real)
+    return num, roots, [p.real for p in poles], poles
 
 
-def _spectral_sum(term, z: np.ndarray, size: int) -> np.ndarray:
-    """sum_k term(z)_k at each point of z, where term maps a column of
-    points to a (points x size) array.  The points go in blocks, so that
-    the temporaries stay near 64 kB however many points and eigenvalues
-    there are; each point's sum is the same in any block."""
-    import numpy as np
+def _resolvent_sum(s: complex, spectrum: EigenvalueSpectrum, second_order: bool) -> complex:
+    """sum num/(root^2 + s^2) at the point s, over the columns of
+    _columns.  A point within EIGENVALUE_TOL of a pole is refused with
+    AtSingularity; it is compared only with the poles whose real parts,
+    in w = -i s, lie within EIGENVALUE_TOL of its own, found by bisection.
+    The denominator is formed as (root - w)(root + w), whose factors carry
+    no cancellation, so a point near a pole far from the origin keeps its
+    digits and a point off every pole never divides by zero."""
+    num, roots, reals, poles = _columns(spectrum, second_order)
+    w = -1j * s  # |s - i p| = |w - p|, so the pole s = i p is w = p
+    lo = bisect_left(reals, w.real - EIGENVALUE_TOL)
+    hi = bisect_right(reals, w.real + EIGENVALUE_TOL)
+    for p in poles[lo:hi]:
+        if abs(w - p) < EIGENVALUE_TOL:
+            raise AtSingularity(f"s = {s} sits on a pole", location=s)
+    return sum([a / ((r - w) * (r + w)) for a, r in zip(num, roots)])
 
-    flat = z.reshape(-1, 1)
-    step = max(1, _BLOCK // max(size, 1))
-    out = np.empty(len(flat), dtype=complex)
-    for start in range(0, len(flat), step):
-        out[start : start + step] = np.sum(term(flat[start : start + step]), axis=-1)
-    return out.reshape(z.shape)
 
-
-def continued_super_logderiv(s, dirac: DiracSpectrum):
-    """2i sum m(lam) lam / (lam^2 + s^2); poles +-i lam, residues +-m_s.
-
-    s is a point or an array of points; the eigenvalue sum is broadcast
-    over them, and any point on a pole is refused with AtSingularity.
-    """
-    import numpy as np
-
-    z = np.asarray(s, dtype=complex)
-    ev, m = np.array(dirac.values, dtype=complex), np.array(dirac.multiplicity, dtype=int)
-    _refuse_poles(z, np.concatenate([1j * ev, -1j * ev]))
-    return 2j * _spectral_sum(lambda zz: m * ev / (ev * ev + zz * zz), z, len(ev))
+def continued_super_logderiv(s: complex, dirac: DiracSpectrum) -> complex:
+    """2i sum m(lam) lam / (lam^2 + s^2) at the point s; poles +-i lam,
+    residues +-m_s.  A point within EIGENVALUE_TOL of a pole is refused
+    with AtSingularity."""
+    return 2j * _resolvent_sum(complex(s), dirac, False)
 
 
 def continued_sym_logderiv(
-    s,
+    s: complex,
     laplace: LaplaceSpectrum,
     k: float,
     dim_chi: int,
     volume: float,
-):
-    """2s sum m(mu)/(mu + s^2) minus the entire density term.
+) -> complex:
+    """2s sum m(mu)/(mu + s^2) minus the entire density term, at the point
+    s; poles +-i sqrt(mu), refused as for continued_super_logderiv.
 
-    s is a point or an array of points, as for continued_super_logderiv.
     dim_chi is the dimension of the twist; volume 0 disables the
     polynomial term explicitly.
     """
     if volume is None:
         raise MissingVolume("the density term needs a volume (0 to disable)")
-    import numpy as np
-
-    z = np.asarray(s, dtype=complex)
-    mu, m = np.array(laplace.values, dtype=complex), np.array(laplace.multiplicity, dtype=int)
-    roots = 1j * np.sqrt(mu)
-    _refuse_poles(z, np.concatenate([roots, -roots]))
-    rational = 2.0 * z * _spectral_sum(lambda zz: m / (mu + zz * zz), z, len(mu))
-    return rational - 4.0 * math.pi * dim_chi * volume * plancherel(k).at_s(z)
+    s = complex(s)
+    rational = 2.0 * s * _resolvent_sum(s, laplace, True)
+    return rational - 4.0 * math.pi * dim_chi * volume * plancherel(k).at_s(s)
 
 
 # ---------------------------------------------------------------------------
 # residues
 
 
-def residue_at(f, s0, radius: float):
+def residue_at(f, s0: complex, radius: float) -> complex:
     """(1/2 pi i) contour integral of f on the circle |s - s0| = radius.
 
-    s0 is a centre or an array of centres.  f maps an array of points to
-    values, as in quadrature.integrate, and is called once per node count:
-    with the n nodes of the circle for one centre, and with one row of n
-    nodes per centre still open for an array.  The trapezoidal rule on
-    the circle converges geometrically for integrands analytic in an
-    annulus; it starts at 16 nodes and doubles them, each centre stopping
-    once two successive values agree to 1e-10, and raises NoConvergence
-    after 2^17 nodes, naming the first centre still open.
+    f maps one point to its value.  The trapezoidal rule on the circle
+    converges geometrically for integrands analytic in an annulus; it
+    starts at 16 nodes and doubles them, keeping the sum over the nodes
+    it has and evaluating only the new ones, between them, and stops once
+    two successive values agree to 1e-10.  It raises NoConvergence after
+    2^17 nodes.
     """
     if not (radius > 0):
         raise InvariantViolation("radius must be positive")
-    import numpy as np
+    s0 = complex(s0)
 
-    centres = np.asarray(s0, dtype=complex)
-    rows = centres.reshape(-1, 1)
-    result = np.empty(len(rows), dtype=complex)
-    open_ = np.arange(len(rows))
-    previous = None
+    def ring(n: int, nodes: range) -> complex:
+        # (1/2 pi i) integral f dz, with dz = i (z - s0) dphi, is the mean
+        # of f(z) (z - s0) over the n nodes: this sums the given ones
+        total = 0j
+        for j in nodes:
+            offset = radius * cmath.exp(2j * math.pi * j / n)
+            total += f(s0 + offset) * offset
+        return total
+
     n = 16
-    while n <= 1 << 17:
-        nodes = rows[open_] + radius * np.exp(2j * math.pi * np.arange(n) / n)
-        values = np.asarray(f(nodes if centres.ndim else nodes[0])).reshape(nodes.shape)
-        # (1/2 pi i) integral f dz with dz = i (z - s0) dphi
-        total = np.mean(values * (nodes - rows[open_]), axis=-1)
-        if previous is not None:
-            delta = np.abs(total - previous)
-            settled = delta < 1e-10
-            result[open_[settled]] = total[settled]
-            open_, total, delta = open_[~settled], total[~settled], delta[~settled]
-            if not open_.size:
-                return result.reshape(centres.shape) if centres.ndim else result.item()
-        previous = total
+    total = ring(n, range(n))
+    previous = total / n
+    while n < 1 << 17:
         n *= 2
+        total += ring(n, range(1, n, 2))  # the new nodes, between the old
+        value = total / n
+        delta = abs(value - previous)
+        if delta < 1e-10:
+            return value
+        previous = value
     raise NoConvergence(
-        f"contour values at {complex(rows[open_[0], 0])} did not settle (last delta "
-        f"around {delta[0]:g})"
+        f"contour values at {s0} did not settle (last delta around {delta:g})"
     )
 
 
@@ -390,18 +365,16 @@ def _segment_integral(f, a: complex, b: complex, breaks=()) -> complex:
     real parts in breaks become panel edges."""
     from .quadrature import integrate
 
-    return integrate(lambda x: f(x + 1j * a.imag), a.real, b.real, breaks)
+    return integrate(lambda x: f(complex(x, a.imag)), a.real, b.real, breaks)
 
 
 def _arc_integral(
     f, center: complex, radius: float, phi_from: float, phi_to: float
 ) -> complex:
-    import numpy as np
-
     from .quadrature import integrate
 
     def integrand(phi):
-        offset = radius * np.exp(1j * phi)
+        offset = radius * cmath.exp(1j * phi)
         return f(center + offset) * 1j * offset
 
     return integrate(integrand, phi_from, phi_to)
@@ -430,8 +403,8 @@ def log_zeta_by_path(
     catalog's super records, sum order/(z - location), and the value is
     the closed form sum order * Log(s - location) + 2 pi i * super_winding
     at the point s (no quadrature; tail is not used); with return_winding
-    it returns (log, winding).  A given logderiv maps an array of points
-    to values, the contract of quadrature.integrate, and the path from s
+    it returns (log, winding).  A given logderiv maps one point to its
+    value, the contract of quadrature.integrate, and the path from s
     is integrated by that adaptive Gauss-Legendre rule, with the poles'
     real parts as panel edges; this serves as a check of the closed form
     and for integrands that are not pure partial fractions, and a segment

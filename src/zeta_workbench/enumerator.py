@@ -18,10 +18,10 @@ prenecklaces, the prefixes of least rotations.  The length p of a
 prenecklace's longest Lyndon prefix says both which letters may follow it
 and whether it is a necklace, so no other word is ever built.
 
-Everything here runs on Python numbers, and the module loads no numpy: a
-generator is a 2x2 of Python complex numbers, and for products of 2x2
-matrices one at a time numpy's overhead makes it slower than plain complex
-arithmetic at every word length.
+Everything here runs on Python numbers: a generator is a 2x2 of Python
+complex numbers, and for products of 2x2 matrices one at a time an array
+library's per-call overhead makes it slower than plain complex arithmetic
+at every word length.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def _as_matrix(m) -> Matrix | None:
 class GroupPresentation:
     """Generator matrices with single-character names.
 
-    A generator is any 2x2 that m[i][j] indexes, such as nested lists or a
-    numpy array, and is kept as a tuple of rows of Python complex numbers.
+    A generator is any 2x2 that m[i][j] indexes, such as nested lists or an
+    array, and is kept as a tuple of rows of Python complex numbers.
     includes_inverses=True means the alphabet is exactly the supplied list
     (the caller either included inverses explicitly or wants a monoid walk);
     otherwise inverses are adjoined automatically under swapped-case names.

@@ -3,17 +3,13 @@
 Each panel carries its 16-point Gauss-Legendre value; the error of a
 panel is that value minus the sum of the same rule on its two halves.
 A panel whose error is within the tolerance contributes its half-panel
-sum, every other panel is bisected, and all open panels are evaluated
-in one vectorised call per round, so integrands take arrays and may be
-complex.  A batch of integrals shares those rounds, and each integral
-sums its own panels in order: it is bit-identical to the same one alone.
+sum, every other panel is bisected, round by round.  The integrand is a
+function of one point on Python numbers and may be complex.
 """
 
 from __future__ import annotations
 
-import functools
-
-import numpy as np
+import math
 
 from .errors import QuadratureFailure
 
@@ -24,68 +20,69 @@ _TOL = 1e-13
 _MAX_PANELS = 4000  # per integral
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """16 nodes and weights on [-1, 1] by Golub-Welsch: the eigenvalues of
-    the Legendre Jacobi matrix and twice the squared first components of
-    its eigenvectors.  Built on first use, because the first eigh call
-    costs about 1 MB of resident memory that commands without an integral
-    should not pay."""
-    k = np.arange(1, 16)
-    off_diagonal = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vectors = np.linalg.eigh(np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1))
-    return nodes, 2.0 * vectors[0] ** 2
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x), by the three-term recurrence."""
+    before, p = 1.0, x
+    for j in range(2, n + 1):
+        before, p = p, ((2 * j - 1) * x * p - (j - 1) * before) / j
+    return p, n * (x * p - before) / (x * x - 1.0)
 
 
-def _rule(f, lo: np.ndarray, hi: np.ndarray, which: np.ndarray) -> np.ndarray:
-    nodes, weights = _gauss_legendre()
+def _gauss_legendre(n: int = 16) -> tuple[tuple[float, float], ...]:
+    """The positive nodes of the n-point rule on [-1, 1] with their weights;
+    the rule takes each node with its negative.  Each root of P_n is found
+    by Newton's method from Tricomi's estimate, and its weight is
+    2 / ((1 - x^2) P_n'(x)^2)."""
+    pairs = []
+    for i in range(1, n // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(8):  # quadratic convergence: 3 steps reach the ulp
+            p, dp = _legendre(n, x)
+            x -= p / dp
+        _, dp = _legendre(n, x)
+        pairs.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    return tuple(pairs)
+
+
+_PAIRS = _gauss_legendre()
+
+
+def _rule(f, lo: float, hi: float) -> complex:
     half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
-    # a row sum: a matrix product may round a row by how many share the call
-    return half * (np.asarray(f(x, which)) * weights).sum(axis=1)
+    mid = 0.5 * (lo + hi)
+    return half * sum([w * (f(mid - half * x) + f(mid + half * x)) for x, w in _PAIRS])
 
 
-def integrate(f, a, b, breaks=()):
-    """Integral of f from a to b; f maps an array of points to values.
+def integrate(f, a: float, b: float, breaks=()) -> complex:
+    """Integral of f from a to b; f maps one point to its value.
 
-    Arrays a and b give the array of their integrals, and f(x, which) then
-    also gets the index of the integral that each row of points is for.
     The points of breaks that lie strictly between a and b are the first
     panel edges, so a feature placed on one is never straddled by a
-    panel.  Raises QuadratureFailure once an integral has used 4000
+    panel.  Raises QuadratureFailure once the integral has used 4000
     panels without meeting the tolerance.
     """
-    batch = np.ndim(a) > 0 or np.ndim(b) > 0
-    g = f if batch else lambda x, which: f(x)
-    a, b = (np.ravel(v).astype(float) for v in np.broadcast_arrays(a, b))
-    lo, hi, which = [], [], []
-    for i, (ai, bi) in enumerate(zip(a.tolist(), b.tolist())):
-        inside = sorted(x for x in breaks if min(ai, bi) < x < max(ai, bi))
-        edges = [ai, *(inside if ai < bi else inside[::-1]), bi]
-        lo += edges[:-1]
-        hi += edges[1:]
-        which += [i] * (len(edges) - 1)
-    lo, hi, which = np.array(lo), np.array(hi), np.array(which, dtype=int)
-    whole = _rule(g, lo, hi, which)
-    total = np.zeros(len(a), dtype=complex)
-    panels = np.bincount(which, minlength=len(a))
-    while len(lo):
-        open_count = np.bincount(which, minlength=len(a))
-        panels += 2 * open_count
-        if np.any(panels > _MAX_PANELS):
-            i = np.argmax(panels > _MAX_PANELS)
+    a, b = float(a), float(b)
+    inside = sorted(x for x in breaks if min(a, b) < x < max(a, b))
+    edges = [a, *(inside if a < b else inside[::-1]), b]
+    panels = [(lo, hi, _rule(f, lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    used = len(panels)
+    total = 0j
+    while panels:
+        used += 2 * len(panels)
+        if used > _MAX_PANELS:
             raise QuadratureFailure(
-                f"{open_count[i]} panels of [{a[i]:g}, {b[i]:g}] still miss the "
+                f"{len(panels)} panels of [{a:g}, {b:g}] still miss the "
                 f"tolerance after {_MAX_PANELS} panels"
             )
-        mid = 0.5 * (lo + hi)
-        halves = _rule(g, np.concatenate([lo, mid]), np.concatenate([mid, hi]), np.tile(which, 2))
-        left, right = np.split(halves, 2)
-        refined = left + right
-        done = np.abs(whole - refined) <= _TOL * np.maximum(1.0, np.abs(refined))
-        np.add.at(total, which[done], refined[done])
-        open_ = ~done
-        lo, hi = np.concatenate([lo[open_], mid[open_]]), np.concatenate([mid[open_], hi[open_]])
-        which = np.tile(which[open_], 2)
-        whole = np.concatenate([left[open_], right[open_]])
-    return total if batch else complex(total[0])
+        lefts, rights = [], []
+        for lo, hi, whole in panels:
+            mid = 0.5 * (lo + hi)
+            left, right = _rule(f, lo, mid), _rule(f, mid, hi)
+            refined = left + right
+            if abs(whole - refined) <= _TOL * max(1.0, abs(refined)):
+                total += refined
+            else:
+                lefts.append((lo, mid, left))
+                rights.append((mid, hi, right))
+        panels = lefts + rights
+    return total

@@ -14,7 +14,7 @@ The characters and the determinant factor take a number, or a column of
 them, and give a Python number, or a list.  A twist's images are tuples of
 row tuples of complex numbers, inverted by Gauss-Jordan elimination, and
 its traces over a list of words come from products of half words kept
-for the call; nothing here loads numpy.
+for the call.
 """
 
 from __future__ import annotations
@@ -93,14 +93,21 @@ def _inverse(name: str, image: tuple) -> tuple:
     return tuple(tuple(row[n:]) for row in rows)
 
 
+def _require_finite(what: str, rows: tuple) -> None:
+    bad = next((z for row in rows for z in row if not cmath.isfinite(z)), None)
+    if bad is not None:
+        raise InvariantViolation(f"{what} has the non-finite entry {bad}")
+
+
 @dataclass(frozen=True)
 class GammaRep:
     """Finite-dimensional, possibly non-unitary, representation of the group.
 
     images maps generator names to invertible dimension x dimension
-    matrices, numpy arrays or nested lists, held as tuples of row tuples.
-    A symbol's inverse is named by swapping its case; its image, the
-    matrix inverse, is computed once at construction rather than per word.
+    matrices of finite numbers, any that m[i][j] indexes, held as tuples
+    of row tuples.  A symbol's inverse is named by swapping its case; its
+    image, the matrix inverse, is computed once at construction rather
+    than per word, and refused if it leaves the float range.
     """
 
     dimension: int
@@ -118,12 +125,15 @@ class GammaRep:
             shape = (len(rows), *{len(row) for row in rows})  # ragged rows give more widths
             if shape != (d, d):
                 raise InvariantViolation(f"image of {name!r} has shape {shape}, expected ({d}, {d})")
+            _require_finite(f"image of {name!r}", rows)
             imgs[name] = rows
         object.__setattr__(self, "images", imgs)
         by_symbol = dict(imgs)
         for name, image in imgs.items():
             inverse = _inverse(name, image)  # refuses a singular image
-            by_symbol.setdefault(name.swapcase(), inverse)
+            if name.swapcase() not in by_symbol:
+                _require_finite(f"inverse of the image of {name!r}", inverse)
+                by_symbol[name.swapcase()] = inverse
         object.__setattr__(self, "_by_symbol", by_symbol)
 
     def image_of_symbol(self, symbol: str) -> tuple:

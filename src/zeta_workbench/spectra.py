@@ -17,8 +17,8 @@ All types are immutable after construction and validated eagerly.  The
 class rules of a length spectrum are checked once, on its columns; a
 document's classes are read in one pass, and every refusal names the first
 offending class.  A document is written from the columns, one fixed
-template per class.  This module loads no numpy, so neither does reading,
-walking or writing a spectrum of either kind.
+template per class.  Everything here runs on Python numbers, and so does
+reading, walking or writing a spectrum of either kind.
 """
 
 from __future__ import annotations

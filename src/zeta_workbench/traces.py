@@ -20,8 +20,8 @@ zeta sums and the exponent -(l^2/4t + rho l), which carries the exp(-l)
 of D; both spectral sums add up an eigenvalue spectrum's entries with
 cmath.  A side that is not a finite number is refused: a t far from 1
 takes a power of t out of the float range, and an eigenvalue far from the
-real axis makes exp overflow.  Nothing here loads numpy, with a twist or
-without.
+real axis makes exp overflow.  Everything here runs on Python numbers,
+with a twist or without.
 
 For synthetic inputs the two sides of either formula need not agree; the
 package reports their gap as a diagnostic and never asserts equality.
@@ -112,7 +112,7 @@ def dirac_geometric_side(
     length = spectrum.length
     prefactor = -2j * math.pi / (4.0 * math.pi * t) ** 1.5
     weights = map(mul, (l * l for l in length), class_weights(spectrum, chi, k, -1, True))
-    return prefactor * class_sum(weights, _heat_exponents(length, t))
+    return prefactor * class_sum(weights, _heat_exponents(length, t), "t", t)
 
 
 @_finite("geometric")
@@ -133,7 +133,7 @@ def heat_geometric_side(
 
     length = spectrum.length
     weights = map(mul, length, class_weights(spectrum, chi, k, +1, True))
-    geodesic = class_sum(weights, _heat_exponents(length, t))
+    geodesic = class_sum(weights, _heat_exponents(length, t), "t", t)
     return identity + geodesic / math.sqrt(4.0 * math.pi * t)
 
 

@@ -33,8 +33,8 @@ class_sum: the weights times exp of one exponent per class, -(s+1) l or
 time.  The Selberg-type factor exp(-rho l) is folded into the exponent,
 never into the weights, so a long class meets exp(-(s+rho) l), which
 underflows to zero, rather than exp(-rho l) * exp(-s l) = 0 * inf.
-Nothing here loads numpy, with a twist or without: a twist's traces are
-Python complex numbers from reps.character_chi.
+Everything here runs on Python numbers; a twist's traces are Python
+complex numbers from reps.character_chi.
 
 Sums are only evaluated above a model-based convergence abscissa derived
 from an exponential geodesic-count model N(L) <= C exp(g L), moved right
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import mul, truediv
 
-from .errors import ConvergenceRegionError, InvariantViolation
+from .errors import ConvergenceRegionError, InvariantViolation, WorkbenchError
 from .reps import (
     GammaRep,
     ad_nbar_det,
@@ -151,10 +151,18 @@ def class_weights(
     return w
 
 
-def class_sum(weights, exponents) -> complex:
+def class_sum(weights, exponents, name: str, point) -> complex:
     """The kernel of every geodesic sum: sum over the classes of
-    weights * exp(exponents), with one exponent per class at one point."""
-    return sum(map(mul, weights, map(cmath.exp, exponents)), 0j)
+    weights * exp(exponents), with one exponent per class at the point
+    name = point.  An exponent that exp cannot take, such as one whose
+    imaginary part |Im s| l is past the float range, is refused naming
+    the point."""
+    try:
+        return sum(map(mul, weights, map(cmath.exp, exponents)), 0j)
+    except (ValueError, OverflowError):
+        raise WorkbenchError(
+            f"{name} = {point} takes a class exponent out of the float range"
+        ) from None
 
 
 def _exponents(s: complex, length: tuple[float, ...], selberg_type: bool):
@@ -286,7 +294,7 @@ def log_zeta(req: ZetaRequest) -> TruncatedValue:
         return TruncatedValue(0.0, 0.0, 0)
     _check_region(req.s, req.kind, growth, _count_model(spectrum, chi, growth)[1])
     weights = class_weights(spectrum, chi, req.k, sign, selberg_type)
-    value = -class_sum(weights, _exponents(req.s, spectrum.length, selberg_type))
+    value = -class_sum(weights, _exponents(req.s, spectrum.length, selberg_type), "s", req.s)
     tail = _tail_bound(
         spectrum,
         chi,
@@ -322,7 +330,7 @@ def _log_derivative(
     tail = _tail_bound(
         spectrum, chi, growth, s.real + RHO, 2.0, with_det=True, with_length_factor=True
     )
-    value = class_sum(weights, _exponents(s, length, True))
+    value = class_sum(weights, _exponents(s, length, True), "s", s)
     return TruncatedValue(value, tail, len(spectrum.classes))
 
 

@@ -88,6 +88,13 @@ MUTANTS = (
     Mutant("M19", "src/zeta_workbench/zeta.py",
            "a = convergence_abscissa(kind, growth) + b", "a = convergence_abscissa(kind, growth)",
            "tests/test_zeta.py", "the gate moves right by the twist's growth b"),
+    Mutant("M20", "src/zeta_workbench/continuation.py",
+           "total += ring(n, range(1, n, 2))", "total = ring(n, range(1, n, 2))",
+           "tests/test_continuation.py", "a doubled ring keeps the previous ring's sum"),
+    Mutant("M21", "src/zeta_workbench/quadrature.py",
+           "pairs.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))",
+           "pairs.append((x, 1.0 / ((1.0 - x * x) * dp * dp)))",
+           "tests/test_traceform.py", "the Gauss-Legendre weight's factor 2"),
 )
 
 # Mutants that the suite does not kill yet: no test holds tail_bound
@@ -133,7 +140,7 @@ def run_mutant(mutant: Mutant) -> subprocess.CompletedProcess:
 
 def run_table(mutants=MUTANTS) -> dict[str, int]:
     """Each mutant's pytest exit code; 1 means it was killed.  Two run at a
-    time: each is a pytest process with numpy loaded."""
+    time, each in its own pytest process."""
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = pool.map(run_mutant, mutants)
         return {m.id: r.returncode for m, r in zip(mutants, results)}

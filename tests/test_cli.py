@@ -660,6 +660,25 @@ def test_zeta_with_a_long_class_writes_finite_json(tmp_path, capsys):
     assert math.isfinite(row["tail_bound"])
 
 
+@pytest.mark.parametrize("kind, im", [("ruelle", "1e306"), ("symmetrized", "1e308")])
+def test_zeta_exponent_past_the_float_range_exit_1(tmp_path, kind, im):
+    # one class of length 700: -s l has an infinite imaginary part, which
+    # cmath.exp refused with a ValueError traceback; the kernel refuses the
+    # point in one line, naming s
+    spec = write_json(tmp_path, "long.json", spectrum_doc([(700.0, 0.3, 1)], cutoff=800.0))
+    env = dict(os.environ, ZETA_CACHE_DIR=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "zeta_workbench.cli", "zeta", "--spectrum", spec, "--sigma", "1",
+         "--kind", kind, "--s-start", "3", im],
+        env=env, capture_output=True, text=True,
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        f"error: s = (3+{float(im)!r}j) takes a class exponent out of the float range\n"
+    )
+
+
 def test_zeta_value_past_the_float_range_exit_1(tmp_path, capsys):
     # 1000 short classes put Re log R near 906 at s = 0.02, whose exp
     # overflowed with a traceback; the row is refused, naming s and Re log
@@ -1345,34 +1364,32 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     zeta_argv = ["zeta", "--spectrum", spec, "--sigma", "1", "--s-start", "3", "0"]
     trace_argv = ["trace", "--spectrum", spec, "--sigma", "1", "--volume", "1"]
     enumerate_argv = ["enumerate", "--presentation", pres, "--max-word-length", "3"]
-    # (label, argv, modules, numpy loaded), in order: the second enumerate
-    # reads the entry the first one wrote.  The class sums, the geodesic
-    # sides, the spectral sides, the catalog and the closed-form continued
-    # values run on Python numbers, and so do a twist's matrices; the
-    # verify suites' arrays of nodes load numpy
+    # (label, argv, modules), in order: the second enumerate reads the entry
+    # the first one wrote.  Every command runs on Python numbers, the
+    # verify suites' quadrature and contour rules too, so none loads numpy
+    verify = TRACE | {"quadrature", "continuation", "verify"}
     table = [
-        ("help", ["--help"], PARSER, False),
-        ("zeta", zeta_argv, CLASS_SUMS, False),
-        ("zeta --chi", zeta_argv + ["--chi", chi], CLASS_SUMS, False),
-        ("trace first", trace_argv, TRACE, False),
-        ("trace second", trace_argv + ["--order", "second"], TRACE, False),
-        ("trace --chi", trace_argv + ["--chi", chi], TRACE, False),
-        ("trace --dirac", trace_argv + ["--dirac", dirac], TRACE, False),
-        ("trace --laplace", trace_argv + ["--order", "second", "--laplace", laplace],
-         TRACE, False),
-        ("enumerate cold", enumerate_argv, ENUMERATE, False),
-        ("enumerate cached", enumerate_argv, PARSER | {"cache"}, False),
+        ("help", ["--help"], PARSER),
+        ("zeta", zeta_argv, CLASS_SUMS),
+        ("zeta --chi", zeta_argv + ["--chi", chi], CLASS_SUMS),
+        ("trace first", trace_argv, TRACE),
+        ("trace second", trace_argv + ["--order", "second"], TRACE),
+        ("trace --chi", trace_argv + ["--chi", chi], TRACE),
+        ("trace --dirac", trace_argv + ["--dirac", dirac], TRACE),
+        ("trace --laplace", trace_argv + ["--order", "second", "--laplace", laplace], TRACE),
+        ("enumerate cold", enumerate_argv, ENUMERATE),
+        ("enumerate cached", enumerate_argv, PARSER | {"cache"}),
         ("continue", ["continue", "--dirac", dirac, "--s-start", "-0.5", "3", "--s-stop",
                       "-0.5", "-3", "--s-count", "4"],
-         CONTINUE, False),
-        ("continue --laplace", ["continue", "--dirac", roots, "--laplace", laplace],
-         CONTINUE, False),
-        ("verify", ["verify", "--suite", "kernels"],
-         TRACE | {"quadrature", "continuation", "verify"}, True),
+         CONTINUE),
+        ("continue --laplace", ["continue", "--dirac", roots, "--laplace", laplace], CONTINUE),
+        ("verify", ["verify", "--suite", "kernels"], verify),
+        ("verify residues", ["verify", "--suite", "residues"], verify),
+        ("report", ["report"], verify),
     ]
     env = dict(os.environ, ZETA_CACHE_DIR=str(tmp_path / "cache"))
     env["PYTHONPATH"] = str(Path(zeta_workbench.__file__).parents[1])
-    for label, argv, expected, numpy_expected in table:
+    for label, argv, expected in table:
         result = subprocess.run(
             [sys.executable, "-c", MODULES_PROBE, *argv],
             env=env, capture_output=True, text=True, check=True,
@@ -1380,4 +1397,4 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         code, modules, numpy_loaded = json.loads(result.stdout.splitlines()[-1])
         assert code == 0, (label, result.stderr)
         assert {m.removeprefix("zeta_workbench.") for m in modules} == expected, label
-        assert numpy_loaded == numpy_expected, label
+        assert numpy_loaded is False, label

@@ -48,3 +48,15 @@ def test_a_name_loads_only_its_module():
     before, after = json.loads(result.stdout)
     assert before == []
     assert after == [f"zeta_workbench.{m}" for m in ("cache", "errors", "names", "spectra")]
+
+
+def test_the_package_has_no_runtime_dependency():
+    # numpy is an oracle of the tests alone: the package declares no
+    # dependency, and none of its modules names numpy
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(zeta_workbench.__file__).parent
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["dependencies"] == []
+    assert "numpy>=1.24" in project["project"]["optional-dependencies"]["test"]
+    for module in sorted(package.glob("*.py")):
+        assert "numpy" not in module.read_text(encoding="utf-8"), module.name

@@ -167,6 +167,20 @@ def test_gamma_rep_validation():
         GammaRep(dimension=2, images={"a": [[1, 2], [2, 4]], "A": np.eye(2)})
 
 
+def test_gamma_rep_refuses_a_non_finite_image():
+    # built from Python, as parse_gamma_rep's documents can hold no NaN: a
+    # NaN image once gave log_zeta a NaN value with a finite tail bound
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        with pytest.raises(InvariantViolation, match=r"image of 'a' has the non-finite entry"):
+            GammaRep(1, {"a": [[bad]]})
+    with pytest.raises(InvariantViolation, match=r"^image of 'b' has the non-finite entry nanj$"):
+        GammaRep(2, {"a": [[1, 0], [0, 1]], "b": [[1, complex(0, math.nan)], [0, 1]]})
+    # an inverse past the float range is refused too, unless it is given
+    with pytest.raises(InvariantViolation, match=r"^inverse of the image of 'a' has the non-finite"):
+        GammaRep(1, {"a": [[1e-310]]})
+    assert GammaRep(1, {"a": [[1e-310]], "A": [[1e308]]}).image_of_symbol("A") == ((1e308 + 0j,),)
+
+
 def test_parse_gamma_rep_refuses_a_singular_image_exit_2():
     doc = {"dimension": 2, "images": {"a": [[[1, 0], [2, 0]], [[2, 0], [4, 0]]]}}
     with pytest.raises(SchemaError, match="image of 'a' is singular") as refused:

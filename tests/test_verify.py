@@ -39,8 +39,8 @@ CASES[104] = dict(CASES[0], residues=579, parity=67)
 
 @pytest.mark.parametrize("seed", sorted(CASES))
 def test_run_all_still_runs_every_case(seed):
-    # batched suites record one case per identity, point or residue, as
-    # the suites that checked them one call at a time did
+    # one case per identity, point or residue, drawn in the same order by
+    # every version of the suites
     assert {r["suite"]: r["cases"] for r in run_all(seed=seed)} == CASES[seed]
 
 
@@ -109,3 +109,17 @@ def test_every_suite_fails_when_its_check_breaks(name, monkeypatch):
     report = run_suite(name, seed=0)
     assert report["pass"] is False
     assert report["counterexample"] is not None
+
+
+def test_a_nan_gap_fails_its_case_and_is_no_maximum():
+    ledger = verify._Ledger("nan", seed=0)
+    ledger.gap(3e-11, 1e-10, "small")
+    ledger.gap(float("nan"), 1e-10, "not a number")
+    ledger.gap(2e-10, 1e-10, "twice the tolerance")
+    ledger.gap(5e-11, 1e-10, "after")
+    report = ledger.report()
+    # the NaN case fails, and it is the worst: it has no finite excess
+    assert report["cases"] == 4 and report["pass"] is False
+    assert report["counterexample"] == "not a number"
+    # max_gap is the largest finite gap, failed or not
+    assert report["max_gap"] == 2e-10
