@@ -92,7 +92,10 @@ def _read_json(path: str) -> dict:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise WorkbenchError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -30,13 +30,13 @@ import cmath
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .errors import InvariantViolation, NotLoxodromic, SchemaError
 from .spectra import (
     ARRAY,
     ClassColumns,
     LengthSpectrum,
+    Record,
     array_shape,
     json_object,
     require,
@@ -71,8 +71,7 @@ def _as_matrix(m) -> Matrix | None:
     return None
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Record):
     """Generator matrices with single-character names.
 
     A generator is any 2x2 that m[i][j] indexes, such as nested lists or an
@@ -82,13 +81,13 @@ class GroupPresentation:
     otherwise inverses are adjoined automatically under swapped-case names.
     """
 
-    generators: tuple[Matrix, ...]
-    names: tuple[str, ...]
-    includes_inverses: bool = False
+    _fields = ("generators", "names", "includes_inverses")
 
-    def __post_init__(self):
+    def __init__(
+        self, generators: tuple[Matrix, ...], names: tuple[str, ...], includes_inverses: bool = False
+    ):
         gens = []
-        for i, g in enumerate(self.generators):
+        for i, g in enumerate(generators):
             mat = _as_matrix(g)
             if mat is None:
                 raise InvariantViolation(f"generator {i} is not a 2x2 matrix")
@@ -99,9 +98,7 @@ class GroupPresentation:
                     f"generator {i} has determinant {det}, expected 1"
                 )
             gens.append(mat)
-        object.__setattr__(self, "generators", tuple(gens))
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
+        names = tuple(names)
         if len(names) != len(gens):
             raise InvariantViolation("need exactly one name per generator")
         if len(set(names)) != len(names):
@@ -111,7 +108,7 @@ class GroupPresentation:
                 raise InvariantViolation(
                     f"generator name {name!r} must be a single character"
                 )
-        if not self.includes_inverses:
+        if not includes_inverses:
             for name in names:
                 if name.swapcase() == name:
                     raise InvariantViolation(
@@ -123,20 +120,22 @@ class GroupPresentation:
                         f"names {name!r} and {name.swapcase()!r} collide with the "
                         "implicit inverse naming; set includes_inverses"
                     )
+        self.__dict__.update(
+            generators=tuple(gens), names=names, includes_inverses=includes_inverses
+        )
 
 
-@dataclass(frozen=True)
-class EnumerationConfig:
-    max_word_length: int
-    length_cutoff: float
+class EnumerationConfig(Record):
+    _fields = ("max_word_length", "length_cutoff")
 
-    def __post_init__(self):
-        if self.max_word_length < 1:
+    def __init__(self, max_word_length: int, length_cutoff: float):
+        if max_word_length < 1:
             raise InvariantViolation("max_word_length must be positive")
-        if not (0 < self.length_cutoff < math.inf):
+        if not (0 < length_cutoff < math.inf):
             raise InvariantViolation(
-                f"length_cutoff must be positive and finite, got {self.length_cutoff}"
+                f"length_cutoff must be positive and finite, got {length_cutoff}"
             )
+        self.__dict__.update(max_word_length=max_word_length, length_cutoff=length_cutoff)
 
 
 def parse_group_presentation(document: str | dict) -> GroupPresentation:

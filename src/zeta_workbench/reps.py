@@ -20,13 +20,13 @@ for the call.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import CaseAError, InvariantViolation, SchemaError, UnknownSymbol
-from .spectra import ARRAY, array_shape, json_object, require
+from .spectra import ARRAY, Record, array_shape, json_object, require
 
 __all__ = [
     "GammaRep",
@@ -45,8 +45,11 @@ DEFAULT_PLANCHEREL_NORMALIZATION = 1.0 / (4.0 * math.pi**2)
 
 
 def check_weight(k: float) -> float:
-    """The weight as a float; it must be an integer or a half-integer."""
+    """The weight as a float; it must be an integer or a half-integer, and
+    2k must be finite."""
     k = float(k)
+    if math.isfinite(k) and math.isinf(2.0 * k):
+        raise InvariantViolation(f"weight {k} is too large: 2k is not finite")
     if not math.isfinite(k) or abs(2.0 * k - round(2.0 * k)) > 1e-12:
         raise InvariantViolation(f"weight must be an integer or half-integer, got {k}")
     return k
@@ -99,8 +102,7 @@ def _require_finite(what: str, rows: tuple) -> None:
         raise InvariantViolation(f"{what} has the non-finite entry {bad}")
 
 
-@dataclass(frozen=True)
-class GammaRep:
+class GammaRep(Record):
     """Finite-dimensional, possibly non-unitary, representation of the group.
 
     images maps generator names to invertible dimension x dimension
@@ -110,14 +112,12 @@ class GammaRep:
     than per word, and refused if it leaves the float range.
     """
 
-    dimension: int
-    images: dict[str, tuple]
-    _by_symbol: dict[str, tuple] = field(init=False, repr=False, compare=False)
+    _fields = ("dimension", "images")
 
-    def __post_init__(self):
-        d = self.dimension
+    def __init__(self, dimension: int, images: dict[str, tuple]):
+        d = dimension
         imgs = {}
-        for name, image in self.images.items():
+        for name, image in images.items():
             try:
                 rows = tuple(tuple(map(complex, row)) for row in image)
             except TypeError:
@@ -127,14 +127,13 @@ class GammaRep:
                 raise InvariantViolation(f"image of {name!r} has shape {shape}, expected ({d}, {d})")
             _require_finite(f"image of {name!r}", rows)
             imgs[name] = rows
-        object.__setattr__(self, "images", imgs)
         by_symbol = dict(imgs)
         for name, image in imgs.items():
             inverse = _inverse(name, image)  # refuses a singular image
             if name.swapcase() not in by_symbol:
                 _require_finite(f"inverse of the image of {name!r}", inverse)
                 by_symbol[name.swapcase()] = inverse
-        object.__setattr__(self, "_by_symbol", by_symbol)
+        self.__dict__.update(dimension=dimension, images=imgs, _by_symbol=by_symbol)
 
     def image_of_symbol(self, symbol: str) -> tuple:
         image = self._by_symbol.get(symbol)
@@ -225,8 +224,7 @@ def ad_nbar_det(length, angle):
 # Plancherel polynomial
 
 
-@dataclass(frozen=True)
-class PlancherelPoly:
+class PlancherelPoly(Record):
     """Even polynomial q with q(lam) the spectral density at parameter lam.
 
     even_coefficients stores (c_0, c_2, c_4, ...); odd coefficients are
@@ -234,12 +232,10 @@ class PlancherelPoly:
     evaluation.
     """
 
-    even_coefficients: tuple[float, ...]
+    _fields = ("even_coefficients",)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "even_coefficients", tuple(float(c) for c in self.even_coefficients)
-        )
+    def __init__(self, even_coefficients: tuple[float, ...]):
+        self.__dict__.update(even_coefficients=tuple(float(c) for c in even_coefficients))
 
     @property
     def coefficients(self) -> tuple[float, ...]:
@@ -264,7 +260,9 @@ class PlancherelPoly:
         return self.at_ilambda(-1j * s)
 
 
+@functools.lru_cache(maxsize=8)
 def plancherel(k: float) -> PlancherelPoly:
     """Density polynomial for the identity contribution:
-    q(lam) = lam^2 + k^2, times the default normalization."""
+    q(lam) = lam^2 + k^2, times the default normalization.  It depends on
+    k alone and is immutable, so the last few are kept."""
     return PlancherelPoly((k * k, 1.0))

@@ -13,7 +13,9 @@ twisting the operator need not be unitary.  They have one equality rule,
 merge_groups: entries closer than 1e-12, exact repeats included, merge at
 construction, and the singularity catalog groups its locations alike.
 
-All types are immutable after construction and validated eagerly.  The
+The records derive from Record, one small base that refuses assignment
+to any attribute after construction and compares records by their
+fields; they are validated eagerly, in their constructors.  The
 class rules of a length spectrum are checked once, on its columns; a
 document's classes are read in one pass, and every refusal names the first
 offending class.  A document is written from the columns, one fixed
@@ -30,7 +32,6 @@ import math
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
 
 from .errors import InvariantViolation, SchemaError
 from .names import ZETA_KINDS
@@ -61,6 +62,37 @@ def wrap_angle(theta: float) -> float:
     if y <= -math.pi:
         y += TAU
     return y
+
+
+class Record:
+    """Base of the immutable records.  A record's __init__ checks its
+    arguments and stores its fields through __dict__; assigning to or
+    deleting an attribute afterwards raises AttributeError.  The fields
+    named in _fields make the repr, and two records of one class are equal,
+    and hash alike, when those fields are equal."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class ClassColumns:
@@ -96,8 +128,7 @@ class ClassColumns:
         return hash(self.words)
 
 
-@dataclass(frozen=True)
-class LengthSpectrum:
+class LengthSpectrum(Record):
     """Finite set of geodesic classes with length <= cutoff, plus metadata.
 
     A spectrum is built from ClassColumns, and nothing else, and reads back
@@ -107,29 +138,30 @@ class LengthSpectrum:
     model constants it last computed on this spectrum.
     """
 
-    cutoff: float
-    classes: ClassColumns
-    tolerance: float = 1e-9
-    volume: float | None = None
-    source: str = ""
-    length: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    angle: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    multiplicity: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    words: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
-    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("cutoff", "classes", "tolerance", "volume", "source")
 
-    def __post_init__(self):
-        columns = self.classes
-        if not isinstance(columns, ClassColumns):
+    def __init__(
+        self,
+        cutoff: float,
+        classes: ClassColumns,
+        tolerance: float = 1e-9,
+        volume: float | None = None,
+        source: str = "",
+    ):
+        if not isinstance(classes, ClassColumns):
             raise InvariantViolation(
-                f"classes must be ClassColumns, got {type(columns).__name__}"
+                f"classes must be ClassColumns, got {type(classes).__name__}"
             )
-        for name in ("length", "angle", "multiplicity", "words"):
-            object.__setattr__(self, name, getattr(columns, name))
+        self.__dict__.update(
+            cutoff=cutoff, classes=classes, tolerance=tolerance, volume=volume, source=source,
+            length=classes.length, angle=classes.angle, multiplicity=classes.multiplicity,
+            words=classes.words, memo={},
+        )
         _validate_spectrum(self)
 
     def with_volume(self, volume: float) -> "LengthSpectrum":
-        return replace(self, volume=volume)
+        """This spectrum with another volume, checked as a new one is."""
+        return LengthSpectrum(self.cutoff, self.classes, self.tolerance, volume, self.source)
 
 
 def _validate_spectrum(spec: LengthSpectrum) -> None:
@@ -298,35 +330,29 @@ def super_multiplicity(dirac: DiracSpectrum, ev: complex) -> int:
     return m(ev) - m(-ev)
 
 
-@dataclass(frozen=True)
-class SingularityRecord:
+class SingularityRecord(Record):
     """Catalogued singularity: location, integer order, owning zeta."""
 
-    location: complex
-    order: int
-    zeta_kind: str
+    _fields = ("location", "order", "zeta_kind")
 
-    def __post_init__(self):
-        object.__setattr__(self, "location", complex(self.location))
-        if self.order == 0:
+    def __init__(self, location: complex, order: int, zeta_kind: str):
+        self.__dict__.update(location=complex(location), order=order, zeta_kind=zeta_kind)
+        if order == 0:
             raise InvariantViolation("singularity order must be nonzero")
-        if self.zeta_kind not in ZETA_KINDS:
-            raise InvariantViolation(f"unknown zeta kind {self.zeta_kind!r}")
+        if zeta_kind not in ZETA_KINDS:
+            raise InvariantViolation(f"unknown zeta kind {zeta_kind!r}")
 
 
-@dataclass(frozen=True)
-class TruncatedValue:
+class TruncatedValue(Record):
     """Value of a truncated series plus a model-based bound on the tail."""
 
-    value: complex
-    tail_bound: float
-    terms_used: int
+    _fields = ("value", "tail_bound", "terms_used")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
-        if self.tail_bound < 0:
+    def __init__(self, value: complex, tail_bound: float, terms_used: int):
+        self.__dict__.update(value=complex(value), tail_bound=tail_bound, terms_used=terms_used)
+        if tail_bound < 0:
             raise InvariantViolation("tail_bound must be nonnegative")
-        if self.terms_used < 0:
+        if terms_used < 0:
             raise InvariantViolation("terms_used must be nonnegative")
 
 

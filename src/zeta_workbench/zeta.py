@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mul, truediv
 
@@ -61,7 +60,7 @@ from .reps import (
     require_case_b,
 )
 from .names import ZETA_KINDS
-from .spectra import LengthSpectrum, TruncatedValue
+from .spectra import LengthSpectrum, Record, TruncatedValue
 
 __all__ = [
     "ZetaRequest",
@@ -173,23 +172,28 @@ def _exponents(s: complex, length: tuple[float, ...], selberg_type: bool):
 # requests -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZetaRequest:
-    s: complex
-    k: float
-    spectrum: LengthSpectrum
-    kind: str = "selberg"
-    chi: GammaRep | None = None
-    growth_constant: float | None = None  # default 2*rho
+class ZetaRequest(Record):
+    _fields = ("s", "k", "spectrum", "kind", "chi", "growth_constant")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", complex(self.s))
-        object.__setattr__(self, "k", check_weight(self.k))
-        if self.kind not in ZETA_KINDS:
-            raise InvariantViolation(f"unknown zeta kind {self.kind!r}")
-        if _SHAPES[self.kind][0]:
-            require_case_b(self.k)
-        _growth(self.growth_constant)
+    def __init__(
+        self,
+        s: complex,
+        k: float,
+        spectrum: LengthSpectrum,
+        kind: str = "selberg",
+        chi: GammaRep | None = None,
+        growth_constant: float | None = None,  # default 2*rho
+    ):
+        s = complex(s)
+        k = check_weight(k)
+        if kind not in ZETA_KINDS:
+            raise InvariantViolation(f"unknown zeta kind {kind!r}")
+        if _SHAPES[kind][0]:
+            require_case_b(k)
+        _growth(growth_constant)
+        self.__dict__.update(
+            s=s, k=k, spectrum=spectrum, kind=kind, chi=chi, growth_constant=growth_constant
+        )
 
 
 def _growth(growth_constant: float | None) -> float:

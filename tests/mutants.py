@@ -95,6 +95,22 @@ MUTANTS = (
            "pairs.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))",
            "pairs.append((x, 1.0 / ((1.0 - x * x) * dp * dp)))",
            "tests/test_traceform.py", "the Gauss-Legendre weight's factor 2"),
+    Mutant("M22", "src/zeta_workbench/spectra.py",
+           'raise AttributeError(f"cannot assign to field {name!r}")',
+           "object.__setattr__(self, name, value)",
+           "tests/test_spectra.py", "the records refuse assignment"),
+    Mutant("M23", "src/zeta_workbench/spectra.py",
+           '_fields = ("cutoff", "classes", "tolerance", "volume", "source")',
+           '_fields = ("cutoff", "classes", "tolerance", "source")',
+           "tests/test_spectra.py", "spectrum equality counts the volume"),
+    Mutant("M24", "src/zeta_workbench/spectra.py",
+           "return LengthSpectrum(self.cutoff, self.classes, self.tolerance, volume, self.source)",
+           "copy = object.__new__(LengthSpectrum); "
+           "copy.__dict__.update(self.__dict__, volume=volume, memo={}); return copy",
+           "tests/test_spectra.py", "with_volume checks the new spectrum"),
+    Mutant("M25", "src/zeta_workbench/reps.py",
+           "if math.isfinite(k) and math.isinf(2.0 * k):", "if False:",
+           "tests/test_cli.py", "a weight whose 2k overflows is refused"),
 )
 
 # Mutants that the suite does not kill yet: no test holds tail_bound

@@ -529,6 +529,21 @@ def test_weight_off_the_half_integers_is_refused(tmp_path, capsys):
     assert "half-integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["zeta", "--s-start", "3", "0"],
+    ["trace", "--order", "first"],
+    ["trace", "--order", "second"],
+], ids=["zeta", "trace first", "trace second"])
+def test_weight_whose_double_overflows_is_refused_exit_1(tmp_path, capsys, command):
+    # 2k = inf made round(2k) raise OverflowError: a traceback from zeta, and
+    # "the geometric side at t = 1.0 is not a finite number" from trace
+    spec = toy_spectrum_path(tmp_path)
+    assert main([*command, "--spectrum", spec, "--sigma", "1e308"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == "error: weight 1e+308 is too large: 2k is not finite\n"
+
+
 def test_zeta_refuses_a_spectrum_of_another_dimension(tmp_path, capsys):
     doc = spectrum_doc(TOY_CLASSES)
     doc["dimension"] = 5
@@ -1023,6 +1038,27 @@ def test_t_flags_replace_the_default_list(tmp_path, capsys):
         assert [row["t"] for row in json.loads(capsys.readouterr().out)["rows"]] == times
 
 
+@pytest.mark.parametrize("command", ["enumerate", "zeta", "trace", "verify", "continue", "report"])
+def test_an_output_path_that_cannot_be_written_exit_1(tmp_path, capsys, command):
+    # writing under a missing directory ended in a FileNotFoundError traceback
+    spec = toy_spectrum_path(tmp_path)
+    pres = write_json(tmp_path, "pres.json", cyclic_presentation_doc())
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1)]))
+    inputs = {
+        "enumerate": ["--presentation", pres, "--max-word-length", "2"],
+        "zeta": ["--spectrum", spec, "--sigma", "1", "--s-start", "3", "0"],
+        "trace": ["--spectrum", spec, "--sigma", "1"],
+        "verify": ["--suite", "partial-fractions"],
+        "continue": ["--dirac", dirac],
+        "report": [],
+    }
+    output = str(tmp_path / "missing" / "out.json")
+    assert main([command, *inputs[command], "--output", output]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"error: cannot write {output}: ") and err.count("\n") == 1
+
+
 def test_config_is_no_option(tmp_path, capsys):
     # the INI layer is gone, so --config is refused as argparse refuses any
     # unknown flag; spaced, its file name is read as the command
@@ -1337,7 +1373,7 @@ try:
 except SystemExit as exc:  # --help
     code = exc.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "zeta_workbench"),
-                  "numpy" in sys.modules]))
+                  [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]]))
 """
 
 # every call loads the package, the parser's module and what it imports
@@ -1366,7 +1402,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     enumerate_argv = ["enumerate", "--presentation", pres, "--max-word-length", "3"]
     # (label, argv, modules), in order: the second enumerate reads the entry
     # the first one wrote.  Every command runs on Python numbers, the
-    # verify suites' quadrature and contour rules too, so none loads numpy
+    # verify suites' quadrature and contour rules too, so none loads numpy;
+    # the records are plain classes, so none loads dataclasses or inspect
     verify = TRACE | {"quadrature", "continuation", "verify"}
     table = [
         ("help", ["--help"], PARSER),
@@ -1394,7 +1431,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
             [sys.executable, "-c", MODULES_PROBE, *argv],
             env=env, capture_output=True, text=True, check=True,
         )
-        code, modules, numpy_loaded = json.loads(result.stdout.splitlines()[-1])
+        code, modules, heavy = json.loads(result.stdout.splitlines()[-1])
         assert code == 0, (label, result.stderr)
         assert {m.removeprefix("zeta_workbench.") for m in modules} == expected, label
-        assert numpy_loaded is False, label
+        assert heavy == [], label

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -16,6 +15,7 @@ from zeta_workbench import (
     EnumerationConfig,
     GroupPresentation,
     InvariantViolation,
+    LengthSpectrum,
     NotLoxodromic,
     SchemaError,
     complex_length,
@@ -444,12 +444,15 @@ def test_caseless_names_are_never_their_own_inverse(free_two_generator):
         for names in (("a", "b"), ("1", "2"))
     )
     rename = str.maketrans("ab", "12")
-    renamed = dataclasses.replace(
-        lettered,
+    renamed = LengthSpectrum(
+        cutoff=lettered.cutoff,
         classes=ClassColumns(
             lettered.length, lettered.angle, lettered.multiplicity,
             [w.translate(rename) for w in lettered.words],
         ),
+        tolerance=lettered.tolerance,
+        volume=lettered.volume,
+        source=lettered.source,
     )
     assert renamed == digits
     assert len(digits.classes) == 153

@@ -14,11 +14,18 @@ from hypothesis import strategies as st
 from zeta_workbench import (
     ClassColumns,
     DiracSpectrum,
+    EnumerationConfig,
+    GammaRep,
+    GroupPresentation,
     InvariantViolation,
     LaplaceSpectrum,
     LengthSpectrum,
+    PlancherelPoly,
     SchemaError,
+    SingularityRecord,
+    TruncatedValue,
     WorkbenchError,
+    ZetaRequest,
     parse_eigenvalue_spectrum,
     parse_length_spectrum,
     serialize_eigenvalue_spectrum,
@@ -108,6 +115,50 @@ def test_class_columns_must_have_equal_lengths():
     columns = ClassColumns([1.0, 1.3], [0.2, 0.5], [1, 1], ["a"])
     with pytest.raises(InvariantViolation, match="class 1 is missing from a column: .*'words': 1"):
         LengthSpectrum(cutoff=2.0, classes=columns)
+
+
+def test_spectrum_equality_tells_each_field_apart():
+    fields = {"cutoff": 2.0, "classes": ClassColumns([1.0], [0.5]), "tolerance": 1e-9,
+              "volume": 1.0, "source": "walk"}
+    spec = LengthSpectrum(**fields)
+    twin = LengthSpectrum(**dict(fields, classes=ClassColumns([1.0], [0.5])))
+    assert spec == twin and hash(spec) == hash(twin)
+    others = {"cutoff": 3.0, "classes": ClassColumns([1.0], [0.6]), "tolerance": 1e-8,
+              "volume": 2.0, "source": "other"}
+    for name, other in others.items():
+        assert LengthSpectrum(**dict(fields, **{name: other})) != spec, name
+
+
+def test_with_volume_checks_the_new_spectrum():
+    columns = ClassColumns([1.0], [0.5])
+    spec = LengthSpectrum(cutoff=2.0, classes=columns, source="walk")
+    assert spec.with_volume(2.5) == LengthSpectrum(
+        cutoff=2.0, classes=columns, volume=2.5, source="walk"
+    )
+    for bad in (0, -1.0):
+        with pytest.raises(InvariantViolation, match="volume must be positive and finite"):
+            spec.with_volume(bad)
+
+
+def test_records_refuse_assignment():
+    spec = LengthSpectrum(cutoff=2.0, classes=ClassColumns([1.0], [0.5]))
+    records = [
+        (spec, "volume"),
+        (SingularityRecord(1j, 1, "selberg"), "order"),
+        (TruncatedValue(1.0, 0.0, 1), "value"),
+        (GammaRep(1, {"a": [[2.0]]}), "images"),
+        (PlancherelPoly((1.0, 1.0)), "even_coefficients"),
+        (ZetaRequest(s=3.0, k=1.0, spectrum=spec), "s"),
+        (GroupPresentation(generators=([[2.0, 0.0], [0.0, 0.5]],), names=("a",)), "names"),
+        (EnumerationConfig(max_word_length=3, length_cutoff=2.0), "length_cutoff"),
+    ]
+    for record, name in records:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) == before, type(record).__name__
 
 
 def test_spectrum_orders_and_cutoff():

@@ -1,11 +1,10 @@
 """Tests for the self-checking verification suites."""
 
-import dataclasses
-
 import pytest
 
 from zeta_workbench import verify
 from zeta_workbench.errors import WorkbenchError
+from zeta_workbench.spectra import SingularityRecord, TruncatedValue
 from zeta_workbench.verify import SUITES, run_all, run_suite
 
 
@@ -86,14 +85,18 @@ BREAKS = {
     "kernels": ("laplace_kernel_check", lambda r: _shift_gap(r, 1e-6)),
     "partial-fractions": ("partial_fraction_weights", lambda r: [w * (1 + 1e-6) for w in r]),
     "residues": ("residue_at", lambda r: r + 1e-6),
-    "logderiv": ("log_derivative_super", lambda r: dataclasses.replace(r, value=r.value + 1e-4)),
+    "logderiv": (
+        "log_derivative_super",
+        lambda r: TruncatedValue(r.value + 1e-4, r.tail_bound, r.terms_used),
+    ),
     "factorization": ("ruelle_factorization_check", lambda r: _shift_gap(r, 1e-6)),
     # the plain orders, the ones the suite checks, are positive, so + 1
     # keeps every record valid
     "parity": (
         "singularity_catalog",
         lambda r: tuple(
-            dataclasses.replace(rec, order=rec.order + 1) if rec.zeta_kind == "selberg" else rec
+            SingularityRecord(rec.location, rec.order + 1, rec.zeta_kind)
+            if rec.zeta_kind == "selberg" else rec
             for rec in r
         ),
     ),
