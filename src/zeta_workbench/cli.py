@@ -33,35 +33,14 @@ __all__ = ["main", "build_parser"]
 # ---------------------------------------------------------------------------
 # layers
 #
-# A command loads only the modules it runs: main binds the package names
-# the command calls into this module's namespace before running it, and
-# the command calls them from here.  So `cli.log_zeta` is the name a test
-# or a tracer replaces, and a name bound already is kept.
-
-_LAYERS = {
-    "enumerate": (),  # a cache hit runs no layer; a miss binds _WALK itself
-    "zeta": ("parse_length_spectrum", "parse_gamma_rep", "ZetaRequest", "log_zeta"),
-    "trace": (
-        "parse_length_spectrum", "parse_eigenvalue_spectrum", "parse_gamma_rep",
-        "dirac_geometric_side", "dirac_spectral_side", "heat_geometric_side",
-        "heat_spectral_side",
-    ),
-    "verify": ("run_suite",),
-    "continue": (
-        "parse_eigenvalue_spectrum", "singularity_catalog", "log_zeta_by_path",
-        "continued_super_logderiv",  # not called here; wrapped by name in perfbench/tracing.py
-    ),
-    "report": ("run_all",),
-}
-
-# what an enumerate cache miss runs
-_WALK = (
-    "EnumerationConfig", "enumerate_spectrum", "parse_group_presentation",
-    "serialize_length_spectrum",
-)
+# A command loads only the modules it runs: where it starts, it binds the
+# package names it calls into this module's namespace, and it calls them
+# from here.  So `cli.log_zeta` is the name a test or a tracer replaces,
+# and a name bound already is kept.  Any name of the package's export
+# table resolves here when looked up from outside.
 
 
-def _bind(names) -> None:
+def _bind(*names: str) -> None:
     package = sys.modules[__package__]
     for name in names:
         if name not in globals():
@@ -69,10 +48,10 @@ def _bind(names) -> None:
 
 
 def __getattr__(name: str):
-    """A layer name looked up from outside before a command bound it."""
-    if name not in _WALK and not any(name in names for names in _LAYERS.values()):
+    """A package name looked up from outside before a command bound it."""
+    if name not in sys.modules[__package__].__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind((name,))
+    _bind(name)
     return globals()[name]
 
 
@@ -145,6 +124,18 @@ def _exp(s: complex, log: complex) -> complex:
         raise WorkbenchError(
             f"the zeta value at s = {s} is not a finite number (Re log Z = {log.real})"
         )
+    return value
+
+
+def _modulus(z: complex, what: str) -> float:
+    """abs(z), refused unless it is finite: the modulus of a finite z
+    passes the float range once it is above 1.8e308."""
+    try:
+        value = abs(z)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise WorkbenchError(f"{what} is not a finite number")
     return value
 
 
@@ -244,7 +235,8 @@ def cmd_enumerate(args) -> int:
         line, _, text = entry.partition("\n")
         summary = json.loads(line)
     else:
-        _bind(_WALK)
+        _bind("EnumerationConfig", "enumerate_spectrum", "parse_group_presentation",
+              "serialize_length_spectrum")
         presentation = parse_group_presentation(raw)
         if not presentation.generators:
             sys.stderr.write(_NO_GENERATORS)
@@ -279,6 +271,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_zeta(args) -> int:
+    _bind("parse_length_spectrum", "parse_gamma_rep", "ZetaRequest", "log_zeta")
     if args.s_start is None:
         raise SchemaError("--s-start is required (two numbers: re im)")
     spectrum = parse_length_spectrum(_read_json(args.spectrum))
@@ -315,9 +308,16 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    _bind("parse_length_spectrum", "parse_eigenvalue_spectrum", "parse_gamma_rep",
+          "dirac_geometric_side", "dirac_spectral_side", "heat_geometric_side",
+          "heat_spectral_side")
+    kind, unread = ("dirac", "laplace") if args.order == "first" else ("laplace", "dirac")
+    if getattr(args, unread):
+        raise SchemaError(f"--{unread} is not read with --order {args.order}, whose "
+                          f"spectral side takes --{kind}")
     spectrum = parse_length_spectrum(_read_json(args.spectrum))
     chi = _chi(args)
-    kind, path = ("dirac", args.dirac) if args.order == "first" else ("laplace", args.laplace)
+    path = getattr(args, kind)
     eigen = parse_eigenvalue_spectrum(_read_json(path), kind=kind) if path else None
     if args.order == "second" and args.volume is not None:
         spectrum = spectrum.with_volume(args.volume)
@@ -332,7 +332,7 @@ def cmd_trace(args) -> int:
         row = {"t": t, "geometric": _pair(geo)}
         if spec_side is not None:
             row["spectral"] = _pair(spec_side)
-            row["diagnostic_gap"] = abs(geo - spec_side)
+            row["diagnostic_gap"] = _modulus(geo - spec_side, f"the diagnostic gap at t = {t}")
         rows.append(row)
     if args.format == "csv":
         columns = ("t", "geometric_re", "geometric_im", "spectral_re", "spectral_im",
@@ -344,6 +344,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _bind("run_suite")
     report = run_suite(
         args.suite, seed=args.seed, inject_parity_violation=args.inject_parity_violation
     )
@@ -352,6 +353,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_continue(args) -> int:
+    _bind("parse_eigenvalue_spectrum", "singularity_catalog", "log_zeta_by_path")
+    if args.catalog and args.s_start is not None and args.format == "csv":
+        raise SchemaError("--catalog with --s-start needs --format json: a CSV holds "
+                          "either the catalog or the rows")
     dirac = parse_eigenvalue_spectrum(_read_json(args.dirac), kind="dirac")
     laplace = None
     if args.laplace:
@@ -391,7 +396,7 @@ def cmd_continue(args) -> int:
                 {
                     "s": _pair(s),
                     "log": _pair(log_value),
-                    "abs": abs(value),
+                    "abs": _modulus(value, f"|Z| at s = {s}"),
                     "arg": cmath.phase(value),
                     "winding": winding,
                 }
@@ -409,6 +414,7 @@ def cmd_continue(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _bind("run_all")
     reports = run_all(seed=args.seed)
     payload = {
         "reports": reports,
@@ -511,7 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _bind(_LAYERS[args.command])
         return args.func(args)
     except WorkbenchError as exc:
         sys.stderr.write(f"error: {exc}\n")

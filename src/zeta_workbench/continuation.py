@@ -6,7 +6,7 @@ of operator spectra:
 
     L_super(s) = 2i sum_k m(lam_k) lam_k / (lam_k^2 + s^2)
     L_sym(s)   = 2s sum_k m(mu_k) / (mu_k + s^2)
-                 - 4 pi dim(V_chi) Vol P(s)
+                 - 4 pi dim(V_chi) Vol (k^2 - s^2) / 4 pi^2
 
 These are rational (plus an entire polynomial) and defined on all of C,
 with simple poles at s = +-i lam_k and s = +-i sqrt(mu_k) whose residues
@@ -49,7 +49,7 @@ from .errors import (
     ParityViolation,
     PathThroughSingularity,
 )
-from .reps import plancherel
+from .reps import DEFAULT_PLANCHEREL_NORMALIZATION
 from .spectra import (
     EIGENVALUE_TOL,
     DiracSpectrum,
@@ -161,7 +161,9 @@ def continued_sym_logderiv(
         raise MissingVolume("the density term needs a volume (0 to disable)")
     s = complex(s)
     rational = 2.0 * s * _resolvent_sum(s, laplace, True)
-    return rational - 4.0 * math.pi * dim_chi * volume * plancherel(k).at_s(s)
+    # the d = 3 density at lam = -i s, as reps.PlancherelPoly.at_s gives it
+    density = DEFAULT_PLANCHEREL_NORMALIZATION * (k * k - s * s)
+    return rational - 4.0 * math.pi * dim_chi * volume * density
 
 
 # ---------------------------------------------------------------------------

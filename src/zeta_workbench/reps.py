@@ -2,8 +2,9 @@
 
 Covers the finite-dimensional inputs the geodesic sums need: the weight k
 of the isotropy representation, the group twist chi given by generator
-matrices, the determinant factor det(Id - Ad|nbar), and the even Plancherel
-polynomial weighting the identity contribution.
+matrices, the determinant factor det(Id - Ad|nbar), and the Plancherel
+density q(lam) = (lam^2 + k^2) / 4 pi^2 weighting the identity
+contribution.
 
 The isotropy torus is one-dimensional: a weight is a single number k
 (integer or half-integer), the character at rotation angle theta is
@@ -20,7 +21,6 @@ for the call.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from collections.abc import Iterable
 from operator import mul
@@ -43,15 +43,27 @@ __all__ = [
 
 DEFAULT_PLANCHEREL_NORMALIZATION = 1.0 / (4.0 * math.pi**2)
 
+# The largest |k| a weight may have.  An angle in (-pi, pi] is rounded by up
+# to pi * 2**-53 rad, and the phase k*theta carries that error times |k|: at
+# the cap it is 3.7e-10 rad, and past 2**53 / pi it is a radian or more, so
+# exp(i k theta) has no correct digit left.
+MAX_WEIGHT = 2.0**20
+
 
 def check_weight(k: float) -> float:
-    """The weight as a float; it must be an integer or a half-integer, and
-    2k must be finite."""
+    """The weight as a float; it must be an integer or a half-integer, 2k
+    must be finite, and |k| at most MAX_WEIGHT."""
     k = float(k)
     if math.isfinite(k) and math.isinf(2.0 * k):
         raise InvariantViolation(f"weight {k} is too large: 2k is not finite")
     if not math.isfinite(k) or abs(2.0 * k - round(2.0 * k)) > 1e-12:
         raise InvariantViolation(f"weight must be an integer or half-integer, got {k}")
+    if abs(k) > MAX_WEIGHT:
+        error = MAX_WEIGHT * math.pi * 2**-53
+        raise InvariantViolation(
+            f"weight {k} is too large: |k| must be at most {MAX_WEIGHT:.0f}, past which "
+            f"the phase k*theta carries a rounding error above {error:.2g} rad"
+        )
     return k
 
 
@@ -221,48 +233,32 @@ def ad_nbar_det(length, angle):
 
 
 # ---------------------------------------------------------------------------
-# Plancherel polynomial
+# Plancherel density
 
 
 class PlancherelPoly(Record):
-    """Even polynomial q with q(lam) the spectral density at parameter lam.
+    """The d = 3 density of weight k, q(lam) = (lam^2 + k^2) / 4 pi^2.
 
-    even_coefficients stores (c_0, c_2, c_4, ...); odd coefficients are
-    identically zero.  DEFAULT_PLANCHEREL_NORMALIZATION scales every
+    coefficients lists the polynomial lam^2 + k^2 from lam^0 upward;
+    DEFAULT_PLANCHEREL_NORMALIZATION, the 1 / 4 pi^2, scales every
     evaluation.
     """
 
-    _fields = ("even_coefficients",)
+    _fields = ("k",)
 
-    def __init__(self, even_coefficients: tuple[float, ...]):
-        self.__dict__.update(even_coefficients=tuple(float(c) for c in even_coefficients))
+    def __init__(self, k: float):
+        self.__dict__.update(k=float(k))
 
     @property
     def coefficients(self) -> tuple[float, ...]:
-        """Full coefficient list (lam^0, lam^1, lam^2, ...); odd entries zero."""
-        out: list[float] = []
-        for c in self.even_coefficients:
-            out.extend((c, 0.0))
-        return tuple(out[:-1]) if out else (0.0,)
-
-    def at_ilambda(self, lam: complex) -> complex:
-        """Evaluate the density q(lam) (the polynomial at argument i*lam)."""
-        lam2 = lam * lam
-        total: complex = 0.0
-        power: complex = 1.0
-        for c in self.even_coefficients:
-            total += c * power
-            power *= lam2
-        return DEFAULT_PLANCHEREL_NORMALIZATION * total
+        """(k^2, 0, 1), the coefficients of lam^0, lam^1 and lam^2."""
+        return (self.k * self.k, 0.0, 1.0)
 
     def at_s(self, s: complex) -> complex:
-        """Evaluate the polynomial at argument s, i.e. q(-i*s)."""
-        return self.at_ilambda(-1j * s)
+        """The density at lam = -i s, (k^2 - s^2) / 4 pi^2."""
+        return DEFAULT_PLANCHEREL_NORMALIZATION * (self.k * self.k - s * s)
 
 
-@functools.lru_cache(maxsize=8)
 def plancherel(k: float) -> PlancherelPoly:
-    """Density polynomial for the identity contribution:
-    q(lam) = lam^2 + k^2, times the default normalization.  It depends on
-    k alone and is immutable, so the last few are kept."""
-    return PlancherelPoly((k * k, 1.0))
+    """The density weighting the identity contribution at weight k."""
+    return PlancherelPoly(k)

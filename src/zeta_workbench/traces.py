@@ -12,7 +12,8 @@ with a geodesic sum whose per-class weight is
         exp(-l^2/4t) / (n D),    D = exp(l) det(Id - Ad|nbar),
 
 and the second-order one pairs sum_k m(mu_k) exp(-t mu_k) with an identity
-contribution 2 dim(V_chi) Vol integral exp(-t lam^2) P(i lam) dlam plus a
+contribution 2 dim(V_chi) Vol integral exp(-t lam^2) q(lam) dlam, where
+q(lam) = (lam^2 + k^2) / 4 pi^2 is the d = 3 Plancherel density, plus a
 geodesic sum weighted by (l/n) (L(gamma; k) + L(gamma; -k)) exp(-l^2/4t)
 (4 pi t)^{-1/2}.  Both geodesic sums are the one class-sum kernel of
 zeta.py over the spectrum's length column, with the class weights of the
@@ -167,11 +168,10 @@ def gaussian_moment(t: float, m: int) -> float:
 
 
 def identity_term_heat(k: float, t: float) -> float:
-    """integral exp(-t lam^2) P(i lam) dlam in closed Gaussian-moment form."""
-    q = plancherel(k)
-    return DEFAULT_PLANCHEREL_NORMALIZATION * sum(
-        c * gaussian_moment(t, m) for m, c in enumerate(q.even_coefficients)
-    )
+    """integral exp(-t lam^2) q(lam) dlam, with q(lam) = (lam^2 + k^2) / 4 pi^2,
+    as two Gaussian moments."""
+    moments = k * k * gaussian_moment(t, 0) + gaussian_moment(t, 1)
+    return DEFAULT_PLANCHEREL_NORMALIZATION * moments
 
 
 def identity_term_dirac(

@@ -111,6 +111,12 @@ MUTANTS = (
     Mutant("M25", "src/zeta_workbench/reps.py",
            "if math.isfinite(k) and math.isinf(2.0 * k):", "if False:",
            "tests/test_cli.py", "a weight whose 2k overflows is refused"),
+    Mutant("M26", "src/zeta_workbench/reps.py",
+           "MAX_WEIGHT = 2.0**20", "MAX_WEIGHT = 2.0**21",
+           "tests/test_cli.py", "the weight cap is 2**20"),
+    Mutant("M27", "src/zeta_workbench/cli.py",
+           'raise WorkbenchError(f"{what} is not a finite number")', "return value",
+           "tests/test_cli.py", "a modulus past the float range is refused"),
 )
 
 # Mutants that the suite does not kill yet: no test holds tail_bound

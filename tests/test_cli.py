@@ -544,6 +544,30 @@ def test_weight_whose_double_overflows_is_refused_exit_1(tmp_path, capsys, comma
     assert err == "error: weight 1e+308 is too large: 2k is not finite\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["zeta", "--s-start", "3", "0"],
+    ["trace", "--order", "first"],
+    ["trace", "--order", "second"],
+], ids=["zeta", "trace first", "trace second"])
+def test_weight_above_2_to_the_20_is_refused_exit_1(tmp_path, capsys, command):
+    # past the cap the phase k*theta is rounded by more than 3.7e-10 rad:
+    # zeta --sigma 1e17 wrote a log with exit 0 although every phase was
+    # noise, and trace --order second --sigma 1e200 blamed the geometric
+    # side for k^2 overflowing in the identity term
+    spec = toy_spectrum_path(tmp_path)
+    for sigma in ("1048576", "-1048576", "1048575.5"):
+        assert main([*command, "--spectrum", spec, "--sigma", sigma]) == 0, sigma
+        assert "NaN" not in capsys.readouterr().out
+    for sigma in ("1048576.5", "-1048577", "1e17", "1e200"):
+        assert main([*command, "--spectrum", spec, "--sigma", sigma]) == 1, sigma
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == (
+            f"error: weight {float(sigma)} is too large: |k| must be at most 1048576, past "
+            "which the phase k*theta carries a rounding error above 3.7e-10 rad\n"
+        )
+
+
 def test_zeta_refuses_a_spectrum_of_another_dimension(tmp_path, capsys):
     doc = spectrum_doc(TOY_CLASSES)
     doc["dimension"] = 5
@@ -754,6 +778,35 @@ def test_trace_t_past_the_float_range_exit_1(tmp_path, capsys, order, t):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err == f"error: the geometric side at t = {float(t)} is not a finite number\n"
+
+
+def test_trace_diagnostic_gap_past_the_float_range_exit_1(tmp_path, capsys):
+    # both sides are finite, but the gap's modulus passes 1.8e308: abs()
+    # raised OverflowError with a traceback
+    spec = toy_spectrum_path(tmp_path)
+    y = math.sqrt(706.25)
+    dirac = write_json(tmp_path, "dirac.json",
+                       eigen_doc([(0.0, y, 1), (math.pi / (4.0 * y), y, 1)]))
+    code = main(["trace", "--spectrum", spec, "--sigma", "1", "--dirac", dirac])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "error: the diagnostic gap at t = 1.0 is not a finite number\n"
+
+
+@pytest.mark.parametrize("order, flag, other", [
+    ("first", "--laplace", "--dirac"),
+    ("second", "--dirac", "--laplace"),
+])
+def test_trace_refuses_the_other_orders_list_exit_2(tmp_path, capsys, order, flag, other):
+    # the list was read by neither side, and the rows came out without a
+    # spectral side, exit 0
+    spec = toy_spectrum_path(tmp_path)
+    eigen = write_json(tmp_path, "eigen.json", eigen_doc([(1.0, 0.0, 1)]))
+    code = main(["trace", "--spectrum", spec, "--sigma", "1", "--order", order, flag, eigen])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == (f"error: {flag} is not read with --order {order}, whose spectral side "
+                   f"takes {other}\n")
 
 
 def test_trace_volume_override_changes_heat_side(tmp_path, capsys):
@@ -988,6 +1041,36 @@ def test_continue_value_past_the_float_range_exit_1(tmp_path, capsys):
     assert code == 1 and out == ""
     assert "Traceback" not in err
     assert "s = -1.2j" in err and "Re log Z = 2397." in err
+
+
+def test_continue_modulus_past_the_float_range_exit_1(tmp_path, capsys):
+    # order -34 at -i, eps away: Re log Z = 709.9 keeps Z finite, but |Z|
+    # passes 1.8e308, and abs() raised OverflowError with a traceback
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 34)]))
+    eps = math.exp(math.log(2.0) - 709.9 / 34)
+    s = -1j + eps * cmath.exp(1j * (-math.pi / 2 - math.pi / 136))
+    code = main(["continue", "--dirac", dirac, "--radius", "1e-10",
+                 "--s-start", repr(s.real), repr(s.imag)])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"error: |Z| at s = {s} is not a finite number\n"
+
+
+def test_continue_catalog_csv_with_a_grid_exit_2(tmp_path, capsys):
+    # a CSV holds the rows or the catalog: the catalog was dropped, exit 0
+    dirac = write_json(tmp_path, "dirac.json", eigen_doc([(1.0, 0.0, 1)]))
+    code = main(["continue", "--dirac", dirac, "--catalog", "--format", "csv",
+                 "--s-start", "3", "0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("error: --catalog with --s-start needs --format json: a CSV holds "
+                   "either the catalog or the rows\n")
+    # either one alone as CSV, or both as JSON, is written
+    for extra in (["--catalog"], ["--s-start", "3", "0"]):
+        assert main(["continue", "--dirac", dirac, *extra, "--format", "csv"]) == 0, extra
+    capsys.readouterr()
+    assert main(["continue", "--dirac", dirac, "--catalog", "--s-start", "3", "0"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"catalog", "rows"}
 
 
 def test_continue_inconsistent_pair_exit_6(tmp_path, capsys):

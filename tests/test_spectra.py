@@ -147,7 +147,7 @@ def test_records_refuse_assignment():
         (SingularityRecord(1j, 1, "selberg"), "order"),
         (TruncatedValue(1.0, 0.0, 1), "value"),
         (GammaRep(1, {"a": [[2.0]]}), "images"),
-        (PlancherelPoly((1.0, 1.0)), "even_coefficients"),
+        (PlancherelPoly(1.0), "k"),
         (ZetaRequest(s=3.0, k=1.0, spectrum=spec), "s"),
         (GroupPresentation(generators=([[2.0, 0.0], [0.0, 0.5]],), names=("a",)), "names"),
         (EnumerationConfig(max_word_length=3, length_cutoff=2.0), "length_cutoff"),
